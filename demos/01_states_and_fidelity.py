@@ -6,7 +6,6 @@ decomposition, fidelity, trace distance, and the Fuchs-van de Graaf sandwich.
 import numpy as np
 
 from tomoreduce import (
-    DensityMatrix,
     PureState,
     child_seed,
     fidelity_mixed,
@@ -72,4 +71,4 @@ u = random_pure_state(1, 4, seed=31)
 v = random_pure_state(1, 4, seed=32)
 print(f"|<v|u>|^2 = {fidelity_pure_pure(u, v):.6f} = "
       f"F of the rank-1 density matrices = "
-      f"{fidelity_mixed(DensityMatrix.from_pure(u), DensityMatrix.from_pure(v)):.6f}")
+      f"{fidelity_mixed(u.to_density_matrix(), v.to_density_matrix()):.6f}")

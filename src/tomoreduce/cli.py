@@ -30,7 +30,7 @@ from .harness import (
 
 _SUBCOMMANDS = {
     "chain-sweep": ExperimentKind.CHAIN_SWEEP,
-    "reduce": ExperimentKind.REDUCTION_RUN,
+    "reduce": ExperimentKind.CHAIN_SWEEP,
     "scale-pure": ExperimentKind.SCALING_PURE,
     "scale-mixed": ExperimentKind.SCALING_MIXED,
     "gentle": ExperimentKind.GENTLE_MEASUREMENT,
@@ -60,23 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chain-sweep", help="verify the fidelity chain over an (r, d, eps) grid")
-    _add_common(p)
-    p.add_argument("--r", type=_int_list, default=DEFAULT_R_GRID, help="comma list of r values")
-    p.add_argument("--d", type=_int_list, default=DEFAULT_D_GRID, help="comma list of d values")
-    p.add_argument("--eps", type=_float_list, default=DEFAULT_EPS_GRID, help="comma list of eps")
-    p.add_argument("--c-extra", type=float, default=4.0, help="extra-copy constant")
-    p.add_argument("--n-copies", type=int, default=10_000, help="copies consumed by stage 1")
-    p.add_argument("--backend", choices=("oracle", "measurement"), default="oracle")
-
-    p = sub.add_parser("reduce", help="run the full reduction over an (r, d, eps) grid")
-    _add_common(p)
-    p.add_argument("--r", type=_int_list, default=(2,))
-    p.add_argument("--d", type=_int_list, default=(4,))
-    p.add_argument("--eps", type=_float_list, default=(0.1,))
-    p.add_argument("--c-extra", type=float, default=4.0)
-    p.add_argument("--n-copies", type=int, default=10_000)
-    p.add_argument("--backend", choices=("oracle", "measurement"), default="oracle")
+    for name, help_text, r, d, eps in (
+        ("chain-sweep", "verify the fidelity chain over an (r, d, eps) grid",
+         DEFAULT_R_GRID, DEFAULT_D_GRID, DEFAULT_EPS_GRID),
+        ("reduce", "chain-sweep with a one-cell default grid (r=2, d=4, eps=0.1)",
+         (2,), (4,), (0.1,)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.add_argument("--r", type=_int_list, default=r, help="comma list of r values")
+        p.add_argument("--d", type=_int_list, default=d, help="comma list of d values")
+        p.add_argument("--eps", type=_float_list, default=eps, help="comma list of eps")
+        p.add_argument("--c-extra", type=float, default=4.0, help="extra-copy constant")
+        p.add_argument("--n-copies", type=int, default=10_000, help="copies consumed by stage 1")
+        p.add_argument("--backend", choices=("oracle", "measurement"), default="oracle")
 
     p = sub.add_parser("scale-pure", help="pure-estimator infidelity vs shot budget")
     _add_common(p)
@@ -106,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFAULT_TRIALS = {
     ExperimentKind.CHAIN_SWEEP: 100,
-    ExperimentKind.REDUCTION_RUN: 100,
     ExperimentKind.SCALING_PURE: 50,
     ExperimentKind.SCALING_MIXED: 50,
     ExperimentKind.GENTLE_MEASUREMENT: 100,
@@ -130,7 +126,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         out_path=out_path,
         out_format=args.format,
     )
-    if kind in (ExperimentKind.CHAIN_SWEEP, ExperimentKind.REDUCTION_RUN):
+    if kind is ExperimentKind.CHAIN_SWEEP:
         kwargs.update(
             r_values=args.r,
             d_values=args.d,

@@ -77,7 +77,6 @@ OUTPUT_DIR_ENV_VAR = "TOMOREDUCE_OUT_DIR"
 
 class ExperimentKind(Enum):
     CHAIN_SWEEP = "chain_sweep"
-    REDUCTION_RUN = "reduction_run"
     SCALING_PURE = "scaling_pure"
     SCALING_MIXED = "scaling_mixed"
     GENTLE_MEASUREMENT = "gentle_measurement"
@@ -129,14 +128,25 @@ class ExperimentConfig:
             raise ValueError("delta values must be in (0, 1)")
         if any(n < 1 for n in self.n_values):
             raise ValueError("budget values must be positive")
-        if not experiment_cells(self):
+        cells = experiment_cells(self)
+        if not cells:
             raise ValueError("grids produce no cell satisfying the module preconditions")
+        chain = self.experiment is ExperimentKind.CHAIN_SWEEP
+        if chain or self.experiment is ExperimentKind.GENTLE_MEASUREMENT:
+            if any(c["d"] == 1 for c in cells):
+                raise ValueError("chain and gentle cells need d >= 2")
+        d_max = max(self.d_values)
+        if chain and self.backend == "measurement" and self.n_copies < d_max**2:
+            raise ValueError(
+                f"the measurement backend needs n_copies >= d^2 = {d_max**2} for d = {d_max}, "
+                f"got {self.n_copies}"
+            )
 
 
 def experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Grid cells for the experiment, with r > d combinations filtered out."""
     kind = config.experiment
-    if kind in (ExperimentKind.CHAIN_SWEEP, ExperimentKind.REDUCTION_RUN):
+    if kind is ExperimentKind.CHAIN_SWEEP:
         return [
             {"r": r, "d": d, "epsilon": e}
             for r in config.r_values
@@ -181,68 +191,49 @@ def _backends(config: ExperimentConfig, epsilon: float) -> tuple[TomographyBacke
     return backend, backend
 
 
-def _check_flag(report: ReductionReport, name: str) -> bool | None:
-    for c in report.chain:
-        if c.name == name:
-            return bool(c.satisfied) if c.applicable else None
-    return None
+# Columns of a reduction record, in file order. A type names the cast of the
+# ReductionReport attribute of that name (None passes through); a string names
+# the ChainCheck whose verdict the column holds, None where it does not apply.
+_REPORT_COLUMNS: dict[str, type | str] = {
+    "fidelity_mixed_estimate": float,
+    "keep_probability": float,
+    "projector_rank": int,
+    "extra_copies": int,
+    "kept_count": int,
+    "samples_total": int,
+    "projected_fidelity": float,
+    "estimate_fidelity": float,
+    "final_fidelity": float,
+    "keep_vs_mixed_fidelity_ok": "keep_vs_mixed_fidelity",
+    "keep_vs_epsilon_ok": "keep_vs_epsilon",
+    "projection_identity_ok": "projection_identity",
+    "final_vs_guaranteed_ok": "final_vs_guaranteed_bound",
+    "final_vs_tightened_holds": "final_vs_tightened_bound",
+    "violations": int,
+    "low_yield": bool,
+    "starved": bool,
+}
+
+# Casts of the cell parameters every record carries.
+_CELL_TYPES = {"r": int, "d": int, "n": int, "epsilon": float, "delta": float, "eta": float}
 
 
 def flatten_report(report: ReductionReport) -> dict[str, Any]:
     """Lossless flat view of a reduction report for record files."""
-    return {
-        "fidelity_mixed_estimate": float(report.fidelity_mixed_estimate),
-        "keep_probability": float(report.keep_probability),
-        "projector_rank": int(report.projector_rank),
-        "extra_copies": int(report.extra_copies),
-        "kept_count": int(report.kept_count),
-        "samples_total": int(report.samples_total),
-        "projected_fidelity": float(report.projected_fidelity),
-        "estimate_fidelity": None
-        if report.estimate_fidelity is None
-        else float(report.estimate_fidelity),
-        "final_fidelity": None if report.final_fidelity is None else float(report.final_fidelity),
-        "keep_vs_mixed_fidelity_ok": _check_flag(report, "keep_vs_mixed_fidelity"),
-        "keep_vs_epsilon_ok": _check_flag(report, "keep_vs_epsilon"),
-        "projection_identity_ok": _check_flag(report, "projection_identity"),
-        "final_vs_guaranteed_ok": _check_flag(report, "final_vs_guaranteed_bound"),
-        "final_vs_tightened_holds": _check_flag(report, "final_vs_tightened_bound"),
-        "violations": int(report.violations),
-        "low_yield": bool(report.low_yield),
-        "starved": bool(report.starved),
-    }
+    checks = {c.name: c for c in report.chain}
+    row: dict[str, Any] = {}
+    for column, source in _REPORT_COLUMNS.items():
+        if isinstance(source, str):
+            check = checks.get(source)
+            row[column] = bool(check.satisfied) if check is not None and check.applicable else None
+        else:
+            value = getattr(report, column)
+            row[column] = None if value is None else source(value)
+    return row
 
 
-_EMPTY_REPORT_FIELDS = {
-    "fidelity_mixed_estimate": None,
-    "keep_probability": None,
-    "projector_rank": None,
-    "extra_copies": None,
-    "kept_count": None,
-    "samples_total": None,
-    "projected_fidelity": None,
-    "estimate_fidelity": None,
-    "final_fidelity": None,
-    "keep_vs_mixed_fidelity_ok": None,
-    "keep_vs_epsilon_ok": None,
-    "projection_identity_ok": None,
-    "final_vs_guaranteed_ok": None,
-    "final_vs_tightened_holds": None,
-    "violations": None,
-    "low_yield": None,
-    "starved": None,
-}
-
-
-def _reduction_record(
-    config: ExperimentConfig,
-    cell_index: int,
-    trial_index: int,
-    cell: Mapping[str, Any],
-    trial_seed: int,
-) -> dict[str, Any]:
+def _reduction_fields(config, cell, trial_seed) -> dict[str, Any]:
     r, d, eps = cell["r"], cell["d"], cell["epsilon"]
-    start = time.perf_counter()
     psi = random_pure_state(r, d, child_seed(trial_seed, 0))
     mixed, pure = _backends(config, eps)
     rconfig = ReductionConfig(
@@ -257,71 +248,33 @@ def _reduction_record(
     )
     error = ""
     try:
-        report_fields: dict[str, Any] = flatten_report(run_reduction(psi, rconfig))
+        fields = flatten_report(run_reduction(psi, rconfig))
     except ReductionError as exc:
-        report_fields = dict(_EMPTY_REPORT_FIELDS)
+        fields = dict.fromkeys(_REPORT_COLUMNS)
         error = str(exc)
-    record = {
-        "experiment": config.experiment.value,
-        "cell": cell_index,
-        "trial": trial_index,
-        "r": int(r),
-        "d": int(d),
-        "epsilon": float(eps),
-        "seed": int(trial_seed),
-        **report_fields,
-        "guaranteed_bound": float(1.0 - 16.0 * eps),
-        "error": error,
-        "wall_time": time.perf_counter() - start,
-    }
-    return record
+    fields["guaranteed_bound"] = float(1.0 - 16.0 * eps)
+    fields["error"] = error
+    return fields
 
 
-def _scaling_pure_record(config, cell_index, trial_index, cell, trial_seed) -> dict[str, Any]:
-    d, n = cell["d"], cell["n"]
-    start = time.perf_counter()
-    psi = random_pure_state(1, d, child_seed(trial_seed, 0))
-    estimate = estimate_pure_state_from_measurements(psi, n, child_seed(trial_seed, 1))
+def _scaling_pure_fields(config, cell, trial_seed) -> dict[str, Any]:
+    psi = random_pure_state(1, cell["d"], child_seed(trial_seed, 0))
+    estimate = estimate_pure_state_from_measurements(psi, cell["n"], child_seed(trial_seed, 1))
     fid = fidelity_pure_pure(estimate, psi)
-    return {
-        "experiment": config.experiment.value,
-        "cell": cell_index,
-        "trial": trial_index,
-        "d": int(d),
-        "n": int(n),
-        "seed": int(trial_seed),
-        "fidelity": float(fid),
-        "infidelity": float(1.0 - fid),
-        "violations": 0,
-        "wall_time": time.perf_counter() - start,
-    }
+    return {"fidelity": float(fid), "infidelity": float(1.0 - fid), "violations": 0}
 
 
-def _scaling_mixed_record(config, cell_index, trial_index, cell, trial_seed) -> dict[str, Any]:
-    r, d, n = cell["r"], cell["d"], cell["n"]
-    start = time.perf_counter()
-    rho = random_rank_r_state(d, r, child_seed(trial_seed, 0))
-    estimate = estimate_mixed_state_from_measurements(rho, r, n, child_seed(trial_seed, 1))
+def _scaling_mixed_fields(config, cell, trial_seed) -> dict[str, Any]:
+    r = cell["r"]
+    rho = random_rank_r_state(cell["d"], r, child_seed(trial_seed, 0))
+    estimate = estimate_mixed_state_from_measurements(rho, r, cell["n"], child_seed(trial_seed, 1))
     fid = fidelity_mixed(rho, estimate)
-    return {
-        "experiment": config.experiment.value,
-        "cell": cell_index,
-        "trial": trial_index,
-        "r": int(r),
-        "d": int(d),
-        "n": int(n),
-        "seed": int(trial_seed),
-        "fidelity": float(fid),
-        "infidelity": float(1.0 - fid),
-        "violations": 0,
-        "wall_time": time.perf_counter() - start,
-    }
+    return {"fidelity": float(fid), "infidelity": float(1.0 - fid), "violations": 0}
 
 
-def _gentle_record(config, cell_index, trial_index, cell, trial_seed) -> dict[str, Any]:
-    r, d, delta = cell["r"], cell["d"], cell["delta"]
-    start = time.perf_counter()
-    psi = random_pure_state(r, d, child_seed(trial_seed, 0))
+def _gentle_fields(config, cell, trial_seed) -> dict[str, Any]:
+    delta = cell["delta"]
+    psi = random_pure_state(cell["r"], cell["d"], child_seed(trial_seed, 0))
     result = gentle_measurement_experiment(psi, delta, 1, child_seed(trial_seed, 1))
     if result.completed:
         t = float(result.trace_distances[0])
@@ -333,47 +286,29 @@ def _gentle_record(config, cell_index, trial_index, cell, trial_seed) -> dict[st
         }
     else:
         fields = {"trace_distance": None, "ratio_sqrt": None, "ratio_linear": None, "skipped": True}
-    return {
-        "experiment": config.experiment.value,
-        "cell": cell_index,
-        "trial": trial_index,
-        "r": int(r),
-        "d": int(d),
-        "delta": float(delta),
-        "seed": int(trial_seed),
-        **fields,
-        "violations": 0,
-        "wall_time": time.perf_counter() - start,
-    }
+    fields["violations"] = 0
+    return fields
 
 
-def _prop_search_record(config, cell_index, trial_index, cell, trial_seed) -> dict[str, Any]:
-    d, eta = cell["d"], cell["eta"]
-    start = time.perf_counter()
-    result = proposition_search(d, eta, config.prop_batch, trial_seed)
+def _prop_search_fields(config, cell, trial_seed) -> dict[str, Any]:
+    result = proposition_search(cell["d"], cell["eta"], config.prop_batch, trial_seed)
     return {
-        "experiment": config.experiment.value,
-        "cell": cell_index,
-        "trial": trial_index,
-        "d": int(d),
-        "eta": float(eta),
-        "seed": int(trial_seed),
         "checked": int(result.checked),
         "violations": int(result.violations),
         "min_slack": float(result.min_slack),
         "min_c": float(result.min_c),
         "max_triangle_excess": float(result.max_triangle_excess),
-        "wall_time": time.perf_counter() - start,
     }
 
 
+# Each builder returns the fields of one trial's record that follow the
+# shared experiment, cell, trial, cell-parameter and seed columns.
 _RECORD_BUILDERS = {
-    ExperimentKind.CHAIN_SWEEP: _reduction_record,
-    ExperimentKind.REDUCTION_RUN: _reduction_record,
-    ExperimentKind.SCALING_PURE: _scaling_pure_record,
-    ExperimentKind.SCALING_MIXED: _scaling_mixed_record,
-    ExperimentKind.GENTLE_MEASUREMENT: _gentle_record,
-    ExperimentKind.PROPOSITION_SEARCH: _prop_search_record,
+    ExperimentKind.CHAIN_SWEEP: _reduction_fields,
+    ExperimentKind.SCALING_PURE: _scaling_pure_fields,
+    ExperimentKind.SCALING_MIXED: _scaling_mixed_fields,
+    ExperimentKind.GENTLE_MEASUREMENT: _gentle_fields,
+    ExperimentKind.PROPOSITION_SEARCH: _prop_search_fields,
 }
 
 
@@ -409,7 +344,7 @@ def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], records: list[d
     violations = sum(1 for rec in records if (rec.get("violations") or 0) > 0)
     failures = sum(1 for rec in records if rec.get("error"))
     stats: dict[str, float] = {}
-    if kind in (ExperimentKind.CHAIN_SWEEP, ExperimentKind.REDUCTION_RUN):
+    if kind is ExperimentKind.CHAIN_SWEEP:
         finals = [r["final_fidelity"] for r in records if r.get("final_fidelity") is not None]
         keeps = [r["keep_probability"] for r in records if r.get("keep_probability") is not None]
         stats["final_min"] = _quantile(finals, 0.0)
@@ -448,10 +383,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     summaries: list[CellSummary] = []
     for cell_index, cell in enumerate(cells):
         cell_seed = child_seed(config.master_seed, cell_index)
-        cell_records = [
-            builder(config, cell_index, trial_index, cell, child_seed(cell_seed, trial_index))
-            for trial_index in range(config.trials)
-        ]
+        params = {k: _CELL_TYPES[k](v) for k, v in cell.items()}
+        cell_records = []
+        for trial_index in range(config.trials):
+            trial_seed = child_seed(cell_seed, trial_index)
+            start = time.perf_counter()
+            fields = builder(config, cell, trial_seed)
+            cell_records.append(
+                {
+                    "experiment": config.experiment.value,
+                    "cell": cell_index,
+                    "trial": trial_index,
+                    **params,
+                    "seed": int(trial_seed),
+                    **fields,
+                    "wall_time": time.perf_counter() - start,
+                }
+            )
         records.extend(cell_records)
         summaries.append(_cell_summary(config.experiment, cell, cell_records))
     if config.out_path is not None:

@@ -8,8 +8,6 @@ analytic keep probability; this is exact, not an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .seeding import rng_from_seed
@@ -18,11 +16,9 @@ from .states import Projector, PureState
 __all__ = [
     "PROB_TOL",
     "ProjectionError",
-    "MeasurementOutcome",
     "outcome_probability",
     "project_and_renormalize",
     "sample_shots",
-    "measure",
 ]
 
 PROB_TOL = 1e-12  # outcome probabilities at or below this cannot be renormalized
@@ -35,15 +31,6 @@ class ProjectionError(RuntimeError):
     dividing by a near-zero norm would amplify rounding noise past any
     tolerance, so the condition is reported instead.
     """
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementOutcome:
-    """One projective shot: which outcome fired and the collapsed state."""
-
-    kept: bool  # True means the P outcome
-    probability_kept: float
-    post_state: PureState
 
 
 def _check_dims(psi: PureState, pi: Projector) -> None:
@@ -85,22 +72,3 @@ def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> tuple[int, 
     rng = rng_from_seed(seed)
     outcomes = rng.random(shots) < p
     return int(np.count_nonzero(outcomes)), outcomes
-
-
-def measure(psi: PureState, pi: Projector, seed) -> MeasurementOutcome:
-    """Perform one projective shot and return the collapsed state either way."""
-    p = outcome_probability(psi, pi)
-    rng = rng_from_seed(seed)
-    kept = bool(rng.random() < p)
-    if kept:
-        post = project_and_renormalize(psi, pi)
-    else:
-        m = psi.as_matrix()
-        residual = m - (m @ pi.basis.conj()) @ pi.basis.T
-        q = float(np.sum(np.abs(residual) ** 2))
-        if q <= PROB_TOL:
-            raise ProjectionError(
-                f"discard-outcome norm squared {q:.3e} is below {PROB_TOL:g}"
-            )
-        post = PureState((residual / np.sqrt(q)).reshape(-1), psi.dims).phase_normalized()
-    return MeasurementOutcome(kept=kept, probability_kept=p, post_state=post)

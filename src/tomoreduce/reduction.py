@@ -101,6 +101,13 @@ class ReductionConfig:
             object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
         if self.pure_backend is None:
             object.__setattr__(self, "pure_backend", TomographyBackend.oracle(self.epsilon))
+        if self.mixed_backend.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
+            if self.d == 1:
+                raise ValueError("the mixed oracle cannot perturb the only state on d = 1")
+        elif self.n_copies < self.d**2:
+            raise ValueError(
+                f"linear inversion needs n_copies >= d^2 = {self.d**2}, got {self.n_copies}"
+            )
 
     @property
     def extra_copies(self) -> int:
@@ -126,58 +133,46 @@ class ChainCheck:
         return self.applicable and not self.advisory and not self.satisfied
 
 
-def _chain_checks(
-    epsilon: float,
-    fidelity_mixed_estimate: float,
-    keep_probability: float,
-    projected_fidelity: float,
-    estimate_fidelity: float | None,
-    final_fidelity: float | None,
-) -> tuple[ChainCheck, ...]:
-    window_held = fidelity_mixed_estimate >= 1.0 - epsilon - _WINDOW_SLACK
-    checks = [
-        ChainCheck(
-            name="keep_vs_mixed_fidelity",
-            value=keep_probability,
-            bound=fidelity_mixed_estimate,
-            satisfied=keep_probability >= fidelity_mixed_estimate - CHAIN_SLACK,
-        ),
-        ChainCheck(
-            name="keep_vs_epsilon",
-            value=keep_probability,
-            bound=1.0 - epsilon,
-            satisfied=keep_probability >= 1.0 - epsilon - CHAIN_SLACK,
-            applicable=window_held,
-        ),
-        ChainCheck(
-            name="projection_identity",
-            value=projected_fidelity,
-            bound=keep_probability,
-            satisfied=abs(projected_fidelity - keep_probability) <= CHAIN_SLACK,
-        ),
-    ]
-    if estimate_fidelity is not None and final_fidelity is not None:
-        final_applicable = window_held and estimate_fidelity >= 1.0 - epsilon - _WINDOW_SLACK
-        checks.append(
-            ChainCheck(
-                name="final_vs_guaranteed_bound",
-                value=final_fidelity,
-                bound=1.0 - 16.0 * epsilon,
-                satisfied=final_fidelity >= 1.0 - 16.0 * epsilon - CHAIN_SLACK,
-                applicable=final_applicable,
-            )
-        )
-        checks.append(
-            ChainCheck(
-                name="final_vs_tightened_bound",
-                value=final_fidelity,
-                bound=1.0 - 8.0 * epsilon,
-                satisfied=final_fidelity >= 1.0 - 8.0 * epsilon - CHAIN_SLACK,
-                applicable=final_applicable,
-                advisory=True,
-            )
-        )
-    return tuple(checks)
+def _landed(fidelity: float, epsilon: float) -> bool:
+    """Whether a stage met its hypothesis: fidelity at least 1 - epsilon."""
+    return fidelity >= 1.0 - epsilon - _WINDOW_SLACK
+
+
+def _keep_vs_mixed_fidelity(keep_probability: float, f_rho_sigma: float) -> ChainCheck:
+    """Cauchy-Schwarz step: the keep probability dominates F(rho, sigma)."""
+    return ChainCheck(
+        name="keep_vs_mixed_fidelity",
+        value=keep_probability,
+        bound=f_rho_sigma,
+        satisfied=keep_probability >= f_rho_sigma - CHAIN_SLACK,
+    )
+
+
+def _projection_identity(projected_fidelity: float, keep_probability: float) -> ChainCheck:
+    """|<psi_tilde|psi>|^2 equals the keep probability."""
+    return ChainCheck(
+        name="projection_identity",
+        value=projected_fidelity,
+        bound=keep_probability,
+        satisfied=abs(projected_fidelity - keep_probability) <= CHAIN_SLACK,
+    )
+
+
+def _final_vs_guaranteed_bound(
+    epsilon: float, f_rho_sigma: float, estimate_fidelity: float, final_fidelity: float
+) -> ChainCheck:
+    """|<phi|psi>|^2 >= 1 - 16*eps, which applies only when epsilon < 1 and
+    both stages landed in their infidelity-epsilon windows."""
+    applicable = (
+        epsilon < 1.0 and _landed(f_rho_sigma, epsilon) and _landed(estimate_fidelity, epsilon)
+    )
+    return ChainCheck(
+        name="final_vs_guaranteed_bound",
+        value=final_fidelity,
+        bound=1.0 - 16.0 * epsilon,
+        satisfied=final_fidelity >= 1.0 - 16.0 * epsilon - CHAIN_SLACK,
+        applicable=applicable,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,14 +264,31 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
         estimate_fidelity = fidelity_pure_pure(estimate, psi_tilde)
         final_fidelity = fidelity_pure_pure(estimate, psi)
 
-    chain = _chain_checks(
-        config.epsilon,
-        f_rho_sigma,
-        keep_probability,
-        projected_fidelity,
-        estimate_fidelity,
-        final_fidelity,
-    )
+    eps = config.epsilon
+    chain = [
+        _keep_vs_mixed_fidelity(keep_probability, f_rho_sigma),
+        ChainCheck(
+            name="keep_vs_epsilon",
+            value=keep_probability,
+            bound=1.0 - eps,
+            satisfied=keep_probability >= 1.0 - eps - CHAIN_SLACK,
+            applicable=_landed(f_rho_sigma, eps),
+        ),
+        _projection_identity(projected_fidelity, keep_probability),
+    ]
+    if final_fidelity is not None:
+        guaranteed = _final_vs_guaranteed_bound(eps, f_rho_sigma, estimate_fidelity, final_fidelity)
+        chain += [
+            guaranteed,
+            ChainCheck(
+                name="final_vs_tightened_bound",
+                value=final_fidelity,
+                bound=1.0 - 8.0 * eps,
+                satisfied=final_fidelity >= 1.0 - 8.0 * eps - CHAIN_SLACK,
+                applicable=guaranteed.applicable,
+                advisory=True,
+            ),
+        ]
     return ReductionReport(
         sigma=sigma,
         projector_rank=pi.rank,
@@ -287,7 +299,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
         projected_fidelity=projected_fidelity,
         estimate_fidelity=estimate_fidelity,
         final_fidelity=final_fidelity,
-        chain=chain,
+        chain=tuple(chain),
         samples_total=config.n_copies + extra_copies,
         low_yield=low_yield,
         starved=starved,
@@ -342,50 +354,25 @@ def verify_chain(
             bound=f_rho_sigma,
             satisfied=abs(uhlmann_overlap - f_rho_sigma) <= 1e-6,
         ),
-        ChainCheck(
-            name="keep_vs_mixed_fidelity",
-            value=keep_probability,
-            bound=f_rho_sigma,
-            satisfied=keep_probability >= f_rho_sigma - CHAIN_SLACK,
-        ),
+        _keep_vs_mixed_fidelity(keep_probability, f_rho_sigma),
     ]
 
     usable = keep_probability > PROB_TOL
     projected_fidelity: float | None = None
     estimate_fidelity: float | None = None
     final_fidelity: float | None = None
+    eps_eff = epsilon
     if usable:
         psi_tilde = project_and_renormalize(psi, pi)
         projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
         estimate_fidelity = fidelity_pure_pure(phi, psi_tilde)
         final_fidelity = fidelity_pure_pure(phi, psi)
-        checks.append(
-            ChainCheck(
-                name="projection_identity",
-                value=projected_fidelity,
-                bound=keep_probability,
-                satisfied=abs(projected_fidelity - keep_probability) <= CHAIN_SLACK,
-            )
-        )
-        eps_eff = epsilon
         if eps_eff is None:
             eps_eff = max(1.0 - f_rho_sigma, 1.0 - estimate_fidelity, 1e-15)
-        final_applicable = (
-            eps_eff < 1.0
-            and f_rho_sigma >= 1.0 - eps_eff - _WINDOW_SLACK
-            and estimate_fidelity >= 1.0 - eps_eff - _WINDOW_SLACK
-        )
-        checks.append(
-            ChainCheck(
-                name="final_vs_guaranteed_bound",
-                value=final_fidelity,
-                bound=1.0 - 16.0 * eps_eff,
-                satisfied=final_fidelity >= 1.0 - 16.0 * eps_eff - CHAIN_SLACK,
-                applicable=final_applicable,
-            )
-        )
-    else:
-        eps_eff = epsilon
+        checks += [
+            _projection_identity(projected_fidelity, keep_probability),
+            _final_vs_guaranteed_bound(eps_eff, f_rho_sigma, estimate_fidelity, final_fidelity),
+        ]
     return ChainReport(
         fidelity_mixed_estimate=f_rho_sigma,
         uhlmann_overlap=uhlmann_overlap,
@@ -440,6 +427,15 @@ class GeometricCheck:
     intermediates_satisfied: bool
 
 
+def _composition_margins(a, b, c, eta):
+    """Slack c - (1 - 4*eta) of the composition bound and excess of its
+    triangle step, dist_sq_c - (2*dist_sq_a + 2*dist_sq_b) with
+    dist_sq_x = 2 - 2*x. Takes floats or equal-length arrays of triples."""
+    slack = c - (1.0 - 4.0 * eta)
+    excess = (2.0 - 2.0 * c) - (2.0 * (2.0 - 2.0 * a) + 2.0 * (2.0 - 2.0 * b))
+    return slack, excess
+
+
 def geometric_composition(t: OverlapTriple, eta: float) -> GeometricCheck:
     """Check c >= 1 - 4*eta for a triple with a, b >= 1 - eta.
 
@@ -450,29 +446,27 @@ def geometric_composition(t: OverlapTriple, eta: float) -> GeometricCheck:
     """
     if eta < 0.0:
         raise ValueError("eta must be nonnegative")
-    applicable = t.a >= 1.0 - eta - _WINDOW_SLACK and t.b >= 1.0 - eta - _WINDOW_SLACK
-    lower_bound = 1.0 - 4.0 * eta
+    applicable = _landed(t.a, eta) and _landed(t.b, eta)
+    slack, excess = _composition_margins(t.a, t.b, t.c, eta)
     dist_sq_a = 2.0 - 2.0 * t.a
     dist_sq_b = 2.0 - 2.0 * t.b
-    dist_sq_c = 2.0 - 2.0 * t.c
     triangle_bound = 2.0 * dist_sq_a + 2.0 * dist_sq_b
     # the triangle step holds for any genuine state triple; the 2*eta and
     # 8*eta caps additionally require the precondition
-    triangle_ok = dist_sq_c <= triangle_bound + CHAIN_SLACK
     eta_caps_ok = (
         dist_sq_a <= 2.0 * eta + CHAIN_SLACK
         and dist_sq_b <= 2.0 * eta + CHAIN_SLACK
         and triangle_bound <= 8.0 * eta + CHAIN_SLACK
     )
     return GeometricCheck(
-        lower_bound=lower_bound,
-        satisfied=t.c >= lower_bound - CHAIN_SLACK,
+        lower_bound=1.0 - 4.0 * eta,
+        satisfied=slack >= -CHAIN_SLACK,
         applicable=applicable,
         dist_sq_a=dist_sq_a,
         dist_sq_b=dist_sq_b,
-        dist_sq_c=dist_sq_c,
+        dist_sq_c=2.0 - 2.0 * t.c,
         triangle_bound=triangle_bound,
-        intermediates_satisfied=triangle_ok and (not applicable or eta_caps_ok),
+        intermediates_satisfied=excess <= CHAIN_SLACK and (not applicable or eta_caps_ok),
     )
 
 
@@ -528,7 +522,6 @@ def proposition_search(
     min_slack = np.inf
     min_c = np.inf
     max_excess = -np.inf
-    lower_bound = 1.0 - 4.0 * eta
     while checked < count:
         m = min(batch_size, count - checked)
         n_edge = int(edge_fraction * m)
@@ -548,11 +541,10 @@ def proposition_search(
             b[:, None] * psi_t + np.sqrt(1.0 - b**2)[:, None] * chi2
         )
         c = np.abs(np.sum(phi.conj() * psi, axis=1))
-        slack = c - lower_bound
+        slack, excess = _composition_margins(a, b, c, eta)
         violations += int(np.count_nonzero(slack < -CHAIN_SLACK))
         min_slack = min(min_slack, float(slack.min()))
         min_c = min(min_c, float(c.min()))
-        excess = (2.0 - 2.0 * c) - (2.0 * (2.0 - 2.0 * a) + 2.0 * (2.0 - 2.0 * b))
         max_excess = max(max_excess, float(excess.max()))
         checked += m
     return PropositionSearchResult(

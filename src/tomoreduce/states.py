@@ -31,7 +31,6 @@ __all__ = [
     "partial_trace_x",
     "schmidt_decompose",
     "fidelity_pure_pure",
-    "fidelity_pure_mixed",
     "fidelity_mixed",
     "trace_distance",
     "purify",
@@ -179,10 +178,6 @@ class DensityMatrix:
         rank = int(np.count_nonzero(w > RANK_TOL))
         return cls(matrix=mat, eigenvalues=w, eigenvectors=v, rank=rank)
 
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.to_density_matrix()
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -260,10 +255,6 @@ class Projector:
     def matrix(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    @classmethod
-    def identity(cls, dim: int) -> "Projector":
-        return cls(np.eye(dim, dtype=complex))
-
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
@@ -320,14 +311,6 @@ def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
     if psi.total_dim != phi.total_dim:
         raise ValueError("dimension mismatch")
     return float(min(1.0, abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2))
-
-
-def fidelity_pure_mixed(psi: PureState, sigma: DensityMatrix) -> float:
-    """Fidelity <psi|sigma|psi> between a pure state and a density matrix."""
-    if psi.total_dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    val = np.real(np.vdot(psi.amplitudes, sigma.matrix @ psi.amplitudes))
-    return float(np.clip(val, 0.0, 1.0))
 
 
 def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -72,6 +72,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="no cell"):
             small_sweep_config(r_values=(3,), d_values=(2,))
 
+    def test_rejects_d_one_for_chain_and_gentle(self):
+        for kind in (ExperimentKind.CHAIN_SWEEP, ExperimentKind.GENTLE_MEASUREMENT):
+            with pytest.raises(ValueError, match="d >= 2"):
+                ExperimentConfig(experiment=kind, r_values=(1,), d_values=(1, 2))
+
+    def test_rejects_measurement_budget_below_d_squared(self):
+        with pytest.raises(ValueError, match="n_copies >= d\\^2 = 16"):
+            small_sweep_config(backend="measurement", n_copies=15)
+        small_sweep_config(backend="measurement", n_copies=16)
+
     def test_crossed_grid_filters_r_above_d(self):
         cfg = small_sweep_config(r_values=(1, 3), d_values=(2, 4))
         cells = experiment_cells(cfg)
@@ -270,6 +280,27 @@ class TestCli:
         code = main(["chain-sweep", "--r", "3", "--d", "2", "--trials", "1"])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--r", "1", "--d", "1"],
+            ["gentle", "--r", "1", "--d", "1"],
+            ["chain-sweep", "--backend", "measurement", "--n-copies", "10", "--d", "4"],
+        ],
+    )
+    def test_unrunnable_config_exit_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--trials", "1", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reduce_writes_chain_sweep_records(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_DIR_ENV_VAR, str(tmp_path))
+        assert main(["reduce", "--trials", "2"]) == 0
+        rows = read_csv(tmp_path / "chain_sweep.csv")
+        assert len(rows) == 3  # header + two trials of the one default cell
+        assert {row[0] for row in rows[1:]} == {"chain_sweep"}
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV_VAR, str(tmp_path))

@@ -42,6 +42,14 @@ class TestReductionConfig:
         with pytest.raises(ValueError):
             ReductionConfig(r=1, d=2, n_copies=10, epsilon=0.1, extra_copy_factor=0.0)
 
+    def test_rejects_configs_that_cannot_run(self):
+        with pytest.raises(ValueError, match="d = 1"):
+            ReductionConfig(r=1, d=1, n_copies=10, epsilon=0.1)
+        inversion = TomographyBackend.linear_inversion(shots=100)
+        with pytest.raises(ValueError, match="n_copies >= d\\^2 = 16"):
+            ReductionConfig(r=1, d=4, n_copies=15, epsilon=0.1, mixed_backend=inversion)
+        ReductionConfig(r=1, d=4, n_copies=16, epsilon=0.1, mixed_backend=inversion)
+
     def test_extra_copies(self):
         cfg = ReductionConfig(r=2, d=4, n_copies=10, epsilon=0.1, extra_copy_factor=4.0)
         assert cfg.extra_copies == math.ceil(4.0 * 4 / 0.1) == 160
@@ -194,6 +202,28 @@ class TestVerifyChain:
                 sigma = random_rank_r_state(d, r, child_seed(28, t))
             report = verify_chain(psi, sigma, psi)
             assert report.keep_probability >= report.fidelity_mixed_estimate - 1e-7
+
+    def test_agrees_with_run_reduction(self):
+        # on a run's own (psi, sigma, phi), the standalone verifier repeats
+        # every verdict the two entry points share
+        shared = ("keep_vs_mixed_fidelity", "projection_identity", "final_vs_guaranteed_bound")
+        cases = [(1, 3, 0.1), (2, 2, 0.2), (2, 4, 0.05), (3, 6, 0.01), (2, 5, 0.3)]
+        for i, (r, d, eps) in enumerate(cases):
+            for t in range(10):
+                psi = random_pure_state(r, d, child_seed(60, i, t))
+                cfg = ReductionConfig(r=r, d=d, n_copies=10, epsilon=eps, seed=child_seed(61, i, t))
+                report = run_reduction(psi, cfg)
+                verified = verify_chain(psi, report.sigma, report.estimate, epsilon=eps)
+                ran = {c.name: c for c in report.chain}
+                checked = {c.name: c for c in verified.checks}
+                for name in shared:
+                    a, b = ran[name], checked[name]
+                    assert (a.value, a.bound, a.satisfied, a.applicable) == (
+                        b.value,
+                        b.bound,
+                        b.satisfied,
+                        b.applicable,
+                    ), name
 
     def test_uhlmann_check_on_calibrated_sigma(self):
         for t in range(20):

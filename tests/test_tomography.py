@@ -13,7 +13,6 @@ from tomoreduce import (
     estimate_mixed_state_from_measurements,
     estimate_pure_state_from_measurements,
     fidelity_mixed,
-    fidelity_pure_mixed,
     fidelity_pure_pure,
     haar_random_unitary,
     oracle_mixed_estimate,
@@ -39,7 +38,7 @@ class TestOracleMixedEstimate:
         rho = psi.to_density_matrix()
         sigma = oracle_mixed_estimate(rho, 0.1, seed=4)
         assert sigma.rank == 1
-        assert 0.9 <= fidelity_pure_mixed(psi, sigma) <= 0.95
+        assert 0.9 <= fidelity_mixed(rho, sigma) <= 0.95
 
     def test_rank_two_window(self):
         rho = random_rank_r_state(4, 2, seed=5)
