@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 if any analytic bound was violated, 2 on a
 configuration error. The default output directory can be overridden with the
 TOMOREDUCE_OUT_DIR environment variable.
+
+Every flag stores its value under the name of the ExperimentConfig field it
+sets, and each subcommand sets its experiment kind and trial count as
+parser defaults, so the parsed namespace is the config's keyword arguments.
 """
 
 from __future__ import annotations
@@ -28,15 +32,6 @@ from .harness import (
     run_experiment,
 )
 
-_SUBCOMMANDS = {
-    "chain-sweep": ExperimentKind.CHAIN_SWEEP,
-    "reduce": ExperimentKind.CHAIN_SWEEP,
-    "scale-pure": ExperimentKind.SCALING_PURE,
-    "scale-mixed": ExperimentKind.SCALING_MIXED,
-    "gentle": ExperimentKind.GENTLE_MEASUREMENT,
-    "prop-search": ExperimentKind.PROPOSITION_SEARCH,
-}
-
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x)
@@ -46,11 +41,17 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=2024, help="master seed (default 2024)")
-    sub.add_argument("--trials", type=int, default=None, help="trials per grid cell")
-    sub.add_argument("--out", type=str, default=None, help="output record file")
-    sub.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="record format")
+def _subcommand(sub, name: str, kind: ExperimentKind, trials: int, help_text: str):
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(experiment=kind)
+    p.add_argument("--seed", dest="master_seed", type=int, default=2024,
+                   help="master seed (default 2024)")
+    p.add_argument("--trials", type=int, default=trials,
+                   help=f"trials per grid cell (default {trials})")
+    p.add_argument("--out", dest="out_path", default=None, help="output record file")
+    p.add_argument("--format", dest="out_format", choices=("csv", "jsonl"), default="csv",
+                   help="record format")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,84 +67,54 @@ def build_parser() -> argparse.ArgumentParser:
         ("reduce", "chain-sweep with a one-cell default grid (r=2, d=4, eps=0.1)",
          (2,), (4,), (0.1,)),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--r", type=_int_list, default=r, help="comma list of r values")
-        p.add_argument("--d", type=_int_list, default=d, help="comma list of d values")
-        p.add_argument("--eps", type=_float_list, default=eps, help="comma list of eps")
-        p.add_argument("--c-extra", type=float, default=4.0, help="extra-copy constant")
+        p = _subcommand(sub, name, ExperimentKind.CHAIN_SWEEP, 100, help_text)
+        p.add_argument("--r", dest="r_values", type=_int_list, default=r,
+                       help="comma list of r values")
+        p.add_argument("--d", dest="d_values", type=_int_list, default=d,
+                       help="comma list of d values")
+        p.add_argument("--eps", dest="eps_values", type=_float_list, default=eps,
+                       help="comma list of eps")
+        p.add_argument("--c-extra", dest="extra_copy_factor", type=float, default=4.0,
+                       help="extra-copy constant")
         p.add_argument("--n-copies", type=int, default=10_000, help="copies consumed by stage 1")
         p.add_argument("--backend", choices=("oracle", "measurement"), default="oracle")
 
-    p = sub.add_parser("scale-pure", help="pure-estimator infidelity vs shot budget")
-    _add_common(p)
-    p.add_argument("--d", type=_int_list, default=(4,))
-    p.add_argument("--n", type=_int_list, default=DEFAULT_N_GRID, help="comma list of budgets")
+    p = _subcommand(sub, "scale-pure", ExperimentKind.SCALING_PURE, 50,
+                    "pure-estimator infidelity vs shot budget")
+    p.add_argument("--d", dest="d_values", type=_int_list, default=(4,))
+    p.add_argument("--n", dest="n_values", type=_int_list, default=DEFAULT_N_GRID,
+                   help="comma list of budgets")
 
-    p = sub.add_parser("scale-mixed", help="mixed-estimator infidelity vs shot budget")
-    _add_common(p)
-    p.add_argument("--r", type=_int_list, default=(2,))
-    p.add_argument("--d", type=_int_list, default=(4,))
-    p.add_argument("--n", type=_int_list, default=DEFAULT_N_GRID)
+    p = _subcommand(sub, "scale-mixed", ExperimentKind.SCALING_MIXED, 50,
+                    "mixed-estimator infidelity vs shot budget")
+    p.add_argument("--r", dest="r_values", type=_int_list, default=(2,))
+    p.add_argument("--d", dest="d_values", type=_int_list, default=(4,))
+    p.add_argument("--n", dest="n_values", type=_int_list, default=DEFAULT_N_GRID)
 
-    p = sub.add_parser("gentle", help="trace-distance disturbance of the support projection")
-    _add_common(p)
-    p.add_argument("--r", type=_int_list, default=(1, 2))
-    p.add_argument("--d", type=_int_list, default=(4, 6))
-    p.add_argument("--delta", type=_float_list, default=DEFAULT_DELTA_GRID)
+    p = _subcommand(sub, "gentle", ExperimentKind.GENTLE_MEASUREMENT, 100,
+                    "trace-distance disturbance of the support projection")
+    p.add_argument("--r", dest="r_values", type=_int_list, default=(1, 2))
+    p.add_argument("--d", dest="d_values", type=_int_list, default=(4, 6))
+    p.add_argument("--delta", dest="delta_values", type=_float_list, default=DEFAULT_DELTA_GRID)
 
-    p = sub.add_parser("prop-search", help="randomized search for composition-bound violations")
-    _add_common(p)
-    p.add_argument("--d", type=_int_list, default=DEFAULT_PROP_D_GRID)
-    p.add_argument("--eps", type=_float_list, default=DEFAULT_ETA_GRID, help="eta values")
-    p.add_argument("--batch", type=int, default=10_000, help="triples checked per trial")
+    p = _subcommand(sub, "prop-search", ExperimentKind.PROPOSITION_SEARCH, 100,
+                    "randomized search for composition-bound violations")
+    p.add_argument("--d", dest="d_values", type=_int_list, default=DEFAULT_PROP_D_GRID)
+    p.add_argument("--eps", dest="eps_values", type=_float_list, default=DEFAULT_ETA_GRID,
+                   help="eta values")
+    p.add_argument("--batch", dest="prop_batch", type=int, default=10_000,
+                   help="triples checked per trial")
 
     return parser
 
 
-_DEFAULT_TRIALS = {
-    ExperimentKind.CHAIN_SWEEP: 100,
-    ExperimentKind.SCALING_PURE: 50,
-    ExperimentKind.SCALING_MIXED: 50,
-    ExperimentKind.GENTLE_MEASUREMENT: 100,
-    ExperimentKind.PROPOSITION_SEARCH: 100,
-}
-
-
-def _default_out(kind: ExperimentKind, fmt: str) -> str:
-    base = os.environ.get(OUTPUT_DIR_ENV_VAR, ".")
-    return str(Path(base) / f"{kind.value}.{fmt}")
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kind = _SUBCOMMANDS[args.command]
-    trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[kind]
-    out_path = args.out if args.out is not None else _default_out(kind, args.format)
-    kwargs = dict(
-        experiment=kind,
-        trials=trials,
-        master_seed=args.seed,
-        out_path=out_path,
-        out_format=args.format,
-    )
-    if kind is ExperimentKind.CHAIN_SWEEP:
-        kwargs.update(
-            r_values=args.r,
-            d_values=args.d,
-            eps_values=args.eps,
-            extra_copy_factor=args.c_extra,
-            n_copies=args.n_copies,
-            backend=args.backend,
-        )
-    elif kind is ExperimentKind.SCALING_PURE:
-        kwargs.update(d_values=args.d, n_values=args.n)
-    elif kind is ExperimentKind.SCALING_MIXED:
-        kwargs.update(r_values=args.r, d_values=args.d, n_values=args.n)
-    elif kind is ExperimentKind.GENTLE_MEASUREMENT:
-        kwargs.update(r_values=args.r, d_values=args.d, delta_values=args.delta)
-    elif kind is ExperimentKind.PROPOSITION_SEARCH:
-        kwargs.update(d_values=args.d, eps_values=args.eps, prop_batch=args.batch)
-    return ExperimentConfig(**kwargs)
+    fields = vars(args).copy()
+    del fields["command"]
+    if fields["out_path"] is None:
+        base = os.environ.get(OUTPUT_DIR_ENV_VAR, ".")
+        fields["out_path"] = str(Path(base) / f"{args.experiment.value}.{args.out_format}")
+    return ExperimentConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:

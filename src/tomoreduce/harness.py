@@ -131,11 +131,10 @@ class ExperimentConfig:
         cells = experiment_cells(self)
         if not cells:
             raise ValueError("grids produce no cell satisfying the module preconditions")
-        chain = self.experiment is ExperimentKind.CHAIN_SWEEP
-        if chain or self.experiment is ExperimentKind.GENTLE_MEASUREMENT:
-            if any(c["d"] == 1 for c in cells):
-                raise ValueError("chain and gentle cells need d >= 2")
+        if any(c["d"] == 1 for c in cells):
+            raise ValueError("every experiment needs d >= 2: a cell with d = 1 has one state only")
         d_max = max(self.d_values)
+        chain = self.experiment is ExperimentKind.CHAIN_SWEEP
         if chain and self.backend == "measurement" and self.n_copies < d_max**2:
             raise ValueError(
                 f"the measurement backend needs n_copies >= d^2 = {d_max**2} for d = {d_max}, "
@@ -174,12 +173,7 @@ def experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
             for x in config.delta_values
         ]
     if kind is ExperimentKind.PROPOSITION_SEARCH:
-        return [
-            {"d": d, "eta": e}
-            for d in config.d_values
-            if d >= 2
-            for e in config.eps_values
-        ]
+        return [{"d": d, "eta": e} for d in config.d_values for e in config.eps_values]
     raise ValueError(f"unknown experiment {kind!r}")  # pragma: no cover
 
 
@@ -448,7 +442,7 @@ def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike,
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def print_summary(summary: ExperimentSummary, file=None) -> None:
+def print_summary(summary: ExperimentSummary) -> None:
     """Aligned per-cell table plus a verdict line."""
     stat_keys: list[str] = []
     for cell in summary.cells:
@@ -472,11 +466,10 @@ def print_summary(summary: ExperimentSummary, file=None) -> None:
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     for row in rows:
-        print("  ".join(col.ljust(w) for col, w in zip(row, widths)), file=file)
+        print("  ".join(col.ljust(w) for col, w in zip(row, widths)))
     print(
         f"{summary.experiment.value}: {len(summary.records)} records, "
-        f"{summary.violations_total} bound violation(s), {summary.failures_total} failed trial(s)",
-        file=file,
+        f"{summary.violations_total} bound violation(s), {summary.failures_total} failed trial(s)"
     )
 
 
@@ -495,7 +488,8 @@ def fit_scaling(records: Iterable[Mapping[str, Any]]) -> ScalingFit:
     """Fit log(median infidelity) = slope * log(n) + intercept.
 
     Needs records with "n" and "infidelity" fields covering at least three
-    distinct budgets.
+    distinct budgets, each with a positive median infidelity: a median of 0
+    has no logarithm, and an exact estimator has no law to fit.
     """
     groups: dict[int, list[float]] = {}
     for rec in records:
@@ -504,8 +498,11 @@ def fit_scaling(records: Iterable[Mapping[str, Any]]) -> ScalingFit:
         raise ValueError(f"need at least 3 distinct budget points, got {len(groups)}")
     budgets = sorted(groups)
     medians = np.array([float(np.median(groups[n])) for n in budgets])
+    for n, m in zip(budgets, medians):
+        if m <= 0.0:
+            raise ValueError(f"median infidelity at budget n={n} is 0; there is no law to fit")
     x = np.log(np.array(budgets, dtype=float))
-    y = np.log(np.maximum(medians, 1e-300))
+    y = np.log(medians)
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
     return ScalingFit(

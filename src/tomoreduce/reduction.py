@@ -481,6 +481,10 @@ class PropositionSearchResult:
     max_triangle_excess: float  # max of dist_sq_c - (2*dist_sq_a + 2*dist_sq_b)
 
 
+_SEARCH_BATCH = 65536  # triples drawn per vectorized batch
+_EDGE_FRACTION = 0.125  # share of each batch with a and b pinned at 1 - eta
+
+
 def _random_unit_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -495,20 +499,13 @@ def _orthogonal_unit_rows(rng: np.random.Generator, base: np.ndarray) -> np.ndar
     return z / np.maximum(norms, 1e-300)
 
 
-def proposition_search(
-    d: int,
-    eta: float,
-    count: int,
-    seed,
-    edge_fraction: float = 0.125,
-    batch_size: int = 65536,
-) -> PropositionSearchResult:
+def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearchResult:
     """Randomized search over state triples satisfying a, b >= 1 - eta.
 
     Each triple is built by rotating a Haar-random state toward random
-    orthogonal directions with overlap moduli drawn from [1 - eta, 1] (a
-    fraction pinned exactly at the edge) and random relative phases, then
-    c = |<phi|psi>| is tested against 1 - 4*eta with slack 1e-9.
+    orthogonal directions with overlap moduli drawn from [1 - eta, 1] (an
+    eighth of each batch pinned exactly at the edge) and random relative
+    phases, then c = |<phi|psi>| is tested against 1 - 4*eta with slack 1e-9.
     """
     if d < 2:
         raise ValueError("need dimension at least 2")
@@ -523,8 +520,8 @@ def proposition_search(
     min_c = np.inf
     max_excess = -np.inf
     while checked < count:
-        m = min(batch_size, count - checked)
-        n_edge = int(edge_fraction * m)
+        m = min(_SEARCH_BATCH, count - checked)
+        n_edge = int(_EDGE_FRACTION * m)
         psi = _random_unit_rows(rng, m, d)
         chi1 = _orthogonal_unit_rows(rng, psi)
         a = rng.uniform(1.0 - eta, 1.0, m)
@@ -558,21 +555,20 @@ def proposition_search(
 
 @dataclass(frozen=True, eq=False)
 class GentleMeasurementResult:
-    """Trace-distance statistics of support projection under a calibrated
-    trace-distance-delta support estimate."""
+    """Trace distances T between the projected and the original state, one
+    per completed trial, under a calibrated trace-distance-delta support
+    estimate. Ratios such as T/sqrt(delta) and T/delta are left to the
+    caller, which knows delta."""
 
     delta: float
     requested_trials: int
     skipped: int
     trace_distances: np.ndarray
-    ratios_sqrt: np.ndarray  # T / sqrt(delta)
-    ratios_linear: np.ndarray  # T / delta
 
     def __post_init__(self) -> None:
-        for name in ("trace_distances", "ratios_sqrt", "ratios_linear"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        arr = np.asarray(self.trace_distances, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "trace_distances", arr)
 
     @property
     def completed(self) -> int:
@@ -582,14 +578,6 @@ class GentleMeasurementResult:
     def max_trace_distance(self) -> float:
         return float(self.trace_distances.max()) if self.completed else float("nan")
 
-    def ratio_sqrt_stats(self) -> tuple[float, float, float]:
-        r = self.ratios_sqrt
-        return float(r.min()), float(np.median(r)), float(r.max())
-
-    def ratio_linear_stats(self) -> tuple[float, float, float]:
-        r = self.ratios_linear
-        return float(r.min()), float(np.median(r)), float(r.max())
-
 
 def gentle_measurement_experiment(
     psi: PureState, delta: float, trials: int, seed
@@ -598,10 +586,10 @@ def gentle_measurement_experiment(
 
     Each trial builds a same-rank sigma with trace_distance(rho, sigma) in
     [delta/2, delta], projects psi onto sigma's support, and records the
-    trace distance T between the projected and the original state together
-    with the ratios T/sqrt(delta) and T/delta. Trials whose keep probability
-    vanishes are skipped and counted. The T/delta trend is data, not a
-    pass/fail: whether linear-in-delta closeness holds is an open question.
+    trace distance T between the projected and the original state. Trials
+    whose keep probability vanishes are skipped and counted. The trend of
+    T/delta is data, not a pass/fail: whether linear-in-delta closeness
+    holds is an open question.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta!r}")
@@ -609,7 +597,6 @@ def gentle_measurement_experiment(
         raise ValueError("trials must be positive")
     rho = partial_trace_x(psi)
     psi_dm = psi.to_density_matrix()
-    sqrt_delta = math.sqrt(delta)
     distances: list[float] = []
     skipped = 0
     for t in range(trials):
@@ -620,12 +607,9 @@ def gentle_measurement_experiment(
             continue
         psi_tilde = project_and_renormalize(psi, pi)
         distances.append(trace_distance(psi_tilde.to_density_matrix(), psi_dm))
-    arr = np.array(distances, dtype=float)
     return GentleMeasurementResult(
         delta=delta,
         requested_trials=trials,
         skipped=skipped,
-        trace_distances=arr,
-        ratios_sqrt=arr / sqrt_delta,
-        ratios_linear=arr / delta,
+        trace_distances=np.array(distances, dtype=float),
     )

@@ -120,7 +120,6 @@ class DensityMatrix:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    rank: int
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
@@ -147,7 +146,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _frozen(mat))
         object.__setattr__(self, "eigenvalues", _frozen(w))
         object.__setattr__(self, "eigenvectors", _frozen(v))
-        object.__setattr__(self, "rank", int(self.rank))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
@@ -162,8 +160,7 @@ class DensityMatrix:
         w, v = np.linalg.eigh(herm)
         w = w[::-1]
         v = v[:, ::-1]
-        rank = int(np.count_nonzero(w > RANK_TOL))
-        return cls(matrix=herm, eigenvalues=w, eigenvectors=v, rank=rank)
+        return cls(matrix=herm, eigenvalues=w, eigenvectors=v)
 
     @classmethod
     def from_eigensystem(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityMatrix":
@@ -175,12 +172,16 @@ class DensityMatrix:
         v = v[:, order]
         mat = (v * w) @ v.conj().T
         mat = (mat + mat.conj().T) / 2.0
-        rank = int(np.count_nonzero(w > RANK_TOL))
-        return cls(matrix=mat, eigenvalues=w, eigenvectors=v, rank=rank)
+        return cls(matrix=mat, eigenvalues=w, eigenvectors=v)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def rank(self) -> int:
+        """Number of eigenvalues above the rank tolerance."""
+        return int(np.count_nonzero(self.eigenvalues > RANK_TOL))
 
     def sqrt_matrix(self) -> np.ndarray:
         """Principal square root, with rounding-noise negatives clamped to 0."""

@@ -23,7 +23,6 @@ from .seeding import child_seed, rng_from_seed
 from .states import (
     RANK_TOL,
     DensityMatrix,
-    Projector,
     PureState,
     fidelity_mixed,
     haar_random_unitary,
@@ -55,15 +54,15 @@ class TomographyBackend:
     """Estimator selection plus its parameters.
 
     Oracle backends need a target infidelity in (0, 1); measurement backends
-    need a default shot budget of at least 1 and optionally a fixed design
-    seed (so the measurement bases stay the same across trials while the shot
-    noise varies).
+    need a default shot budget of at least 1. That budget applies only to
+    direct ``estimate_mixed`` and ``estimate_pure`` calls that pass no
+    ``shots``: ``run_reduction`` always passes its own budgets, ``n_copies``
+    for the mixed-state stage and the kept copy count for the pure-state stage.
     """
 
     kind: BackendKind
     epsilon_target: float | None = None
     shots: int | None = None
-    design_seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
@@ -80,12 +79,8 @@ class TomographyBackend:
         return cls(kind=BackendKind.ORACLE_EXACT_INFIDELITY, epsilon_target=epsilon_target)
 
     @classmethod
-    def linear_inversion(cls, shots: int, design_seed: int | None = None) -> "TomographyBackend":
-        return cls(
-            kind=BackendKind.MEASUREMENT_LINEAR_INVERSION,
-            shots=shots,
-            design_seed=design_seed,
-        )
+    def linear_inversion(cls, shots: int) -> "TomographyBackend":
+        return cls(kind=BackendKind.MEASUREMENT_LINEAR_INVERSION, shots=shots)
 
     def estimate_mixed(
         self, rho: DensityMatrix, rank: int, seed, shots: int | None = None
@@ -93,17 +88,13 @@ class TomographyBackend:
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             return oracle_mixed_estimate(rho, self.epsilon_target, seed)
         budget = shots if shots is not None else self.shots
-        return estimate_mixed_state_from_measurements(
-            rho, rank, budget, seed, design_seed=self.design_seed
-        )
+        return estimate_mixed_state_from_measurements(rho, rank, budget, seed)
 
     def estimate_pure(self, psi: PureState, seed, shots: int | None = None) -> PureState:
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             return oracle_pure_estimate(psi, self.epsilon_target, seed)
         budget = shots if shots is not None else self.shots
-        return estimate_pure_state_from_measurements(
-            psi, budget, seed, design_seed=self.design_seed
-        )
+        return estimate_pure_state_from_measurements(psi, budget, seed)
 
 
 def _perturbation_family(
@@ -221,37 +212,22 @@ def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> De
     return _calibrate(rho, rng, trace_distance, delta / 2.0, delta)
 
 
-def oracle_pure_estimate(
-    psi: PureState, epsilon: float, seed, subspace: Projector | None = None
-) -> PureState:
+def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
     """Pure estimate with |<phi|psi>|^2 in [1 - eps, 1 - eps/2].
 
     The state is rotated toward a random orthogonal unit vector by the angle
-    whose cosine meets a target overlap drawn uniformly from the window. When
-    a subspace projector is supplied, psi must lie inside it and the estimate
-    stays inside it.
+    whose cosine meets a target overlap drawn uniformly from the window.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
     total = psi.total_dim
     rng = rng_from_seed(seed)
-    if subspace is not None:
-        if subspace.dimension != total:
-            raise ValueError("subspace projector does not match the state's dimension")
-        inside = subspace.basis @ (subspace.basis.conj().T @ psi.amplitudes)
-        if np.linalg.norm(psi.amplitudes - inside) > 1e-9:
-            raise ValueError("state lies outside the requested subspace")
-        ambient = subspace.rank
-    else:
-        ambient = total
-    if ambient < 2:
+    if total < 2:
         raise ValueError("no orthogonal direction available in a one-dimensional space")
 
     target = rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0)
     for _ in range(32):
-        raw = rng.standard_normal(ambient) + 1j * rng.standard_normal(ambient)
-        if subspace is not None:
-            raw = subspace.basis @ raw
+        raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
         chi = raw - np.vdot(psi.amplitudes, raw) * psi.amplitudes
         norm = np.linalg.norm(chi)
         if norm > 1e-12:

@@ -1,6 +1,7 @@
 """Tests for the experiment harness, record persistence, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,7 @@ from tomoreduce import (
     run_experiment,
     write_records,
 )
-from tomoreduce.cli import main
+from tomoreduce.cli import build_parser, config_from_args, main
 from tomoreduce.harness import OUTPUT_DIR_ENV_VAR, _cell_summary, experiment_cells
 
 
@@ -73,7 +74,8 @@ class TestConfigValidation:
             small_sweep_config(r_values=(3,), d_values=(2,))
 
     def test_rejects_d_one_for_chain_and_gentle(self):
-        for kind in (ExperimentKind.CHAIN_SWEEP, ExperimentKind.GENTLE_MEASUREMENT):
+        # the rule holds for every experiment, not only chain and gentle
+        for kind in ExperimentKind:
             with pytest.raises(ValueError, match="d >= 2"):
                 ExperimentConfig(experiment=kind, r_values=(1,), d_values=(1, 2))
 
@@ -250,6 +252,12 @@ class TestFitScaling:
         with pytest.raises(ValueError):
             fit_scaling(records)
 
+    def test_rejects_zero_median(self):
+        # a median of 0 has no logarithm: an exact estimator leaves no law to fit
+        records = [{"n": n, "infidelity": 0.0 if n == 100 else 1.0 / n} for n in (10, 100, 1000)]
+        with pytest.raises(ValueError, match="n=100"):
+            fit_scaling(records)
+
 
 class TestCli:
     def test_chain_sweep_success_exit_zero(self, tmp_path, capsys):
@@ -287,6 +295,9 @@ class TestCli:
             ["reduce", "--r", "1", "--d", "1"],
             ["gentle", "--r", "1", "--d", "1"],
             ["chain-sweep", "--backend", "measurement", "--n-copies", "10", "--d", "4"],
+            ["scale-pure", "--d", "1", "--n", "1,10,100"],
+            ["scale-mixed", "--r", "1", "--d", "1"],
+            ["prop-search", "--d", "1,2"],
         ],
     )
     def test_unrunnable_config_exit_two(self, argv, tmp_path, capsys):
@@ -368,3 +379,83 @@ class TestCli:
             )
             == 0
         )
+
+
+# Every field at the value each subcommand gives it when only --out is passed.
+_DEFAULTS = dict(
+    r_values=(1, 2, 3),
+    d_values=(2, 3, 4, 6, 8),
+    eps_values=(0.2, 0.1, 0.05, 0.01),
+    delta_values=(0.1, 0.01, 0.001),
+    n_values=(10_000, 100_000, 1_000_000),
+    trials=100,
+    master_seed=2024,
+    backend="oracle",
+    n_copies=10_000,
+    extra_copy_factor=4.0,
+    prop_batch=10_000,
+    out_path="x.csv",
+    out_format="csv",
+)
+_SUBCOMMAND_DEFAULTS = {
+    "chain-sweep": dict(experiment=ExperimentKind.CHAIN_SWEEP),
+    "reduce": dict(
+        experiment=ExperimentKind.CHAIN_SWEEP, r_values=(2,), d_values=(4,), eps_values=(0.1,)
+    ),
+    "scale-pure": dict(experiment=ExperimentKind.SCALING_PURE, d_values=(4,), trials=50),
+    "scale-mixed": dict(
+        experiment=ExperimentKind.SCALING_MIXED, r_values=(2,), d_values=(4,), trials=50
+    ),
+    "gentle": dict(
+        experiment=ExperimentKind.GENTLE_MEASUREMENT, r_values=(1, 2), d_values=(4, 6)
+    ),
+    "prop-search": dict(
+        experiment=ExperimentKind.PROPOSITION_SEARCH,
+        d_values=(2, 3, 4, 5, 6),
+        eps_values=(0.01, 0.1, 0.3),
+    ),
+}
+
+
+def _parse(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
+def _default_config(command):
+    return ExperimentConfig(**{**_DEFAULTS, **_SUBCOMMAND_DEFAULTS[command]})
+
+
+class TestCliConfig:
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_DEFAULTS))
+    def test_subcommand_defaults(self, command):
+        assert _parse([command, "--out", "x.csv"]) == _default_config(command)
+
+    @pytest.mark.parametrize(
+        "command, flag, text, field, value",
+        [
+            ("chain-sweep", "--r", "1,2", "r_values", (1, 2)),
+            ("chain-sweep", "--d", "3", "d_values", (3,)),
+            ("chain-sweep", "--eps", "0.3,0.02", "eps_values", (0.3, 0.02)),
+            ("chain-sweep", "--c-extra", "2.5", "extra_copy_factor", 2.5),
+            ("chain-sweep", "--n-copies", "500", "n_copies", 500),
+            ("chain-sweep", "--backend", "measurement", "backend", "measurement"),
+            ("reduce", "--seed", "5", "master_seed", 5),
+            ("reduce", "--trials", "7", "trials", 7),
+            ("reduce", "--format", "jsonl", "out_format", "jsonl"),
+            ("reduce", "--out", "y.csv", "out_path", "y.csv"),
+            ("scale-pure", "--n", "100,1000", "n_values", (100, 1000)),
+            ("scale-mixed", "--r", "1", "r_values", (1,)),
+            ("gentle", "--delta", "0.2", "delta_values", (0.2,)),
+            ("prop-search", "--eps", "0.2", "eps_values", (0.2,)),
+            ("prop-search", "--batch", "77", "prop_batch", 77),
+        ],
+    )
+    def test_flag_sets_field(self, command, flag, text, field, value):
+        config = _parse([command, "--out", "x.csv", flag, text])
+        assert getattr(config, field) == value
+        assert config == dataclasses.replace(_default_config(command), **{field: value})
+
+    def test_default_out_path_names_the_experiment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUTPUT_DIR_ENV_VAR, str(tmp_path))
+        config = _parse(["reduce", "--format", "jsonl"])
+        assert config.out_path == str(tmp_path / "chain_sweep.jsonl")

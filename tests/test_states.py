@@ -125,6 +125,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
 
+    def test_rank_follows_eigenvalues(self):
+        # the rank is derived from the eigenvalues and cannot be supplied
+        w = np.array([0.5, 0.5])
+        with pytest.raises(TypeError):
+            DensityMatrix(matrix=np.eye(2) / 2, eigenvalues=w, eigenvectors=np.eye(2), rank=7)
+        rho = DensityMatrix(matrix=np.eye(2) / 2, eigenvalues=w, eigenvectors=np.eye(2))
+        assert rho.rank == 2
+        assert DensityMatrix.from_matrix(np.diag([1.0, 0.0])).rank == 1
+
 
 class TestPartialTrace:
     def test_product_state(self):

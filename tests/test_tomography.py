@@ -6,7 +6,6 @@ import pytest
 from tomoreduce import (
     BackendKind,
     DensityMatrix,
-    Projector,
     PureState,
     TomographyBackend,
     child_seed,
@@ -14,7 +13,6 @@ from tomoreduce import (
     estimate_pure_state_from_measurements,
     fidelity_mixed,
     fidelity_pure_pure,
-    haar_random_unitary,
     oracle_mixed_estimate,
     oracle_pure_estimate,
     oracle_trace_distance_estimate,
@@ -69,23 +67,6 @@ class TestOraclePureEstimate:
         psi = random_pure_state(1, 2, seed=12)
         phi = oracle_pure_estimate(psi, 0.2, seed=13)
         assert 0.8 <= fidelity_pure_pure(phi, psi) <= 0.9
-
-    def test_subspace_constrained(self):
-        basis = haar_random_unitary(6, seed=14)[:, :3]
-        sub = Projector(basis)
-        coeff = np.array([0.6, -0.5j, 0.4 + 0.2j])
-        vec = basis @ coeff
-        psi = PureState(vec / np.linalg.norm(vec), (1, 6))
-        phi = oracle_pure_estimate(psi, 0.1, seed=15, subspace=sub)
-        residual = phi.amplitudes - basis @ (basis.conj().T @ phi.amplitudes)
-        assert np.linalg.norm(residual) < 1e-9
-        assert 0.9 <= fidelity_pure_pure(phi, psi) <= 0.95
-
-    def test_rejects_state_outside_subspace(self):
-        basis = np.eye(4, dtype=complex)[:, :2]
-        psi = PureState(np.array([0, 0, 1, 0]) + 0j, (1, 4))
-        with pytest.raises(ValueError, match="outside"):
-            oracle_pure_estimate(psi, 0.1, seed=0, subspace=Projector(basis))
 
     def test_rejects_one_dimensional_space(self):
         psi = PureState(np.array([1.0]), (1, 1))
