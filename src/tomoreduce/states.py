@@ -3,8 +3,9 @@
 Pure states live on a bipartite register pair X (dimension r) and Y
 (dimension d); a flat state uses dims (1, d). Density matrices carry their
 eigendecomposition. All constructors validate normalization, Hermiticity,
-and positivity at fixed tolerances, and every array held by a state object
-is frozen after construction, so instances are safe to share across threads.
+and positivity at fixed tolerances, and the eigenvectors or factors a state
+carries are checked to be orthonormal. Every array held by a state object is
+frozen after construction, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ class DensityMatrix:
     ``eigenvalues`` are nonincreasing and ``eigenvectors`` holds the matching
     orthonormal columns. The pair may be truncated (fewer columns than the
     dimension) when the trailing eigenvalues are exactly zero by construction.
+    Construction checks Hermiticity, unit trace, the eigenvalue order and
+    sign, that the columns are orthonormal (Gram defect within ``NORM_ATOL``)
+    and that the pairs reconstruct the matrix.
     """
 
     matrix: np.ndarray
@@ -139,6 +143,9 @@ class DensityMatrix:
             raise ValueError("eigenvalues must be nonincreasing")
         if w.size and w[-1] < -NORM_ATOL:
             raise ValueError(f"negative eigenvalue {w[-1]!r} beyond tolerance")
+        gram_defect = np.max(np.abs(v.conj().T @ v - np.eye(w.size)), initial=0.0)
+        if gram_defect > NORM_ATOL:
+            raise ValueError(f"eigenvectors are not orthonormal: defect {gram_defect:.3e}")
         recon = (v * w) @ v.conj().T
         defect = np.max(np.abs(recon - mat))
         if defect > RECONSTRUCT_ATOL:

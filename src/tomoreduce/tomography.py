@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,9 +24,7 @@ from .states import (
     RANK_TOL,
     DensityMatrix,
     PureState,
-    fidelity_mixed,
     haar_random_unitary,
-    trace_distance,
 )
 
 __all__ = [
@@ -42,6 +40,10 @@ __all__ = [
 
 BISECTION_MAX_ITER = 200
 _EIGENVALUE_FLOOR = 1e-7  # relative floor keeping perturbed eigenvalues above the rank tolerance
+_FAMILIES = 8  # perturbation families drawn before calibration gives up
+_LADDER_STEPS = 140  # rungs of the geometric theta ladder
+_LADDER_RATIO = 1.35  # fine enough not to hop over oscillation peaks
+_LADDER_CHUNK = 8  # ladder rungs evaluated per stacked call
 
 
 class BackendKind(Enum):
@@ -97,9 +99,23 @@ class TomographyBackend:
         return estimate_pure_state_from_measurements(psi, budget, seed)
 
 
-def _perturbation_family(
-    rho: DensityMatrix, rng: np.random.Generator
-) -> Callable[[float], DensityMatrix]:
+class _Family(NamedTuple):
+    """Raw arrays of one perturbation family sigma(theta) around rho.
+
+    ``lam`` and ``q`` are the spectrum (scaled to unit spectral norm) and
+    eigenbasis of the rotation generator, ``coords`` holds rho's top-k
+    eigenvectors in that basis, and the eigenvalues follow the log-direction
+    ``drift`` from ``base_log``.
+    """
+
+    lam: np.ndarray  # (d,)
+    q: np.ndarray  # (d, d) unitary
+    coords: np.ndarray  # (d, k) isometry
+    base_log: np.ndarray  # (k,)
+    drift: np.ndarray  # (k,)
+
+
+def _perturbation_family(rho: DensityMatrix, rng: np.random.Generator) -> _Family:
     """One-parameter family sigma(theta) with sigma(0) = rho and rank preserved.
 
     The eigenbasis is rotated by exp(i theta H) for a random Hermitian H of
@@ -115,49 +131,87 @@ def _perturbation_family(
     drift = rng.standard_normal(k)
     base_log = np.log(np.clip(rho.eigenvalues[:k], RANK_TOL, None))
     coords = q.conj().T @ rho.eigenvectors[:, :k]
+    return _Family(lam, q, coords, base_log, drift)
 
-    def sigma_at(theta: float) -> DensityMatrix:
-        vecs = q @ (np.exp(1j * theta * lam)[:, None] * coords)
-        logits = base_log + theta * drift
-        vals = np.exp(logits - logits.max())
-        vals = np.maximum(vals, _EIGENVALUE_FLOOR * vals.max())
-        vals = vals / vals.sum()
-        return DensityMatrix.from_eigensystem(vals, vecs)
 
-    return sigma_at
+def _eigenvalues_at(family: _Family, thetas: np.ndarray) -> np.ndarray:
+    """Eigenvalues of sigma(theta) for each theta, shape (L, k)."""
+    logits = family.base_log + thetas[:, None] * family.drift
+    vals = np.exp(logits - logits.max(axis=1, keepdims=True))
+    vals = np.maximum(vals, _EIGENVALUE_FLOOR * vals.max(axis=1, keepdims=True))
+    return vals / vals.sum(axis=1, keepdims=True)
+
+
+def _phased_coords(family: _Family, thetas: np.ndarray) -> np.ndarray:
+    """Eigenvectors of sigma(theta) in the generator's eigenbasis, shape (L, d, k)."""
+    return np.exp(1j * thetas[:, None] * family.lam)[:, :, None] * family.coords
+
+
+def _sigma_at(family: _Family, theta: float) -> DensityMatrix:
+    """The validated state sigma(theta)."""
+    thetas = np.array([theta])
+    vecs = family.q @ _phased_coords(family, thetas)[0]
+    return DensityMatrix.from_eigensystem(_eigenvalues_at(family, thetas)[0], vecs)
+
+
+def _infidelities(rho: DensityMatrix, family: _Family, thetas: np.ndarray) -> np.ndarray:
+    """1 - F(rho, sigma(theta)) for each theta.
+
+    With rho = U diag(w) U^H and sigma = V diag(v) V^H, the singular values of
+    sqrt(rho) sqrt(sigma) are those of the k x k matrix
+    diag(sqrt w) U^H V diag(sqrt v), and U^H V = coords^H diag(e^{i theta lam}) coords.
+    """
+    coords = family.coords
+    root_w = np.sqrt(np.clip(rho.eigenvalues[: coords.shape[1]], 0.0, None))
+    overlap = coords.conj().T @ _phased_coords(family, thetas)
+    factor = root_w[:, None] * overlap * np.sqrt(_eigenvalues_at(family, thetas))[:, None, :]
+    s = np.linalg.svd(factor, compute_uv=False)
+    return 1.0 - np.minimum(1.0, np.sum(s, axis=1) ** 2)
+
+
+def _trace_distances(rho: DensityMatrix, family: _Family, thetas: np.ndarray) -> np.ndarray:
+    """T(rho, sigma(theta)) for each theta, both states taken in the generator's eigenbasis."""
+    coords = family.coords
+    rho_q = (coords * rho.eigenvalues[: coords.shape[1]]) @ coords.conj().T
+    phased = _phased_coords(family, thetas)
+    sigma_q = (phased * _eigenvalues_at(family, thetas)[:, None, :]) @ phased.conj().swapaxes(1, 2)
+    w = np.linalg.eigvalsh(rho_q - sigma_q)
+    return np.clip(0.5 * np.sum(np.abs(w), axis=1), 0.0, 1.0)
 
 
 def _bracket_and_bisect(
-    rho: DensityMatrix,
-    sigma_at: Callable[[float], DensityMatrix],
-    discrepancy: Callable[[DensityMatrix, DensityMatrix], float],
-    lo: float,
-    hi: float,
-) -> DensityMatrix | None:
+    discrepancies: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+) -> float | None:
     """Walk theta up a geometric ladder until the discrepancy exceeds the
-    window, then bisect into it. Returns None when the family never reaches
-    the window (the caller redraws a fresh family)."""
+    window, then bisect into it. Returns the theta that lands in the window,
+    or None when the family never reaches it (the caller redraws a fresh
+    family). The ladder is evaluated a stack of rungs at a time."""
     theta_lo = 0.0
-    theta_hi = None
     theta = max(lo, 1e-4)
-    for _ in range(140):
-        sig = sigma_at(theta)
-        val = discrepancy(rho, sig)
-        if lo <= val <= hi:
-            return sig
-        if val > hi:
-            theta_hi = theta
+    for start in range(0, _LADDER_STEPS, _LADDER_CHUNK):
+        rungs = []
+        for _ in range(min(_LADDER_CHUNK, _LADDER_STEPS - start)):
+            rungs.append(theta)
+            # repeated products, not powers: records depend on the exact rungs
+            theta *= _LADDER_RATIO
+        vals = discrepancies(np.array(rungs))
+        reached = np.flatnonzero(vals >= lo)  # a NaN rung counts as below the window
+        if reached.size:
+            i = int(reached[0])
+            if vals[i] <= hi:
+                return rungs[i]
+            theta_hi = rungs[i]
+            if i:
+                theta_lo = rungs[i - 1]
             break
-        theta_lo = theta
-        theta *= 1.35  # fine enough not to hop over oscillation peaks
-    if theta_hi is None:
+        theta_lo = rungs[-1]
+    else:
         return None
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (theta_lo + theta_hi)
-        sig = sigma_at(mid)
-        val = discrepancy(rho, sig)
+        val = discrepancies(np.array([mid]))[0]
         if lo <= val <= hi:
-            return sig
+            return mid
         if val < lo:
             theta_lo = mid
         else:
@@ -170,19 +224,20 @@ def _bracket_and_bisect(
 def _calibrate(
     rho: DensityMatrix,
     rng: np.random.Generator,
-    discrepancy: Callable[[DensityMatrix, DensityMatrix], float],
+    discrepancies: Callable[[DensityMatrix, _Family, np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    families: int = 8,
 ) -> DensityMatrix:
-    """Draw perturbation families until one can be bisected into [lo, hi]."""
-    for _ in range(families):
-        sig = _bracket_and_bisect(rho, _perturbation_family(rho, rng), discrepancy, lo, hi)
-        if sig is not None:
-            return sig
+    """Draw perturbation families until one can be bisected into [lo, hi],
+    and build the estimate there."""
+    for _ in range(_FAMILIES):
+        family = _perturbation_family(rho, rng)
+        theta = _bracket_and_bisect(lambda thetas: discrepancies(rho, family, thetas), lo, hi)
+        if theta is not None:
+            return _sigma_at(family, theta)
     raise RuntimeError(
         f"no perturbation of the state reached the target window [{lo:g}, {hi:g}] "
-        f"after {families} attempts"
+        f"after {_FAMILIES} attempts"
     )
 
 
@@ -195,13 +250,7 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
     rng = rng_from_seed(seed)
-    return _calibrate(
-        rho,
-        rng,
-        lambda a, b: 1.0 - fidelity_mixed(a, b),
-        epsilon / 2.0,
-        epsilon,
-    )
+    return _calibrate(rho, rng, _infidelities, epsilon / 2.0, epsilon)
 
 
 def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> DensityMatrix:
@@ -209,7 +258,7 @@ def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> De
     if not 0.0 < delta < 1.0:
         raise ValueError(f"target trace distance must be in (0, 1), got {delta!r}")
     rng = rng_from_seed(seed)
-    return _calibrate(rho, rng, trace_distance, delta / 2.0, delta)
+    return _calibrate(rho, rng, _trace_distances, delta / 2.0, delta)
 
 
 def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:

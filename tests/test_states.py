@@ -125,6 +125,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
 
+    def test_rejects_non_orthonormal_eigenvectors(self):
+        # two copies of |0>: trace 1 and Hermitian, but not an eigensystem of rank 2
+        with pytest.raises(ValueError, match="orthonormal"):
+            DensityMatrix.from_eigensystem(np.array([0.5, 0.5]), np.array([[1.0, 1.0], [0.0, 0.0]]))
+
     def test_rank_follows_eigenvalues(self):
         # the rank is derived from the eigenvalues and cannot be supplied
         w = np.array([0.5, 0.5])

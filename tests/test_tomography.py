@@ -57,6 +57,25 @@ class TestOracleMixedEstimate:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
+class TestOracleValidation:
+    @pytest.mark.parametrize("estimate", [oracle_mixed_estimate, oracle_trace_distance_estimate])
+    def test_one_validated_state_per_estimate(self, monkeypatch, estimate):
+        # calibration runs on raw arrays; only the returned estimate is validated
+        rhos = [random_rank_r_state(4, 1 + t % 3, child_seed(130, t)) for t in range(10)]
+        original = DensityMatrix.__post_init__
+        builds = []
+
+        def counting(self):
+            builds.append(self)
+            original(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        for t, rho in enumerate(rhos):
+            sigma = estimate(rho, 0.05, child_seed(131, t))
+            assert builds == [sigma]
+            builds.clear()
+
+
 class TestOraclePureEstimate:
     def test_tiny_epsilon(self):
         psi = random_pure_state(1, 4, seed=10)
