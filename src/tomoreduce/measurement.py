@@ -3,7 +3,8 @@
 The measurement acts on the second register of a bipartite pure state.
 Because copies are i.i.d. and the post-measurement state is the same for
 every kept copy, shots are simulated as independent Bernoulli draws on the
-analytic keep probability; this is exact, not an approximation.
+analytic keep probability; this is exact, not an approximation. Only the
+kept count is returned, counted in chunks so that memory stays bounded.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12  # outcome probabilities at or below this cannot be renormalized
+_SHOT_CHUNK = 1 << 16  # uniform draws held at once while counting kept copies
 
 
 class ProjectionError(RuntimeError):
@@ -59,16 +61,18 @@ def project_and_renormalize(psi: PureState, pi: Projector) -> PureState:
     return PureState((projected / np.sqrt(p)).reshape(-1), psi.dims).phase_normalized()
 
 
-def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> tuple[int, np.ndarray]:
-    """i.i.d. keep/discard outcomes for `shots` copies, deterministic per seed.
+def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> int:
+    """Number of keep outcomes among `shots` i.i.d. copies, deterministic per seed.
 
-    Returns (kept_count, outcomes) where outcomes is a boolean array with
-    True marking the keep outcome. All kept copies collapse to the one state
-    returned by :func:`project_and_renormalize`.
+    The count equals ``count_nonzero(rng.random(shots) < p)``, drawn from the
+    same stream in chunks of ``_SHOT_CHUNK``. All kept copies collapse to the
+    one state returned by :func:`project_and_renormalize`.
     """
     if shots < 0:
         raise ValueError("shot count must be nonnegative")
     p = outcome_probability(psi, pi)
     rng = rng_from_seed(seed)
-    outcomes = rng.random(shots) < p
-    return int(np.count_nonzero(outcomes)), outcomes
+    kept = 0
+    for start in range(0, shots, _SHOT_CHUNK):
+        kept += int(np.count_nonzero(rng.random(min(_SHOT_CHUNK, shots - start)) < p))
+    return kept

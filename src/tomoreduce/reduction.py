@@ -232,7 +232,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
             "the support estimate is disjoint from the input state"
         )
     extra_copies = config.extra_copies
-    kept_count, _ = sample_shots(psi, pi, extra_copies, seed_shots)
+    kept_count = sample_shots(psi, pi, extra_copies, seed_shots)
     psi_tilde = project_and_renormalize(psi, pi)
     projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
     low_yield = kept_count < math.ceil(extra_copies / 2)
@@ -499,6 +499,20 @@ def _orthogonal_unit_rows(rng: np.random.Generator, base: np.ndarray) -> np.ndar
     return z / np.maximum(norms, 1e-300)
 
 
+def _rotate_toward_orthogonal(
+    rng: np.random.Generator, base: np.ndarray, eta: float, n_edge: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows rotated toward random orthogonal unit rows, with a random phase and
+    overlap moduli from [1 - eta, 1] (the first n_edge at 1 - eta), and the moduli."""
+    m = base.shape[0]
+    chi = _orthogonal_unit_rows(rng, base)
+    a = rng.uniform(1.0 - eta, 1.0, m)
+    a[:n_edge] = 1.0 - eta
+    th = rng.uniform(0.0, 2.0 * np.pi, m)
+    rotated = np.exp(1j * th)[:, None] * (a[:, None] * base + np.sqrt(1.0 - a**2)[:, None] * chi)
+    return rotated, a
+
+
 def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearchResult:
     """Randomized search over state triples satisfying a, b >= 1 - eta.
 
@@ -523,20 +537,9 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
         m = min(_SEARCH_BATCH, count - checked)
         n_edge = int(_EDGE_FRACTION * m)
         psi = _random_unit_rows(rng, m, d)
-        chi1 = _orthogonal_unit_rows(rng, psi)
-        a = rng.uniform(1.0 - eta, 1.0, m)
-        a[:n_edge] = 1.0 - eta
-        th1 = rng.uniform(0.0, 2.0 * np.pi, m)
-        psi_t = np.exp(1j * th1)[:, None] * (
-            a[:, None] * psi + np.sqrt(1.0 - a**2)[:, None] * chi1
-        )
-        chi2 = _orthogonal_unit_rows(rng, psi_t)
-        b = rng.uniform(1.0 - eta, 1.0, m)
-        b[:n_edge] = 1.0 - eta
-        th2 = rng.uniform(0.0, 2.0 * np.pi, m)
-        phi = np.exp(1j * th2)[:, None] * (
-            b[:, None] * psi_t + np.sqrt(1.0 - b**2)[:, None] * chi2
-        )
+        # phi first holds the intermediate psi_t; rebinding it frees psi_t
+        phi, a = _rotate_toward_orthogonal(rng, psi, eta, n_edge)
+        phi, b = _rotate_toward_orthogonal(rng, phi, eta, n_edge)
         c = np.abs(np.sum(phi.conj() * psi, axis=1))
         slack, excess = _composition_margins(a, b, c, eta)
         violations += int(np.count_nonzero(slack < -CHAIN_SLACK))

@@ -264,17 +264,23 @@ class Projector:
         return self.basis @ self.basis.conj().T
 
 
+def _haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries, shape (count, dim, dim), from one stacked QR
+    of Ginibre matrices; bit for bit ``count`` successive single draws."""
+    g = rng.standard_normal((count, 2, dim, dim))
+    z = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    ph = np.diagonal(r, axis1=1, axis2=2).copy()
+    ph[np.abs(ph) == 0] = 1.0
+    ph /= np.abs(ph)
+    return q * ph[:, None, :]
+
+
 def haar_random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    rng = rng_from_seed(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diagonal(r).copy()
-    ph[np.abs(ph) == 0] = 1.0
-    ph /= np.abs(ph)
-    return q * ph
+    return _haar_unitaries(dim, 1, rng_from_seed(seed))[0]
 
 
 def random_pure_state(r: int, d: int, seed) -> PureState:

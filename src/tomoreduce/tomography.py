@@ -7,7 +7,9 @@ window. They stand in for an estimation procedure with a known guarantee, so
 downstream analysis can be checked at an exact error level. The
 measurement-based estimators simulate single-copy measurements in randomized
 orthonormal bases and reconstruct by linear inversion; they realize the
-error-vs-budget scaling shape without optimal constants.
+error-vs-budget scaling shape without optimal constants. A design is one
+stacked pass: one batched QR draws its Haar bases, one multinomial call its
+counts, and the solve diagonalises the d^2 x d^2 frame operator with ``eigh``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .states import (
     RANK_TOL,
     DensityMatrix,
     PureState,
-    haar_random_unitary,
+    _haar_unitaries,
 )
 
 __all__ = [
@@ -288,20 +290,11 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
     return PureState(phi, psi.dims).phase_normalized()
 
 
-def _design_and_shot_rngs(seed, design_seed: int | None) -> tuple[np.random.Generator, np.random.Generator]:
-    seed = int(seed)  # estimators need a splittable integer seed, not a live generator
-    if design_seed is None:
-        design_seed = child_seed(seed, 0)
-    return rng_from_seed(design_seed), rng_from_seed(child_seed(seed, 1))
-
-
-def _measurement_design(dim: int, num_bases: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Unitaries whose columns are the measurement vectors; the first is the
-    standard basis, the rest are Haar random."""
-    bases = [np.eye(dim, dtype=complex)]
-    for _ in range(num_bases - 1):
-        bases.append(haar_random_unitary(dim, rng))
-    return bases
+def _measurement_design(dim: int, num_bases: int, rng: np.random.Generator) -> np.ndarray:
+    """(num_bases, dim, dim) unitaries whose columns are the measurement
+    vectors; the first is the standard basis, the rest are Haar random."""
+    haar = _haar_unitaries(dim, num_bases - 1, rng)
+    return np.concatenate([np.eye(dim, dtype=complex)[None], haar])
 
 
 def _split_budget(n: int, num_bases: int) -> np.ndarray:
@@ -310,39 +303,42 @@ def _split_budget(n: int, num_bases: int) -> np.ndarray:
     return per
 
 
-def _linear_inversion(rows: list[np.ndarray], freqs: list[float], dim: int) -> np.ndarray:
-    """Least-squares solve of tr(P_k X) = f_k, Hermitized."""
-    a = np.array(rows)
-    b = np.array(freqs, dtype=float)
-    x, *_ = np.linalg.lstsq(a, b.astype(complex), rcond=None)
-    x = x.reshape(dim, dim)
-    return (x + x.conj().T) / 2.0
+def _projector_rows(bases: np.ndarray) -> np.ndarray:
+    """Rows vec(P^T), with row . vec(X) = tr(P X), for every column of every
+    basis; broadcasting matches ``np.outer(u[:, j].conj(), u[:, j])`` bit for bit."""
+    v = bases.swapaxes(1, 2)
+    return (v.conj()[:, :, :, None] * v[:, :, None, :]).reshape(-1, v.shape[-1] ** 2)
 
 
 def _simulate_inversion(
-    probabilities: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    n: int,
-    design_rng: np.random.Generator,
-    shot_rng: np.random.Generator,
+    probabilities: Callable[[np.ndarray], np.ndarray], dim: int, n: int, seed, design_seed
 ) -> np.ndarray:
+    """Simulate n shots of a random design and invert them, Hermitized.
+
+    ``probabilities`` maps an (m, d, d) stack of bases to (m, d) outcome
+    probabilities. tr(P_k X) = f_k is solved through the frame operator
+    S = A^H A, positive definite on every design built here: the n >= d^2
+    floor leaves at least d + 1 bases with shots, and the standard basis plus
+    d Haar bases are informationally complete with probability 1.
+    """
+    if n < dim * dim:
+        raise ValueError(f"budget {n} is below the informational floor {dim * dim}")
+    seed = int(seed)  # estimators need a splittable integer seed, not a live generator
+    design_rng = rng_from_seed(child_seed(seed, 0) if design_seed is None else design_seed)
     num_bases = max(6, int(math.ceil(3.0 * math.log(dim))) * dim)
-    bases = _measurement_design(dim, num_bases, design_rng)
     budgets = _split_budget(n, num_bases)
-    rows: list[np.ndarray] = []
-    freqs: list[float] = []
-    for u, shots in zip(bases, budgets):
-        if shots == 0:
-            continue
-        p = np.clip(probabilities(u), 0.0, None)
-        p = p / p.sum()
-        counts = shot_rng.multinomial(shots, p)
-        f = counts / shots
-        for j in range(dim):
-            # row is vec(P^T) so that row . vec(X) = tr(P X)
-            rows.append(np.outer(u[:, j].conj(), u[:, j]).reshape(-1))
-            freqs.append(float(f[j]))
-    return _linear_inversion(rows, freqs, dim)
+    used = budgets > 0
+    bases = _measurement_design(dim, num_bases, design_rng)[used]
+    budgets = budgets[used]
+    p = np.clip(probabilities(bases), 0.0, None)
+    p = p / p.sum(axis=1, keepdims=True)
+    counts = rng_from_seed(child_seed(seed, 1)).multinomial(budgets, p)
+    freqs = (counts / budgets[:, None]).reshape(-1)
+    a = _projector_rows(bases)
+    a_h = a.conj().T
+    w, v = np.linalg.eigh(a_h @ a)
+    x = (v @ ((v.conj().T @ (a_h @ freqs)) / w)).reshape(dim, dim)
+    return (x + x.conj().T) / 2.0
 
 
 def estimate_pure_state_from_measurements(
@@ -350,17 +346,14 @@ def estimate_pure_state_from_measurements(
 ) -> PureState:
     """Reconstruct a pure state from n simulated single-copy measurements.
 
-    Shots are split evenly across ceil(3 ln d) * d randomized orthonormal
-    bases (at least 6), the empirical density matrix is recovered by linear
-    inversion, and its top eigenvector is returned.
+    Shots are split evenly across ceil(3 ln d) * d orthonormal bases (at
+    least 6: the standard basis and a stacked batch of Haar bases), linear
+    inversion through the design's frame operator recovers the empirical
+    density matrix, and its top eigenvector is returned.
     """
-    dim = psi_true.total_dim
-    if n < dim * dim:
-        raise ValueError(f"budget {n} is below the informational floor {dim * dim}")
-    design_rng, shot_rng = _design_and_shot_rngs(seed, design_seed)
     amps = psi_true.amplitudes
     x = _simulate_inversion(
-        lambda u: np.abs(u.conj().T @ amps) ** 2, dim, n, design_rng, shot_rng
+        lambda u: np.abs(u.conj().swapaxes(1, 2) @ amps) ** 2, amps.size, n, seed, design_seed
     )
     _, v = np.linalg.eigh(x)
     top = v[:, -1]
@@ -372,23 +365,17 @@ def estimate_mixed_state_from_measurements(
 ) -> DensityMatrix:
     """Rank-capped linear-inversion estimate of a mixed state.
 
-    The raw inversion is projected to the physical set: negative eigenvalues
-    are clamped to zero, the spectrum is truncated to the top r eigenpairs,
-    and the trace is renormalized.
+    The design and the frame-operator solve are those of
+    :func:`estimate_pure_state_from_measurements`. The raw inversion is then
+    projected to the physical set: negative eigenvalues are clamped to zero,
+    and the spectrum is truncated to the top r eigenpairs and renormalized.
     """
     dim = rho_true.dim
     if not 1 <= r <= dim:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={dim}")
-    if n < dim * dim:
-        raise ValueError(f"budget {n} is below the informational floor {dim * dim}")
-    design_rng, shot_rng = _design_and_shot_rngs(seed, design_seed)
     mat = rho_true.matrix
     x = _simulate_inversion(
-        lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=0)),
-        dim,
-        n,
-        design_rng,
-        shot_rng,
+        lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=1)), dim, n, seed, design_seed
     )
     w, v = np.linalg.eigh(x)
     w = np.clip(w[::-1], 0.0, None)

@@ -204,7 +204,7 @@ def test_criterion_7_measurement_statistics():
         k = 1 + t % d
         pi = Projector(haar_random_unitary(d, child_seed(MASTER_SEED, 7, t, 1))[:, :k])
         p = outcome_probability(psi, pi)
-        kept, _ = sample_shots(psi, pi, shots, child_seed(MASTER_SEED, 7, t, 2))
+        kept = sample_shots(psi, pi, shots, child_seed(MASTER_SEED, 7, t, 2))
         sigma = math.sqrt(max(p * (1.0 - p), 1e-300) / shots)
         deviation = abs(kept / shots - p) / (3.0 * sigma)
         worst = max(worst, deviation)

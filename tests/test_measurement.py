@@ -1,5 +1,7 @@
 """Tests for the two-outcome projective measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from tomoreduce import (
     project_and_renormalize,
     purify,
     random_pure_state,
+    rng_from_seed,
     sample_shots,
     schmidt_decompose,
 )
@@ -113,14 +116,11 @@ class TestCauchySchwarzStep:
 class TestSampleShots:
     def test_identity_keeps_all(self):
         psi = random_pure_state(1, 3, seed=20)
-        kept, outcomes = sample_shots(psi, Projector(np.eye(3)), 100, seed=0)
-        assert kept == 100
-        assert outcomes.all()
+        assert sample_shots(psi, Projector(np.eye(3)), 100, seed=0) == 100
 
     def test_probability_zero_keeps_none(self):
         psi = PureState(np.array([1, 0, 0]) + 0j, (1, 3))
-        kept, _ = sample_shots(psi, projector_on_columns(3, [1]), 100, seed=0)
-        assert kept == 0
+        assert sample_shots(psi, projector_on_columns(3, [1]), 100, seed=0) == 0
 
     def test_binomial_concentration(self):
         # p = 0.9 within 3 sigma over 1e5 shots
@@ -129,17 +129,14 @@ class TestSampleShots:
         psi = PureState(amps, (1, 2))
         pi = projector_on_columns(2, [0])
         shots = 100_000
-        kept, _ = sample_shots(psi, pi, shots, seed=99)
+        kept = sample_shots(psi, pi, shots, seed=99)
         sigma3 = 3 * np.sqrt(p * (1 - p) / shots)
         assert abs(kept / shots - p) < sigma3
 
     def test_deterministic_per_seed(self):
         psi = random_pure_state(2, 3, seed=21)
         pi = Projector(schmidt_decompose(psi).right_vectors[:, :1])
-        a = sample_shots(psi, pi, 1000, seed=5)
-        b = sample_shots(psi, pi, 1000, seed=5)
-        assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1], b[1])
+        assert sample_shots(psi, pi, 1000, seed=5) == sample_shots(psi, pi, 1000, seed=5)
 
     def test_monotone_in_projector(self):
         # enlarging the support can only increase the keep count (same seed)
@@ -148,16 +145,36 @@ class TestSampleShots:
         small = Projector(u[:, :1])
         large = Projector(u[:, :3])
         assert outcome_probability(psi, small) <= outcome_probability(psi, large)
-        kept_small, _ = sample_shots(psi, small, 5000, seed=7)
-        kept_large, _ = sample_shots(psi, large, 5000, seed=7)
+        kept_small = sample_shots(psi, small, 5000, seed=7)
+        kept_large = sample_shots(psi, large, 5000, seed=7)
         assert kept_small <= kept_large
 
     def test_zero_shots(self):
         psi = random_pure_state(1, 2, seed=24)
-        kept, outcomes = sample_shots(psi, Projector(np.eye(2)), 0, seed=0)
-        assert kept == 0 and outcomes.size == 0
+        assert sample_shots(psi, Projector(np.eye(2)), 0, seed=0) == 0
 
     def test_negative_shots_rejected(self):
         psi = random_pure_state(1, 2, seed=25)
         with pytest.raises(ValueError):
             sample_shots(psi, Projector(np.eye(2)), -1, seed=0)
+
+    @pytest.mark.parametrize("shots", [0, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+    def test_chunked_count_matches_one_draw(self, shots):
+        # the count is taken over chunks of 2**16 draws from the same stream
+        psi = random_pure_state(2, 3, seed=26)
+        pi = Projector(schmidt_decompose(psi).right_vectors[:, :1])
+        p = outcome_probability(psi, pi)
+        expected = np.count_nonzero(rng_from_seed(27).random(shots) < p)
+        assert sample_shots(psi, pi, shots, seed=27) == expected
+
+    def test_memory_bounded(self):
+        # 10**7 copies would take 86 MiB as one float and one bool array
+        psi = random_pure_state(1, 2, seed=28)
+        pi = projector_on_columns(2, [0])
+        tracemalloc.start()
+        try:
+            sample_shots(psi, pi, 10**7, seed=29)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

@@ -20,6 +20,8 @@ from tomoreduce import (
     trace_distance,
 )
 
+from tomoreduce.states import _haar_unitaries
+
 from oracles import random_density_matrix
 
 
@@ -396,3 +398,22 @@ class TestModuleInvariants:
     def test_haar_unitary_is_unitary(self):
         u = haar_random_unitary(5, seed=81)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-10)
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_stacked_haar_draws_match_single_draws(self, dim):
+        # one stacked QR equals successive single draws bit for bit, and both
+        # equal the per-matrix Ginibre QR with its diagonal phase fix
+        def reference(rng):
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            q, r = np.linalg.qr(z / np.sqrt(2))
+            ph = np.diagonal(r).copy()
+            ph /= np.abs(ph)
+            return q * ph
+
+        for seed in range(5):
+            stack = _haar_unitaries(dim, 7, np.random.default_rng(seed))
+            singles = np.random.default_rng(seed)
+            loop = np.random.default_rng(seed)
+            for u in stack:
+                assert np.array_equal(u, haar_random_unitary(dim, singles))
+                assert np.array_equal(u, reference(loop))

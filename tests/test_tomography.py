@@ -13,12 +13,19 @@ from tomoreduce import (
     estimate_pure_state_from_measurements,
     fidelity_mixed,
     fidelity_pure_pure,
+    haar_random_unitary,
     oracle_mixed_estimate,
     oracle_pure_estimate,
     oracle_trace_distance_estimate,
     random_pure_state,
     random_rank_r_state,
     trace_distance,
+)
+from tomoreduce.tomography import (
+    _measurement_design,
+    _projector_rows,
+    _simulate_inversion,
+    _split_budget,
 )
 
 OracleGrid = [(r, d) for r in (1, 2, 3) for d in (2, 3, 4, 5, 6, 7, 8) if r <= d]
@@ -186,6 +193,57 @@ class TestEstimatePure:
                 vals.append(1 - fidelity_pure_pure(est, psi))
             medians.append(float(np.median(vals)))
         assert medians[0] >= medians[1] >= medians[2]
+
+
+def _loop_inversion(probabilities, dim, n, design_rng, shot_rng):
+    """The per-basis reference: single Haar draws, one multinomial per basis,
+    rows from np.outer, solved by lstsq. Returns (rows, x)."""
+    num_bases = max(6, int(np.ceil(3.0 * np.log(dim))) * dim)
+    bases = [np.eye(dim, dtype=complex)]
+    bases += [haar_random_unitary(dim, design_rng) for _ in range(num_bases - 1)]
+    rows, freqs = [], []
+    for u, shots in zip(bases, _split_budget(n, num_bases)):
+        if shots == 0:
+            continue
+        p = np.clip(probabilities(u), 0.0, None)
+        counts = shot_rng.multinomial(shots, p / p.sum())
+        for j in range(dim):
+            rows.append(np.outer(u[:, j].conj(), u[:, j]).reshape(-1))
+            freqs.append(counts[j] / shots)
+    x, *_ = np.linalg.lstsq(np.array(rows), np.array(freqs, dtype=complex), rcond=None)
+    x = x.reshape(dim, dim)
+    return np.array(rows), (x + x.conj().T) / 2.0
+
+
+class TestStackedInversion:
+    # d = 2 with n = 4 or 5 leaves zero-shot bases and the fewest bases with
+    # shots; d = 8 and 9 are the largest dimensions the sweeps use
+    CASES = [(2, 4), (2, 5), (8, 10**4), (9, 10**4)]
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_broadcast_rows_match_outer(self, dim):
+        bases = _measurement_design(dim, 5, np.random.default_rng(dim))
+        outer = [np.outer(u[:, j].conj(), u[:, j]).reshape(-1) for u in bases for j in range(dim)]
+        assert np.array_equal(_projector_rows(bases), np.array(outer))
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    @pytest.mark.parametrize("dim,n", CASES)
+    def test_frame_operator_solve_matches_lstsq(self, dim, n, kind):
+        # per-basis and stacked outcome probabilities, as the estimators write them
+        if kind == "pure":
+            amps = random_pure_state(1, dim, seed=50 + dim).amplitudes
+            per_basis = lambda u: np.abs(u.conj().T @ amps) ** 2
+            stacked = lambda u: np.abs(u.conj().swapaxes(1, 2) @ amps) ** 2
+        else:
+            mat = random_rank_r_state(dim, 2, seed=50 + dim).matrix
+            per_basis = lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=0))
+            stacked = lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=1))
+        # design_seed seeds the design directly; the shots come from child 1 of seed
+        shot_rng = np.random.default_rng(child_seed(52, 1))
+        rows, expected = _loop_inversion(per_basis, dim, n, np.random.default_rng(51), shot_rng)
+        assert rows.shape[0] >= (dim + 1) * dim
+        x = _simulate_inversion(stacked, dim, n, seed=52, design_seed=51)
+        assert np.max(np.abs(x - expected)) <= 1e-12
 
 
 class TestEstimateMixed:
