@@ -28,14 +28,11 @@ from .reduction import (
     ChainCheck,
     ChainReport,
     GentleMeasurementResult,
-    GeometricCheck,
-    OverlapTriple,
     PropositionSearchResult,
     ReductionConfig,
     ReductionError,
     ReductionReport,
     gentle_measurement_experiment,
-    geometric_composition,
     proposition_search,
     run_reduction,
     verify_chain,
@@ -79,8 +76,6 @@ __all__ = [
     "ExperimentKind",
     "ExperimentSummary",
     "GentleMeasurementResult",
-    "GeometricCheck",
-    "OverlapTriple",
     "ProjectionError",
     "Projector",
     "PropositionSearchResult",
@@ -98,7 +93,6 @@ __all__ = [
     "fidelity_pure_pure",
     "fit_scaling",
     "gentle_measurement_experiment",
-    "geometric_composition",
     "haar_random_unitary",
     "optimal_purification_against",
     "oracle_mixed_estimate",

@@ -25,6 +25,7 @@ from .reduction import (
     ReductionConfig,
     ReductionError,
     ReductionReport,
+    _guaranteed_bound,
     gentle_measurement_experiment,
     proposition_search,
     run_reduction,
@@ -246,7 +247,7 @@ def _reduction_fields(config, cell, trial_seed) -> dict[str, Any]:
     except ReductionError as exc:
         fields = dict.fromkeys(_REPORT_COLUMNS)
         error = str(exc)
-    fields["guaranteed_bound"] = float(1.0 - 16.0 * eps)
+    fields["guaranteed_bound"] = float(_guaranteed_bound(eps))
     fields["error"] = error
     return fields
 
@@ -344,7 +345,7 @@ def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], records: list[d
         stats["final_min"] = _quantile(finals, 0.0)
         stats["final_median"] = _quantile(finals, 0.5)
         stats["keep_min"] = _quantile(keeps, 0.0)
-        stats["bound"] = float(1.0 - 16.0 * cell["epsilon"])
+        stats["bound"] = float(_guaranteed_bound(cell["epsilon"]))
         stats["samples"] = float(sum(r.get("samples_total") or 0 for r in records))
     elif kind in (ExperimentKind.SCALING_PURE, ExperimentKind.SCALING_MIXED):
         infids = [r["infidelity"] for r in records]

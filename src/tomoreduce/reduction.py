@@ -7,10 +7,11 @@ input onto the estimate's support via a two-outcome measurement, keeping the
 copies where the support outcome fired, and (4) re-estimates the
 post-measurement state with a pure-state backend inside the surviving
 subspace. When both backends achieve infidelity eps, the final estimate has
-squared overlap at least 1 - 16*eps with the input; this module checks that
-bound, the Cauchy-Schwarz step behind it, the projection identity, the
-geometric composition it composes through, and the trace-distance behaviour
-of the projection (the gentle-measurement question).
+squared overlap at least 1 - 16*eps with the input. Each run checks that
+bound, the Cauchy-Schwarz step behind it and the projection identity; the
+composition step between them is checked only by a randomized search over
+synthetic triples. A side experiment measures the trace-distance
+disturbance of the projection (the gentle-measurement question).
 """
 
 from __future__ import annotations
@@ -35,13 +36,8 @@ from .states import (
     optimal_purification_against,
     partial_trace_x,
     support_projector,
-    trace_distance,
 )
-from .tomography import (
-    BackendKind,
-    TomographyBackend,
-    oracle_trace_distance_estimate,
-)
+from .tomography import BackendKind, TomographyBackend, oracle_trace_distance_estimate
 
 __all__ = [
     "CHAIN_SLACK",
@@ -50,13 +46,10 @@ __all__ = [
     "ChainCheck",
     "ReductionReport",
     "ChainReport",
-    "OverlapTriple",
-    "GeometricCheck",
     "PropositionSearchResult",
     "GentleMeasurementResult",
     "run_reduction",
     "verify_chain",
-    "geometric_composition",
     "proposition_search",
     "gentle_measurement_experiment",
 ]
@@ -158,6 +151,10 @@ def _projection_identity(projected_fidelity: float, keep_probability: float) -> 
     )
 
 
+def _guaranteed_bound(epsilon: float) -> float:
+    return 1.0 - 16.0 * epsilon
+
+
 def _final_vs_guaranteed_bound(
     epsilon: float, f_rho_sigma: float, estimate_fidelity: float, final_fidelity: float
 ) -> ChainCheck:
@@ -169,8 +166,8 @@ def _final_vs_guaranteed_bound(
     return ChainCheck(
         name="final_vs_guaranteed_bound",
         value=final_fidelity,
-        bound=1.0 - 16.0 * epsilon,
-        satisfied=final_fidelity >= 1.0 - 16.0 * epsilon - CHAIN_SLACK,
+        bound=_guaranteed_bound(epsilon),
+        satisfied=final_fidelity >= _guaranteed_bound(epsilon) - CHAIN_SLACK,
         applicable=applicable,
     )
 
@@ -206,6 +203,14 @@ class ReductionReport:
         return sum(1 for c in self.chain if c.violated)
 
 
+def _support_projection(psi: PureState, sigma: DensityMatrix):
+    """(projector, keep probability, projected state) for psi on sigma's rank-r
+    support; the state is None when the keep probability is at most PROB_TOL."""
+    pi = support_projector(sigma, psi.r)
+    keep = outcome_probability(psi, pi)
+    return pi, keep, (project_and_renormalize(psi, pi) if keep > PROB_TOL else None)
+
+
 def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     """Run the four-stage reduction on one bipartite pure input.
 
@@ -224,16 +229,14 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     )
     f_rho_sigma = fidelity_mixed(rho, sigma)
 
-    pi = support_projector(sigma, config.r)
-    keep_probability = outcome_probability(psi, pi)
-    if keep_probability <= PROB_TOL:
+    pi, keep_probability, psi_tilde = _support_projection(psi, sigma)
+    if psi_tilde is None:
         raise ReductionError(
             f"keep probability {keep_probability:.3e} is below {PROB_TOL:g}; "
             "the support estimate is disjoint from the input state"
         )
     extra_copies = config.extra_copies
     kept_count = sample_shots(psi, pi, extra_copies, seed_shots)
-    psi_tilde = project_and_renormalize(psi, pi)
     projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
     low_yield = kept_count < math.ceil(extra_copies / 2)
 
@@ -344,8 +347,7 @@ def verify_chain(
     f_rho_sigma = fidelity_mixed(rho, sigma)
     phi_opt = optimal_purification_against(sigma, psi)
     uhlmann_overlap = fidelity_pure_pure(psi, phi_opt)
-    pi = support_projector(sigma, psi.r)
-    keep_probability = outcome_probability(psi, pi)
+    _, keep_probability, psi_tilde = _support_projection(psi, sigma)
 
     checks = [
         ChainCheck(
@@ -357,13 +359,11 @@ def verify_chain(
         _keep_vs_mixed_fidelity(keep_probability, f_rho_sigma),
     ]
 
-    usable = keep_probability > PROB_TOL
     projected_fidelity: float | None = None
     estimate_fidelity: float | None = None
     final_fidelity: float | None = None
     eps_eff = epsilon
-    if usable:
-        psi_tilde = project_and_renormalize(psi, pi)
+    if psi_tilde is not None:
         projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
         estimate_fidelity = fidelity_pure_pure(phi, psi_tilde)
         final_fidelity = fidelity_pure_pure(phi, psi)
@@ -377,54 +377,13 @@ def verify_chain(
         fidelity_mixed_estimate=f_rho_sigma,
         uhlmann_overlap=uhlmann_overlap,
         keep_probability=keep_probability,
-        usable=usable,
+        usable=psi_tilde is not None,
         projected_fidelity=projected_fidelity,
         estimate_fidelity=estimate_fidelity,
         final_fidelity=final_fidelity,
         epsilon=eps_eff,
         checks=tuple(checks),
     )
-
-
-@dataclass(frozen=True)
-class OverlapTriple:
-    """Overlap moduli a = |<psi_tilde|psi>|, b = |<phi|psi_tilde>|,
-    c = |<phi|psi>| plus the phases aligning the first two overlaps."""
-
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-
-    @classmethod
-    def from_states(cls, psi_tilde: PureState, psi: PureState, phi: PureState) -> "OverlapTriple":
-        ip_a = psi_tilde.overlap(psi)
-        ip_b = phi.overlap(psi_tilde)
-        ip_c = phi.overlap(psi)
-        # e^{i alpha} <psi_tilde|psi> and e^{i beta} <psi_tilde|phi> are real >= 0
-        alpha = float(np.mod(-np.angle(ip_a), 2.0 * np.pi))
-        beta = float(np.mod(np.angle(ip_b), 2.0 * np.pi))
-        return cls(a=abs(ip_a), b=abs(ip_b), c=abs(ip_c), alpha=alpha, beta=beta)
-
-
-@dataclass(frozen=True)
-class GeometricCheck:
-    """Verdict of the composition bound |<phi|psi>| >= 1 - 4*eta.
-
-    dist_sq_* are the squared chordal distances 2 - 2*moduli after phase
-    alignment; ``triangle_bound`` is 2*dist_sq_a + 2*dist_sq_b, which must
-    dominate dist_sq_c for any genuine state triple.
-    """
-
-    lower_bound: float
-    satisfied: bool
-    applicable: bool
-    dist_sq_a: float
-    dist_sq_b: float
-    dist_sq_c: float
-    triangle_bound: float
-    intermediates_satisfied: bool
 
 
 def _composition_margins(a, b, c, eta):
@@ -434,40 +393,6 @@ def _composition_margins(a, b, c, eta):
     slack = c - (1.0 - 4.0 * eta)
     excess = (2.0 - 2.0 * c) - (2.0 * (2.0 - 2.0 * a) + 2.0 * (2.0 - 2.0 * b))
     return slack, excess
-
-
-def geometric_composition(t: OverlapTriple, eta: float) -> GeometricCheck:
-    """Check c >= 1 - 4*eta for a triple with a, b >= 1 - eta.
-
-    A triple that misses the precondition is reported as not applicable
-    rather than as a failure. The intermediate steps are checked too: each
-    aligned squared distance must stay below 2*eta and their doubled sum
-    (at most 8*eta) must dominate the total squared distance.
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    applicable = _landed(t.a, eta) and _landed(t.b, eta)
-    slack, excess = _composition_margins(t.a, t.b, t.c, eta)
-    dist_sq_a = 2.0 - 2.0 * t.a
-    dist_sq_b = 2.0 - 2.0 * t.b
-    triangle_bound = 2.0 * dist_sq_a + 2.0 * dist_sq_b
-    # the triangle step holds for any genuine state triple; the 2*eta and
-    # 8*eta caps additionally require the precondition
-    eta_caps_ok = (
-        dist_sq_a <= 2.0 * eta + CHAIN_SLACK
-        and dist_sq_b <= 2.0 * eta + CHAIN_SLACK
-        and triangle_bound <= 8.0 * eta + CHAIN_SLACK
-    )
-    return GeometricCheck(
-        lower_bound=1.0 - 4.0 * eta,
-        satisfied=slack >= -CHAIN_SLACK,
-        applicable=applicable,
-        dist_sq_a=dist_sq_a,
-        dist_sq_b=dist_sq_b,
-        dist_sq_c=2.0 - 2.0 * t.c,
-        triangle_bound=triangle_bound,
-        intermediates_satisfied=excess <= CHAIN_SLACK and (not applicable or eta_caps_ok),
-    )
 
 
 @dataclass(frozen=True)
@@ -589,30 +514,28 @@ def gentle_measurement_experiment(
 
     Each trial builds a same-rank sigma with trace_distance(rho, sigma) in
     [delta/2, delta], projects psi onto sigma's support, and records the
-    trace distance T between the projected and the original state. Trials
-    whose keep probability vanishes are skipped and counted. The trend of
-    T/delta is data, not a pass/fail: whether linear-in-delta closeness
-    holds is an open question.
+    trace distance T = ||psi - <psi_tilde|psi> psi_tilde|| between the projected
+    and the original state (it equals sqrt(1 - keep), but 1 - keep cancels in
+    floats). Trials whose keep probability vanishes are skipped and counted.
+    T/delta is data, not a pass/fail: rho = diag(1 - delta, delta, 0) and
+    sigma = diag(1 - delta, 0, delta) give T = sqrt(delta), so T/delta has no
+    bound, though the sampled family does not reach that case.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     rho = partial_trace_x(psi)
-    psi_dm = psi.to_density_matrix()
     distances: list[float] = []
-    skipped = 0
     for t in range(trials):
         sigma = oracle_trace_distance_estimate(rho, delta, child_seed(int(seed), t))
-        pi = support_projector(sigma, psi.r)
-        if outcome_probability(psi, pi) <= PROB_TOL:
-            skipped += 1
-            continue
-        psi_tilde = project_and_renormalize(psi, pi)
-        distances.append(trace_distance(psi_tilde.to_density_matrix(), psi_dm))
+        _, _, psi_tilde = _support_projection(psi, sigma)
+        if psi_tilde is not None:
+            a, b = psi.amplitudes, psi_tilde.amplitudes
+            distances.append(float(np.linalg.norm(a - np.vdot(b, a) * b)))
     return GentleMeasurementResult(
         delta=delta,
         requested_trials=trials,
-        skipped=skipped,
+        skipped=trials - len(distances),
         trace_distances=np.array(distances, dtype=float),
     )

@@ -88,12 +88,6 @@ class PureState:
         """Amplitudes reshaped to an (r, d) coefficient matrix."""
         return self.amplitudes.reshape(self.dims)
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        if self.total_dim != other.total_dim:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def phase_normalized(self) -> "PureState":
         """Same ray with the first nonzero amplitude made real nonnegative."""
         nz = np.flatnonzero(np.abs(self.amplitudes) > _PHASE_TOL)

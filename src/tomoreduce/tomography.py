@@ -311,7 +311,7 @@ def _projector_rows(bases: np.ndarray) -> np.ndarray:
 
 
 def _simulate_inversion(
-    probabilities: Callable[[np.ndarray], np.ndarray], dim: int, n: int, seed, design_seed
+    probabilities: Callable[[np.ndarray], np.ndarray], dim: int, n: int, seed
 ) -> np.ndarray:
     """Simulate n shots of a random design and invert them, Hermitized.
 
@@ -324,11 +324,10 @@ def _simulate_inversion(
     if n < dim * dim:
         raise ValueError(f"budget {n} is below the informational floor {dim * dim}")
     seed = int(seed)  # estimators need a splittable integer seed, not a live generator
-    design_rng = rng_from_seed(child_seed(seed, 0) if design_seed is None else design_seed)
     num_bases = max(6, int(math.ceil(3.0 * math.log(dim))) * dim)
     budgets = _split_budget(n, num_bases)
     used = budgets > 0
-    bases = _measurement_design(dim, num_bases, design_rng)[used]
+    bases = _measurement_design(dim, num_bases, rng_from_seed(child_seed(seed, 0)))[used]
     budgets = budgets[used]
     p = np.clip(probabilities(bases), 0.0, None)
     p = p / p.sum(axis=1, keepdims=True)
@@ -341,9 +340,7 @@ def _simulate_inversion(
     return (x + x.conj().T) / 2.0
 
 
-def estimate_pure_state_from_measurements(
-    psi_true: PureState, n: int, seed, design_seed: int | None = None
-) -> PureState:
+def estimate_pure_state_from_measurements(psi_true: PureState, n: int, seed) -> PureState:
     """Reconstruct a pure state from n simulated single-copy measurements.
 
     Shots are split evenly across ceil(3 ln d) * d orthonormal bases (at
@@ -353,7 +350,7 @@ def estimate_pure_state_from_measurements(
     """
     amps = psi_true.amplitudes
     x = _simulate_inversion(
-        lambda u: np.abs(u.conj().swapaxes(1, 2) @ amps) ** 2, amps.size, n, seed, design_seed
+        lambda u: np.abs(u.conj().swapaxes(1, 2) @ amps) ** 2, amps.size, n, seed
     )
     _, v = np.linalg.eigh(x)
     top = v[:, -1]
@@ -361,7 +358,7 @@ def estimate_pure_state_from_measurements(
 
 
 def estimate_mixed_state_from_measurements(
-    rho_true: DensityMatrix, r: int, n: int, seed, design_seed: int | None = None
+    rho_true: DensityMatrix, r: int, n: int, seed
 ) -> DensityMatrix:
     """Rank-capped linear-inversion estimate of a mixed state.
 
@@ -374,9 +371,7 @@ def estimate_mixed_state_from_measurements(
     if not 1 <= r <= dim:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={dim}")
     mat = rho_true.matrix
-    x = _simulate_inversion(
-        lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=1)), dim, n, seed, design_seed
-    )
+    x = _simulate_inversion(lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=1)), dim, n, seed)
     w, v = np.linalg.eigh(x)
     w = np.clip(w[::-1], 0.0, None)
     v = v[:, ::-1]

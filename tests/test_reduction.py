@@ -1,4 +1,4 @@
-"""Tests for the reduction protocol, chain verifier, geometric composition,
+"""Tests for the reduction protocol, chain verifier, composition margins,
 and the gentle-measurement experiment."""
 
 import math
@@ -8,21 +8,24 @@ import pytest
 
 from tomoreduce import (
     DensityMatrix,
-    OverlapTriple,
     PureState,
     ReductionConfig,
     TomographyBackend,
     child_seed,
     gentle_measurement_experiment,
-    geometric_composition,
     oracle_mixed_estimate,
+    oracle_trace_distance_estimate,
     partial_trace_x,
+    project_and_renormalize,
     proposition_search,
     random_pure_state,
     random_rank_r_state,
     run_reduction,
+    support_projector,
+    trace_distance,
     verify_chain,
 )
+from tomoreduce.reduction import CHAIN_SLACK, _composition_margins
 
 from oracles import random_density_matrix
 
@@ -238,12 +241,11 @@ class TestVerifyChain:
 
 class TestGeometricComposition:
     def test_coincident_states(self):
-        psi = random_pure_state(1, 3, seed=30)
-        t = OverlapTriple.from_states(psi, psi, psi)
-        check = geometric_composition(t, 0.0)
-        assert check.applicable and check.satisfied
-        assert check.lower_bound == 1.0
-        assert t.c == pytest.approx(1.0, abs=1e-12)
+        psi = random_pure_state(1, 3, seed=30).amplitudes
+        overlap = abs(np.vdot(psi, psi))
+        slack, excess = _composition_margins(overlap, overlap, overlap, 0.0)
+        assert overlap == pytest.approx(1.0, abs=1e-12)
+        assert slack >= -CHAIN_SLACK and excess <= CHAIN_SLACK
 
     def test_geodesic_midpoint_construction(self):
         # psi, psi_tilde, phi equally spaced on a real geodesic with
@@ -251,42 +253,15 @@ class TestGeometricComposition:
         # so the bound 1 - 4 eta holds with slack 2 eta^2 (c is the modulus)
         for eta in (0.01, 0.1, 0.3):
             gamma = math.acos(1 - eta)
-            e0 = np.array([1, 0], dtype=complex)
-            e1 = np.array([0, 1], dtype=complex)
-            psi = PureState(e0, (1, 2))
-            mid = PureState(math.cos(gamma) * e0 + math.sin(gamma) * e1, (1, 2))
-            phi = PureState(math.cos(2 * gamma) * e0 + math.sin(2 * gamma) * e1, (1, 2))
-            t = OverlapTriple.from_states(mid, psi, phi)
-            check = geometric_composition(t, eta)
-            assert check.applicable and check.satisfied and check.intermediates_satisfied
-            assert t.c == pytest.approx(abs(1 - 4 * eta + 2 * eta**2), abs=1e-9)
-            assert t.c >= 1 - 4 * eta - 1e-12
-
-    def test_precondition_miss_is_not_applicable(self):
-        psi = random_pure_state(1, 4, seed=31)
-        phi = random_pure_state(1, 4, seed=32)
-        t = OverlapTriple.from_states(psi, phi, psi)
-        check = geometric_composition(t, 1e-6)
-        assert not check.applicable
-
-    def test_alignment_phase_invariants(self):
-        for t_idx in range(20):
-            psi = random_pure_state(1, 4, child_seed(33, t_idx))
-            mid = random_pure_state(1, 4, child_seed(34, t_idx))
-            phi = random_pure_state(1, 4, child_seed(35, t_idx))
-            t = OverlapTriple.from_states(mid, psi, phi)
-            aligned_a = np.exp(1j * t.alpha) * mid.overlap(psi)
-            assert abs(aligned_a.imag) < 1e-9
-            assert aligned_a.real == pytest.approx(t.a, abs=1e-9)
-            aligned_b = np.exp(1j * t.beta) * mid.overlap(phi)
-            assert abs(aligned_b.imag) < 1e-9
-            assert aligned_b.real == pytest.approx(t.b, abs=1e-9)
-
-    def test_rejects_negative_eta(self):
-        psi = random_pure_state(1, 2, seed=36)
-        t = OverlapTriple.from_states(psi, psi, psi)
-        with pytest.raises(ValueError):
-            geometric_composition(t, -0.1)
+            psi = np.array([1, 0], dtype=complex)
+            mid = np.array([math.cos(gamma), math.sin(gamma)], dtype=complex)
+            phi = np.array([math.cos(2 * gamma), math.sin(2 * gamma)], dtype=complex)
+            a, b, c = abs(np.vdot(mid, psi)), abs(np.vdot(phi, mid)), abs(np.vdot(phi, psi))
+            assert a == pytest.approx(1 - eta, abs=1e-12) and b == pytest.approx(1 - eta, abs=1e-12)
+            slack, excess = _composition_margins(a, b, c, eta)
+            assert slack >= -CHAIN_SLACK and excess <= CHAIN_SLACK
+            assert c == pytest.approx(abs(1 - 4 * eta + 2 * eta**2), abs=1e-9)
+            assert c >= 1 - 4 * eta - 1e-12
 
 
 class TestPropositionSearch:
@@ -333,6 +308,35 @@ class TestGentleMeasurement:
             psi = random_pure_state(2, 4, seed=54)
             res = gentle_measurement_experiment(psi, delta, trials=100, seed=55)
             assert res.max_trace_distance <= 3 * math.sqrt(delta)
+
+    def test_matches_density_matrix_reference(self):
+        # T is the residual norm ||psi - <psi_tilde|psi> psi_tilde||; the
+        # reference is the trace distance of the two rank-1 density matrices
+        for r in (1, 2, 3):
+            for d in (3, 4, 6, 8):
+                psi = random_pure_state(r, d, child_seed(57, r, d))
+                rho = partial_trace_x(psi)
+                for k, delta in enumerate((0.1, 1e-2, 1e-3, 1e-4, 1e-5)):
+                    seed = child_seed(58, r, d, k)
+                    res = gentle_measurement_experiment(psi, delta, trials=5, seed=seed)
+                    assert res.skipped == 0
+                    for t in range(5):
+                        sigma = oracle_trace_distance_estimate(rho, delta, child_seed(seed, t))
+                        tilde = project_and_renormalize(psi, support_projector(sigma, r))
+                        ref = trace_distance(tilde.to_density_matrix(), psi.to_density_matrix())
+                        assert abs(res.trace_distances[t] - ref) <= 1e-15
+
+    def test_builds_one_density_matrix_per_estimate(self, monkeypatch):
+        # the reduced state plus one sigma per trial; no pure-state density matrices
+        builds = []
+        post_init = DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            DensityMatrix, "__post_init__", lambda self: builds.append(1) or post_init(self)
+        )
+        psi = random_pure_state(2, 4, seed=59)
+        res = gentle_measurement_experiment(psi, 0.01, trials=10, seed=60)
+        assert res.completed == 10
+        assert len(builds) == 1 + 10
 
     def test_validation(self):
         psi = random_pure_state(1, 2, seed=56)
