@@ -25,6 +25,7 @@ from .reduction import (
     ReductionConfig,
     ReductionError,
     ReductionReport,
+    _extra_copy_count,
     _guaranteed_bound,
     gentle_measurement_experiment,
     proposition_search,
@@ -39,6 +40,7 @@ from .states import (
 )
 from .tomography import (
     TomographyBackend,
+    _check_window,
     estimate_mixed_state_from_measurements,
     estimate_pure_state_from_measurements,
 )
@@ -141,6 +143,13 @@ class ExperimentConfig:
                 f"the measurement backend needs n_copies >= d^2 = {d_max**2} for d = {d_max}, "
                 f"got {self.n_copies}"
             )
+        if chain:  # the largest cell asks for the most extra copies
+            r_max = max(c["r"] for c in cells)
+            _extra_copy_count(self.extra_copy_factor, r_max, min(self.eps_values))
+        if chain and self.backend == "oracle":
+            _check_window("infidelity", min(self.eps_values))
+        if self.experiment is ExperimentKind.GENTLE_MEASUREMENT:
+            _check_window("trace distance", min(self.delta_values))
 
 
 def experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
@@ -176,14 +185,6 @@ def experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
     if kind is ExperimentKind.PROPOSITION_SEARCH:
         return [{"d": d, "eta": e} for d in config.d_values for e in config.eps_values]
     raise ValueError(f"unknown experiment {kind!r}")  # pragma: no cover
-
-
-def _backends(config: ExperimentConfig, epsilon: float) -> tuple[TomographyBackend, TomographyBackend]:
-    if config.backend == "oracle":
-        oracle = TomographyBackend.oracle(epsilon)
-        return oracle, oracle
-    backend = TomographyBackend.linear_inversion(config.n_copies)
-    return backend, backend
 
 
 # Columns of a reduction record, in file order. A type names the cast of the
@@ -230,15 +231,18 @@ def flatten_report(report: ReductionReport) -> dict[str, Any]:
 def _reduction_fields(config, cell, trial_seed) -> dict[str, Any]:
     r, d, eps = cell["r"], cell["d"], cell["epsilon"]
     psi = random_pure_state(r, d, child_seed(trial_seed, 0))
-    mixed, pure = _backends(config, eps)
+    if config.backend == "oracle":  # one backend serves both stages
+        backend = TomographyBackend.oracle(eps)
+    else:
+        backend = TomographyBackend.linear_inversion(config.n_copies)
     rconfig = ReductionConfig(
         r=r,
         d=d,
         n_copies=config.n_copies,
         epsilon=eps,
         extra_copy_factor=config.extra_copy_factor,
-        mixed_backend=mixed,
-        pure_backend=pure,
+        mixed_backend=backend,
+        pure_backend=backend,
         seed=child_seed(trial_seed, 1),
     )
     error = ""

@@ -2,9 +2,9 @@
 
 The measurement acts on the second register of a bipartite pure state.
 Because copies are i.i.d. and the post-measurement state is the same for
-every kept copy, shots are simulated as independent Bernoulli draws on the
-analytic keep probability; this is exact, not an approximation. Only the
-kept count is returned, counted in chunks so that memory stays bounded.
+every kept copy, the kept count of n copies is one Binomial(n, keep) draw
+on the analytic keep probability; this is exact, not an approximation, and
+its time and memory do not depend on n.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12  # outcome probabilities at or below this cannot be renormalized
-_SHOT_CHUNK = 1 << 16  # uniform draws held at once while counting kept copies
 
 
 class ProjectionError(RuntimeError):
@@ -64,15 +63,11 @@ def project_and_renormalize(psi: PureState, pi: Projector) -> PureState:
 def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> int:
     """Number of keep outcomes among `shots` i.i.d. copies, deterministic per seed.
 
-    The count equals ``count_nonzero(rng.random(shots) < p)``, drawn from the
-    same stream in chunks of ``_SHOT_CHUNK``. All kept copies collapse to the
-    one state returned by :func:`project_and_renormalize`.
+    The count is one ``binomial(shots, p)`` draw from the seed's stream, the
+    law of counting i.i.d. keep outcomes; ``shots`` must fit in int64. All
+    kept copies collapse to the one state returned by
+    :func:`project_and_renormalize`.
     """
     if shots < 0:
         raise ValueError("shot count must be nonnegative")
-    p = outcome_probability(psi, pi)
-    rng = rng_from_seed(seed)
-    kept = 0
-    for start in range(0, shots, _SHOT_CHUNK):
-        kept += int(np.count_nonzero(rng.random(min(_SHOT_CHUNK, shots - start)) < p))
-    return kept
+    return int(rng_from_seed(seed).binomial(shots, outcome_probability(psi, pi)))

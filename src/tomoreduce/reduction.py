@@ -62,6 +62,20 @@ class ReductionError(RuntimeError):
     """The support estimate is incompatible with the input state."""
 
 
+def _extra_copy_count(factor: float, r: int, epsilon: float) -> int:
+    """ceil(factor * r^2 / epsilon), the projection stage's copy count.
+
+    Raises ValueError unless factor is finite and positive and the count fits
+    in int64, so that the kept count is one binomial draw.
+    """
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ValueError(f"extra_copy_factor must be finite and positive, got {factor!r}")
+    copies = factor * r**2 / epsilon
+    if not copies <= np.iinfo(np.int64).max:
+        raise ValueError(f"{copies:.3g} extra copies exceed the int64 limit 2^63 - 1")
+    return int(math.ceil(copies))
+
+
 @dataclass(frozen=True)
 class ReductionConfig:
     """Parameters of one reduction run.
@@ -88,8 +102,7 @@ class ReductionConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
-        if self.extra_copy_factor <= 0.0:
-            raise ValueError("extra_copy_factor must be positive")
+        _extra_copy_count(self.extra_copy_factor, self.r, self.epsilon)
         if self.mixed_backend is None:
             object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
         if self.pure_backend is None:
@@ -104,7 +117,7 @@ class ReductionConfig:
 
     @property
     def extra_copies(self) -> int:
-        return int(math.ceil(self.extra_copy_factor * self.r**2 / self.epsilon))
+        return _extra_copy_count(self.extra_copy_factor, self.r, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,6 @@ class ReductionReport:
     samples_total: int
     low_yield: bool
     starved: bool
-    projected_state: PureState
     estimate: PureState | None
 
     @property
@@ -306,7 +318,6 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
         samples_total=config.n_copies + extra_copies,
         low_yield=low_yield,
         starved=starved,
-        projected_state=psi_tilde,
         estimate=estimate,
     )
 
@@ -489,7 +500,6 @@ class GentleMeasurementResult:
     caller, which knows delta."""
 
     delta: float
-    requested_trials: int
     skipped: int
     trace_distances: np.ndarray
 
@@ -535,7 +545,6 @@ def gentle_measurement_experiment(
             distances.append(float(np.linalg.norm(a - np.vdot(b, a) * b)))
     return GentleMeasurementResult(
         delta=delta,
-        requested_trials=trials,
         skipped=trials - len(distances),
         trace_distances=np.array(distances, dtype=float),
     )

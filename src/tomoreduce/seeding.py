@@ -21,11 +21,6 @@ def child_seed(master: int, *path: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def rng_from_seed(seed) -> np.random.Generator:
-    """A PCG64 generator for an explicit integer seed.
-
-    Generators are passed through unchanged so helpers can accept either.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
+def rng_from_seed(seed: int) -> np.random.Generator:
+    """A PCG64 generator for an explicit integer seed."""
     return np.random.default_rng(int(seed))

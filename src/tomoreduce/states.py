@@ -3,9 +3,10 @@
 Pure states live on a bipartite register pair X (dimension r) and Y
 (dimension d); a flat state uses dims (1, d). Density matrices carry their
 eigendecomposition. All constructors validate normalization, Hermiticity,
-and positivity at fixed tolerances, and the eigenvectors or factors a state
-carries are checked to be orthonormal. Every array held by a state object is
-frozen after construction, so instances are safe to share across threads.
+and positivity at fixed tolerances, written ``not defect <= tol`` so that a
+NaN fails them, and the eigenvectors or factors a state carries are checked
+to be orthonormal. Every array held by a state object is frozen after
+construction, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class PureState:
         if amps.size != r * d:
             raise ValueError(f"expected {r * d} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
         object.__setattr__(self, "dims", (int(r), int(d)))
@@ -91,8 +92,6 @@ class PureState:
     def phase_normalized(self) -> "PureState":
         """Same ray with the first nonzero amplitude made real nonnegative."""
         nz = np.flatnonzero(np.abs(self.amplitudes) > _PHASE_TOL)
-        if nz.size == 0:
-            return self
         pivot = self.amplitudes[nz[0]]
         return PureState(self.amplitudes * (np.conj(pivot) / abs(pivot)), self.dims)
 
@@ -124,10 +123,10 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if herm_defect > NORM_ATOL:
+        if not herm_defect <= NORM_ATOL:
             raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
         trace = np.real(np.trace(mat))
-        if abs(trace - 1.0) > NORM_ATOL:
+        if not abs(trace - 1.0) <= NORM_ATOL:
             raise ValueError(f"trace must be 1, got {trace!r}")
         w = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
         v = np.asarray(self.eigenvectors, dtype=complex)
@@ -138,11 +137,11 @@ class DensityMatrix:
         if w.size and w[-1] < -NORM_ATOL:
             raise ValueError(f"negative eigenvalue {w[-1]!r} beyond tolerance")
         gram_defect = np.max(np.abs(v.conj().T @ v - np.eye(w.size)), initial=0.0)
-        if gram_defect > NORM_ATOL:
+        if not gram_defect <= NORM_ATOL:
             raise ValueError(f"eigenvectors are not orthonormal: defect {gram_defect:.3e}")
         recon = (v * w) @ v.conj().T
         defect = np.max(np.abs(recon - mat))
-        if defect > RECONSTRUCT_ATOL:
+        if not defect <= RECONSTRUCT_ATOL:
             raise ValueError(f"eigenpairs do not reconstruct the matrix: defect {defect:.3e}")
         object.__setattr__(self, "matrix", _frozen(mat))
         object.__setattr__(self, "eigenvalues", _frozen(w))
@@ -155,7 +154,7 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"matrix must be square, got shape {mat.shape}")
         herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if herm_defect > NORM_ATOL:
+        if not herm_defect <= NORM_ATOL:
             raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
         herm = (mat + mat.conj().T) / 2.0
         w, v = np.linalg.eigh(herm)
@@ -209,11 +208,11 @@ class SchmidtDecomposition:
             raise ValueError("factor counts do not match the coefficients")
         if np.any(lam <= 0) or (k > 1 and np.any(np.diff(lam) > 0)):
             raise ValueError("coefficients must be positive and nonincreasing")
-        if abs(np.sum(lam**2) - 1.0) > NORM_ATOL:
+        if not abs(np.sum(lam**2) - 1.0) <= NORM_ATOL:
             raise ValueError("squared coefficients must sum to 1")
         for name, f in (("left", left), ("right", right)):
             gram = f.conj().T @ f
-            if np.max(np.abs(gram - np.eye(k))) > NORM_ATOL:
+            if not np.max(np.abs(gram - np.eye(k))) <= NORM_ATOL:
                 raise ValueError(f"{name} factors are not orthonormal")
         object.__setattr__(self, "coefficients", _frozen(lam))
         object.__setattr__(self, "left_vectors", _frozen(left))
@@ -242,7 +241,7 @@ class Projector:
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= rank <= dimension, got rank {k}, dimension {dim}")
         gram = basis.conj().T @ basis
-        if np.max(np.abs(gram - np.eye(k))) > NORM_ATOL:
+        if not np.max(np.abs(gram - np.eye(k))) <= NORM_ATOL:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", _frozen(basis))
 
@@ -253,9 +252,6 @@ class Projector:
     @property
     def dimension(self) -> int:
         return self.basis.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
 
 def _haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,11 +279,7 @@ def random_pure_state(r: int, d: int, seed) -> PureState:
         raise ValueError("register dimensions must be positive")
     rng = rng_from_seed(seed)
     amps = rng.standard_normal(r * d) + 1j * rng.standard_normal(r * d)
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:  # probability zero, but never divide by zero
-        amps[0] = 1.0
-        norm = 1.0
-    return PureState(amps / norm, (r, d)).phase_normalized()
+    return PureState(amps / np.linalg.norm(amps), (r, d)).phase_normalized()
 
 
 def random_rank_r_state(d: int, r: int, seed) -> DensityMatrix:

@@ -46,6 +46,7 @@ _FAMILIES = 8  # perturbation families drawn before calibration gives up
 _LADDER_STEPS = 140  # rungs of the geometric theta ladder
 _LADDER_RATIO = 1.35  # fine enough not to hop over oscillation peaks
 _LADDER_CHUNK = 8  # ladder rungs evaluated per stacked call
+_RESOLUTION_FLOOR = 1e-12  # narrowest window float64 resolves; at 1e-15 F landed 2 ulps from 1
 
 
 class BackendKind(Enum):
@@ -57,11 +58,12 @@ class BackendKind(Enum):
 class TomographyBackend:
     """Estimator selection plus its parameters.
 
-    Oracle backends need a target infidelity in (0, 1); measurement backends
-    need a default shot budget of at least 1. That budget applies only to
-    direct ``estimate_mixed`` and ``estimate_pure`` calls that pass no
-    ``shots``: ``run_reduction`` always passes its own budgets, ``n_copies``
-    for the mixed-state stage and the kept copy count for the pure-state stage.
+    Oracle backends need a target infidelity in [1e-12, 1), 1e-12 being the
+    oracles' resolution floor; measurement backends need a default shot
+    budget of at least 1. That budget applies only to direct
+    ``estimate_mixed`` and ``estimate_pure`` calls that pass no ``shots``:
+    ``run_reduction`` always passes its own budgets, ``n_copies`` for the
+    mixed-state stage and the kept copy count for the pure-state stage.
     """
 
     kind: BackendKind
@@ -70,8 +72,9 @@ class TomographyBackend:
 
     def __post_init__(self) -> None:
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            if self.epsilon_target is None or not 0.0 < self.epsilon_target < 1.0:
-                raise ValueError("oracle backend needs a target infidelity in (0, 1)")
+            if self.epsilon_target is None:
+                raise ValueError("oracle backend needs a target infidelity")
+            _check_window("infidelity", self.epsilon_target)
         elif self.kind is BackendKind.MEASUREMENT_LINEAR_INVERSION:
             if self.shots is None or self.shots < 1:
                 raise ValueError("measurement backend needs a shot budget of at least 1")
@@ -243,22 +246,30 @@ def _calibrate(
     )
 
 
+def _check_window(what: str, target: float) -> None:
+    if not _RESOLUTION_FLOOR <= target < 1.0:
+        raise ValueError(
+            f"target {what} must be in [{_RESOLUTION_FLOOR:g}, 1), got {target!r}: a calibrated "
+            "window narrower than that is not resolved in float64"
+        )
+
+
 def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMatrix:
     """Estimate of rho with the same rank and fidelity in [1 - eps, 1 - eps/2].
 
     The window's lower edge is what stresses downstream bounds; exact equality
     with 1 - eps is measure zero under float arithmetic, so a window is used.
+    eps must be at least the 1e-12 resolution floor.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
+    _check_window("infidelity", epsilon)
     rng = rng_from_seed(seed)
     return _calibrate(rho, rng, _infidelities, epsilon / 2.0, epsilon)
 
 
 def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> DensityMatrix:
-    """Same-rank estimate of rho with trace distance in [delta/2, delta]."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"target trace distance must be in (0, 1), got {delta!r}")
+    """Same-rank estimate of rho with trace distance in [delta/2, delta], for
+    delta at least the 1e-12 resolution floor."""
+    _check_window("trace distance", delta)
     rng = rng_from_seed(seed)
     return _calibrate(rho, rng, _trace_distances, delta / 2.0, delta)
 
@@ -277,15 +288,9 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
         raise ValueError("no orthogonal direction available in a one-dimensional space")
 
     target = rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0)
-    for _ in range(32):
-        raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-        chi = raw - np.vdot(psi.amplitudes, raw) * psi.amplitudes
-        norm = np.linalg.norm(chi)
-        if norm > 1e-12:
-            break
-    else:  # pragma: no cover - probability zero
-        raise RuntimeError("could not draw a direction orthogonal to the state")
-    chi = chi / norm
+    raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    chi = raw - np.vdot(psi.amplitudes, raw) * psi.amplitudes
+    chi = chi / np.linalg.norm(chi)
     phi = math.sqrt(target) * psi.amplitudes + math.sqrt(1.0 - target) * chi
     return PureState(phi, psi.dims).phase_normalized()
 
@@ -323,7 +328,6 @@ def _simulate_inversion(
     """
     if n < dim * dim:
         raise ValueError(f"budget {n} is below the informational floor {dim * dim}")
-    seed = int(seed)  # estimators need a splittable integer seed, not a live generator
     num_bases = max(6, int(math.ceil(3.0 * math.log(dim))) * dim)
     budgets = _split_budget(n, num_bases)
     used = budgets > 0

@@ -33,31 +33,35 @@ def _random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (ph / np.abs(ph))
 
 
-def _ascend(c: np.ndarray, u: np.ndarray, iters: int) -> float:
-    """Hill-climb |tr(U C)|^2 over unitaries U along geodesics U exp(t*Om)."""
-    z = np.trace(u @ c)
-    f = abs(z) ** 2
+def _ascend(c: np.ndarray, u: np.ndarray, iters: int) -> np.ndarray:
+    """Hill-climb |tr(U C)|^2 from each unitary of the (R, d, d) stack along
+    geodesics U exp(t*Om); returns the R climbed values. A restart retires
+    when its ascent direction vanishes or no step of the ladder improves it."""
+    z = np.trace(u @ c, axis1=1, axis2=2)
+    f = np.abs(z) ** 2
     steps = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.005, 0.001)
+    active = np.arange(len(u))
     for _ in range(iters):
-        m = c @ u
-        x = np.conj(z) * m
-        om = -(x - x.conj().T) / 2.0  # steepest anti-Hermitian ascent direction
-        norm = np.linalg.norm(om)
-        if norm < 1e-14:
-            break
-        om = om / norm
+        m = c @ u[active]
+        x = np.conj(z[active])[:, None, None] * m
+        om = -(x - x.conj().swapaxes(1, 2)) / 2.0  # steepest anti-Hermitian ascent direction
+        norm = np.linalg.norm(om, axis=(1, 2))
+        moving = norm >= 1e-14
+        active, om = active[moving], om[moving] / norm[moving, None, None]
         lam, q = np.linalg.eigh(-1j * om)  # om = i * herm, exp via eigenphases
-        qh = q.conj().T
-        improved = False
+        qh = q.conj().swapaxes(1, 2)
+        searching = np.arange(len(active))  # positions in active still trying a step
         for t in steps:
-            e = q @ (np.exp(1j * t * lam)[:, None] * qh)
-            u_new = u @ e
-            z_new = np.trace(u_new @ c)
-            if abs(z_new) ** 2 > f + 1e-15:
-                u, z, f = u_new, z_new, abs(z_new) ** 2
-                improved = True
-                break
-        if not improved:
+            e = q[searching] @ (np.exp(1j * t * lam[searching])[:, :, None] * qh[searching])
+            idx = active[searching]
+            u_new = u[idx] @ e
+            z_new = np.trace(u_new @ c, axis1=1, axis2=2)
+            better = np.abs(z_new) ** 2 > f[idx] + 1e-15
+            took = idx[better]
+            u[took], z[took], f[took] = u_new[better], z_new[better], np.abs(z_new[better]) ** 2
+            searching = searching[~better]
+        active = np.delete(active, searching)
+        if active.size == 0:
             break
     return f
 
@@ -73,19 +77,17 @@ def uhlmann_fidelity_search(
 
     psi is a fixed purification of rho; phi ranges over (U (x) I) phi0 for
     unitaries U on the purifying register, optimized by random-restart
-    geodesic hill climbing. The overlap reduces to tr(U C) for the fixed
-    overlap matrix C of the two canonical purifications.
+    geodesic hill climbing, all restarts climbing as one stack. The overlap
+    reduces to tr(U C) for the fixed overlap matrix C of the two canonical
+    purifications.
     """
     d = rho_mat.shape[0]
     psi = canonical_purification(rho_mat, d)
     phi0 = canonical_purification(sigma_mat, d)
     c = phi0 @ psi.conj().T  # c[y, x] = sum_a conj(psi[x, a]) phi0[y, a]
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for k in range(restarts):
-        start = np.eye(d, dtype=complex) if k == 0 else _random_unitary(d, rng)
-        best = max(best, _ascend(c, start, iters))
-    return best
+    starts = [np.eye(d, dtype=complex)] + [_random_unitary(d, rng) for _ in range(restarts - 1)]
+    return float(_ascend(c, np.array(starts), iters).max())
 
 
 def random_density_matrix(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:

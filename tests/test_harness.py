@@ -84,6 +84,14 @@ class TestConfigValidation:
             small_sweep_config(backend="measurement", n_copies=15)
         small_sweep_config(backend="measurement", n_copies=16)
 
+    def test_resolution_floor_binds_oracle_windows_only(self):
+        with pytest.raises(ValueError, match="1e-12"):
+            small_sweep_config(eps_values=(0.1, 1e-13))
+        with pytest.raises(ValueError, match="1e-12"):
+            ExperimentConfig(experiment=ExperimentKind.GENTLE_MEASUREMENT, delta_values=(1e-13,))
+        small_sweep_config(backend="measurement", eps_values=(1e-15,))
+        small_sweep_config(eps_values=(1e-12,))
+
     def test_crossed_grid_filters_r_above_d(self):
         cfg = small_sweep_config(r_values=(1, 3), d_values=(2, 4))
         cells = experiment_cells(cfg)
@@ -298,6 +306,11 @@ class TestCli:
             ["scale-pure", "--d", "1", "--n", "1,10,100"],
             ["scale-mixed", "--r", "1", "--d", "1"],
             ["prop-search", "--d", "1,2"],
+            ["reduce", "--c-extra", "nan"],
+            ["reduce", "--c-extra", "inf"],
+            ["reduce", "--c-extra", "1e308"],
+            ["chain-sweep", "--eps", "1e-15"],
+            ["gentle", "--delta", "1e-16"],
         ],
     )
     def test_unrunnable_config_exit_two(self, argv, tmp_path, capsys):

@@ -17,7 +17,6 @@ from tomoreduce import (
     project_and_renormalize,
     purify,
     random_pure_state,
-    rng_from_seed,
     sample_shots,
     schmidt_decompose,
 )
@@ -158,13 +157,14 @@ class TestSampleShots:
         with pytest.raises(ValueError):
             sample_shots(psi, Projector(np.eye(2)), -1, seed=0)
 
-    @pytest.mark.parametrize("shots", [0, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
-    def test_chunked_count_matches_one_draw(self, shots):
-        # the count is taken over chunks of 2**16 draws from the same stream
-        psi = random_pure_state(2, 3, seed=26)
-        pi = Projector(schmidt_decompose(psi).right_vectors[:, :1])
-        p = outcome_probability(psi, pi)
-        expected = np.count_nonzero(rng_from_seed(27).random(shots) < p)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("shots", [0, 1, 2**16 + 1, 10**15])
+    def test_count_is_one_binomial_draw(self, shots, p):
+        psi = PureState(np.array([np.sqrt(p), np.sqrt(1 - p)]), (1, 2))
+        pi = projector_on_columns(2, [0])
+        keep = outcome_probability(psi, pi)
+        assert keep == pytest.approx(p, abs=1e-15)
+        expected = np.random.default_rng(27).binomial(shots, keep)
         assert sample_shots(psi, pi, shots, seed=27) == expected
 
     def test_memory_bounded(self):

@@ -53,6 +53,24 @@ class TestReductionConfig:
             ReductionConfig(r=1, d=4, n_copies=15, epsilon=0.1, mixed_backend=inversion)
         ReductionConfig(r=1, d=4, n_copies=16, epsilon=0.1, mixed_backend=inversion)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, 1e308, 2.0**62])
+    def test_rejects_copy_count_beyond_int64(self, factor):
+        # the kept count is one binomial draw, which takes an int64 copy count
+        inversion = TomographyBackend.linear_inversion(shots=100)
+        with pytest.raises(ValueError, match="extra"):
+            ReductionConfig(
+                r=1, d=2, n_copies=10, epsilon=0.5, extra_copy_factor=factor,
+                mixed_backend=inversion, pure_backend=inversion,
+            )
+
+    def test_largest_copy_count_accepted(self):
+        inversion = TomographyBackend.linear_inversion(shots=100)
+        cfg = ReductionConfig(
+            r=1, d=2, n_copies=10, epsilon=0.5, extra_copy_factor=2.0**61,
+            mixed_backend=inversion, pure_backend=inversion,
+        )
+        assert cfg.extra_copies == 2**62
+
     def test_extra_copies(self):
         cfg = ReductionConfig(r=2, d=4, n_copies=10, epsilon=0.1, extra_copy_factor=4.0)
         assert cfg.extra_copies == math.ceil(4.0 * 4 / 0.1) == 160

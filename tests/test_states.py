@@ -5,7 +5,9 @@ import pytest
 
 from tomoreduce import (
     DensityMatrix,
+    Projector,
     PureState,
+    SchmidtDecomposition,
     child_seed,
     fidelity_mixed,
     fidelity_pure_pure,
@@ -31,6 +33,10 @@ def bell_state() -> PureState:
 
 def product_state(u: np.ndarray, v: np.ndarray, dims) -> PureState:
     return PureState(np.kron(u, v), dims)
+
+
+def projector_matrix(pi: Projector) -> np.ndarray:
+    return pi.basis @ pi.basis.conj().T
 
 
 class TestPureState:
@@ -140,6 +146,42 @@ class TestDensityMatrix:
         rho = DensityMatrix(matrix=np.eye(2) / 2, eigenvalues=w, eigenvectors=np.eye(2))
         assert rho.rank == 2
         assert DensityMatrix.from_matrix(np.diag([1.0, 0.0])).rank == 1
+
+
+NAN = float("nan")
+
+
+class TestRejectsNan:
+    # every tolerance check is written so that a NaN defect fails it
+
+    @pytest.mark.parametrize("amps", [[NAN, 0.0], [1.0, NAN]])
+    def test_pure_state(self, amps):
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(np.array(amps), (1, 2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DensityMatrix.from_matrix(np.diag([NAN, NAN])),
+            lambda: DensityMatrix.from_matrix(np.array([[0.5, NAN], [NAN, 0.5]])),
+            lambda: DensityMatrix(np.eye(2) / 2, np.array([NAN, 0.5]), np.eye(2)),
+        ],
+    )
+    def test_density_matrix(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("basis", [[[NAN], [0.0]], [[1.0, NAN], [0.0, 1.0]]])
+    def test_projector(self, basis):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Projector(np.array(basis))
+
+    @pytest.mark.parametrize(
+        "factors", [([NAN], [[1.0]], [[1.0]]), ([1.0], [[NAN]], [[1.0]]), ([1.0], [[1.0]], [[NAN]])]
+    )
+    def test_schmidt_decomposition(self, factors):
+        with pytest.raises(ValueError):
+            SchmidtDecomposition(*factors)
 
 
 class TestPartialTrace:
@@ -356,22 +398,22 @@ class TestSupportProjector:
         pi = support_projector(sigma, rank_cap=1)
         assert pi.rank == 1
         np.testing.assert_allclose(
-            pi.matrix(), np.outer(sigma.eigenvectors[:, 0], sigma.eigenvectors[:, 0].conj()), atol=1e-12
+            projector_matrix(pi), np.outer(sigma.eigenvectors[:, 0], sigma.eigenvectors[:, 0].conj()), atol=1e-12
         )
 
     def test_full_rank_gives_identity(self):
         sigma = random_rank_r_state(3, 3, seed=71)
         pi = support_projector(sigma, rank_cap=3)
-        np.testing.assert_allclose(pi.matrix(), np.eye(3), atol=1e-9)
+        np.testing.assert_allclose(projector_matrix(pi), np.eye(3), atol=1e-9)
 
     def test_support_containment(self):
         sigma = random_rank_r_state(5, 2, seed=72)
         pi = support_projector(sigma, rank_cap=2)
-        assert np.real(np.trace(pi.matrix() @ sigma.matrix)) == pytest.approx(1.0, abs=1e-8)
+        assert np.real(np.trace(projector_matrix(pi) @ sigma.matrix)) == pytest.approx(1.0, abs=1e-8)
 
     def test_idempotent_and_hermitian(self):
         sigma = random_rank_r_state(4, 2, seed=73)
-        p = support_projector(sigma, rank_cap=2).matrix()
+        p = projector_matrix(support_projector(sigma, rank_cap=2))
         assert np.max(np.abs(p @ p - p)) < 1e-8
         assert np.max(np.abs(p - p.conj().T)) < 1e-8
         assert np.real(np.trace(p)) == pytest.approx(2.0, abs=1e-8)
@@ -415,5 +457,5 @@ class TestModuleInvariants:
             singles = np.random.default_rng(seed)
             loop = np.random.default_rng(seed)
             for u in stack:
-                assert np.array_equal(u, haar_random_unitary(dim, singles))
+                assert np.array_equal(u, _haar_unitaries(dim, 1, singles)[0])
                 assert np.array_equal(u, reference(loop))

@@ -13,7 +13,6 @@ from tomoreduce import (
     estimate_pure_state_from_measurements,
     fidelity_mixed,
     fidelity_pure_pure,
-    haar_random_unitary,
     oracle_mixed_estimate,
     oracle_pure_estimate,
     oracle_trace_distance_estimate,
@@ -21,6 +20,7 @@ from tomoreduce import (
     random_rank_r_state,
     trace_distance,
 )
+from tomoreduce.states import _haar_unitaries
 from tomoreduce.tomography import (
     _measurement_design,
     _projector_rows,
@@ -192,7 +192,7 @@ def _loop_inversion(probabilities, dim, n, design_rng, shot_rng):
     rows from np.outer, solved by lstsq. Returns (rows, x)."""
     num_bases = max(6, int(np.ceil(3.0 * np.log(dim))) * dim)
     bases = [np.eye(dim, dtype=complex)]
-    bases += [haar_random_unitary(dim, design_rng) for _ in range(num_bases - 1)]
+    bases += [_haar_unitaries(dim, 1, design_rng)[0] for _ in range(num_bases - 1)]
     rows, freqs = [], []
     for u, shots in zip(bases, _split_budget(n, num_bases)):
         if shots == 0:
@@ -282,6 +282,27 @@ class TestEstimateMixed:
             estimate_mixed_state_from_measurements(rho, 2, 8, seed=0)
         with pytest.raises(ValueError, match="r <= d"):
             estimate_mixed_state_from_measurements(rho, 4, 100, seed=0)
+
+
+class TestResolutionFloor:
+    # a calibrated window below 1e-12 is not resolved in float64
+    def test_below_floor_rejected(self):
+        rho = random_rank_r_state(4, 2, seed=140)
+        for call in (
+            lambda: oracle_mixed_estimate(rho, 9e-13, seed=141),
+            lambda: oracle_trace_distance_estimate(rho, 9e-13, seed=141),
+            lambda: TomographyBackend.oracle(9e-13),
+        ):
+            with pytest.raises(ValueError, match="1e-12"):
+                call()
+
+    def test_floor_lands(self):
+        for t in range(10):
+            rho = random_rank_r_state(2 + t % 7, 1 + t % 2, child_seed(142, t))
+            sigma = oracle_mixed_estimate(rho, 1e-12, child_seed(143, t))
+            assert 1 - 1e-12 <= fidelity_mixed(rho, sigma) <= 1 - 0.5e-12
+            sigma = oracle_trace_distance_estimate(rho, 1e-12, child_seed(144, t))
+            assert 0.5e-12 <= trace_distance(rho, sigma) <= 1e-12
 
 
 class TestBackendConfig:
