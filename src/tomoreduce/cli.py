@@ -140,12 +140,12 @@ def _print_scaling_fits(summary) -> None:
         key = (rec.get("r"), rec["d"])
         by_dim.setdefault(key, []).append(rec)
     for key, recs in by_dim.items():
-        budgets = {rec["n"] for rec in recs}
-        if len(budgets) < 3:
-            continue
-        fit = fit_scaling(recs)
         label = f"d={key[1]}" if key[0] is None else f"r={key[0]},d={key[1]}"
-        print(f"scaling fit {label}: slope {fit.slope:+.3f}, intercept {fit.intercept:+.3f}")
+        try:
+            fit = fit_scaling(recs)
+            print(f"scaling fit {label}: slope {fit.slope:+.3f}, intercept {fit.intercept:+.3f}")
+        except ValueError as exc:  # too few budgets or a zero median; exit code unaffected
+            print(f"scaling fit {label}: none ({exc})")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ columns are excluded.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from .reduction import (
     ReductionConfig,
     ReductionError,
     ReductionReport,
-    _extra_copy_count,
     _guaranteed_bound,
     gentle_measurement_experiment,
     proposition_search,
@@ -40,7 +40,9 @@ from .states import (
 )
 from .tomography import (
     TomographyBackend,
+    _check_count,
     _check_window,
+    _shot_floor,
     estimate_mixed_state_from_measurements,
     estimate_pure_state_from_measurements,
 )
@@ -88,7 +90,8 @@ class ExperimentKind(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's grids, trial count, seeding, and output target."""
+    """One experiment's grids, trial count, seeding, and output target. A chain
+    grid is validated by building the ReductionConfig of each of its cells."""
 
     experiment: ExperimentKind
     r_values: tuple[int, ...] = DEFAULT_R_GRID
@@ -114,10 +117,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.out_format not in ("csv", "jsonl"):
             raise ValueError(f"unknown output format {self.out_format!r}")
-        if self.n_copies < 1:
-            raise ValueError("n_copies must be at least 1")
-        if self.extra_copy_factor <= 0:
-            raise ValueError("extra_copy_factor must be positive")
         if self.prop_batch < 1:
             raise ValueError("prop_batch must be at least 1")
         for name in ("r_values", "d_values", "eps_values", "delta_values", "n_values"):
@@ -131,60 +130,42 @@ class ExperimentConfig:
             raise ValueError("delta values must be in (0, 1)")
         if any(n < 1 for n in self.n_values):
             raise ValueError("budget values must be positive")
+        _check_count("shots", max(self.n_values))
+        if self.out_path is not None:  # checked, not created
+            out = Path(self.out_path)
+            if out.is_dir() or not next(p for p in out.parents if p.exists()).is_dir():
+                raise ValueError(f"{out} is a directory or lies below a file")
         cells = experiment_cells(self)
         if not cells:
             raise ValueError("grids produce no cell satisfying the module preconditions")
         if any(c["d"] == 1 for c in cells):
             raise ValueError("every experiment needs d >= 2: a cell with d = 1 has one state only")
-        d_max = max(self.d_values)
-        chain = self.experiment is ExperimentKind.CHAIN_SWEEP
-        if chain and self.backend == "measurement" and self.n_copies < d_max**2:
-            raise ValueError(
-                f"the measurement backend needs n_copies >= d^2 = {d_max**2} for d = {d_max}, "
-                f"got {self.n_copies}"
-            )
-        if chain:  # the largest cell asks for the most extra copies
-            r_max = max(c["r"] for c in cells)
-            _extra_copy_count(self.extra_copy_factor, r_max, min(self.eps_values))
-        if chain and self.backend == "oracle":
-            _check_window("infidelity", min(self.eps_values))
+        if self.experiment is ExperimentKind.CHAIN_SWEEP:
+            for cell in cells:
+                _reduction_config(self, cell, 0)
         if self.experiment is ExperimentKind.GENTLE_MEASUREMENT:
             _check_window("trace distance", min(self.delta_values))
 
 
+# Each experiment's cell columns, in loop order, with the grid each one takes.
+_CELL_AXES = {
+    ExperimentKind.CHAIN_SWEEP: {"r": "r_values", "d": "d_values", "epsilon": "eps_values"},
+    ExperimentKind.SCALING_PURE: {"d": "d_values", "n": "n_values"},
+    ExperimentKind.SCALING_MIXED: {"r": "r_values", "d": "d_values", "n": "n_values"},
+    ExperimentKind.GENTLE_MEASUREMENT: {"r": "r_values", "d": "d_values", "delta": "delta_values"},
+    ExperimentKind.PROPOSITION_SEARCH: {"d": "d_values", "eta": "eps_values"},
+}
+
+
 def experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
-    """Grid cells for the experiment, with r > d combinations filtered out."""
-    kind = config.experiment
-    if kind is ExperimentKind.CHAIN_SWEEP:
-        return [
-            {"r": r, "d": d, "epsilon": e}
-            for r in config.r_values
-            for d in config.d_values
-            if r <= d
-            for e in config.eps_values
-        ]
-    if kind is ExperimentKind.SCALING_PURE:
-        return [{"d": d, "n": n} for d in config.d_values for n in config.n_values if n >= d * d]
-    if kind is ExperimentKind.SCALING_MIXED:
-        return [
-            {"r": r, "d": d, "n": n}
-            for r in config.r_values
-            for d in config.d_values
-            if r <= d
-            for n in config.n_values
-            if n >= d * d
-        ]
-    if kind is ExperimentKind.GENTLE_MEASUREMENT:
-        return [
-            {"r": r, "d": d, "delta": x}
-            for r in config.r_values
-            for d in config.d_values
-            if r <= d
-            for x in config.delta_values
-        ]
-    if kind is ExperimentKind.PROPOSITION_SEARCH:
-        return [{"d": d, "eta": e} for d in config.d_values for e in config.eps_values]
-    raise ValueError(f"unknown experiment {kind!r}")  # pragma: no cover
+    """Grid cells for the experiment, with r > d combinations and budgets
+    below the linear-inversion floor d^2 filtered out."""
+    axes = _CELL_AXES[config.experiment]
+    grids = (getattr(config, grid) for grid in axes.values())
+    cells = (dict(zip(axes, values)) for values in itertools.product(*grids))
+    return [
+        c for c in cells if c.get("r", 1) <= c["d"] and c.get("n", math.inf) >= _shot_floor(c["d"])
+    ]
 
 
 # Columns of a reduction record, in file order. A type names the cast of the
@@ -228,30 +209,34 @@ def flatten_report(report: ReductionReport) -> dict[str, Any]:
     return row
 
 
-def _reduction_fields(config, cell, trial_seed) -> dict[str, Any]:
-    r, d, eps = cell["r"], cell["d"], cell["epsilon"]
-    psi = random_pure_state(r, d, child_seed(trial_seed, 0))
-    if config.backend == "oracle":  # one backend serves both stages
-        backend = TomographyBackend.oracle(eps)
+def _reduction_config(config, cell, seed) -> ReductionConfig:
+    """The ReductionConfig of one chain trial; one backend serves both stages."""
+    if config.backend == "oracle":
+        backend = TomographyBackend.oracle(cell["epsilon"])
     else:
         backend = TomographyBackend.linear_inversion(config.n_copies)
-    rconfig = ReductionConfig(
-        r=r,
-        d=d,
+    return ReductionConfig(
+        r=cell["r"],
+        d=cell["d"],
         n_copies=config.n_copies,
-        epsilon=eps,
+        epsilon=cell["epsilon"],
         extra_copy_factor=config.extra_copy_factor,
         mixed_backend=backend,
         pure_backend=backend,
-        seed=child_seed(trial_seed, 1),
+        seed=seed,
     )
+
+
+def _reduction_fields(config, cell, trial_seed) -> dict[str, Any]:
+    psi = random_pure_state(cell["r"], cell["d"], child_seed(trial_seed, 0))
+    rconfig = _reduction_config(config, cell, child_seed(trial_seed, 1))
     error = ""
     try:
         fields = flatten_report(run_reduction(psi, rconfig))
     except ReductionError as exc:
         fields = dict.fromkeys(_REPORT_COLUMNS)
         error = str(exc)
-    fields["guaranteed_bound"] = float(_guaranteed_bound(eps))
+    fields["guaranteed_bound"] = float(_guaranteed_bound(cell["epsilon"]))
     fields["error"] = error
     return fields
 

@@ -37,7 +37,7 @@ from .states import (
     partial_trace_x,
     support_projector,
 )
-from .tomography import BackendKind, TomographyBackend, oracle_trace_distance_estimate
+from .tomography import BackendKind, TomographyBackend, _check_count, oracle_trace_distance_estimate
 
 __all__ = [
     "CHAIN_SLACK",
@@ -71,8 +71,7 @@ def _extra_copy_count(factor: float, r: int, epsilon: float) -> int:
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"extra_copy_factor must be finite and positive, got {factor!r}")
     copies = factor * r**2 / epsilon
-    if not copies <= np.iinfo(np.int64).max:
-        raise ValueError(f"{copies:.3g} extra copies exceed the int64 limit 2^63 - 1")
+    _check_count("extra copies", copies)
     return int(math.ceil(copies))
 
 
@@ -82,7 +81,8 @@ class ReductionConfig:
 
     ``n_copies`` is the sample count consumed by the mixed-state stage (in
     simulation those copies collapse to one classical reduced state, but the
-    count enters the sample accounting). The projection stage consumes
+    count enters the sample accounting; it must reach the mixed backend's
+    ``min_shots(d)`` and fit in int64). The projection stage consumes
     ``ceil(extra_copy_factor * r^2 / epsilon)`` additional copies.
     """
 
@@ -107,13 +107,14 @@ class ReductionConfig:
             object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
         if self.pure_backend is None:
             object.__setattr__(self, "pure_backend", TomographyBackend.oracle(self.epsilon))
-        if self.mixed_backend.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            if self.d == 1:
-                raise ValueError("the mixed oracle cannot perturb the only state on d = 1")
-        elif self.n_copies < self.d**2:
+        if self.mixed_backend.kind is BackendKind.ORACLE_EXACT_INFIDELITY and self.d == 1:
+            raise ValueError("the mixed oracle cannot perturb the only state on d = 1")
+        floor = self.mixed_backend.min_shots(self.d)
+        if self.n_copies < floor:  # only linear inversion asks for more than one copy
             raise ValueError(
-                f"linear inversion needs n_copies >= d^2 = {self.d**2}, got {self.n_copies}"
+                f"linear inversion needs n_copies >= d^2 = {floor}, got {self.n_copies}"
             )
+        _check_count("copies", self.n_copies)
 
     @property
     def extra_copies(self) -> int:
@@ -255,10 +256,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     # The pure-state stage runs in coordinates on (X register) x supp(Pi),
     # a subspace of dimension r * rank(Pi) <= r^2.
     sub_dim = config.r * pi.rank
-    if config.pure_backend.kind is BackendKind.MEASUREMENT_LINEAR_INVERSION:
-        starved = kept_count < sub_dim * sub_dim
-    else:
-        starved = kept_count == 0
+    starved = kept_count < config.pure_backend.min_shots(sub_dim)
 
     estimate: PureState | None = None
     estimate_fidelity: float | None = None

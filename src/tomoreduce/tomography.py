@@ -89,6 +89,10 @@ class TomographyBackend:
     def linear_inversion(cls, shots: int) -> "TomographyBackend":
         return cls(kind=BackendKind.MEASUREMENT_LINEAR_INVERSION, shots=shots)
 
+    def min_shots(self, dim: int) -> int:
+        """Fewest shots to estimate a state on C^dim: 1 for an oracle, d^2 for inversion."""
+        return 1 if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY else _shot_floor(dim)
+
     def estimate_mixed(
         self, rho: DensityMatrix, rank: int, seed, shots: int | None = None
     ) -> DensityMatrix:
@@ -254,6 +258,17 @@ def _check_window(what: str, target: float) -> None:
         )
 
 
+def _shot_floor(dim: int) -> int:
+    """d^2: linear inversion on C^dim resolves a Hermitian matrix of d^2 real parameters."""
+    return dim * dim
+
+
+def _check_count(what: str, count: float) -> None:
+    """Raise ValueError unless a shot or copy count fits in int64, the dtype it is drawn in."""
+    if not count <= np.iinfo(np.int64).max:
+        raise ValueError(f"{count:.3g} {what} exceed the int64 limit 2^63 - 1")
+
+
 def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMatrix:
     """Estimate of rho with the same rank and fidelity in [1 - eps, 1 - eps/2].
 
@@ -326,8 +341,9 @@ def _simulate_inversion(
     floor leaves at least d + 1 bases with shots, and the standard basis plus
     d Haar bases are informationally complete with probability 1.
     """
-    if n < dim * dim:
-        raise ValueError(f"budget {n} is below the informational floor {dim * dim}")
+    if n < _shot_floor(dim):
+        raise ValueError(f"budget {n} is below the informational floor {_shot_floor(dim)}")
+    _check_count("shots", n)
     num_bases = max(6, int(math.ceil(3.0 * math.log(dim))) * dim)
     budgets = _split_budget(n, num_bases)
     used = budgets > 0

@@ -267,6 +267,15 @@ class TestFitScaling:
             fit_scaling(records)
 
 
+_CHAIN_HEADER = (
+    "experiment,cell,trial,r,d,epsilon,seed,fidelity_mixed_estimate,keep_probability,"
+    "projector_rank,extra_copies,kept_count,samples_total,projected_fidelity,estimate_fidelity,"
+    "final_fidelity,keep_vs_mixed_fidelity_ok,keep_vs_epsilon_ok,projection_identity_ok,"
+    "final_vs_guaranteed_ok,final_vs_tightened_holds,violations,low_yield,starved,"
+    "guaranteed_bound,error,wall_time"
+)
+
+
 class TestCli:
     def test_chain_sweep_success_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -311,6 +320,13 @@ class TestCli:
             ["reduce", "--c-extra", "1e308"],
             ["chain-sweep", "--eps", "1e-15"],
             ["gentle", "--delta", "1e-16"],
+            [
+                "chain-sweep", "--backend", "measurement", "--n-copies", "100000000000000000000",
+                "--r", "1", "--d", "2", "--eps", "0.1",
+            ],
+            ["scale-pure", "--d", "2", "--n", "100,1000,100000000000000000000"],
+            ["chain-sweep", "--c-extra", "0"],
+            ["chain-sweep", "--backend", "measurement", "--n-copies", "0"],
         ],
     )
     def test_unrunnable_config_exit_two(self, argv, tmp_path, capsys):
@@ -318,6 +334,65 @@ class TestCli:
         assert main([*argv, "--trials", "1", "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [("chain-sweep", "blocker"), ("reduce", "blocker/x.csv")],
+        ids=["existing-directory", "below-a-file"],
+    )
+    def test_unwritable_out_exit_two(self, command, out, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        if out == "blocker":
+            blocker.mkdir()
+        else:
+            blocker.write_text("keep")
+        assert main([command, "--trials", "20", "--out", str(tmp_path / out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["blocker"]
+        assert blocker.is_dir() or blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize(
+        "budgets, reason",
+        [
+            # float64 rounds the infidelity at n = 1e17 to 0
+            ("100,1000,100000000000000000", "median infidelity at budget n=100000000000000000"),
+            ("100,1000", "need at least 3 distinct budget points, got 2"),
+        ],
+    )
+    def test_unfittable_scaling_prints_none(self, budgets, reason, tmp_path, capsys):
+        argv = ["scale-pure", "--d", "2", "--n", budgets, "--trials", "5"]
+        assert main([*argv, "--out", str(tmp_path / "scale.csv")]) == 0
+        assert f"scaling fit d=2: none ({reason}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["chain-sweep", "--r", "1", "--d", "2", "--eps", "0.1"], _CHAIN_HEADER),
+            (["reduce"], _CHAIN_HEADER),
+            (
+                ["scale-pure", "--n", "100,1000,10000"],
+                "experiment,cell,trial,d,n,seed,fidelity,infidelity,violations,wall_time",
+            ),
+            (
+                ["scale-mixed", "--n", "100,1000,10000"],
+                "experiment,cell,trial,r,d,n,seed,fidelity,infidelity,violations,wall_time",
+            ),
+            (
+                ["gentle", "--r", "1", "--d", "4", "--delta", "0.1"],
+                "experiment,cell,trial,r,d,delta,seed,trace_distance,ratio_sqrt,ratio_linear,"
+                "skipped,violations,wall_time",
+            ),
+            (
+                ["prop-search", "--d", "2", "--eps", "0.1", "--batch", "10"],
+                "experiment,cell,trial,d,eta,seed,checked,violations,min_slack,min_c,"
+                "max_triangle_excess,wall_time",
+            ),
+        ],
+    )
+    def test_record_header(self, argv, header, tmp_path):
+        out = tmp_path / "rec.csv"
+        assert main([*argv, "--trials", "1", "--out", str(out)]) == 0
+        assert read_csv(out)[0] == header.split(",")
 
     def test_reduce_writes_chain_sweep_records(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV_VAR, str(tmp_path))

@@ -63,6 +63,12 @@ class TestReductionConfig:
                 mixed_backend=inversion, pure_backend=inversion,
             )
 
+    def test_rejects_stage_one_budget_beyond_int64(self):
+        inversion = TomographyBackend.linear_inversion(shots=100)
+        with pytest.raises(ValueError, match="int64"):
+            ReductionConfig(r=1, d=2, n_copies=2**63, epsilon=0.1, mixed_backend=inversion)
+        ReductionConfig(r=1, d=2, n_copies=2**63 - 1, epsilon=0.1, mixed_backend=inversion)
+
     def test_largest_copy_count_accepted(self):
         inversion = TomographyBackend.linear_inversion(shots=100)
         cfg = ReductionConfig(
@@ -176,6 +182,20 @@ class TestRunReduction:
         rep = run_reduction(psi, cfg)
         assert rep.starved
         assert rep.estimate is None and rep.final_fidelity is None
+
+    @pytest.mark.parametrize("seed, starved", [(7, True), (0, False), (1, False)])
+    def test_oracle_pure_stage_starved_only_without_copies(self, seed, starved):
+        # ceil(0.125 * 2^2 / 0.5) = 1 extra copy: the oracle needs that one copy kept
+        psi = random_pure_state(2, 3, seed=30)
+        cfg = ReductionConfig(
+            r=2, d=3, n_copies=10, epsilon=0.5, extra_copy_factor=0.125, seed=seed
+        )
+        rep = run_reduction(psi, cfg)
+        assert rep.extra_copies == 1
+        assert rep.kept_count == (0 if starved else 1)
+        assert rep.starved is starved
+        assert (rep.estimate is None) is starved
+        assert (rep.final_fidelity is None) is starved
 
 
 class TestVerifyChain:

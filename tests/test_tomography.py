@@ -169,6 +169,12 @@ class TestEstimatePure:
         with pytest.raises(ValueError, match="floor"):
             estimate_pure_state_from_measurements(psi, 8, seed=0)
 
+    def test_budget_beyond_int64_rejected(self):
+        # the budget is split into int64 shot counts per basis
+        psi = random_pure_state(1, 2, seed=25)
+        with pytest.raises(ValueError, match="int64"):
+            estimate_pure_state_from_measurements(psi, 2**63, seed=0)
+
     def test_deterministic(self):
         psi = random_pure_state(1, 3, seed=26)
         a = estimate_pure_state_from_measurements(psi, 100, seed=27)
@@ -317,6 +323,11 @@ class TestBackendConfig:
             TomographyBackend(kind=BackendKind.MEASUREMENT_LINEAR_INVERSION)
         with pytest.raises(ValueError):
             TomographyBackend.linear_inversion(0)
+
+    def test_min_shots(self):
+        for dim in (1, 2, 6):
+            assert TomographyBackend.oracle(0.1).min_shots(dim) == 1
+            assert TomographyBackend.linear_inversion(5).min_shots(dim) == dim * dim
 
     def test_dispatch(self):
         rho = random_rank_r_state(3, 2, seed=40)
