@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .seeding import rng_from_seed
-from .states import Projector, PureState
+from .states import Projector, PureState, _phase_normalized
 
 __all__ = [
     "PROB_TOL",
@@ -41,23 +41,39 @@ def _check_dims(psi: PureState, pi: Projector) -> None:
         )
 
 
+def _keep_and_projected(m: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep probabilities ||M_t conj(B_t)||_F^2 and unnormalized projected
+    coefficient matrices M_t conj(B_t) B_t^T, for a stack of (r, d)
+    coefficient matrices M and (d, k) orthonormal support bases B. Each
+    probability is summed alone, so a stack gives the bits of one state."""
+    g = m @ basis.conj()
+    return np.array([np.sum(np.abs(x) ** 2) for x in g]), g @ basis.swapaxes(1, 2)
+
+
+def _renormalized(p: np.ndarray, projected: np.ndarray) -> np.ndarray:
+    """Phase-normalized amplitude rows of the projected states, unchecked."""
+    count, r, d = projected.shape
+    return _phase_normalized((projected / np.sqrt(p)[:, None, None]).reshape(count, r * d))
+
+
+def _kept_count(shots: int, keep: float, seed) -> int:
+    return int(rng_from_seed(seed).binomial(shots, keep))
+
+
 def outcome_probability(psi: PureState, pi: Projector) -> float:
     """Probability <psi|(I (x) P)|psi> of the keep outcome."""
     _check_dims(psi, pi)
-    g = psi.as_matrix() @ pi.basis.conj()
-    return float(np.clip(np.sum(np.abs(g) ** 2), 0.0, 1.0))
+    p, _ = _keep_and_projected(psi.as_matrix()[None], pi.basis[None])
+    return float(np.clip(p[0], 0.0, 1.0))
 
 
 def project_and_renormalize(psi: PureState, pi: Projector) -> PureState:
     """Post-measurement state (I (x) P)|psi> / ||(I (x) P)|psi>||."""
     _check_dims(psi, pi)
-    m = psi.as_matrix()
-    g = m @ pi.basis.conj()
-    p = float(np.sum(np.abs(g) ** 2))
-    if p <= PROB_TOL:
-        raise ProjectionError(f"projection norm squared {p:.3e} is below {PROB_TOL:g}")
-    projected = g @ pi.basis.T
-    return PureState((projected / np.sqrt(p)).reshape(-1), psi.dims).phase_normalized()
+    p, projected = _keep_and_projected(psi.as_matrix()[None], pi.basis[None])
+    if p[0] <= PROB_TOL:
+        raise ProjectionError(f"projection norm squared {p[0]:.3e} is below {PROB_TOL:g}")
+    return PureState(_renormalized(p, projected)[0], psi.dims)
 
 
 def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> int:
@@ -70,4 +86,4 @@ def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> int:
     """
     if shots < 0:
         raise ValueError("shot count must be nonnegative")
-    return int(rng_from_seed(seed).binomial(shots, outcome_probability(psi, pi)))
+    return _kept_count(shots, outcome_probability(psi, pi), seed)

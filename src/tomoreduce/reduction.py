@@ -21,21 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import (
-    PROB_TOL,
-    outcome_probability,
-    project_and_renormalize,
-    sample_shots,
-)
+from .measurement import PROB_TOL, _keep_and_projected, _kept_count, _renormalized
 from .seeding import child_seed, rng_from_seed
 from .states import (
     DensityMatrix,
     PureState,
+    _density_matrices,
+    _fidelities,
+    _groups,
+    _phase_normalized,
+    _pure_states,
+    _reduced_states,
+    _sqrt_matrices,
+    _support_rank,
     fidelity_mixed,
     fidelity_pure_pure,
     optimal_purification_against,
     partial_trace_x,
-    support_projector,
 )
 from .tomography import BackendKind, TomographyBackend, _check_count, oracle_trace_distance_estimate
 
@@ -216,12 +218,52 @@ class ReductionReport:
         return sum(1 for c in self.chain if c.violated)
 
 
+def _support_projections(m: np.ndarray, sigmas: list[DensityMatrix], rank_cap: int):
+    """Projector ranks, keep probabilities and projected states of a stack of
+    (r, d) coefficient matrices on the rank-capped supports of their sigmas.
+
+    Trials are stacked by projector rank. The projected states are
+    phase-normalized amplitude rows, unchecked, and NaN where the keep
+    probability is at most PROB_TOL. The support bases need no check of
+    their own: they are columns of sigma's eigenvectors, whose Gram defect
+    sigma's check bounds.
+    """
+    ranks = [_support_rank(sigma, rank_cap) for sigma in sigmas]
+    keep = np.empty(len(sigmas))
+    projected = np.full((len(sigmas), m.shape[1] * m.shape[2]), np.nan, dtype=complex)
+    for idx in _groups(ranks):
+        k = ranks[idx[0]]
+        basis = np.array([sigmas[i].eigenvectors[:, :k] for i in idx])
+        p, proj = _keep_and_projected(m[idx], basis)
+        keep[idx] = np.clip(p, 0.0, 1.0)
+        usable = keep[idx] > PROB_TOL
+        projected[idx[usable]] = _renormalized(p[usable], proj[usable])
+    return ranks, keep, projected
+
+
 def _support_projection(psi: PureState, sigma: DensityMatrix):
-    """(projector, keep probability, projected state) for psi on sigma's rank-r
-    support; the state is None when the keep probability is at most PROB_TOL."""
-    pi = support_projector(sigma, psi.r)
-    keep = outcome_probability(psi, pi)
-    return pi, keep, (project_and_renormalize(psi, pi) if keep > PROB_TOL else None)
+    """(keep probability, projected state) for psi on sigma's rank-r support;
+    the state is None when the keep probability is at most PROB_TOL."""
+    _, keep, projected = _support_projections(psi.as_matrix()[None], [sigma], psi.r)
+    if not keep[0] > PROB_TOL:
+        return float(keep[0]), None
+    return float(keep[0]), _pure_states(projected, psi.dims)[0]
+
+
+def _embeddings(basis: np.ndarray, r: int) -> np.ndarray:
+    """kron(I_r, B_t) for a (T, d, k) stack of support bases, shape (T, r*d, r*k)."""
+    count, d, k = basis.shape
+    embed = np.zeros((count, r, d, r, k), dtype=complex)
+    for x in range(r):
+        embed[:, x, :, x, :] = basis
+    return embed.reshape(count, r * d, r * k)
+
+
+def _stack_key(config: ReductionConfig) -> tuple:
+    return (
+        config.r, config.d, config.n_copies, config.epsilon, config.extra_copy_factor,
+        config.mixed_backend, config.pure_backend,
+    )
 
 
 def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
@@ -232,52 +274,104 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     raises :class:`ReductionError` (the support estimate misses the state
     entirely); a starved pure-state stage is reported, not raised.
     """
-    if psi.dims != (config.r, config.d):
-        raise ValueError(f"state dims {psi.dims} do not match config ({config.r}, {config.d})")
-    seed_mixed, seed_shots, seed_pure = (child_seed(config.seed, k) for k in (2, 4, 5))
+    (outcome,) = _run_reductions([psi], [config])
+    if isinstance(outcome, ReductionError):
+        raise outcome
+    return outcome
 
-    rho = partial_trace_x(psi)
-    sigma = config.mixed_backend.estimate_mixed(
-        rho, rank=config.r, seed=seed_mixed, shots=config.n_copies
+
+def _run_reductions(
+    psis: list[PureState], configs: list[ReductionConfig]
+) -> list[ReductionReport | ReductionError]:
+    """The reduction on a stack of inputs whose configs differ only in seed.
+
+    One numpy call serves every trial of the stack that shares a shape (the
+    projector rank may differ between trials), and each state stack is
+    checked once. Each trial keeps its own stage seeds, so its report is the
+    one it gets alone. Returns a report per trial, or the ReductionError that
+    failed that trial alone.
+    """
+    config = configs[0]
+    r, d, eps = config.r, config.d, config.epsilon
+    for psi, other in zip(psis, configs):
+        if psi.dims != (r, d):
+            raise ValueError(f"state dims {psi.dims} do not match config ({r}, {d})")
+        if _stack_key(other) != _stack_key(config):
+            raise ValueError("the configs of a stack may differ only in their seeds")
+    seeds = [[child_seed(c.seed, k) for k in (2, 4, 5)] for c in configs]
+    count = len(psis)
+    amps = np.array([psi.amplitudes for psi in psis])
+    m = amps.reshape(count, r, d)
+
+    rho_mat, rho_w, rho_v = _reduced_states(m)
+    rhos = _density_matrices(rho_mat, rho_w, rho_v)
+    sigmas = config.mixed_backend._estimate_mixed_stack(
+        rhos, r, [s[0] for s in seeds], config.n_copies
     )
-    f_rho_sigma = fidelity_mixed(rho, sigma)
-
-    pi, keep_probability, psi_tilde = _support_projection(psi, sigma)
-    if psi_tilde is None:
-        raise ReductionError(
-            f"keep probability {keep_probability:.3e} is below {PROB_TOL:g}; "
-            "the support estimate is disjoint from the input state"
+    root_sigma = np.empty((count, d, d), dtype=complex)
+    for idx in _groups([sigma.eigenvectors.shape for sigma in sigmas]):
+        root_sigma[idx] = _sqrt_matrices(
+            np.array([sigmas[i].eigenvalues for i in idx]),
+            np.array([sigmas[i].eigenvectors for i in idx]),
         )
-    extra_copies = config.extra_copies
-    kept_count = sample_shots(psi, pi, extra_copies, seed_shots)
-    projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
-    low_yield = kept_count < math.ceil(extra_copies / 2)
+    f_rho_sigma = _fidelities(_sqrt_matrices(rho_w, rho_v), root_sigma)
 
+    ranks, keep, projected = _support_projections(m, sigmas, r)
+    usable = [t for t in range(count) if keep[t] > PROB_TOL]
+    tildes = dict(zip(usable, _pure_states(projected[usable], (r, d)))) if usable else {}
+    extra_copies = config.extra_copies
+    samples_total = config.n_copies + extra_copies
+    kept = {t: _kept_count(extra_copies, keep[t], seeds[t][1]) for t in usable}
     # The pure-state stage runs in coordinates on (X register) x supp(Pi),
     # a subspace of dimension r * rank(Pi) <= r^2.
-    sub_dim = config.r * pi.rank
-    starved = kept_count < config.pure_backend.min_shots(sub_dim)
+    fed = [t for t in usable if kept[t] >= config.pure_backend.min_shots(r * ranks[t])]
+    estimates = {t: tildes[t] for t in fed if r * ranks[t] == 1}  # tomography is trivially exact
+    embedded = [t for t in fed if r * ranks[t] > 1]
+    for idx in _groups([ranks[t] for t in embedded]):
+        trials = [embedded[i] for i in idx]
+        k = ranks[trials[0]]
+        embed = _embeddings(np.array([sigmas[t].eigenvectors[:, :k] for t in trials]), r)
+        tilde = np.array([tildes[t].amplitudes for t in trials])
+        coords = (embed.conj().swapaxes(1, 2) @ tilde[:, :, None])[:, :, 0]
+        # one vector norm per trial: a norm along an axis rounds differently
+        coords = np.array([c / np.linalg.norm(c) for c in coords])
+        phis = config.pure_backend._estimate_pure_stack(
+            _pure_states(coords, (r, k)), [seeds[t][2] for t in trials], [kept[t] for t in trials]
+        )
+        phi = np.array([p.amplitudes for p in phis])
+        rows = _phase_normalized((embed @ phi[:, :, None])[:, :, 0])
+        estimates.update(zip(trials, _pure_states(rows, (r, d))))
 
-    estimate: PureState | None = None
+    outcomes: list[ReductionReport | ReductionError] = []
+    for t in range(count):
+        if t not in tildes:
+            outcomes.append(
+                ReductionError(
+                    f"keep probability {keep[t]:.3e} is below {PROB_TOL:g}; "
+                    "the support estimate is disjoint from the input state"
+                )
+            )
+            continue
+        outcomes.append(
+            _report(
+                eps, sigmas[t], ranks[t], f_rho_sigma[t], float(keep[t]), extra_copies, kept[t],
+                samples_total, psis[t], tildes[t], estimates.get(t),
+            )
+        )
+    return outcomes
+
+
+def _report(
+    eps, sigma, rank, f_rho_sigma, keep_probability, extra_copies, kept_count, samples_total,
+    psi, psi_tilde, estimate,
+) -> ReductionReport:
+    """One trial's report and chain checks."""
+    projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
     estimate_fidelity: float | None = None
     final_fidelity: float | None = None
-    if not starved:
-        if sub_dim == 1:
-            # One-dimensional subspace: tomography is trivially exact.
-            estimate = psi_tilde
-        else:
-            embed = np.kron(np.eye(config.r, dtype=complex), pi.basis)
-            coords = embed.conj().T @ psi_tilde.amplitudes
-            coords = coords / np.linalg.norm(coords)
-            sub_state = PureState(coords, (config.r, pi.rank))
-            phi_sub = config.pure_backend.estimate_pure(
-                sub_state, seed=seed_pure, shots=kept_count
-            )
-            estimate = PureState(embed @ phi_sub.amplitudes, psi.dims).phase_normalized()
+    if estimate is not None:
         estimate_fidelity = fidelity_pure_pure(estimate, psi_tilde)
         final_fidelity = fidelity_pure_pure(estimate, psi)
-
-    eps = config.epsilon
     chain = [
         _keep_vs_mixed_fidelity(keep_probability, f_rho_sigma),
         ChainCheck(
@@ -304,7 +398,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
         ]
     return ReductionReport(
         sigma=sigma,
-        projector_rank=pi.rank,
+        projector_rank=rank,
         fidelity_mixed_estimate=f_rho_sigma,
         keep_probability=keep_probability,
         extra_copies=extra_copies,
@@ -313,9 +407,9 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
         estimate_fidelity=estimate_fidelity,
         final_fidelity=final_fidelity,
         chain=tuple(chain),
-        samples_total=config.n_copies + extra_copies,
-        low_yield=low_yield,
-        starved=starved,
+        samples_total=samples_total,
+        low_yield=kept_count < math.ceil(extra_copies / 2),
+        starved=estimate is None,
         estimate=estimate,
     )
 
@@ -356,7 +450,7 @@ def verify_chain(
     f_rho_sigma = fidelity_mixed(rho, sigma)
     phi_opt = optimal_purification_against(sigma, psi)
     uhlmann_overlap = fidelity_pure_pure(psi, phi_opt)
-    _, keep_probability, psi_tilde = _support_projection(psi, sigma)
+    keep_probability, psi_tilde = _support_projection(psi, sigma)
 
     checks = [
         ChainCheck(
@@ -537,7 +631,7 @@ def gentle_measurement_experiment(
     distances: list[float] = []
     for t in range(trials):
         sigma = oracle_trace_distance_estimate(rho, delta, child_seed(int(seed), t))
-        _, _, psi_tilde = _support_projection(psi, sigma)
+        _, psi_tilde = _support_projection(psi, sigma)
         if psi_tilde is not None:
             a, b = psi.amplitudes, psi_tilde.amplitudes
             distances.append(float(np.linalg.norm(a - np.vdot(b, a) * b)))

@@ -67,9 +67,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != r * d:
             raise ValueError(f"expected {r * d} amplitudes, got {amps.size}")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        _check_unit_norms(amps[None])
         object.__setattr__(self, "amplitudes", _frozen(amps))
         object.__setattr__(self, "dims", (int(r), int(d)))
 
@@ -91,9 +89,7 @@ class PureState:
 
     def phase_normalized(self) -> "PureState":
         """Same ray with the first nonzero amplitude made real nonnegative."""
-        nz = np.flatnonzero(np.abs(self.amplitudes) > _PHASE_TOL)
-        pivot = self.amplitudes[nz[0]]
-        return PureState(self.amplitudes * (np.conj(pivot) / abs(pivot)), self.dims)
+        return PureState(_phase_normalized(self.amplitudes[None])[0], self.dims)
 
     def to_density_matrix(self) -> "DensityMatrix":
         """Rank-1 density matrix on the full r*d-dimensional space."""
@@ -120,29 +116,9 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if not herm_defect <= NORM_ATOL:
-            raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
-        trace = np.real(np.trace(mat))
-        if not abs(trace - 1.0) <= NORM_ATOL:
-            raise ValueError(f"trace must be 1, got {trace!r}")
         w = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
         v = np.asarray(self.eigenvectors, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != mat.shape[0] or v.shape[1] != w.size:
-            raise ValueError("eigenvector shape does not match eigenvalues")
-        if w.size > 1 and np.any(np.diff(w) > 0):
-            raise ValueError("eigenvalues must be nonincreasing")
-        if w.size and w[-1] < -NORM_ATOL:
-            raise ValueError(f"negative eigenvalue {w[-1]!r} beyond tolerance")
-        gram_defect = np.max(np.abs(v.conj().T @ v - np.eye(w.size)), initial=0.0)
-        if not gram_defect <= NORM_ATOL:
-            raise ValueError(f"eigenvectors are not orthonormal: defect {gram_defect:.3e}")
-        recon = (v * w) @ v.conj().T
-        defect = np.max(np.abs(recon - mat))
-        if not defect <= RECONSTRUCT_ATOL:
-            raise ValueError(f"eigenpairs do not reconstruct the matrix: defect {defect:.3e}")
+        _check_density_stack(mat[None], w[None], v[None])
         object.__setattr__(self, "matrix", _frozen(mat))
         object.__setattr__(self, "eigenvalues", _frozen(w))
         object.__setattr__(self, "eigenvectors", _frozen(v))
@@ -150,29 +126,15 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "DensityMatrix":
         """Validate a raw matrix and attach its eigendecomposition."""
-        mat = np.asarray(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if not herm_defect <= NORM_ATOL:
-            raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
-        herm = (mat + mat.conj().T) / 2.0
-        w, v = np.linalg.eigh(herm)
-        w = w[::-1]
-        v = v[:, ::-1]
-        return cls(matrix=herm, eigenvalues=w, eigenvectors=v)
+        herm, w, v = _from_matrices(np.asarray(matrix, dtype=complex)[None])
+        return cls(matrix=herm[0], eigenvalues=w[0], eigenvectors=v[0])
 
     @classmethod
     def from_eigensystem(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityMatrix":
         """Build from explicit orthonormal eigenpairs (possibly truncated)."""
-        w = np.asarray(eigenvalues, dtype=float).reshape(-1)
-        v = np.asarray(eigenvectors, dtype=complex)
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        v = v[:, order]
-        mat = (v * w) @ v.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-        return cls(matrix=mat, eigenvalues=w, eigenvectors=v)
+        w = np.asarray(eigenvalues, dtype=float).reshape(1, -1)
+        mat, w, v = _from_eigensystems(w, np.asarray(eigenvectors, dtype=complex)[None])
+        return cls(matrix=mat[0], eigenvalues=w[0], eigenvectors=v[0])
 
     @property
     def dim(self) -> int:
@@ -185,8 +147,7 @@ class DensityMatrix:
 
     def sqrt_matrix(self) -> np.ndarray:
         """Principal square root, with rounding-noise negatives clamped to 0."""
-        w = np.sqrt(np.clip(self.eigenvalues, 0.0, None))
-        return (self.eigenvectors * w) @ self.eigenvectors.conj().T
+        return _sqrt_matrices(self.eigenvalues[None], self.eigenvectors[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +215,144 @@ class Projector:
         return self.basis.shape[0]
 
 
+# State checks and builders on stacks: a leading axis T indexes independent
+# states. The classes above check one state as a stack of one, and a batch of
+# trials checks each of its stacks once.
+
+
+def _groups(keys) -> list[np.ndarray]:
+    """Index arrays of the positions of equal keys, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen state class whose fields a stack check passed."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_unit_norms(amps: np.ndarray) -> None:
+    """Raise ValueError unless every row of a (T, n) amplitude stack has unit norm."""
+    defect = np.abs(np.linalg.norm(amps, axis=1) - 1.0).max()
+    if not defect <= NORM_ATOL:
+        raise ValueError(f"state is not normalized: |norm - 1| = {defect:.3e}")
+
+
+def _pure_states(amps: np.ndarray, dims: tuple[int, int]) -> list[PureState]:
+    """The rows of a (T, r*d) amplitude stack as PureStates, checked as one stack."""
+    _check_unit_norms(amps)
+    return [_unchecked(PureState, amplitudes=row, dims=dims) for row in _frozen(amps)]
+
+
+def _phase_normalized(amps: np.ndarray) -> np.ndarray:
+    """Rows of a (T, n) stack with their first amplitude above the phase
+    tolerance made real nonnegative. The modulus of the pivot is a hypot, the
+    scalar ``abs`` of one complex number, which ``np.abs`` of a complex array
+    does not reproduce bit for bit."""
+    pivot = amps[np.arange(len(amps)), (np.abs(amps) > _PHASE_TOL).argmax(axis=1)]
+    return amps * (pivot.conj() / np.hypot(pivot.real, pivot.imag))[:, None]
+
+
+def _check_hermitian(mat: np.ndarray) -> None:
+    if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+        raise ValueError(f"matrix must be square, got shape {mat.shape[1:]}")
+    herm_defect = np.abs(mat - mat.conj().swapaxes(1, 2)).max()
+    if not herm_defect <= NORM_ATOL:
+        raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
+
+
+def _check_density_stack(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+    """Raise ValueError unless each mat[t] is Hermitian with unit trace and
+    (w[t], v[t]) are its eigenpairs, possibly truncated: nonincreasing, not
+    negative beyond NORM_ATOL, orthonormal and reconstructing mat[t]."""
+    _check_hermitian(mat)
+    trace = np.real(np.trace(mat, axis1=1, axis2=2))
+    if not np.abs(trace - 1.0).max() <= NORM_ATOL:
+        raise ValueError(f"trace must be 1, got {trace[~(np.abs(trace - 1.0) <= NORM_ATOL)][0]!r}")
+    if w.ndim != 2 or v.ndim != 3 or v.shape[1] != mat.shape[1] or v.shape[2] != w.shape[1]:
+        raise ValueError("eigenvector shape does not match eigenvalues")
+    if (w[:, 1:] > w[:, :-1]).any():
+        raise ValueError("eigenvalues must be nonincreasing")
+    negative = w[:, -1:] < -NORM_ATOL
+    if negative.any():
+        raise ValueError(f"negative eigenvalue {w[:, -1:][negative][0]!r} beyond tolerance")
+    v_h = v.conj().swapaxes(1, 2)
+    gram_defect = np.abs(v_h @ v - np.eye(w.shape[1])).max(initial=0.0)
+    if not gram_defect <= NORM_ATOL:
+        raise ValueError(f"eigenvectors are not orthonormal: defect {gram_defect:.3e}")
+    defect = np.abs((v * w[:, None, :]) @ v_h - mat).max()
+    if not defect <= RECONSTRUCT_ATOL:
+        raise ValueError(f"eigenpairs do not reconstruct the matrix: defect {defect:.3e}")
+
+
+def _density_matrices(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> list[DensityMatrix]:
+    """DensityMatrix objects from (T, n, n), (T, k) and (T, n, k) stacks,
+    checked as one stack."""
+    _check_density_stack(mat, w, v)
+    return [
+        _unchecked(DensityMatrix, matrix=m, eigenvalues=a, eigenvectors=b)
+        for m, a, b in zip(_frozen(mat), _frozen(w), _frozen(v))
+    ]
+
+
+def _from_matrices(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermitian part and nonincreasing eigenpairs of a stack of matrices
+    that are Hermitian within NORM_ATOL."""
+    _check_hermitian(mat)
+    herm = (mat + mat.conj().swapaxes(1, 2)) / 2.0
+    w, v = np.linalg.eigh(herm)
+    return herm, w[:, ::-1].copy(), v[:, :, ::-1].copy()
+
+
+def _from_eigensystems(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermitized matrices of a stack of eigenpairs, and the pairs sorted nonincreasing."""
+    order = np.argsort(w, axis=1)[:, ::-1]
+    stack = np.arange(len(w))[:, None]
+    w = w[stack, order]
+    v = v[stack[:, :, None], np.arange(v.shape[1])[:, None], order[:, None, :]]
+    mat = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return (mat + mat.conj().swapaxes(1, 2)) / 2.0, w, v
+
+
+def _reduced_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced states on Y of a stack of (r, d) coefficient matrices, as
+    (matrix, eigenvalues, eigenvectors) stacks."""
+    return _from_matrices(m.swapaxes(1, 2) @ m.conj())
+
+
+def _sqrt_matrices(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Principal square roots from eigenpair stacks, rounding-noise negatives clamped to 0."""
+    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+
+def _fidelities(root_rho: np.ndarray, root_sigma: np.ndarray) -> list[float]:
+    """F(rho_t, sigma_t) from stacks of square roots: the squared nuclear norm
+    of their product. The sum of each row of singular values is taken alone,
+    so a stack gives the bits of one pair at a time."""
+    s = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
+    return [min(1.0, float(np.sum(row)) ** 2) for row in s]
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """|<a_t|b_t>|^2 for the rows of two amplitude stacks, one vdot per row."""
+    return [float(min(1.0, abs(np.vdot(x, y)) ** 2)) for x, y in zip(a, b)]
+
+
+def _support_rank(sigma: DensityMatrix, rank_cap: int) -> int:
+    """Rank of the projector onto sigma's leading eigenvectors under a cap."""
+    if rank_cap < 1:
+        raise ValueError("rank cap must be at least 1")
+    k = min(sigma.rank, rank_cap)
+    if k < 1:
+        raise ValueError("state has no eigenvalue above the rank tolerance")
+    return k
+
+
 def _haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar unitaries, shape (count, dim, dim), from one stacked QR
     of Ginibre matrices; bit for bit ``count`` successive single draws."""
@@ -275,11 +374,19 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
 
 def random_pure_state(r: int, d: int, seed) -> PureState:
     """Haar-random unit vector on the (r, d) register pair, deterministic per seed."""
+    return _random_pure_states(r, d, [seed])[0]
+
+
+def _random_pure_states(r: int, d: int, seeds) -> list[PureState]:
+    """One Haar-random state per seed, checked as one stack."""
     if r < 1 or d < 1:
         raise ValueError("register dimensions must be positive")
-    rng = rng_from_seed(seed)
-    amps = rng.standard_normal(r * d) + 1j * rng.standard_normal(r * d)
-    return PureState(amps / np.linalg.norm(amps), (r, d)).phase_normalized()
+    rows = []
+    for seed in seeds:
+        rng = rng_from_seed(seed)
+        amps = rng.standard_normal(r * d) + 1j * rng.standard_normal(r * d)
+        rows.append(amps / np.linalg.norm(amps))
+    return _pure_states(_phase_normalized(np.array(rows)), (r, d))
 
 
 def random_rank_r_state(d: int, r: int, seed) -> DensityMatrix:
@@ -295,8 +402,8 @@ def random_rank_r_state(d: int, r: int, seed) -> DensityMatrix:
 
 def partial_trace_x(psi: PureState) -> DensityMatrix:
     """Reduced state on Y: rho[a, b] = sum_x psi[x, a] * conj(psi[x, b])."""
-    m = psi.as_matrix()
-    return DensityMatrix.from_matrix(m.T @ m.conj())
+    mat, w, v = _reduced_states(psi.as_matrix()[None])
+    return DensityMatrix(matrix=mat[0], eigenvalues=w[0], eigenvectors=v[0])
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtDecomposition:
@@ -310,7 +417,7 @@ def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
     """Squared overlap |<phi|psi>|^2; symmetric and global-phase invariant."""
     if psi.total_dim != phi.total_dim:
         raise ValueError("dimension mismatch")
-    return float(min(1.0, abs(np.vdot(phi.amplitudes, psi.amplitudes)) ** 2))
+    return _overlaps(phi.amplitudes[None], psi.amplitudes[None])[0]
 
 
 def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -322,8 +429,7 @@ def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    s = np.linalg.svd(rho.sqrt_matrix() @ sigma.sqrt_matrix(), compute_uv=False)
-    return float(min(1.0, float(np.sum(s)) ** 2))
+    return _fidelities(rho.sqrt_matrix()[None], sigma.sqrt_matrix()[None])[0]
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -376,9 +482,4 @@ def support_projector(sigma: DensityMatrix, rank_cap: int) -> Projector:
     lower numerical rank yields a lower-rank projector rather than one padded
     with arbitrary directions.
     """
-    if rank_cap < 1:
-        raise ValueError("rank cap must be at least 1")
-    k = min(sigma.rank, rank_cap)
-    if k < 1:
-        raise ValueError("state has no eigenvalue above the rank tolerance")
-    return Projector(sigma.eigenvectors[:, :k])
+    return Projector(sigma.eigenvectors[:, : _support_rank(sigma, rank_cap)])

@@ -26,7 +26,12 @@ from .states import (
     RANK_TOL,
     DensityMatrix,
     PureState,
+    _density_matrices,
+    _from_eigensystems,
+    _groups,
     _haar_unitaries,
+    _phase_normalized,
+    _pure_states,
 )
 
 __all__ = [
@@ -96,158 +101,257 @@ class TomographyBackend:
     def estimate_mixed(
         self, rho: DensityMatrix, rank: int, seed, shots: int | None = None
     ) -> DensityMatrix:
-        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            return oracle_mixed_estimate(rho, self.epsilon_target, seed)
         budget = shots if shots is not None else self.shots
-        return estimate_mixed_state_from_measurements(rho, rank, budget, seed)
+        return self._estimate_mixed_stack([rho], rank, [seed], budget)[0]
 
     def estimate_pure(self, psi: PureState, seed, shots: int | None = None) -> PureState:
-        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            return oracle_pure_estimate(psi, self.epsilon_target, seed)
         budget = shots if shots is not None else self.shots
-        return estimate_pure_state_from_measurements(psi, budget, seed)
+        return self._estimate_pure_stack([psi], [seed], [budget])[0]
+
+    def _estimate_mixed_stack(
+        self, rhos: list[DensityMatrix], rank: int, seeds, shots: int | None
+    ) -> list[DensityMatrix]:
+        """estimate_mixed on a stack of states: an oracle calibrates them in
+        lockstep; linear inversion draws one design per state."""
+        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
+            eps = self.epsilon_target
+            return _calibrated_estimates(rhos, seeds, _infidelities, eps / 2.0, eps)
+        return [
+            estimate_mixed_state_from_measurements(rho, rank, shots, seed)
+            for rho, seed in zip(rhos, seeds)
+        ]
+
+    def _estimate_pure_stack(self, states: list[PureState], seeds, shots) -> list[PureState]:
+        """estimate_pure on a stack of states of one shape; ``shots`` holds
+        each state's budget."""
+        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
+            amps = np.array([psi.amplitudes for psi in states])
+            rows = _oracle_pure_rows(amps, self.epsilon_target, seeds)
+            return _pure_states(rows, states[0].dims)
+        return [
+            estimate_pure_state_from_measurements(psi, n, seed)
+            for psi, seed, n in zip(states, seeds, shots)
+        ]
 
 
 class _Family(NamedTuple):
-    """Raw arrays of one perturbation family sigma(theta) around rho.
+    """Raw arrays of a stack of perturbation families sigma_t(theta) around rho_t.
 
-    ``lam`` and ``q`` are the spectrum (scaled to unit spectral norm) and
-    eigenbasis of the rotation generator, ``coords`` holds rho's top-k
-    eigenvectors in that basis, and the eigenvalues follow the log-direction
-    ``drift`` from ``base_log``.
+    ``lam`` and ``q`` are the spectra (scaled to unit spectral norm) and
+    eigenbases of the rotation generators, ``coords`` holds each rho's top-k
+    eigenvectors in its generator's eigenbasis, and the eigenvalues follow
+    the log-direction ``drift`` from ``base_log``.
     """
 
-    lam: np.ndarray  # (d,)
-    q: np.ndarray  # (d, d) unitary
-    coords: np.ndarray  # (d, k) isometry
-    base_log: np.ndarray  # (k,)
-    drift: np.ndarray  # (k,)
+    lam: np.ndarray  # (T, d)
+    q: np.ndarray  # (T, d, d) unitary
+    coords: np.ndarray  # (T, d, k) isometry
+    base_log: np.ndarray  # (T, k)
+    drift: np.ndarray  # (T, k)
+
+    def take(self, idx: np.ndarray) -> "_Family":
+        return _Family(*(a[idx] for a in self))
 
 
-def _perturbation_family(rho: DensityMatrix, rng: np.random.Generator) -> _Family:
-    """One-parameter family sigma(theta) with sigma(0) = rho and rank preserved.
+def _perturbation_families(
+    rho_w: np.ndarray, rho_v: np.ndarray, rngs: list[np.random.Generator]
+) -> _Family:
+    """One family sigma_t(theta) per state, with sigma_t(0) = rho_t and rank
+    preserved, drawn from the state's own generator.
 
-    The eigenbasis is rotated by exp(i theta H) for a random Hermitian H of
-    unit spectral norm, and the eigenvalues drift along a random log-direction
-    (a softmax in theta, so no scale overflows), floored so the numerical
-    rank never drops.
+    rho_w (T, k) holds the states' top-k eigenvalues and rho_v (T, d, m) their
+    eigenvectors, of which the first k are used. The eigenbasis is rotated by
+    exp(i theta H) for a random Hermitian H of unit spectral norm, and the
+    eigenvalues drift along a random log-direction (a softmax in theta, so no
+    scale overflows), floored so the numerical rank never drops.
     """
-    k = rho.rank
-    g = rng.standard_normal((rho.dim, rho.dim)) + 1j * rng.standard_normal((rho.dim, rho.dim))
-    h = (g + g.conj().T) / 2.0
+    d, k = rho_v.shape[1], rho_w.shape[1]
+    g = np.array([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs])
+    h = (g + g.conj().swapaxes(1, 2)) / 2.0
     lam, q = np.linalg.eigh(h)
-    lam = lam / max(float(np.max(np.abs(lam))), 1e-30)
-    drift = rng.standard_normal(k)
-    base_log = np.log(np.clip(rho.eigenvalues[:k], RANK_TOL, None))
-    coords = q.conj().T @ rho.eigenvectors[:, :k]
+    lam = lam / np.maximum(np.max(np.abs(lam), axis=1), 1e-30)[:, None]
+    drift = np.array([rng.standard_normal(k) for rng in rngs])
+    base_log = np.log(np.clip(rho_w, RANK_TOL, None))
+    # a strided view of the eigenvectors, as one state's [:, :k] slice is:
+    # BLAS rounds a contiguous copy differently at some d
+    coords = q.conj().swapaxes(1, 2) @ rho_v[:, :, :k]
     return _Family(lam, q, coords, base_log, drift)
 
 
 def _eigenvalues_at(family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """Eigenvalues of sigma(theta) for each theta, shape (L, k)."""
-    logits = family.base_log + thetas[:, None] * family.drift
-    vals = np.exp(logits - logits.max(axis=1, keepdims=True))
-    vals = np.maximum(vals, _EIGENVALUE_FLOOR * vals.max(axis=1, keepdims=True))
-    return vals / vals.sum(axis=1, keepdims=True)
+    """Eigenvalues of sigma_t(theta) for a (T, L) stack of thetas, shape (T, L, k)."""
+    logits = family.base_log[:, None, :] + thetas[:, :, None] * family.drift[:, None, :]
+    vals = np.exp(logits - logits.max(axis=2, keepdims=True))
+    vals = np.maximum(vals, _EIGENVALUE_FLOOR * vals.max(axis=2, keepdims=True))
+    return vals / vals.sum(axis=2, keepdims=True)
 
 
 def _phased_coords(family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """Eigenvectors of sigma(theta) in the generator's eigenbasis, shape (L, d, k)."""
-    return np.exp(1j * thetas[:, None] * family.lam)[:, :, None] * family.coords
+    """Eigenvectors of sigma_t(theta) in the generator's eigenbasis, shape (T, L, d, k)."""
+    phases = np.exp(1j * thetas[:, :, None] * family.lam[:, None, :])
+    return phases[:, :, :, None] * family.coords[:, None]
 
 
-def _sigma_at(family: _Family, theta: float) -> DensityMatrix:
-    """The validated state sigma(theta)."""
-    thetas = np.array([theta])
-    vecs = family.q @ _phased_coords(family, thetas)[0]
-    return DensityMatrix.from_eigensystem(_eigenvalues_at(family, thetas)[0], vecs)
-
-
-def _infidelities(rho: DensityMatrix, family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """1 - F(rho, sigma(theta)) for each theta.
+def _infidelities(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
+    """1 - F(rho_t, sigma_t(theta)) for a (T, L) stack of thetas.
 
     With rho = U diag(w) U^H and sigma = V diag(v) V^H, the singular values of
     sqrt(rho) sqrt(sigma) are those of the k x k matrix
     diag(sqrt w) U^H V diag(sqrt v), and U^H V = coords^H diag(e^{i theta lam}) coords.
     """
-    coords = family.coords
-    root_w = np.sqrt(np.clip(rho.eigenvalues[: coords.shape[1]], 0.0, None))
-    overlap = coords.conj().T @ _phased_coords(family, thetas)
-    factor = root_w[:, None] * overlap * np.sqrt(_eigenvalues_at(family, thetas))[:, None, :]
+    root_w = np.sqrt(np.clip(rho_w, 0.0, None))
+    overlap = family.coords.conj().swapaxes(1, 2)[:, None] @ _phased_coords(family, thetas)
+    root_v = np.sqrt(_eigenvalues_at(family, thetas))
+    factor = root_w[:, None, :, None] * overlap * root_v[:, :, None, :]
     s = np.linalg.svd(factor, compute_uv=False)
-    return 1.0 - np.minimum(1.0, np.sum(s, axis=1) ** 2)
+    return 1.0 - np.minimum(1.0, np.sum(s, axis=2) ** 2)
 
 
-def _trace_distances(rho: DensityMatrix, family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """T(rho, sigma(theta)) for each theta, both states taken in the generator's eigenbasis."""
+def _trace_distances(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
+    """T(rho_t, sigma_t(theta)) for a (T, L) stack of thetas, both states taken
+    in the generator's eigenbasis."""
     coords = family.coords
-    rho_q = (coords * rho.eigenvalues[: coords.shape[1]]) @ coords.conj().T
+    rho_q = (coords * rho_w[:, None, :]) @ coords.conj().swapaxes(1, 2)
     phased = _phased_coords(family, thetas)
-    sigma_q = (phased * _eigenvalues_at(family, thetas)[:, None, :]) @ phased.conj().swapaxes(1, 2)
-    w = np.linalg.eigvalsh(rho_q - sigma_q)
-    return np.clip(0.5 * np.sum(np.abs(w), axis=1), 0.0, 1.0)
+    eigs = _eigenvalues_at(family, thetas)
+    sigma_q = (phased * eigs[:, :, None, :]) @ phased.conj().swapaxes(2, 3)
+    w = np.linalg.eigvalsh(rho_q[:, None] - sigma_q)
+    return np.clip(0.5 * np.sum(np.abs(w), axis=2), 0.0, 1.0)
 
 
 def _bracket_and_bisect(
-    discrepancies: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
-) -> float | None:
-    """Walk theta up a geometric ladder until the discrepancy exceeds the
-    window, then bisect into it. Returns the theta that lands in the window,
-    or None when the family never reaches it (the caller redraws a fresh
-    family). The ladder is evaluated a stack of rungs at a time."""
-    theta_lo = 0.0
-    theta = max(lo, 1e-4)
+    discrepancies: Callable[[list, np.ndarray], np.ndarray], count: int, lo: float, hi: float
+) -> np.ndarray:
+    """Walk each of ``count`` trials up the geometric theta ladder until its
+    discrepancy exceeds the window, then bisect into it.
+
+    ``discrepancies(idx, thetas)`` evaluates the trials ``idx`` (sorted) at
+    thetas of shape (len(idx), L), or (1, L) for rungs that all of them
+    share. The trials climb in lockstep, a chunk of rungs per call, and
+    bisect in lockstep, one midpoint per trial per call; each trial retires
+    as it lands. Returns the landing theta per trial, NaN where the family
+    never reaches the window (the caller redraws a fresh family)."""
+    theta = np.empty(count)
+    theta.fill(np.nan)
+    climbing = list(range(count))
+    brackets: dict[int, tuple[float, float]] = {}
+    rung = max(lo, 1e-4)
+    below_chunk = 0.0  # the rung under the current chunk, shared by every climbing trial
     for start in range(0, _LADDER_STEPS, _LADDER_CHUNK):
-        rungs = []
+        chunk = []
         for _ in range(min(_LADDER_CHUNK, _LADDER_STEPS - start)):
-            rungs.append(theta)
+            chunk.append(rung)
             # repeated products, not powers: records depend on the exact rungs
-            theta *= _LADDER_RATIO
-        vals = discrepancies(np.array(rungs))
-        reached = np.flatnonzero(vals >= lo)  # a NaN rung counts as below the window
-        if reached.size:
-            i = int(reached[0])
-            if vals[i] <= hi:
-                return rungs[i]
-            theta_hi = rungs[i]
-            if i:
-                theta_lo = rungs[i - 1]
+            rung *= _LADDER_RATIO
+        still = []
+        for trial, row in zip(climbing, discrepancies(climbing, np.array([chunk])).tolist()):
+            # the first rung that reaches the window; a NaN rung counts as below it
+            i = next((i for i, val in enumerate(row) if val >= lo), None)
+            if i is None:
+                still.append(trial)
+            elif row[i] <= hi:
+                theta[trial] = chunk[i]
+            else:
+                brackets[trial] = (chunk[i - 1] if i else below_chunk, chunk[i])
+        climbing = still
+        if not climbing:
             break
-        theta_lo = rungs[-1]
-    else:
-        return None
+        below_chunk = chunk[-1]
+    bisecting = sorted(brackets)
+    theta_lo = np.array([brackets[t][0] for t in bisecting])
+    theta_hi = np.array([brackets[t][1] for t in bisecting])
     for _ in range(BISECTION_MAX_ITER):
+        if not bisecting:
+            return theta
         mid = 0.5 * (theta_lo + theta_hi)
-        val = discrepancies(np.array([mid]))[0]
-        if lo <= val <= hi:
-            return mid
-        if val < lo:
-            theta_lo = mid
-        else:
-            theta_hi = mid
-    raise RuntimeError(
-        f"calibration failed to land in [{lo:g}, {hi:g}] after {BISECTION_MAX_ITER} bisection steps"
-    )
+        val = discrepancies(bisecting, mid[:, None])[:, 0]
+        inside = (lo <= val) & (val <= hi)
+        below = val < lo  # a NaN midpoint counts as above the window
+        theta[np.array(bisecting)[inside]] = mid[inside]
+        theta_lo = np.where(below, mid, theta_lo)[~inside]
+        theta_hi = np.where(below, theta_hi, mid)[~inside]
+        bisecting = [t for t, done in zip(bisecting, inside.tolist()) if not done]
+    if bisecting:
+        raise RuntimeError(
+            f"calibration failed to land in [{lo:g}, {hi:g}] after {BISECTION_MAX_ITER} bisection steps"
+        )
+    return theta
+
+
+def _eigensystems_at(family: _Family, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (T, k) and (T, d, k) of sigma_t(theta_t), one theta per family."""
+    thetas = theta[:, None]
+    return _eigenvalues_at(family, thetas)[:, 0], family.q @ _phased_coords(family, thetas)[:, 0]
 
 
 def _calibrate(
-    rho: DensityMatrix,
-    rng: np.random.Generator,
-    discrepancies: Callable[[DensityMatrix, _Family, np.ndarray], np.ndarray],
+    rho_w: np.ndarray,
+    rho_v: np.ndarray,
+    rngs: list[np.random.Generator],
+    discrepancies: Callable[[np.ndarray, _Family, np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-) -> DensityMatrix:
-    """Draw perturbation families until one can be bisected into [lo, hi],
-    and build the estimate there."""
-    for _ in range(_FAMILIES):
-        family = _perturbation_family(rho, rng)
-        theta = _bracket_and_bisect(lambda thetas: discrepancies(rho, family, thetas), lo, hi)
-        if theta is not None:
-            return _sigma_at(family, theta)
-    raise RuntimeError(
-        f"no perturbation of the state reached the target window [{lo:g}, {hi:g}] "
-        f"after {_FAMILIES} attempts"
+    families: int = _FAMILIES,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (T, k) and (T, d, k) of a calibrated estimate of each state.
+
+    rho_w holds the states' top-k eigenvalues and rho_v their eigenvectors
+    (T, d, m), m >= k. Each trial draws a perturbation family from its own
+    generator and is bisected into [lo, hi]; the trials whose family never
+    reaches the window draw their next family together, up to ``families``
+    draws, so a trial's draws are the ones it makes alone."""
+    family = _perturbation_families(rho_w, rho_v, rngs)
+
+    def family_discrepancies(idx, thetas):
+        if len(idx) == len(rngs):  # every trial: no copies
+            return discrepancies(rho_w, family, thetas)
+        return discrepancies(rho_w[idx], family.take(idx), thetas)
+
+    theta = _bracket_and_bisect(family_discrepancies, len(rngs), lo, hi)
+    missed = np.isnan(theta)
+    if not missed.any():
+        return _eigensystems_at(family, theta)
+    if families == 1:
+        raise RuntimeError(
+            f"no perturbation of the state reached the target window [{lo:g}, {hi:g}] "
+            f"after {_FAMILIES} attempts"
+        )
+    w = np.empty_like(rho_w)
+    v = np.empty((*rho_v.shape[:2], rho_w.shape[1]), dtype=complex)
+    landed = ~missed
+    w[landed], v[landed] = _eigensystems_at(family.take(landed), theta[landed])
+    redraw = [rng for rng, miss in zip(rngs, missed.tolist()) if miss]
+    w[missed], v[missed] = _calibrate(
+        rho_w[missed], rho_v[missed], redraw, discrepancies, lo, hi, families - 1
     )
+    return w, v
+
+
+def _calibrated_estimates(
+    rhos: list[DensityMatrix], seeds, discrepancies, lo: float, hi: float
+) -> list[DensityMatrix]:
+    """Calibrated estimates of a stack of states, one stack per rank, each
+    checked once."""
+    out: list[DensityMatrix] = [None] * len(rhos)
+    for idx in _groups([(rho.rank, rho.eigenvectors.shape) for rho in rhos]):
+        k = rhos[idx[0]].rank
+        rho_w = np.array([rhos[i].eigenvalues[:k] for i in idx])
+        rho_v = np.array([rhos[i].eigenvectors for i in idx])
+        rngs = [rng_from_seed(seeds[i]) for i in idx]
+        w, v = _calibrate(rho_w, rho_v, rngs, discrepancies, lo, hi)
+        for i, sigma in zip(idx, _density_matrices(*_from_eigensystems(w, v))):
+            out[i] = sigma
+    return out
+
+
+def _calibrated_estimate(rho: DensityMatrix, seed, discrepancies, lo: float, hi: float) -> DensityMatrix:
+    """The one-state call of the stacked calibration."""
+    k = rho.rank
+    w, v = _calibrate(
+        rho.eigenvalues[None, :k], rho.eigenvectors[None], [rng_from_seed(seed)],
+        discrepancies, lo, hi,
+    )
+    return DensityMatrix.from_eigensystem(w[0], v[0])
 
 
 def _check_window(what: str, target: float) -> None:
@@ -277,16 +381,14 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     eps must be at least the 1e-12 resolution floor.
     """
     _check_window("infidelity", epsilon)
-    rng = rng_from_seed(seed)
-    return _calibrate(rho, rng, _infidelities, epsilon / 2.0, epsilon)
+    return _calibrated_estimate(rho, seed, _infidelities, epsilon / 2.0, epsilon)
 
 
 def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> DensityMatrix:
     """Same-rank estimate of rho with trace distance in [delta/2, delta], for
     delta at least the 1e-12 resolution floor."""
     _check_window("trace distance", delta)
-    rng = rng_from_seed(seed)
-    return _calibrate(rho, rng, _trace_distances, delta / 2.0, delta)
+    return _calibrated_estimate(rho, seed, _trace_distances, delta / 2.0, delta)
 
 
 def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
@@ -295,19 +397,26 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
     The state is rotated toward a random orthogonal unit vector by the angle
     whose cosine meets a target overlap drawn uniformly from the window.
     """
+    return PureState(_oracle_pure_rows(psi.amplitudes[None], epsilon, [seed])[0], psi.dims)
+
+
+def _oracle_pure_rows(amps: np.ndarray, epsilon: float, seeds) -> np.ndarray:
+    """Phase-normalized, unchecked amplitude rows of the pure oracle's
+    estimates of a (T, n) stack of states, each drawn from its own seed."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
-    total = psi.total_dim
-    rng = rng_from_seed(seed)
+    total = amps.shape[1]
     if total < 2:
         raise ValueError("no orthogonal direction available in a one-dimensional space")
-
-    target = rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0)
-    raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-    chi = raw - np.vdot(psi.amplitudes, raw) * psi.amplitudes
-    chi = chi / np.linalg.norm(chi)
-    phi = math.sqrt(target) * psi.amplitudes + math.sqrt(1.0 - target) * chi
-    return PureState(phi, psi.dims).phase_normalized()
+    rows = []
+    for psi, seed in zip(amps, seeds):
+        rng = rng_from_seed(seed)
+        target = rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0)
+        raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+        chi = raw - np.vdot(psi, raw) * psi
+        chi = chi / np.linalg.norm(chi)
+        rows.append(math.sqrt(target) * psi + math.sqrt(1.0 - target) * chi)
+    return _phase_normalized(np.array(rows))
 
 
 def _measurement_design(dim: int, num_bases: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,11 +11,17 @@ from tomoreduce import (
     ExperimentConfig,
     ExperimentKind,
     fit_scaling,
+    reduction,
     run_experiment,
     write_records,
 )
 from tomoreduce.cli import build_parser, config_from_args, main
-from tomoreduce.harness import OUTPUT_DIR_ENV_VAR, _cell_summary, experiment_cells
+from tomoreduce.harness import (
+    _REPORT_COLUMNS,
+    OUTPUT_DIR_ENV_VAR,
+    _cell_summary,
+    experiment_cells,
+)
 
 
 def small_sweep_config(**overrides):
@@ -92,6 +98,14 @@ class TestConfigValidation:
         small_sweep_config(backend="measurement", eps_values=(1e-15,))
         small_sweep_config(eps_values=(1e-12,))
 
+    def test_rejects_samples_total_beyond_int64(self):
+        # each addend fits in int64, but the samples_total column is their sum
+        big = dict(backend="measurement", r_values=(1,), d_values=(2,))
+        extra = 40  # ceil(4 * 1^2 / 0.1)
+        with pytest.raises(ValueError, match="copies in total exceed the int64"):
+            small_sweep_config(n_copies=2**63 - extra, **big)
+        small_sweep_config(n_copies=2**63 - 1 - extra, **big)
+
     def test_crossed_grid_filters_r_above_d(self):
         cfg = small_sweep_config(r_values=(1, 3), d_values=(2, 4))
         cells = experiment_cells(cfg)
@@ -119,6 +133,51 @@ class TestChainSweep:
             assert rec["projection_identity_ok"] is True
             assert rec["samples_total"] == config.n_copies + rec["extra_copies"]
             assert rec["guaranteed_bound"] == pytest.approx(1 - 16 * rec["epsilon"])
+
+
+def chain_records(trials, **overrides):
+    """The records of a one-cell chain sweep, without wall_time."""
+    summary = run_experiment(small_sweep_config(trials=trials, **overrides))
+    return summary, [{k: v for k, v in rec.items() if k != "wall_time"} for rec in summary.records]
+
+
+# One oracle cell, and one measurement cell whose projector ranks differ
+# between trials (2 and 3 at r = d = 3).
+STACK_CELLS = [
+    dict(r_values=(2,), d_values=(4,), eps_values=(0.05,)),
+    dict(backend="measurement", r_values=(3,), d_values=(3,), eps_values=(0.01,), master_seed=100),
+]
+
+
+class TestTrialStacks:
+    @pytest.mark.parametrize("cell", STACK_CELLS, ids=["oracle", "measurement"])
+    def test_records_do_not_depend_on_stack_boundaries(self, cell):
+        _, full = chain_records(40, **cell)
+        for trials in (1, 15, 16, 17, 33):
+            assert chain_records(trials, **cell)[1] == full[:trials]
+
+    def test_measurement_cell_mixes_projector_ranks(self):
+        _, records = chain_records(40, **STACK_CELLS[1])
+        assert {rec["projector_rank"] for rec in records} == {2, 3}
+
+    def test_failed_trial_fails_alone(self, monkeypatch):
+        # a tolerance between the two smallest keep probabilities of the cell
+        # makes exactly one trial's support estimate count as disjoint
+        cell = dict(r_values=(2,), d_values=(4,), eps_values=(0.2,))
+        _, base = chain_records(20, **cell)
+        keeps = sorted(rec["keep_probability"] for rec in base)
+        monkeypatch.setattr(reduction, "PROB_TOL", (keeps[0] + keeps[1]) / 2)
+        summary, forced = chain_records(20, **cell)
+        failed = [t for t, rec in enumerate(forced) if rec["error"]]
+        assert len(failed) == 1
+        assert summary.failures_total == summary.cells[0].failures == 1
+        (bad,) = failed
+        assert base[bad]["keep_probability"] == keeps[0]
+        assert "keep probability" in forced[bad]["error"]
+        assert all(forced[bad][column] is None for column in _REPORT_COLUMNS)
+        assert [rec for t, rec in enumerate(forced) if t != bad] == [
+            rec for t, rec in enumerate(base) if t != bad
+        ]
 
 
 class TestDeterminism:
@@ -327,6 +386,10 @@ class TestCli:
             ["scale-pure", "--d", "2", "--n", "100,1000,100000000000000000000"],
             ["chain-sweep", "--c-extra", "0"],
             ["chain-sweep", "--backend", "measurement", "--n-copies", "0"],
+            [
+                "chain-sweep", "--backend", "measurement", "--n-copies", str(2**63 - 1),
+                "--r", "1", "--d", "2", "--eps", "0.1",
+            ],
         ],
     )
     def test_unrunnable_config_exit_two(self, argv, tmp_path, capsys):

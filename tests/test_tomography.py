@@ -20,6 +20,7 @@ from tomoreduce import (
     random_rank_r_state,
     trace_distance,
 )
+from tomoreduce import tomography as tm
 from tomoreduce.states import _haar_unitaries
 from tomoreduce.tomography import (
     _measurement_design,
@@ -81,6 +82,55 @@ class TestOracleValidation:
             sigma = estimate(rho, 0.05, child_seed(131, t))
             assert builds == [sigma]
             builds.clear()
+
+
+# States of every shape d = 2-8, r = 1-3, three of each, with their seeds.
+STACK_CASES = [(d, r, t) for d in range(2, 9) for r in range(1, min(3, d) + 1) for t in range(3)]
+
+
+class TestStackedCalibration:
+    # the lockstep calibration of a stack lands every trial where it lands alone
+    @pytest.mark.parametrize(
+        "estimate, discrepancies",
+        [(oracle_mixed_estimate, tm._infidelities), (oracle_trace_distance_estimate, tm._trace_distances)],
+        ids=["fidelity", "trace"],
+    )
+    @pytest.mark.parametrize("eps", [0.5, 0.2, 0.05, 1e-11])
+    def test_stack_matches_one_state_at_a_time(self, estimate, discrepancies, eps):
+        rhos = [random_rank_r_state(d, r, child_seed(140, d, r, t)) for d, r, t in STACK_CASES]
+        seeds = [child_seed(141, d, r, t) for d, r, t in STACK_CASES]
+        stacked = tm._calibrated_estimates(rhos, seeds, discrepancies, eps / 2, eps)
+        for rho, seed, sigma in zip(rhos, seeds, stacked):
+            alone = estimate(rho, eps, seed)
+            assert np.array_equal(alone.matrix, sigma.matrix)
+            assert np.array_equal(alone.eigenvectors, sigma.eigenvectors)
+            assert np.array_equal(alone.eigenvalues, sigma.eigenvalues)
+
+    def test_stack_cases_bisect_and_redraw(self, monkeypatch):
+        # pins two trials of the stacks above: (d, r, t) = (3, 2, 2) at eps 0.5
+        # overshoots the window on the ladder and bisects back into it, and
+        # (2, 1, 2) at eps 0.2 draws a second family
+        draws, bisects = [], []
+        families, infidelities = tm._perturbation_families, tm._infidelities
+
+        def counted_families(rho_w, rho_v, rngs):
+            draws.append(len(rngs))
+            return families(rho_w, rho_v, rngs)
+
+        def counted_infidelities(rho_w, family, thetas):
+            bisects.append(thetas.shape[1] == 1)  # one midpoint per trial
+            return infidelities(rho_w, family, thetas)
+
+        monkeypatch.setattr(tm, "_perturbation_families", counted_families)
+        monkeypatch.setattr(tm, "_infidelities", counted_infidelities)
+        rho = random_rank_r_state(3, 2, child_seed(140, 3, 2, 2))
+        oracle_mixed_estimate(rho, 0.5, child_seed(141, 3, 2, 2))
+        assert draws == [1] and any(bisects)
+        draws.clear()
+        bisects.clear()
+        rho = random_rank_r_state(2, 1, child_seed(140, 2, 1, 2))
+        oracle_mixed_estimate(rho, 0.2, child_seed(141, 2, 1, 2))
+        assert draws == [1, 1] and not any(bisects)
 
 
 class TestOraclePureEstimate:
