@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -26,27 +26,15 @@ from .reduction import (
     ReductionConfig,
     ReductionError,
     ReductionReport,
+    _gentle_distances,
     _guaranteed_bound,
+    _mixed_stage,
     _run_reductions,
-    gentle_measurement_experiment,
     proposition_search,
 )
 from .seeding import child_seed
-from .states import (
-    _random_pure_states,
-    fidelity_mixed,
-    fidelity_pure_pure,
-    random_pure_state,
-    random_rank_r_state,
-)
-from .tomography import (
-    TomographyBackend,
-    _check_count,
-    _check_window,
-    _shot_floor,
-    estimate_mixed_state_from_measurements,
-    estimate_pure_state_from_measurements,
-)
+from .states import _overlaps, _random_pure_states
+from .tomography import TomographyBackend, _check_count, _check_window, _shot_floor
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -250,53 +238,49 @@ def _reduction_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
     return rows
 
 
-def _scaling_pure_fields(config, cell, trial_seed) -> dict[str, Any]:
-    psi = random_pure_state(1, cell["d"], child_seed(trial_seed, 0))
-    estimate = estimate_pure_state_from_measurements(psi, cell["n"], child_seed(trial_seed, 1))
-    fid = fidelity_pure_pure(estimate, psi)
-    return {"fidelity": float(fid), "infidelity": float(1.0 - fid), "violations": 0}
+def _fidelity_fields(fidelities) -> list[dict[str, Any]]:
+    return [{"fidelity": f, "infidelity": 1.0 - f, "violations": 0} for f in fidelities]
 
 
-def _scaling_mixed_fields(config, cell, trial_seed) -> dict[str, Any]:
-    r = cell["r"]
-    rho = random_rank_r_state(cell["d"], r, child_seed(trial_seed, 0))
-    estimate = estimate_mixed_state_from_measurements(rho, r, cell["n"], child_seed(trial_seed, 1))
-    fid = fidelity_mixed(rho, estimate)
-    return {"fidelity": float(fid), "infidelity": float(1.0 - fid), "violations": 0}
+def _scaling_pure_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
+    psis = _random_pure_states(1, cell["d"], [child_seed(s, 0) for s in trial_seeds])
+    estimates = TomographyBackend.linear_inversion(cell["n"])._estimate_pure_stack(
+        psis, [child_seed(s, 1) for s in trial_seeds], [cell["n"]] * len(psis)
+    )
+    return _fidelity_fields(
+        _overlaps([psi.amplitudes for psi in psis], [phi.amplitudes for phi in estimates])
+    )
 
 
-def _gentle_fields(config, cell, trial_seed) -> dict[str, Any]:
+def _scaling_mixed_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
+    n = cell["n"]
+    psis = _random_pure_states(cell["r"], cell["d"], [child_seed(s, 0) for s in trial_seeds])
+    m = np.array([psi.as_matrix() for psi in psis])
+    _, fidelities = _mixed_stage(
+        m, TomographyBackend.linear_inversion(n), [child_seed(s, 1) for s in trial_seeds], n
+    )
+    return _fidelity_fields(fidelities)
+
+
+def _gentle_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
     delta = cell["delta"]
-    psi = random_pure_state(cell["r"], cell["d"], child_seed(trial_seed, 0))
-    result = gentle_measurement_experiment(psi, delta, 1, child_seed(trial_seed, 1))
-    if result.completed:
-        t = float(result.trace_distances[0])
-        fields = {
-            "trace_distance": t,
-            "ratio_sqrt": t / math.sqrt(delta),
-            "ratio_linear": t / delta,
-            "skipped": False,
-        }
-    else:
-        fields = {"trace_distance": None, "ratio_sqrt": None, "ratio_linear": None, "skipped": True}
-    fields["violations"] = 0
-    return fields
+    psis = _random_pure_states(cell["r"], cell["d"], [child_seed(s, 0) for s in trial_seeds])
+    # the sigma seed of one gentle_measurement_experiment trial under seed child_seed(s, 1)
+    seeds = [child_seed(child_seed(s, 1), 0) for s in trial_seeds]
+    rows = []
+    for t in _gentle_distances(psis, delta, seeds).tolist():
+        values = (None,) * 3 if math.isnan(t) else (t, t / math.sqrt(delta), t / delta)
+        fields = dict(zip(("trace_distance", "ratio_sqrt", "ratio_linear"), values))
+        rows.append({**fields, "skipped": math.isnan(t), "violations": 0})
+    return rows
 
 
-def _prop_search_fields(config, cell, trial_seed) -> dict[str, Any]:
-    result = proposition_search(cell["d"], cell["eta"], config.prop_batch, trial_seed)
-    return {
-        "checked": int(result.checked),
-        "violations": int(result.violations),
-        "min_slack": float(result.min_slack),
-        "min_c": float(result.min_c),
-        "max_triangle_excess": float(result.max_triangle_excess),
-    }
-
-
-def _one_by_one(build):
-    """A stack builder that runs a one-trial builder on each seed in turn."""
-    return lambda config, cell, trial_seeds: [build(config, cell, s) for s in trial_seeds]
+def _prop_search_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
+    # one search per trial, each vectorized over its triples
+    return [
+        asdict(proposition_search(cell["d"], cell["eta"], config.prop_batch, seed))
+        for seed in trial_seeds
+    ]
 
 
 # Each builder takes a stack of trial seeds and returns, per trial, the fields
@@ -304,18 +288,17 @@ def _one_by_one(build):
 # and seed columns.
 _RECORD_BUILDERS = {
     ExperimentKind.CHAIN_SWEEP: _reduction_fields,
-    ExperimentKind.SCALING_PURE: _one_by_one(_scaling_pure_fields),
-    ExperimentKind.SCALING_MIXED: _one_by_one(_scaling_mixed_fields),
-    ExperimentKind.GENTLE_MEASUREMENT: _one_by_one(_gentle_fields),
-    ExperimentKind.PROPOSITION_SEARCH: _one_by_one(_prop_search_fields),
+    ExperimentKind.SCALING_PURE: _scaling_pure_fields,
+    ExperimentKind.SCALING_MIXED: _scaling_mixed_fields,
+    ExperimentKind.GENTLE_MEASUREMENT: _gentle_fields,
+    ExperimentKind.PROPOSITION_SEARCH: _prop_search_fields,
 }
 
-# Chain trials run in stacks of this many, one numpy call per step for the
-# whole stack; the other experiments run one trial at a time. With stacks of
-# 16 the default sweep peaks at the RSS of one trial at a time; whole
-# 100-trial cells as one stack raised that peak by 3%.
+# Every experiment runs a cell's trials in stacks of this many, one numpy call
+# per step for the whole stack (prop-search: one vectorized search per trial).
+# With stacks of 16 the default chain sweep peaks at the RSS of one trial at a
+# time; whole 100-trial cells as one stack raised that peak by 3%.
 _TRIAL_BATCH = 16
-_STACK_SIZES = {ExperimentKind.CHAIN_SWEEP: _TRIAL_BATCH}
 
 
 @dataclass(frozen=True)
@@ -382,21 +365,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
     Cell and trial seeds are split from the master seed, so cells can be
     evaluated in any order, and a cell's trials in stacks of any size,
-    without changing any record field but wall_time. Chain trials run in
-    stacks of up to 16; each record's wall_time is its stack's time divided
-    by the number of trials in the stack.
+    without changing any record field but wall_time. Every experiment runs
+    a cell's trials in stacks of up to 16; each record's wall_time is its
+    stack's time divided by the number of trials in the stack.
     """
     cells = experiment_cells(config)
     builder = _RECORD_BUILDERS[config.experiment]
-    stack_size = _STACK_SIZES.get(config.experiment, 1)
     records: list[dict[str, Any]] = []
     summaries: list[CellSummary] = []
     for cell_index, cell in enumerate(cells):
         cell_seed = child_seed(config.master_seed, cell_index)
         params = {k: _CELL_TYPES[k](v) for k, v in cell.items()}
         stacks = []
-        for first in range(0, config.trials, stack_size):
-            trials = range(first, min(first + stack_size, config.trials))
+        for first in range(0, config.trials, _TRIAL_BATCH):
+            trials = range(first, min(first + _TRIAL_BATCH, config.trials))
             seeds = [child_seed(cell_seed, t) for t in trials]
             start = time.perf_counter()
             stack = builder(config, cell, seeds)

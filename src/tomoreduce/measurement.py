@@ -5,6 +5,11 @@ Because copies are i.i.d. and the post-measurement state is the same for
 every kept copy, the kept count of n copies is one Binomial(n, keep) draw
 on the analytic keep probability; this is exact, not an approximation, and
 its time and memory do not depend on n.
+
+The one-state API (``outcome_probability``, ``project_and_renormalize``,
+``sample_shots``) stays beside the stacked kernel the reduction uses, since it
+takes any projector: demo 02 projects onto a Schmidt direction, and the
+gentle-measurement reference test projects with it.
 """
 
 from __future__ import annotations

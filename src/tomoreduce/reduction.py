@@ -39,7 +39,14 @@ from .states import (
     optimal_purification_against,
     partial_trace_x,
 )
-from .tomography import BackendKind, TomographyBackend, _check_count, oracle_trace_distance_estimate
+from .tomography import (
+    BackendKind,
+    TomographyBackend,
+    _calibrated_estimates,
+    _check_count,
+    _check_window,
+    _trace_distances,
+)
 
 __all__ = [
     "CHAIN_SLACK",
@@ -241,15 +248,6 @@ def _support_projections(m: np.ndarray, sigmas: list[DensityMatrix], rank_cap: i
     return ranks, keep, projected
 
 
-def _support_projection(psi: PureState, sigma: DensityMatrix):
-    """(keep probability, projected state) for psi on sigma's rank-r support;
-    the state is None when the keep probability is at most PROB_TOL."""
-    _, keep, projected = _support_projections(psi.as_matrix()[None], [sigma], psi.r)
-    if not keep[0] > PROB_TOL:
-        return float(keep[0]), None
-    return float(keep[0]), _pure_states(projected, psi.dims)[0]
-
-
 def _embeddings(basis: np.ndarray, r: int) -> np.ndarray:
     """kron(I_r, B_t) for a (T, d, k) stack of support bases, shape (T, r*d, r*k)."""
     count, d, k = basis.shape
@@ -280,6 +278,25 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     return outcome
 
 
+def _mixed_stage(
+    m: np.ndarray, backend: TomographyBackend, seeds, shots: int
+) -> tuple[list[DensityMatrix], list[float]]:
+    """Stage 1 on a (T, r, d) stack of coefficient matrices: the backend's
+    rank-r estimates sigma_t of the reduced states rho_t, and F(rho_t, sigma_t).
+    sqrt(sigma) is taken per stack of one eigenvector shape."""
+    count, r, d = m.shape
+    rho_mat, rho_w, rho_v = _reduced_states(m)
+    rhos = _density_matrices(rho_mat, rho_w, rho_v)
+    sigmas = backend._estimate_mixed_stack(rhos, r, seeds, shots)
+    root_sigma = np.empty((count, d, d), dtype=complex)
+    for idx in _groups([sigma.eigenvectors.shape for sigma in sigmas]):
+        root_sigma[idx] = _sqrt_matrices(
+            np.array([sigmas[i].eigenvalues for i in idx]),
+            np.array([sigmas[i].eigenvectors for i in idx]),
+        )
+    return sigmas, _fidelities(_sqrt_matrices(rho_w, rho_v), root_sigma)
+
+
 def _run_reductions(
     psis: list[PureState], configs: list[ReductionConfig]
 ) -> list[ReductionReport | ReductionError]:
@@ -300,25 +317,15 @@ def _run_reductions(
             raise ValueError("the configs of a stack may differ only in their seeds")
     seeds = [[child_seed(c.seed, k) for k in (2, 4, 5)] for c in configs]
     count = len(psis)
-    amps = np.array([psi.amplitudes for psi in psis])
-    m = amps.reshape(count, r, d)
+    m = np.array([psi.as_matrix() for psi in psis])
 
-    rho_mat, rho_w, rho_v = _reduced_states(m)
-    rhos = _density_matrices(rho_mat, rho_w, rho_v)
-    sigmas = config.mixed_backend._estimate_mixed_stack(
-        rhos, r, [s[0] for s in seeds], config.n_copies
+    sigmas, f_rho_sigma = _mixed_stage(
+        m, config.mixed_backend, [s[0] for s in seeds], config.n_copies
     )
-    root_sigma = np.empty((count, d, d), dtype=complex)
-    for idx in _groups([sigma.eigenvectors.shape for sigma in sigmas]):
-        root_sigma[idx] = _sqrt_matrices(
-            np.array([sigmas[i].eigenvalues for i in idx]),
-            np.array([sigmas[i].eigenvectors for i in idx]),
-        )
-    f_rho_sigma = _fidelities(_sqrt_matrices(rho_w, rho_v), root_sigma)
 
     ranks, keep, projected = _support_projections(m, sigmas, r)
     usable = [t for t in range(count) if keep[t] > PROB_TOL]
-    tildes = dict(zip(usable, _pure_states(projected[usable], (r, d)))) if usable else {}
+    tildes = dict(zip(usable, _pure_states(projected[usable], (r, d))))
     extra_copies = config.extra_copies
     samples_total = config.n_copies + extra_copies
     kept = {t: _kept_count(extra_copies, keep[t], seeds[t][1]) for t in usable}
@@ -441,16 +448,21 @@ def verify_chain(
 ) -> ChainReport:
     """Check every step of the fidelity chain on an explicit (psi, sigma, phi).
 
-    Violations are reported, never raised. When epsilon is not supplied it is
-    derived as the smallest value for which both chain hypotheses hold,
-    namely max(1 - F(rho, sigma), 1 - |<phi|psi_tilde>|^2); the final-bound
-    check is marked not applicable if that reaches 1.
+    Violations are reported, never raised. A supplied epsilon must lie in
+    (0, 1). When epsilon is not supplied it is derived as the smallest value
+    for which both chain hypotheses hold, namely
+    max(1 - F(rho, sigma), 1 - |<phi|psi_tilde>|^2); the final-bound check is
+    marked not applicable if that reaches 1.
     """
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
     rho = partial_trace_x(psi)
     f_rho_sigma = fidelity_mixed(rho, sigma)
     phi_opt = optimal_purification_against(sigma, psi)
     uhlmann_overlap = fidelity_pure_pure(psi, phi_opt)
-    keep_probability, psi_tilde = _support_projection(psi, sigma)
+    _, keep, projected = _support_projections(psi.as_matrix()[None], [sigma], psi.r)
+    keep_probability = float(keep[0])
+    psi_tilde = _pure_states(projected, psi.dims)[0] if keep_probability > PROB_TOL else None
 
     checks = [
         ChainCheck(
@@ -500,7 +512,8 @@ def _composition_margins(a, b, c, eta):
 
 @dataclass(frozen=True)
 class PropositionSearchResult:
-    """Aggregate of a randomized search for composition-bound violations."""
+    """Aggregate of a randomized search for composition-bound violations;
+    its fields, in order, are the columns of a prop-search record."""
 
     checked: int
     violations: int
@@ -623,20 +636,28 @@ def gentle_measurement_experiment(
     sigma = diag(1 - delta, 0, delta) give T = sqrt(delta), so T/delta has no
     bound, though the sampled family does not reach that case.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta!r}")
+    _check_window("trace distance", delta)
     if trials < 1:
         raise ValueError("trials must be positive")
-    rho = partial_trace_x(psi)
-    distances: list[float] = []
-    for t in range(trials):
-        sigma = oracle_trace_distance_estimate(rho, delta, child_seed(int(seed), t))
-        _, psi_tilde = _support_projection(psi, sigma)
-        if psi_tilde is not None:
-            a, b = psi.amplitudes, psi_tilde.amplitudes
-            distances.append(float(np.linalg.norm(a - np.vdot(b, a) * b)))
-    return GentleMeasurementResult(
-        delta=delta,
-        skipped=trials - len(distances),
-        trace_distances=np.array(distances, dtype=float),
-    )
+    seeds = [child_seed(int(seed), t) for t in range(trials)]
+    distances = _gentle_distances([psi] * trials, delta, seeds)
+    kept = distances[~np.isnan(distances)]
+    return GentleMeasurementResult(delta=delta, skipped=trials - kept.size, trace_distances=kept)
+
+
+def _gentle_distances(psis: list[PureState], delta: float, seeds) -> np.ndarray:
+    """T per trial of the gentle-measurement experiment on a stack of states
+    of one shape, the trial's sigma drawn from its seed; NaN where the keep
+    probability vanishes and the trial is skipped."""
+    r, d = psis[0].dims
+    m = np.array([psi.as_matrix() for psi in psis])
+    rhos = _density_matrices(*_reduced_states(m))
+    sigmas = _calibrated_estimates(rhos, seeds, _trace_distances, delta / 2.0, delta)
+    _, keep, projected = _support_projections(m, sigmas, r)
+    usable = np.flatnonzero(keep > PROB_TOL)
+    distances = np.full(len(psis), np.nan)
+    for t, tilde in zip(usable, _pure_states(projected[usable], (r, d))):
+        # one vdot and one vector norm per trial: row-wise forms round differently
+        a, b = psis[t].amplitudes, tilde.amplitudes
+        distances[t] = float(np.linalg.norm(a - np.vdot(b, a) * b))
+    return distances

@@ -87,10 +87,6 @@ class PureState:
         """Amplitudes reshaped to an (r, d) coefficient matrix."""
         return self.amplitudes.reshape(self.dims)
 
-    def phase_normalized(self) -> "PureState":
-        """Same ray with the first nonzero amplitude made real nonnegative."""
-        return PureState(_phase_normalized(self.amplitudes[None])[0], self.dims)
-
     def to_density_matrix(self) -> "DensityMatrix":
         """Rank-1 density matrix on the full r*d-dimensional space."""
         return DensityMatrix.from_eigensystem(
@@ -237,8 +233,8 @@ def _unchecked(cls, **fields):
 
 
 def _check_unit_norms(amps: np.ndarray) -> None:
-    """Raise ValueError unless every row of a (T, n) amplitude stack has unit norm."""
-    defect = np.abs(np.linalg.norm(amps, axis=1) - 1.0).max()
+    """Raise ValueError unless each row of a (T, n) amplitude stack, if any, has unit norm."""
+    defect = np.abs(np.linalg.norm(amps, axis=1) - 1.0).max(initial=0.0)
     if not defect <= NORM_ATOL:
         raise ValueError(f"state is not normalized: |norm - 1| = {defect:.3e}")
 
@@ -442,6 +438,11 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def purify(sigma: DensityMatrix, purifier_dim: int) -> PureState:
     """Canonical purification sum_i sqrt(mu_i) |i> (x) |w_i> on (purifier_dim, d)."""
+    return PureState(_purification(sigma, purifier_dim).reshape(-1), (purifier_dim, sigma.dim))
+
+
+def _purification(sigma: DensityMatrix, purifier_dim: int) -> np.ndarray:
+    """purify's coefficient matrix, phase-normalized and unchecked."""
     if purifier_dim < sigma.rank:
         raise ValueError(
             f"purifier dimension {purifier_dim} is below the state's rank {sigma.rank}"
@@ -451,7 +452,7 @@ def purify(sigma: DensityMatrix, purifier_dim: int) -> PureState:
     m = np.zeros((purifier_dim, sigma.dim), dtype=complex)
     m[:k] = np.sqrt(mu)[:, None] * sigma.eigenvectors[:, :k].T
     m /= np.linalg.norm(m)
-    return PureState(m.reshape(-1), (purifier_dim, sigma.dim)).phase_normalized()
+    return _phase_normalized(m.reshape(1, -1)).reshape(purifier_dim, sigma.dim)
 
 
 def optimal_purification_against(sigma: DensityMatrix, psi: PureState) -> PureState:
@@ -468,11 +469,11 @@ def optimal_purification_against(sigma: DensityMatrix, psi: PureState) -> PureSt
         raise ValueError(
             f"purifying register of dimension {r} cannot hold a rank-{sigma.rank} state"
         )
-    phi0 = purify(sigma, r).as_matrix()
+    phi0 = _purification(sigma, r)
     c = phi0 @ psi.as_matrix().conj().T  # c[y, x] = sum_a conj(psi[x,a]) phi0[y,a]
     w, _, vh = np.linalg.svd(c)
     u_opt = vh.conj().T @ w.conj().T
-    return PureState((u_opt @ phi0).reshape(-1), (r, d)).phase_normalized()
+    return PureState(_phase_normalized((u_opt @ phi0).reshape(1, -1))[0], (r, d))
 
 
 def support_projector(sigma: DensityMatrix, rank_cap: int) -> Projector:

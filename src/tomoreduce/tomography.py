@@ -344,16 +344,6 @@ def _calibrated_estimates(
     return out
 
 
-def _calibrated_estimate(rho: DensityMatrix, seed, discrepancies, lo: float, hi: float) -> DensityMatrix:
-    """The one-state call of the stacked calibration."""
-    k = rho.rank
-    w, v = _calibrate(
-        rho.eigenvalues[None, :k], rho.eigenvectors[None], [rng_from_seed(seed)],
-        discrepancies, lo, hi,
-    )
-    return DensityMatrix.from_eigensystem(w[0], v[0])
-
-
 def _check_window(what: str, target: float) -> None:
     if not _RESOLUTION_FLOOR <= target < 1.0:
         raise ValueError(
@@ -381,14 +371,14 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     eps must be at least the 1e-12 resolution floor.
     """
     _check_window("infidelity", epsilon)
-    return _calibrated_estimate(rho, seed, _infidelities, epsilon / 2.0, epsilon)
+    return _calibrated_estimates([rho], [seed], _infidelities, epsilon / 2.0, epsilon)[0]
 
 
 def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> DensityMatrix:
     """Same-rank estimate of rho with trace distance in [delta/2, delta], for
     delta at least the 1e-12 resolution floor."""
     _check_window("trace distance", delta)
-    return _calibrated_estimate(rho, seed, _trace_distances, delta / 2.0, delta)
+    return _calibrated_estimates([rho], [seed], _trace_distances, delta / 2.0, delta)[0]
 
 
 def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
@@ -483,7 +473,7 @@ def estimate_pure_state_from_measurements(psi_true: PureState, n: int, seed) -> 
     )
     _, v = np.linalg.eigh(x)
     top = v[:, -1]
-    return PureState(top / np.linalg.norm(top), psi_true.dims).phase_normalized()
+    return PureState(_phase_normalized((top / np.linalg.norm(top))[None])[0], psi_true.dims)
 
 
 def estimate_mixed_state_from_measurements(

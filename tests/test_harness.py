@@ -135,39 +135,52 @@ class TestChainSweep:
             assert rec["guaranteed_bound"] == pytest.approx(1 - 16 * rec["epsilon"])
 
 
-def chain_records(trials, **overrides):
-    """The records of a one-cell chain sweep, without wall_time."""
+def cell_records(trials, **overrides):
+    """The records of a one-cell sweep (a chain sweep unless overridden),
+    without wall_time."""
     summary = run_experiment(small_sweep_config(trials=trials, **overrides))
     return summary, [{k: v for k, v in rec.items() if k != "wall_time"} for rec in summary.records]
 
 
-# One oracle cell, and one measurement cell whose projector ranks differ
-# between trials (2 and 3 at r = d = 3).
+# One oracle chain cell, one measurement chain cell whose projector ranks
+# differ between trials (2 and 3 at r = d = 3), and one cell of each side
+# experiment.
 STACK_CELLS = [
     dict(r_values=(2,), d_values=(4,), eps_values=(0.05,)),
     dict(backend="measurement", r_values=(3,), d_values=(3,), eps_values=(0.01,), master_seed=100),
+    dict(
+        experiment=ExperimentKind.GENTLE_MEASUREMENT,
+        r_values=(3,), d_values=(4,), delta_values=(0.1,),
+    ),
+    dict(experiment=ExperimentKind.SCALING_PURE, d_values=(3,), n_values=(1000,)),
+    dict(experiment=ExperimentKind.SCALING_MIXED, r_values=(2,), d_values=(3,), n_values=(1000,)),
+    dict(experiment=ExperimentKind.PROPOSITION_SEARCH, d_values=(3,), prop_batch=200),
 ]
 
 
 class TestTrialStacks:
-    @pytest.mark.parametrize("cell", STACK_CELLS, ids=["oracle", "measurement"])
+    @pytest.mark.parametrize(
+        "cell",
+        STACK_CELLS,
+        ids=["oracle", "measurement", "gentle", "scale-pure", "scale-mixed", "prop-search"],
+    )
     def test_records_do_not_depend_on_stack_boundaries(self, cell):
-        _, full = chain_records(40, **cell)
+        _, full = cell_records(40, **cell)
         for trials in (1, 15, 16, 17, 33):
-            assert chain_records(trials, **cell)[1] == full[:trials]
+            assert cell_records(trials, **cell)[1] == full[:trials]
 
     def test_measurement_cell_mixes_projector_ranks(self):
-        _, records = chain_records(40, **STACK_CELLS[1])
+        _, records = cell_records(40, **STACK_CELLS[1])
         assert {rec["projector_rank"] for rec in records} == {2, 3}
 
     def test_failed_trial_fails_alone(self, monkeypatch):
         # a tolerance between the two smallest keep probabilities of the cell
         # makes exactly one trial's support estimate count as disjoint
         cell = dict(r_values=(2,), d_values=(4,), eps_values=(0.2,))
-        _, base = chain_records(20, **cell)
+        _, base = cell_records(20, **cell)
         keeps = sorted(rec["keep_probability"] for rec in base)
         monkeypatch.setattr(reduction, "PROB_TOL", (keeps[0] + keeps[1]) / 2)
-        summary, forced = chain_records(20, **cell)
+        summary, forced = cell_records(20, **cell)
         failed = [t for t, rec in enumerate(forced) if rec["error"]]
         assert len(failed) == 1
         assert summary.failures_total == summary.cells[0].failures == 1
@@ -178,6 +191,23 @@ class TestTrialStacks:
         assert [rec for t, rec in enumerate(forced) if t != bad] == [
             rec for t, rec in enumerate(base) if t != bad
         ]
+
+    def test_skipped_gentle_trial_is_skipped_alone(self, monkeypatch):
+        # a tolerance between the two smallest keep probabilities 1 - T^2 of
+        # the cell makes exactly one trial's projection count as vanishing
+        cell = dict(
+            experiment=ExperimentKind.GENTLE_MEASUREMENT,
+            r_values=(2,), d_values=(4,), delta_values=(0.1,), master_seed=5,
+        )
+        _, base = cell_records(20, **cell)
+        assert not any(rec["skipped"] for rec in base)
+        keeps = sorted(1.0 - rec["trace_distance"] ** 2 for rec in base)
+        monkeypatch.setattr(reduction, "PROB_TOL", (keeps[0] + keeps[1]) / 2)
+        summary, forced = cell_records(20, **cell)
+        assert [t for t, rec in enumerate(forced) if rec["skipped"]] == [2]
+        assert summary.cells[0].stats["skipped"] == 1
+        assert all(forced[2][k] is None for k in ("trace_distance", "ratio_sqrt", "ratio_linear"))
+        assert forced[:2] + forced[3:] == base[:2] + base[3:]
 
 
 class TestDeterminism:

@@ -25,6 +25,7 @@ from tomoreduce import (
     trace_distance,
     verify_chain,
 )
+from tomoreduce import states
 from tomoreduce.reduction import CHAIN_SLACK, _composition_margins
 
 from oracles import random_density_matrix
@@ -207,6 +208,14 @@ class TestVerifyChain:
         assert report.fidelity_mixed_estimate == pytest.approx(1.0, abs=1e-8)
         assert report.final_fidelity == pytest.approx(1.0, abs=1e-9)
 
+    def test_rejects_supplied_epsilon_outside_unit_interval(self):
+        psi = random_pure_state(2, 4, seed=20)
+        rho = partial_trace_x(psi)
+        for eps in (-1.0, 0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                verify_chain(psi, rho, psi, epsilon=eps)
+        assert verify_chain(psi, rho, psi, epsilon=0.5).epsilon == 0.5
+
     def test_orthogonal_support_flagged_unusable(self):
         psi = PureState(np.kron([1, 0], [1, 0, 0]).astype(complex), (2, 3))
         sigma = PureState(np.array([0, 1, 0]) + 0j, (1, 3)).to_density_matrix()
@@ -365,20 +374,25 @@ class TestGentleMeasurement:
                         assert abs(res.trace_distances[t] - ref) <= 1e-15
 
     def test_builds_one_density_matrix_per_estimate(self, monkeypatch):
-        # the reduced state plus one sigma per trial; no pure-state density matrices
-        builds = []
-        post_init = DensityMatrix.__post_init__
+        # one stack check of the 10 reduced states (full spectra) and one of
+        # the 10 rank-2 estimates; no pure-state density matrix is checked
+        checks = []
+        original = states._check_density_stack
         monkeypatch.setattr(
-            DensityMatrix, "__post_init__", lambda self: builds.append(1) or post_init(self)
+            states,
+            "_check_density_stack",
+            lambda mat, w, v: checks.append((mat.shape, w.shape)) or original(mat, w, v),
         )
         psi = random_pure_state(2, 4, seed=59)
         res = gentle_measurement_experiment(psi, 0.01, trials=10, seed=60)
         assert res.completed == 10
-        assert len(builds) == 1 + 10
+        assert checks == [((10, 4, 4), (10, 4)), ((10, 4, 4), (10, 2))]
 
     def test_validation(self):
         psi = random_pure_state(1, 2, seed=56)
         with pytest.raises(ValueError):
             gentle_measurement_experiment(psi, 0.0, trials=5, seed=0)
+        with pytest.raises(ValueError, match="1e-12"):
+            gentle_measurement_experiment(psi, 1e-13, trials=5, seed=0)
         with pytest.raises(ValueError):
             gentle_measurement_experiment(psi, 0.1, trials=0, seed=0)

@@ -9,6 +9,7 @@ from tomoreduce import (
     PureState,
     SchmidtDecomposition,
     child_seed,
+    estimate_pure_state_from_measurements,
     fidelity_mixed,
     fidelity_pure_pure,
     haar_random_unitary,
@@ -22,6 +23,7 @@ from tomoreduce import (
     trace_distance,
 )
 
+from tomoreduce import states
 from tomoreduce.states import _haar_unitaries
 
 from oracles import random_density_matrix
@@ -429,6 +431,26 @@ class TestSupportProjector:
 
 
 class TestModuleInvariants:
+    @pytest.mark.parametrize("build", ["estimate_pure", "purify", "optimal_purification"])
+    def test_one_norm_check_per_pure_state(self, monkeypatch, build):
+        # the phase is fixed before the one check, not by a second PureState
+        psi = random_pure_state(2, 3, seed=82)
+        sigma = random_rank_r_state(3, 2, seed=83)
+        calls = {
+            "estimate_pure": lambda: estimate_pure_state_from_measurements(psi, 500, 84),
+            "purify": lambda: purify(sigma, purifier_dim=3),
+            "optimal_purification": lambda: optimal_purification_against(sigma, psi),
+        }
+        checks = []
+        original = states._check_unit_norms
+        monkeypatch.setattr(
+            states, "_check_unit_norms", lambda amps: checks.append(1) or original(amps)
+        )
+        out = calls[build]()
+        assert len(checks) == 1
+        pivot = out.amplitudes[np.flatnonzero(np.abs(out.amplitudes) > 1e-12)[0]]
+        assert abs(pivot.imag) <= 1e-15 and pivot.real > 0.0
+
     def test_purify_then_trace_is_identity(self):
         for t in range(20):
             d = 2 + t % 4

@@ -20,6 +20,7 @@ from tomoreduce import (
     random_rank_r_state,
     trace_distance,
 )
+from tomoreduce import states
 from tomoreduce import tomography as tm
 from tomoreduce.states import _haar_unitaries
 from tomoreduce.tomography import (
@@ -68,20 +69,22 @@ class TestOracleMixedEstimate:
 class TestOracleValidation:
     @pytest.mark.parametrize("estimate", [oracle_mixed_estimate, oracle_trace_distance_estimate])
     def test_one_validated_state_per_estimate(self, monkeypatch, estimate):
-        # calibration runs on raw arrays; only the returned estimate is validated
+        # calibration runs on raw arrays; only the returned estimate is
+        # validated, as one stack check of one row
         rhos = [random_rank_r_state(4, 1 + t % 3, child_seed(130, t)) for t in range(10)]
-        original = DensityMatrix.__post_init__
-        builds = []
+        original = states._check_density_stack
+        checks = []
 
-        def counting(self):
-            builds.append(self)
-            original(self)
+        def counting(mat, w, v):
+            checks.append(mat)
+            original(mat, w, v)
 
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        monkeypatch.setattr(states, "_check_density_stack", counting)
         for t, rho in enumerate(rhos):
             sigma = estimate(rho, 0.05, child_seed(131, t))
-            assert builds == [sigma]
-            builds.clear()
+            assert len(checks) == 1 and len(checks[0]) == 1
+            assert np.array_equal(checks[0][0], sigma.matrix)
+            checks.clear()
 
 
 # States of every shape d = 2-8, r = 1-3, three of each, with their seeds.

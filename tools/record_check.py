@@ -27,8 +27,10 @@ from pathlib import Path
 
 # The sweeps every record check repeats: the default grid at two trials, a
 # measurement grid, a grid with starved pure stages (seed 13), the tight-eps
-# grid, the side experiments, the one-cell default, and 40-trial default grids
-# on both backends.
+# grid, the side experiments, the one-cell default, 40-trial default grids on
+# both backends, and 40-trial side-experiment grids whose stacks cross the
+# 16-trial boundary: gentle with rank-3 projections and the 1e-12 window, and
+# scale-* from the d^2 floor to 1e5 shots.
 SWEEPS = (
     ["chain-sweep", "--trials", "2", "--seed", "11"],
     ["chain-sweep", "--backend", "measurement", "--trials", "1", "--seed", "12"],
@@ -44,6 +46,12 @@ SWEEPS = (
     ["reduce", "--trials", "20"],
     ["chain-sweep", "--trials", "40"],
     ["chain-sweep", "--backend", "measurement", "--trials", "40"],
+    [
+        "gentle", "--r", "1,2,3", "--d", "3,4,8", "--delta", "0.5,0.1,1e-5,1e-12",
+        "--trials", "40",
+    ],
+    ["scale-pure", "--d", "2,3,4,8", "--n", "64,1000,100000", "--trials", "40"],
+    ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000", "--trials", "40"],
 )
 FORMATS = ("csv", "jsonl")
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
