@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         _print_scaling_fits(summary)
     if summary.out_path:
         print(f"records written to {summary.out_path}")
-    return 0 if summary.violations_total == 0 else 1
+    return 0 if summary.ok else 1
 
 
 def _print_scaling_fits(summary) -> None:

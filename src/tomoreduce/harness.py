@@ -22,6 +22,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .measurement import _check_count
 from .reduction import (
     ReductionConfig,
     ReductionError,
@@ -34,7 +35,7 @@ from .reduction import (
 )
 from .seeding import child_seed
 from .states import _overlaps, _random_pure_states
-from .tomography import TomographyBackend, _check_count, _check_window, _shot_floor
+from .tomography import TomographyBackend, _check_window, _shot_floor
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -132,7 +133,7 @@ class ExperimentConfig:
             raise ValueError("every experiment needs d >= 2: a cell with d = 1 has one state only")
         if self.experiment is ExperimentKind.CHAIN_SWEEP:
             for cell in cells:
-                rconfig = _reduction_config(self, cell, 0)
+                rconfig = _reduction_config(self, cell)
                 # the samples_total column is the sum of two int64 counts
                 _check_count("copies in total", rconfig.n_copies + rconfig.extra_copies)
         if self.experiment is ExperimentKind.GENTLE_MEASUREMENT:
@@ -201,8 +202,9 @@ def flatten_report(report: ReductionReport) -> dict[str, Any]:
     return row
 
 
-def _reduction_config(config, cell, seed) -> ReductionConfig:
-    """The ReductionConfig of one chain trial; one backend serves both stages."""
+def _reduction_config(config, cell) -> ReductionConfig:
+    """The ReductionConfig of one chain cell, shared by every trial of a stack;
+    each trial's seed travels beside it. One backend serves both stages."""
     if config.backend == "oracle":
         backend = TomographyBackend.oracle(cell["epsilon"])
     else:
@@ -215,17 +217,16 @@ def _reduction_config(config, cell, seed) -> ReductionConfig:
         extra_copy_factor=config.extra_copy_factor,
         mixed_backend=backend,
         pure_backend=backend,
-        seed=seed,
     )
 
 
 def _reduction_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
-    """The records of a stack of chain trials, run as one batch."""
+    """The records of a stack of chain trials, run as one batch under one config."""
     psis = _random_pure_states(cell["r"], cell["d"], [child_seed(s, 0) for s in trial_seeds])
-    configs = [_reduction_config(config, cell, child_seed(s, 1)) for s in trial_seeds]
+    rconfig = _reduction_config(config, cell)
     bound = float(_guaranteed_bound(cell["epsilon"]))
     rows = []
-    for outcome in _run_reductions(psis, configs):
+    for outcome in _run_reductions(psis, rconfig, [child_seed(s, 1) for s in trial_seeds]):
         if isinstance(outcome, ReductionError):
             fields = dict.fromkeys(_REPORT_COLUMNS)
             error = str(outcome)

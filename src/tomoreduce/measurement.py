@@ -61,6 +61,12 @@ def _renormalized(p: np.ndarray, projected: np.ndarray) -> np.ndarray:
     return _phase_normalized((projected / np.sqrt(p)[:, None, None]).reshape(count, r * d))
 
 
+def _check_count(what: str, count: float) -> None:
+    """Raise ValueError unless a shot or copy count fits in int64, the dtype it is drawn in."""
+    if not count <= np.iinfo(np.int64).max:
+        raise ValueError(f"{count:.3g} {what} exceed the int64 limit 2^63 - 1")
+
+
 def _kept_count(shots: int, keep: float, seed) -> int:
     return int(rng_from_seed(seed).binomial(shots, keep))
 
@@ -91,4 +97,5 @@ def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> int:
     """
     if shots < 0:
         raise ValueError("shot count must be nonnegative")
+    _check_count("shots", shots)
     return _kept_count(shots, outcome_probability(psi, pi), seed)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import PROB_TOL, _keep_and_projected, _kept_count, _renormalized
+from .measurement import PROB_TOL, _check_count, _keep_and_projected, _kept_count, _renormalized
 from .seeding import child_seed, rng_from_seed
 from .states import (
     DensityMatrix,
@@ -43,7 +43,6 @@ from .tomography import (
     BackendKind,
     TomographyBackend,
     _calibrated_estimates,
-    _check_count,
     _check_window,
     _trace_distances,
 )
@@ -230,22 +229,26 @@ def _support_projections(m: np.ndarray, sigmas: list[DensityMatrix], rank_cap: i
     (r, d) coefficient matrices on the rank-capped supports of their sigmas.
 
     Trials are stacked by projector rank. The projected states are
-    phase-normalized amplitude rows, unchecked, and NaN where the keep
-    probability is at most PROB_TOL. The support bases need no check of
-    their own: they are columns of sigma's eigenvectors, whose Gram defect
-    sigma's check bounds.
+    phase-normalized and checked as one stack: a PureState per trial, or None
+    where the keep probability is at most PROB_TOL. The support bases need no
+    check of their own: they are columns of sigma's eigenvectors, whose Gram
+    defect sigma's check bounds.
     """
+    count, r, d = m.shape
     ranks = [_support_rank(sigma, rank_cap) for sigma in sigmas]
-    keep = np.empty(len(sigmas))
-    projected = np.full((len(sigmas), m.shape[1] * m.shape[2]), np.nan, dtype=complex)
+    p = np.empty(count)
+    projected = np.empty(m.shape, dtype=complex)
     for idx in _groups(ranks):
         k = ranks[idx[0]]
         basis = np.array([sigmas[i].eigenvectors[:, :k] for i in idx])
-        p, proj = _keep_and_projected(m[idx], basis)
-        keep[idx] = np.clip(p, 0.0, 1.0)
-        usable = keep[idx] > PROB_TOL
-        projected[idx[usable]] = _renormalized(p[usable], proj[usable])
-    return ranks, keep, projected
+        p[idx], projected[idx] = _keep_and_projected(m[idx], basis)
+    keep = np.clip(p, 0.0, 1.0)
+    usable = np.flatnonzero(keep > PROB_TOL)
+    rows = _renormalized(p[usable], projected[usable])
+    tildes: list[PureState | None] = [None] * count
+    for t, tilde in zip(usable, _pure_states(rows, (r, d))):
+        tildes[t] = tilde
+    return ranks, keep, tildes
 
 
 def _embeddings(basis: np.ndarray, r: int) -> np.ndarray:
@@ -257,13 +260,6 @@ def _embeddings(basis: np.ndarray, r: int) -> np.ndarray:
     return embed.reshape(count, r * d, r * k)
 
 
-def _stack_key(config: ReductionConfig) -> tuple:
-    return (
-        config.r, config.d, config.n_copies, config.epsilon, config.extra_copy_factor,
-        config.mixed_backend, config.pure_backend,
-    )
-
-
 def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     """Run the four-stage reduction on one bipartite pure input.
 
@@ -272,7 +268,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     raises :class:`ReductionError` (the support estimate misses the state
     entirely); a starved pure-state stage is reported, not raised.
     """
-    (outcome,) = _run_reductions([psi], [config])
+    (outcome,) = _run_reductions([psi], config, [config.seed])
     if isinstance(outcome, ReductionError):
         raise outcome
     return outcome
@@ -298,24 +294,22 @@ def _mixed_stage(
 
 
 def _run_reductions(
-    psis: list[PureState], configs: list[ReductionConfig]
+    psis: list[PureState], config: ReductionConfig, trial_seeds
 ) -> list[ReductionReport | ReductionError]:
-    """The reduction on a stack of inputs whose configs differ only in seed.
+    """The reduction on a stack of inputs under one config, trial t seeded by
+    trial_seeds[t] in place of ``config.seed``.
 
     One numpy call serves every trial of the stack that shares a shape (the
     projector rank may differ between trials), and each state stack is
-    checked once. Each trial keeps its own stage seeds, so its report is the
-    one it gets alone. Returns a report per trial, or the ReductionError that
-    failed that trial alone.
+    checked once. Each trial derives its stage seeds from its own seed, so
+    its report is the one ``run_reduction`` gives it alone. Returns a report
+    per trial, or the ReductionError that failed that trial alone.
     """
-    config = configs[0]
     r, d, eps = config.r, config.d, config.epsilon
-    for psi, other in zip(psis, configs):
+    for psi in psis:
         if psi.dims != (r, d):
             raise ValueError(f"state dims {psi.dims} do not match config ({r}, {d})")
-        if _stack_key(other) != _stack_key(config):
-            raise ValueError("the configs of a stack may differ only in their seeds")
-    seeds = [[child_seed(c.seed, k) for k in (2, 4, 5)] for c in configs]
+    seeds = [[child_seed(s, k) for k in (2, 4, 5)] for s in trial_seeds]
     count = len(psis)
     m = np.array([psi.as_matrix() for psi in psis])
 
@@ -323,9 +317,8 @@ def _run_reductions(
         m, config.mixed_backend, [s[0] for s in seeds], config.n_copies
     )
 
-    ranks, keep, projected = _support_projections(m, sigmas, r)
-    usable = [t for t in range(count) if keep[t] > PROB_TOL]
-    tildes = dict(zip(usable, _pure_states(projected[usable], (r, d))))
+    ranks, keep, tildes = _support_projections(m, sigmas, r)
+    usable = [t for t in range(count) if tildes[t] is not None]
     extra_copies = config.extra_copies
     samples_total = config.n_copies + extra_copies
     kept = {t: _kept_count(extra_copies, keep[t], seeds[t][1]) for t in usable}
@@ -351,7 +344,7 @@ def _run_reductions(
 
     outcomes: list[ReductionReport | ReductionError] = []
     for t in range(count):
-        if t not in tildes:
+        if tildes[t] is None:
             outcomes.append(
                 ReductionError(
                     f"keep probability {keep[t]:.3e} is below {PROB_TOL:g}; "
@@ -460,9 +453,8 @@ def verify_chain(
     f_rho_sigma = fidelity_mixed(rho, sigma)
     phi_opt = optimal_purification_against(sigma, psi)
     uhlmann_overlap = fidelity_pure_pure(psi, phi_opt)
-    _, keep, projected = _support_projections(psi.as_matrix()[None], [sigma], psi.r)
+    _, keep, (psi_tilde,) = _support_projections(psi.as_matrix()[None], [sigma], psi.r)
     keep_probability = float(keep[0])
-    psi_tilde = _pure_states(projected, psi.dims)[0] if keep_probability > PROB_TOL else None
 
     checks = [
         ChainCheck(
@@ -649,14 +641,14 @@ def _gentle_distances(psis: list[PureState], delta: float, seeds) -> np.ndarray:
     """T per trial of the gentle-measurement experiment on a stack of states
     of one shape, the trial's sigma drawn from its seed; NaN where the keep
     probability vanishes and the trial is skipped."""
-    r, d = psis[0].dims
     m = np.array([psi.as_matrix() for psi in psis])
     rhos = _density_matrices(*_reduced_states(m))
     sigmas = _calibrated_estimates(rhos, seeds, _trace_distances, delta / 2.0, delta)
-    _, keep, projected = _support_projections(m, sigmas, r)
-    usable = np.flatnonzero(keep > PROB_TOL)
+    _, _, tildes = _support_projections(m, sigmas, psis[0].r)
     distances = np.full(len(psis), np.nan)
-    for t, tilde in zip(usable, _pure_states(projected[usable], (r, d))):
+    for t, tilde in enumerate(tildes):
+        if tilde is None:
+            continue
         # one vdot and one vector norm per trial: row-wise forms round differently
         a, b = psis[t].amplitudes, tilde.amplitudes
         distances[t] = float(np.linalg.norm(a - np.vdot(b, a) * b))

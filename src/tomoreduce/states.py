@@ -167,10 +167,8 @@ class SchmidtDecomposition:
             raise ValueError("coefficients must be positive and nonincreasing")
         if not abs(np.sum(lam**2) - 1.0) <= NORM_ATOL:
             raise ValueError("squared coefficients must sum to 1")
-        for name, f in (("left", left), ("right", right)):
-            gram = f.conj().T @ f
-            if not np.max(np.abs(gram - np.eye(k))) <= NORM_ATOL:
-                raise ValueError(f"{name} factors are not orthonormal")
+        _check_orthonormal(left[None], "left factors")
+        _check_orthonormal(right[None], "right factors")
         object.__setattr__(self, "coefficients", _frozen(lam))
         object.__setattr__(self, "left_vectors", _frozen(left))
         object.__setattr__(self, "right_vectors", _frozen(right))
@@ -197,9 +195,7 @@ class Projector:
         dim, k = basis.shape
         if not 1 <= k <= dim:
             raise ValueError(f"need 1 <= rank <= dimension, got rank {k}, dimension {dim}")
-        gram = basis.conj().T @ basis
-        if not np.max(np.abs(gram - np.eye(k))) <= NORM_ATOL:
-            raise ValueError("basis columns are not orthonormal")
+        _check_orthonormal(basis[None], "basis columns")
         object.__setattr__(self, "basis", _frozen(basis))
 
     @property
@@ -262,6 +258,13 @@ def _check_hermitian(mat: np.ndarray) -> None:
         raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
 
 
+def _check_orthonormal(v: np.ndarray, what: str) -> None:
+    """Raise ValueError unless each v[t] of a (T, n, k) stack has orthonormal columns."""
+    defect = np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(v.shape[2])).max(initial=0.0)
+    if not defect <= NORM_ATOL:
+        raise ValueError(f"{what} are not orthonormal: defect {defect:.3e}")
+
+
 def _check_density_stack(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
     """Raise ValueError unless each mat[t] is Hermitian with unit trace and
     (w[t], v[t]) are its eigenpairs, possibly truncated: nonincreasing, not
@@ -277,11 +280,8 @@ def _check_density_stack(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
     negative = w[:, -1:] < -NORM_ATOL
     if negative.any():
         raise ValueError(f"negative eigenvalue {w[:, -1:][negative][0]!r} beyond tolerance")
-    v_h = v.conj().swapaxes(1, 2)
-    gram_defect = np.abs(v_h @ v - np.eye(w.shape[1])).max(initial=0.0)
-    if not gram_defect <= NORM_ATOL:
-        raise ValueError(f"eigenvectors are not orthonormal: defect {gram_defect:.3e}")
-    defect = np.abs((v * w[:, None, :]) @ v_h - mat).max()
+    _check_orthonormal(v, "eigenvectors")
+    defect = np.abs((v * w[:, None, :]) @ v.conj().swapaxes(1, 2) - mat).max()
     if not defect <= RECONSTRUCT_ATOL:
         raise ValueError(f"eigenpairs do not reconstruct the matrix: defect {defect:.3e}")
 

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .measurement import _check_count
 from .seeding import child_seed, rng_from_seed
 from .states import (
     RANK_TOL,
@@ -235,16 +236,12 @@ def _bracket_and_bisect(
     theta.fill(np.nan)
     climbing = list(range(count))
     brackets: dict[int, tuple[float, float]] = {}
-    rung = max(lo, 1e-4)
-    below_chunk = 0.0  # the rung under the current chunk, shared by every climbing trial
+    # repeated products, not powers: records depend on the exact rungs
+    ladder = np.cumprod([max(lo, 1e-4)] + [_LADDER_RATIO] * (_LADDER_STEPS - 1))
     for start in range(0, _LADDER_STEPS, _LADDER_CHUNK):
-        chunk = []
-        for _ in range(min(_LADDER_CHUNK, _LADDER_STEPS - start)):
-            chunk.append(rung)
-            # repeated products, not powers: records depend on the exact rungs
-            rung *= _LADDER_RATIO
+        chunk = ladder[start : start + _LADDER_CHUNK]
         still = []
-        for trial, row in zip(climbing, discrepancies(climbing, np.array([chunk])).tolist()):
+        for trial, row in zip(climbing, discrepancies(climbing, chunk[None]).tolist()):
             # the first rung that reaches the window; a NaN rung counts as below it
             i = next((i for i, val in enumerate(row) if val >= lo), None)
             if i is None:
@@ -252,11 +249,10 @@ def _bracket_and_bisect(
             elif row[i] <= hi:
                 theta[trial] = chunk[i]
             else:
-                brackets[trial] = (chunk[i - 1] if i else below_chunk, chunk[i])
+                brackets[trial] = (ladder[start + i - 1] if start + i else 0.0, chunk[i])
         climbing = still
         if not climbing:
             break
-        below_chunk = chunk[-1]
     bisecting = sorted(brackets)
     theta_lo = np.array([brackets[t][0] for t in bisecting])
     theta_hi = np.array([brackets[t][1] for t in bisecting])
@@ -355,12 +351,6 @@ def _check_window(what: str, target: float) -> None:
 def _shot_floor(dim: int) -> int:
     """d^2: linear inversion on C^dim resolves a Hermitian matrix of d^2 real parameters."""
     return dim * dim
-
-
-def _check_count(what: str, count: float) -> None:
-    """Raise ValueError unless a shot or copy count fits in int64, the dtype it is drawn in."""
-    if not count <= np.iinfo(np.int64).max:
-        raise ValueError(f"{count:.3g} {what} exceed the int64 limit 2^63 - 1")
 
 
 def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMatrix:

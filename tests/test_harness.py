@@ -10,9 +10,14 @@ import pytest
 from tomoreduce import (
     ExperimentConfig,
     ExperimentKind,
+    ReductionConfig,
+    TomographyBackend,
+    child_seed,
     fit_scaling,
+    random_pure_state,
     reduction,
     run_experiment,
+    run_reduction,
     write_records,
 )
 from tomoreduce.cli import build_parser, config_from_args, main
@@ -21,6 +26,7 @@ from tomoreduce.harness import (
     OUTPUT_DIR_ENV_VAR,
     _cell_summary,
     experiment_cells,
+    flatten_report,
 )
 
 
@@ -172,6 +178,37 @@ class TestTrialStacks:
     def test_measurement_cell_mixes_projector_ranks(self):
         _, records = cell_records(40, **STACK_CELLS[1])
         assert {rec["projector_rank"] for rec in records} == {2, 3}
+
+    def test_one_reduction_config_per_stack(self, monkeypatch):
+        # one build validates the grid, then one per stack of 16, 16 and 8 trials
+        builds = []
+        original = ReductionConfig.__post_init__
+        monkeypatch.setattr(
+            ReductionConfig, "__post_init__", lambda self: builds.append(1) or original(self)
+        )
+        config = small_sweep_config(r_values=(2,), d_values=(3,), eps_values=(0.1,), trials=40)
+        assert len(builds) == 1
+        run_experiment(config)
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize("backend", ["oracle", "measurement"])
+    def test_run_reduction_reproduces_the_stack(self, backend):
+        # the public one-trial call gives each trial the record its stack gave it
+        cell = dict(r_values=(2,), d_values=(3,), eps_values=(0.05,), backend=backend)
+        summary, records = cell_records(20, **cell)
+        assert summary.failures_total == 0
+        stage = (
+            TomographyBackend.oracle(0.05)
+            if backend == "oracle"
+            else TomographyBackend.linear_inversion(10_000)
+        )
+        for rec in records:
+            config = ReductionConfig(
+                r=2, d=3, n_copies=10_000, epsilon=0.05, mixed_backend=stage,
+                pure_backend=stage, seed=child_seed(rec["seed"], 1),
+            )
+            report = run_reduction(random_pure_state(2, 3, child_seed(rec["seed"], 0)), config)
+            assert flatten_report(report) == {k: rec[k] for k in _REPORT_COLUMNS}
 
     def test_failed_trial_fails_alone(self, monkeypatch):
         # a tolerance between the two smallest keep probabilities of the cell

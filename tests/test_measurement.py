@@ -157,6 +157,15 @@ class TestSampleShots:
         with pytest.raises(ValueError):
             sample_shots(psi, Projector(np.eye(2)), -1, seed=0)
 
+    def test_shots_beyond_int64_rejected(self):
+        # the int64 count rule, not numpy's OverflowError from the binomial draw
+        psi = random_pure_state(1, 2, seed=25)
+        pi = Projector(np.eye(2))
+        for shots in (2**63, 10**30):
+            with pytest.raises(ValueError, match="int64"):
+                sample_shots(psi, pi, shots, seed=0)
+        assert 0 <= sample_shots(psi, pi, 2**63 - 1, seed=0) <= 2**63 - 1
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("shots", [0, 1, 2**16 + 1, 10**15])
     def test_count_is_one_binomial_draw(self, shots, p):

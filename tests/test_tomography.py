@@ -135,6 +135,27 @@ class TestStackedCalibration:
         oracle_mixed_estimate(rho, 0.2, child_seed(141, 2, 1, 2))
         assert draws == [1, 1] and not any(bisects)
 
+    @pytest.mark.parametrize("lo", [1e-12, 0.1])
+    @pytest.mark.parametrize("j", [0, 7, 8, 139])
+    def test_ladder_rungs_and_brackets(self, lo, j):
+        # the rungs are repeated products of the first, bit for bit, and a trial
+        # that overshoots at rung j bisects from the rung below it (0 at j = 0)
+        ladder, rung = [], max(lo, 1e-4)
+        for _ in range(tm._LADDER_STEPS):
+            ladder.append(rung)
+            rung *= tm._LADDER_RATIO
+        climbed = []
+
+        def overshoot_from_rung_j(idx, thetas):
+            if thetas.shape[1] == 1:  # a bisection midpoint: land in the window
+                return np.full_like(thetas, 1.5 * lo)
+            climbed.extend(thetas[0].tolist())
+            return np.where(thetas >= ladder[j], 3.0 * lo, 0.0)
+
+        theta = tm._bracket_and_bisect(overshoot_from_rung_j, 1, lo, 2.0 * lo)
+        assert climbed == ladder[: (j // tm._LADDER_CHUNK + 1) * tm._LADDER_CHUNK]
+        assert theta[0] == ((ladder[j - 1] if j else 0.0) + ladder[j]) / 2
+
 
 class TestOraclePureEstimate:
     def test_tiny_epsilon(self):

@@ -7,11 +7,12 @@ Usage::
 Each tree is a checkout of this repository; the change tree defaults to the
 checkout that holds this script. Every sweep of ``SWEEPS`` runs once per tree
 and per record format (CSV and JSON Lines), each in a fresh interpreter with
-one BLAS thread, from an empty working directory. The ``wall_time`` column is
-left out of the comparison, since it is the only field that is not a function
-of the seed. For each run the script prints ``same`` or the columns that
-differ with their largest absolute difference, and it exits 1 if any record,
-stdout or exit code differs.
+one BLAS thread, from an empty working directory; the two trees' runs of a
+sweep run side by side. The ``wall_time`` column is left out of the
+comparison, since it is the only field that is not a function of the seed.
+For each run the script prints ``same`` or the columns that differ with
+their largest absolute difference, and it exits 1 if any record, stdout or
+exit code differs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # The sweeps every record check repeats: the default grid at two trials, a
@@ -113,20 +115,22 @@ def main(argv: list[str]) -> int:
     parent = Path(argv[0]).resolve()
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
     differ = 0
-    for sweep in SWEEPS:
-        for fmt in FORMATS:
-            code_a, out_a, recs_a = run_sweep(parent, sweep, fmt)
-            code_b, out_b, recs_b = run_sweep(change, sweep, fmt)
-            problems = []
-            if code_a != code_b:
-                problems.append(f"exit code {code_a} -> {code_b}")
-            if out_a != out_b:
-                problems.append("stdout differs")
-            diffs = record_differences(recs_a, recs_b)
-            problems += [f"{key} max |d| {delta:.3g}" for key, delta in sorted(diffs.items())]
-            label = f"{' '.join(sweep)} [{fmt}]"
-            print(f"{label}: {len(recs_b)} records, " + ("; ".join(problems) or "same"), flush=True)
-            differ += bool(problems)
+    with ThreadPoolExecutor(max_workers=2) as pool:  # a sweep's two trees side by side
+        for sweep in SWEEPS:
+            for fmt in FORMATS:
+                runs = pool.map(lambda tree: run_sweep(tree, sweep, fmt), (parent, change))
+                (code_a, out_a, recs_a), (code_b, out_b, recs_b) = runs
+                problems = []
+                if code_a != code_b:
+                    problems.append(f"exit code {code_a} -> {code_b}")
+                if out_a != out_b:
+                    problems.append("stdout differs")
+                diffs = record_differences(recs_a, recs_b)
+                problems += [f"{key} max |d| {delta:.3g}" for key, delta in sorted(diffs.items())]
+                label = f"{' '.join(sweep)} [{fmt}]"
+                summary = "; ".join(problems) or "same"
+                print(f"{label}: {len(recs_b)} records, {summary}", flush=True)
+                differ += bool(problems)
     print(f"{differ} run(s) differ" if differ else "all runs identical")
     return 1 if differ else 0
 
