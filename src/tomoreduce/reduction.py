@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import PROB_TOL, _check_count, _keep_and_projected, _kept_count, _renormalized
+from .measurement import (
+    PROB_TOL,
+    _check_count,
+    _check_integer,
+    _keep_and_projected,
+    _kept_count,
+    _renormalized,
+)
 from .seeding import child_seed, rng_from_seed
 from .states import (
     DensityMatrix,
@@ -89,8 +96,8 @@ class ReductionConfig:
 
     ``n_copies`` is the sample count consumed by the mixed-state stage (in
     simulation those copies collapse to one classical reduced state, but the
-    count enters the sample accounting; it must reach the mixed backend's
-    ``min_shots(d)`` and fit in int64). The projection stage consumes
+    count enters the sample accounting; it must be an integer, reach the
+    mixed backend's ``min_shots(d)`` and fit in int64). The projection stage consumes
     ``ceil(extra_copy_factor * r^2 / epsilon)`` additional copies.
     """
 
@@ -108,6 +115,7 @@ class ReductionConfig:
             raise ValueError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
+        _check_integer("n_copies", self.n_copies)
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
         _extra_copy_count(self.extra_copy_factor, self.r, self.epsilon)

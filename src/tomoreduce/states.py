@@ -352,7 +352,19 @@ def _support_rank(sigma: DensityMatrix, rank_cap: int) -> int:
 def _haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar unitaries, shape (count, dim, dim), from one stacked QR
     of Ginibre matrices; bit for bit ``count`` successive single draws."""
-    g = rng.standard_normal((count, 2, dim, dim))
+    return _unitaries_from_ginibre(rng.standard_normal((count, 2, dim, dim)))
+
+
+def _haar_unitary_stack(dim: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One Haar unitary per generator, shape (len(rngs), dim, dim), from one
+    stacked QR; bit for bit each generator's ``_haar_unitaries(dim, 1, rng)``."""
+    return _unitaries_from_ginibre(np.array([rng.standard_normal((2, dim, dim)) for rng in rngs]))
+
+
+def _unitaries_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the real and imaginary parts, shape (T, 2, d, d),
+    of a stack of Ginibre matrices: the QR factors with R's diagonal phases
+    moved into Q."""
     z = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diagonal(r, axis1=1, axis2=2).copy()

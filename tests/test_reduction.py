@@ -70,6 +70,12 @@ class TestReductionConfig:
             ReductionConfig(r=1, d=2, n_copies=2**63, epsilon=0.1, mixed_backend=inversion)
         ReductionConfig(r=1, d=2, n_copies=2**63 - 1, epsilon=0.1, mixed_backend=inversion)
 
+    @pytest.mark.parametrize("n_copies", [100.5, float("nan"), 100.0, True])
+    def test_rejects_copy_count_that_is_not_an_integer(self, n_copies):
+        # 100.5 used to be accepted and reported samples_total = 140.5
+        with pytest.raises(ValueError, match=f"n_copies must be an integer, got {n_copies!r}"):
+            ReductionConfig(r=1, d=2, n_copies=n_copies, epsilon=0.1)
+
     def test_largest_copy_count_accepted(self):
         inversion = TomographyBackend.linear_inversion(shots=100)
         cfg = ReductionConfig(

@@ -25,6 +25,7 @@ from tomoreduce import tomography as tm
 from tomoreduce.states import _haar_unitaries
 from tomoreduce.tomography import (
     _measurement_design,
+    _num_bases,
     _projector_rows,
     _simulate_inversion,
     _split_budget,
@@ -267,20 +268,23 @@ class TestEstimatePure:
         assert medians[0] >= medians[1] >= medians[2]
 
 
-def _loop_inversion(probabilities, dim, n, design_rng, shot_rng):
-    """The per-basis reference: single Haar draws, one multinomial per basis,
-    rows from np.outer, solved by lstsq. Returns (rows, x)."""
-    num_bases = max(6, int(np.ceil(3.0 * np.log(dim))) * dim)
-    bases = [np.eye(dim, dtype=complex)]
-    bases += [_haar_unitaries(dim, 1, design_rng)[0] for _ in range(num_bases - 1)]
+def _loop_inversion(probabilities, dim, n, rotation_rng, shot_rng):
+    """The per-basis reference: the fixed design of dimension d rotated by one
+    Haar draw, one multinomial per basis, rows from np.outer, solved by
+    lstsq. Returns (rows, x)."""
+    num_bases = _num_bases(dim)
+    design_rng = np.random.default_rng(tm._design_seed(dim))
+    design = _measurement_design(dim, num_bases, design_rng)
+    u = _haar_unitaries(dim, 1, rotation_rng)[0]
     rows, freqs = [], []
-    for u, shots in zip(bases, _split_budget(n, num_bases)):
+    for b, shots in zip(design, _split_budget(n, num_bases)):
         if shots == 0:
             continue
-        p = np.clip(probabilities(u), 0.0, None)
+        basis = u @ b
+        p = np.clip(probabilities(basis), 0.0, None)
         counts = shot_rng.multinomial(shots, p / p.sum())
         for j in range(dim):
-            rows.append(np.outer(u[:, j].conj(), u[:, j]).reshape(-1))
+            rows.append(np.outer(basis[:, j].conj(), basis[:, j]).reshape(-1))
             freqs.append(counts[j] / shots)
     x, *_ = np.linalg.lstsq(np.array(rows), np.array(freqs, dtype=complex), rcond=None)
     x = x.reshape(dim, dim)
@@ -301,22 +305,96 @@ class TestStackedInversion:
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     @pytest.mark.parametrize("dim,n", CASES)
     def test_frame_operator_solve_matches_lstsq(self, dim, n, kind):
-        # per-basis and stacked outcome probabilities, as the estimators write them
+        # the rotated fixed design solved through its cached frame operator
+        # against lstsq on the rotated bases
         if kind == "pure":
             amps = random_pure_state(1, dim, seed=50 + dim).amplitudes
             per_basis = lambda u: np.abs(u.conj().T @ amps) ** 2
-            stacked = lambda u: np.abs(u.conj().swapaxes(1, 2) @ amps) ** 2
+            mat = np.outer(amps, amps.conj())
         else:
             mat = random_rank_r_state(dim, 2, seed=50 + dim).matrix
             per_basis = lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=0))
-            stacked = lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=1))
-        # the design comes from child 0 of the seed and the shots from child 1
-        design_rng = np.random.default_rng(child_seed(52, 0))
+        # the rotation comes from child 0 of the seed and the shots from child 1
+        rotation_rng = np.random.default_rng(child_seed(52, 0))
         shot_rng = np.random.default_rng(child_seed(52, 1))
-        rows, expected = _loop_inversion(per_basis, dim, n, design_rng, shot_rng)
+        rows, expected = _loop_inversion(per_basis, dim, n, rotation_rng, shot_rng)
         assert rows.shape[0] >= (dim + 1) * dim
-        x = _simulate_inversion(stacked, dim, n, seed=52)
+        x = _simulate_inversion(mat[None], [n], [52])[0]
         assert np.max(np.abs(x - expected)) <= 1e-12
+
+
+# Every key the estimators can ask for at d = 2-9: the full design of each
+# dimension, and the prefixes that budgets from the d^2 floor up leave with shots.
+DESIGN_KEYS = [(d, _num_bases(d)) for d in range(2, 10)] + [
+    (2, 4), (2, 5), (3, 9), (3, 10), (3, 11), (4, 16), (4, 17), (4, 18), (4, 19)
+]
+
+
+class TestCachedDesign:
+    @pytest.mark.parametrize("dim,used", DESIGN_KEYS)
+    def test_exact_probabilities_round_trip(self, dim, used):
+        # exact outcome probabilities, summed projector by projector, are
+        # inverted back to the state through the cached frame-operator inverse
+        design = tm._design(dim, used)
+        assert design.vectors.shape == (dim, used * dim)
+        rho = random_rank_r_state(dim, dim, seed=60 + dim).matrix
+        y = np.zeros((dim, dim), dtype=complex)
+        for g in design.vectors.T:
+            y += np.real(g.conj() @ rho @ g) * np.outer(g, g.conj())
+        x = (design.frame_inverse @ y.reshape(-1)).reshape(dim, dim)
+        assert np.max(np.abs(x - rho)) <= 1e-12
+
+    def test_budgets_use_a_prefix_of_one_design(self):
+        full = tm._design(4, _num_bases(4)).vectors
+        for used in (16, 17, 18, 19):
+            assert np.array_equal(tm._design(4, used).vectors, full[:, : used * 4])
+
+    def test_each_key_is_built_once(self):
+        tm._design.cache_clear()
+        rho = random_rank_r_state(3, 2, seed=61)
+        psi = random_pure_state(1, 3, seed=62)
+        for t in range(3):
+            estimate_mixed_state_from_measurements(rho, 2, 10**4, child_seed(63, t))
+            estimate_pure_state_from_measurements(psi, 10, child_seed(64, t))
+        tm._inverted_mixed_states([rho] * 4, 2, [9, 10, 10**4, 9], [1, 2, 3, 4])
+        # keys (3, 12), (3, 10) and (3, 9): built once each, then read
+        info = tm._design.cache_info()
+        assert (info.misses, info.hits) == (3, 6)
+
+    def test_rank_deficient_design_raises_when_built(self, monkeypatch):
+        # every basis the standard basis: the frame operator sees only diagonals
+        monkeypatch.setattr(
+            tm, "_measurement_design", lambda dim, m, rng: np.array([np.eye(dim, dtype=complex)] * m)
+        )
+        tm._design.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="ill conditioned"):
+                tm._design(3, 12)
+            rho = random_rank_r_state(3, 2, seed=65)
+            with pytest.raises(RuntimeError, match="ill conditioned"):
+                estimate_mixed_state_from_measurements(rho, 2, 10**4, seed=66)
+        finally:
+            tm._design.cache_clear()
+            tm._design_seed.cache_clear()
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_stack_matches_one_trial_at_a_time(self, dim):
+        # budgets from the floor up, so a stack mixes keys, bit for bit
+        budgets = [dim * dim, dim * dim + 1, 10**4, dim * dim, 10**3, 10**4]
+        seeds = [child_seed(67, dim, t) for t in range(len(budgets))]
+        rhos = [random_rank_r_state(dim, 1 + t % dim, child_seed(68, dim, t)) for t in range(6)]
+        r = min(2, dim)
+        stacked = tm._inverted_mixed_states(rhos, r, budgets, seeds)
+        for rho, n, seed, sigma in zip(rhos, budgets, seeds, stacked):
+            alone = estimate_mixed_state_from_measurements(rho, r, n, seed)
+            assert np.array_equal(alone.matrix, sigma.matrix)
+            assert np.array_equal(alone.eigenvalues, sigma.eigenvalues)
+            assert np.array_equal(alone.eigenvectors, sigma.eigenvectors)
+        psis = [random_pure_state(1, dim, child_seed(69, dim, t)) for t in range(6)]
+        stacked = tm._inverted_pure_states(psis, budgets, seeds)
+        for psi, n, seed, phi in zip(psis, budgets, seeds, stacked):
+            alone = estimate_pure_state_from_measurements(psi, n, seed)
+            assert np.array_equal(alone.amplitudes, phi.amplitudes)
 
 
 class TestEstimateMixed:
@@ -355,6 +433,17 @@ class TestEstimateMixed:
                 vals.append(1 - fidelity_mixed(rho, est))
             medians.append(float(np.median(vals)))
         assert medians[0] >= medians[1] >= medians[2]
+
+    @pytest.mark.parametrize("n", [4.5, float("nan"), 100.0, True])
+    def test_rejects_budget_that_is_not_an_integer(self, n):
+        # 4.5 used to die in a TypeError, and NaN was reported as beyond int64
+        rho = random_rank_r_state(2, 1, seed=38)
+        for estimate in (
+            lambda: estimate_mixed_state_from_measurements(rho, 1, n, 3),
+            lambda: estimate_pure_state_from_measurements(random_pure_state(1, 2, seed=39), n, 3),
+        ):
+            with pytest.raises(ValueError, match=f"shots must be an integer, got {n!r}"):
+                estimate()
 
     def test_budget_floor_and_rank_bounds(self):
         rho = random_rank_r_state(3, 2, seed=37)
@@ -397,6 +486,14 @@ class TestBackendConfig:
             TomographyBackend(kind=BackendKind.MEASUREMENT_LINEAR_INVERSION)
         with pytest.raises(ValueError):
             TomographyBackend.linear_inversion(0)
+
+    @pytest.mark.parametrize("shots", [float("nan"), 4.5, 100.0, True, np.bool_(True)])
+    def test_rejects_shots_that_are_not_an_integer(self, shots):
+        with pytest.raises(ValueError, match=f"shots must be an integer, got {shots!r}"):
+            TomographyBackend.linear_inversion(shots)
+
+    def test_numpy_integer_shots_accepted(self):
+        assert TomographyBackend.linear_inversion(np.int64(5)).shots == 5
 
     def test_min_shots(self):
         for dim in (1, 2, 6):

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/record_check.py <parent-tree> [<change-tree>]
+    python3 tools/record_check.py [--stats] <parent-tree> [<change-tree>]
 
 Each tree is a checkout of this repository; the change tree defaults to the
 checkout that holds this script. Every sweep of ``SWEEPS`` runs once per tree
@@ -13,6 +13,15 @@ comparison, since it is the only field that is not a function of the seed.
 For each run the script prints ``same`` or the columns that differ with
 their largest absolute difference, and it exits 1 if any record, stdout or
 exit code differs.
+
+With ``--stats`` the trees may draw different records from the same law,
+which a byte comparison cannot show. Every sweep of ``STATS_SWEEPS`` then
+runs once per tree at ``--trials 400``, and per cell and per column of
+``STATS_COLUMNS`` a two-sample Kolmogorov-Smirnov test compares the two
+trees' values (a trial that wrote no value, such as an errored trial's, is
+left out). The script prints each sweep's smallest p-value and test count,
+then the smallest p-value of the whole run with its Bonferroni count, and it
+exits 1 if that p-value times the count is below 1%, or an exit code differs.
 """
 
 from __future__ import annotations
@@ -56,6 +65,19 @@ SWEEPS = (
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000", "--trials", "40"],
 )
 FORMATS = ("csv", "jsonl")
+# The sweeps of --stats: both chain backends on the default grid, and the
+# scale-* grids of SWEEPS, from the d^2 floor to 1e5 shots.
+STATS_SWEEPS = (
+    ["chain-sweep"],
+    ["chain-sweep", "--backend", "measurement"],
+    ["scale-pure", "--d", "2,3,4,8", "--n", "64,1000,100000"],
+    ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000"],
+)
+STATS_TRIALS = 400
+# the chain's stage-1 fidelity, keep probability and final fidelity, and the
+# scale-* infidelity; a sweep's records hold some of them
+STATS_COLUMNS = ("fidelity_mixed_estimate", "keep_probability", "final_fidelity", "infidelity")
+STATS_ALPHA = 0.01  # family-wise false-alarm rate of the Bonferroni-corrected tests
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -108,12 +130,63 @@ def record_differences(old: list[dict], new: list[dict]) -> dict[str, float]:
     return diffs
 
 
+def cell_values(records: list[dict], column: str) -> dict[str, list[float]]:
+    """The numeric values of one column, by cell."""
+    by_cell: dict[str, list[float]] = {}
+    for rec in records:
+        value = _as_float(rec.get(column))
+        if value is not None:
+            by_cell.setdefault(str(rec["cell"]), []).append(value)
+    return by_cell
+
+
+def compare_laws(parent: Path, change: Path) -> int:
+    """The --stats mode: per-cell two-sample KS tests between the trees."""
+    from scipy.stats import ks_2samp
+
+    tests: list[tuple[float, str]] = []
+    codes_differ = False
+    with ThreadPoolExecutor(max_workers=2) as pool:  # a sweep's two trees side by side
+        for sweep in STATS_SWEEPS:
+            argv = [*sweep, "--trials", str(STATS_TRIALS)]
+            runs = pool.map(lambda tree: run_sweep(tree, argv, "csv"), (parent, change))
+            (code_a, _, recs_a), (code_b, _, recs_b) = runs
+            found = []
+            for column in STATS_COLUMNS:
+                old, new = cell_values(recs_a, column), cell_values(recs_b, column)
+                for cell in sorted(old.keys() & new.keys(), key=int):
+                    p = ks_2samp(old[cell], new[cell]).pvalue
+                    found.append((float(p), f"{' '.join(argv)}: cell {cell} {column}"))
+            label = f"{' '.join(argv)}: {len(recs_a)} -> {len(recs_b)} records"
+            if code_a != code_b:
+                label += f", exit code {code_a} -> {code_b}"
+                codes_differ = True
+            if found:
+                p, where = min(found)
+                label += f", {len(found)} tests, smallest p {p:.3g} ({where.split(': ', 1)[1]})"
+            print(label, flush=True)
+            tests += found
+    if not tests:
+        print("no values to compare")
+        return 1
+    p, where = min(tests)
+    corrected = min(1.0, p * len(tests))
+    verdict = "differ" if corrected < STATS_ALPHA else "agree"
+    print(f"smallest p {p:.3g} of {len(tests)} tests ({where}); "
+          f"Bonferroni-corrected {corrected:.3g}: the laws {verdict} at {STATS_ALPHA:g}")
+    return 1 if corrected < STATS_ALPHA or codes_differ else 0
+
+
 def main(argv: list[str]) -> int:
+    stats = "--stats" in argv
+    argv = [arg for arg in argv if arg != "--stats"]
     if not 1 <= len(argv) <= 2:
         print(__doc__, file=sys.stderr)
         return 2
     parent = Path(argv[0]).resolve()
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    if stats:
+        return compare_laws(parent, change)
     differ = 0
     with ThreadPoolExecutor(max_workers=2) as pool:  # a sweep's two trees side by side
         for sweep in SWEEPS:
