@@ -33,7 +33,7 @@ from .reduction import (
     _run_reductions,
     proposition_search,
 )
-from .seeding import child_seed
+from .seeding import _check_seed, child_seed, rng_from_seed
 from .states import _overlaps, _random_pure_states
 from .tomography import TomographyBackend, _check_window, _shot_floor
 
@@ -102,8 +102,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master seed must be nonnegative")
+        _check_seed("master_seed", self.master_seed)
         if self.backend not in ("oracle", "measurement"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.out_format not in ("csv", "jsonl"):
@@ -204,7 +203,7 @@ def flatten_report(report: ReductionReport) -> dict[str, Any]:
 
 def _reduction_config(config, cell) -> ReductionConfig:
     """The ReductionConfig of one chain cell, shared by every trial of a stack;
-    each trial's seed travels beside it. One backend serves both stages."""
+    each trial's generator travels beside it. One backend serves both stages."""
     if config.backend == "oracle":
         backend = TomographyBackend.oracle(cell["epsilon"])
     else:
@@ -220,13 +219,20 @@ def _reduction_config(config, cell) -> ReductionConfig:
     )
 
 
+def _trial_draws(cell, trial_seeds):
+    """Each trial's Haar input, on its psi seed child_seed(s, 0), and the one
+    generator its stages draw from, on its stream seed child_seed(s, 1)."""
+    psis = _random_pure_states(cell.get("r", 1), cell["d"], [child_seed(s, 0) for s in trial_seeds])
+    return psis, [rng_from_seed(child_seed(s, 1)) for s in trial_seeds]
+
+
 def _reduction_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
     """The records of a stack of chain trials, run as one batch under one config."""
-    psis = _random_pure_states(cell["r"], cell["d"], [child_seed(s, 0) for s in trial_seeds])
+    psis, rngs = _trial_draws(cell, trial_seeds)
     rconfig = _reduction_config(config, cell)
     bound = float(_guaranteed_bound(cell["epsilon"]))
     rows = []
-    for outcome in _run_reductions(psis, rconfig, [child_seed(s, 1) for s in trial_seeds]):
+    for outcome in _run_reductions(psis, rconfig, rngs):
         if isinstance(outcome, ReductionError):
             fields = dict.fromkeys(_REPORT_COLUMNS)
             error = str(outcome)
@@ -244,9 +250,9 @@ def _fidelity_fields(fidelities) -> list[dict[str, Any]]:
 
 
 def _scaling_pure_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
-    psis = _random_pure_states(1, cell["d"], [child_seed(s, 0) for s in trial_seeds])
+    psis, rngs = _trial_draws(cell, trial_seeds)
     estimates = TomographyBackend.linear_inversion(cell["n"])._estimate_pure_stack(
-        psis, [child_seed(s, 1) for s in trial_seeds], [cell["n"]] * len(psis)
+        psis, rngs, [cell["n"]] * len(psis)
     )
     return _fidelity_fields(
         _overlaps([psi.amplitudes for psi in psis], [phi.amplitudes for phi in estimates])
@@ -255,21 +261,17 @@ def _scaling_pure_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
 
 def _scaling_mixed_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
     n = cell["n"]
-    psis = _random_pure_states(cell["r"], cell["d"], [child_seed(s, 0) for s in trial_seeds])
+    psis, rngs = _trial_draws(cell, trial_seeds)
     m = np.array([psi.as_matrix() for psi in psis])
-    _, fidelities = _mixed_stage(
-        m, TomographyBackend.linear_inversion(n), [child_seed(s, 1) for s in trial_seeds], n
-    )
+    _, fidelities = _mixed_stage(m, TomographyBackend.linear_inversion(n), rngs, n)
     return _fidelity_fields(fidelities)
 
 
 def _gentle_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
     delta = cell["delta"]
-    psis = _random_pure_states(cell["r"], cell["d"], [child_seed(s, 0) for s in trial_seeds])
-    # the sigma seed of one gentle_measurement_experiment trial under seed child_seed(s, 1)
-    seeds = [child_seed(child_seed(s, 1), 0) for s in trial_seeds]
+    psis, rngs = _trial_draws(cell, trial_seeds)
     rows = []
-    for t in _gentle_distances(psis, delta, seeds).tolist():
+    for t in _gentle_distances(psis, delta, rngs).tolist():
         values = (None,) * 3 if math.isnan(t) else (t, t / math.sqrt(delta), t / delta)
         fields = dict(zip(("trace_distance", "ratio_sqrt", "ratio_linear"), values))
         rows.append({**fields, "skipped": math.isnan(t), "violations": 0})

@@ -76,10 +76,6 @@ def _check_count(what: str, count: float) -> None:
         raise ValueError(f"{count:.3g} {what} exceed the int64 limit 2^63 - 1")
 
 
-def _kept_count(shots: int, keep: float, seed) -> int:
-    return int(rng_from_seed(seed).binomial(shots, keep))
-
-
 def outcome_probability(psi: PureState, pi: Projector) -> float:
     """Probability <psi|(I (x) P)|psi> of the keep outcome."""
     _check_dims(psi, pi)
@@ -100,11 +96,12 @@ def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> int:
     """Number of keep outcomes among `shots` i.i.d. copies, deterministic per seed.
 
     The count is one ``binomial(shots, p)`` draw from the seed's stream, the
-    law of counting i.i.d. keep outcomes; ``shots`` must fit in int64. All
-    kept copies collapse to the one state returned by
+    law of counting i.i.d. keep outcomes; ``shots`` must be an integer that
+    fits in int64. All kept copies collapse to the one state returned by
     :func:`project_and_renormalize`.
     """
+    _check_integer("shots", shots)
     if shots < 0:
         raise ValueError("shot count must be nonnegative")
     _check_count("shots", shots)
-    return _kept_count(shots, outcome_probability(psi, pi), seed)
+    return int(rng_from_seed(seed).binomial(shots, outcome_probability(psi, pi)))

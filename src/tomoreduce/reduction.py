@@ -26,10 +26,9 @@ from .measurement import (
     _check_count,
     _check_integer,
     _keep_and_projected,
-    _kept_count,
     _renormalized,
 )
-from .seeding import child_seed, rng_from_seed
+from .seeding import _check_seed, child_seed, rng_from_seed
 from .states import (
     DensityMatrix,
     PureState,
@@ -98,7 +97,7 @@ class ReductionConfig:
     simulation those copies collapse to one classical reduced state, but the
     count enters the sample accounting; it must be an integer, reach the
     mixed backend's ``min_shots(d)`` and fit in int64). The projection stage consumes
-    ``ceil(extra_copy_factor * r^2 / epsilon)`` additional copies.
+    ``ceil(extra_copy_factor * r^2 / epsilon)`` additional copies; ``seed`` is an integer >= 0.
     """
 
     r: int
@@ -113,6 +112,7 @@ class ReductionConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.r <= self.d:
             raise ValueError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
+        _check_seed("seed", self.seed)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         _check_integer("n_copies", self.n_copies)
@@ -271,27 +271,27 @@ def _embeddings(basis: np.ndarray, r: int) -> np.ndarray:
 def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     """Run the four-stage reduction on one bipartite pure input.
 
-    Stage seeds are derived from the config seed, so a run is a pure function
-    of (psi, config). A keep probability at or below the projection tolerance
-    raises :class:`ReductionError` (the support estimate misses the state
-    entirely); a starved pure-state stage is reported, not raised.
+    The stages draw in order from one generator on the config seed, so a run
+    is a pure function of (psi, config). A keep probability at or below the
+    projection tolerance raises :class:`ReductionError` (the support estimate
+    misses the state entirely); a starved pure-state stage is reported, not raised.
     """
-    (outcome,) = _run_reductions([psi], config, [config.seed])
+    (outcome,) = _run_reductions([psi], config, [rng_from_seed(config.seed)])
     if isinstance(outcome, ReductionError):
         raise outcome
     return outcome
 
 
 def _mixed_stage(
-    m: np.ndarray, backend: TomographyBackend, seeds, shots: int
+    m: np.ndarray, backend: TomographyBackend, rngs, shots: int
 ) -> tuple[list[DensityMatrix], list[float]]:
     """Stage 1 on a (T, r, d) stack of coefficient matrices: the backend's
-    rank-r estimates sigma_t of the reduced states rho_t, and F(rho_t, sigma_t).
-    sqrt(sigma) is taken per stack of one eigenvector shape."""
+    rank-r estimates sigma_t of the reduced states rho_t, drawn from rngs[t],
+    and F(rho_t, sigma_t). sqrt(sigma) is taken per stack of one eigenvector shape."""
     count, r, d = m.shape
     rho_mat, rho_w, rho_v = _reduced_states(m)
     rhos = _density_matrices(rho_mat, rho_w, rho_v)
-    sigmas = backend._estimate_mixed_stack(rhos, r, seeds, shots)
+    sigmas = backend._estimate_mixed_stack(rhos, r, rngs, shots)
     root_sigma = np.empty((count, d, d), dtype=complex)
     for idx in _groups([sigma.eigenvectors.shape for sigma in sigmas]):
         root_sigma[idx] = _sqrt_matrices(
@@ -302,34 +302,31 @@ def _mixed_stage(
 
 
 def _run_reductions(
-    psis: list[PureState], config: ReductionConfig, trial_seeds
+    psis: list[PureState], config: ReductionConfig, rngs
 ) -> list[ReductionReport | ReductionError]:
-    """The reduction on a stack of inputs under one config, trial t seeded by
-    trial_seeds[t] in place of ``config.seed``.
+    """The reduction on a stack of inputs under one config, trial t drawing
+    from the generator rngs[t] in place of ``config.seed``'s.
 
     One numpy call serves every trial of the stack that shares a shape (the
     projector rank may differ between trials), and each state stack is
-    checked once. Each trial derives its stage seeds from its own seed, so
-    its report is the one ``run_reduction`` gives it alone. Returns a report
-    per trial, or the ReductionError that failed that trial alone.
+    checked once. Each trial's stages draw in order from its own generator: stage 1,
+    the kept count, then stage 2. So its report is the one ``run_reduction`` gives
+    it alone. Returns a report per trial, or the ReductionError that failed it alone.
     """
     r, d, eps = config.r, config.d, config.epsilon
     for psi in psis:
         if psi.dims != (r, d):
             raise ValueError(f"state dims {psi.dims} do not match config ({r}, {d})")
-    seeds = [[child_seed(s, k) for k in (2, 4, 5)] for s in trial_seeds]
     count = len(psis)
     m = np.array([psi.as_matrix() for psi in psis])
 
-    sigmas, f_rho_sigma = _mixed_stage(
-        m, config.mixed_backend, [s[0] for s in seeds], config.n_copies
-    )
+    sigmas, f_rho_sigma = _mixed_stage(m, config.mixed_backend, rngs, config.n_copies)
 
     ranks, keep, tildes = _support_projections(m, sigmas, r)
     usable = [t for t in range(count) if tildes[t] is not None]
     extra_copies = config.extra_copies
     samples_total = config.n_copies + extra_copies
-    kept = {t: _kept_count(extra_copies, keep[t], seeds[t][1]) for t in usable}
+    kept = {t: int(rngs[t].binomial(extra_copies, keep[t])) for t in usable}
     # The pure-state stage runs in coordinates on (X register) x supp(Pi),
     # a subspace of dimension r * rank(Pi) <= r^2.
     fed = [t for t in usable if kept[t] >= config.pure_backend.min_shots(r * ranks[t])]
@@ -344,7 +341,7 @@ def _run_reductions(
         # one vector norm per trial: a norm along an axis rounds differently
         coords = np.array([c / np.linalg.norm(c) for c in coords])
         phis = config.pure_backend._estimate_pure_stack(
-            _pure_states(coords, (r, k)), [seeds[t][2] for t in trials], [kept[t] for t in trials]
+            _pure_states(coords, (r, k)), [rngs[t] for t in trials], [kept[t] for t in trials]
         )
         phi = np.array([p.amplitudes for p in phis])
         rows = _phase_normalized((embed @ phi[:, :, None])[:, :, 0])
@@ -639,19 +636,19 @@ def gentle_measurement_experiment(
     _check_window("trace distance", delta)
     if trials < 1:
         raise ValueError("trials must be positive")
-    seeds = [child_seed(int(seed), t) for t in range(trials)]
-    distances = _gentle_distances([psi] * trials, delta, seeds)
+    rngs = [rng_from_seed(child_seed(seed, t)) for t in range(trials)]
+    distances = _gentle_distances([psi] * trials, delta, rngs)
     kept = distances[~np.isnan(distances)]
     return GentleMeasurementResult(delta=delta, skipped=trials - kept.size, trace_distances=kept)
 
 
-def _gentle_distances(psis: list[PureState], delta: float, seeds) -> np.ndarray:
+def _gentle_distances(psis: list[PureState], delta: float, rngs) -> np.ndarray:
     """T per trial of the gentle-measurement experiment on a stack of states
-    of one shape, the trial's sigma drawn from its seed; NaN where the keep
-    probability vanishes and the trial is skipped."""
+    of one shape, the trial's sigma drawn from its generator; NaN where the
+    keep probability vanishes and the trial is skipped."""
     m = np.array([psi.as_matrix() for psi in psis])
     rhos = _density_matrices(*_reduced_states(m))
-    sigmas = _calibrated_estimates(rhos, seeds, _trace_distances, delta / 2.0, delta)
+    sigmas = _calibrated_estimates(rhos, rngs, _trace_distances, delta / 2.0, delta)
     _, _, tildes = _support_projections(m, sigmas, psis[0].r)
     distances = np.full(len(psis), np.nan)
     for t, tilde in enumerate(tildes):

@@ -12,7 +12,8 @@ one fixed, seeded design whose frame-operator inverse is built once, on first
 use; each estimate rotates that design by its own Haar unitary, so every
 basis it measures in is Haar. A stack of estimates is one pass: one batched
 QR draws the rotations, one multinomial call per trial its counts, and one
-stacked product applies the cached inverse.
+stacked product applies the cached inverse. The stack kernels take one
+generator per trial and draw from it in program order.
 """
 
 from __future__ import annotations
@@ -115,30 +116,30 @@ class TomographyBackend:
         self, rho: DensityMatrix, rank: int, seed, shots: int | None = None
     ) -> DensityMatrix:
         budget = shots if shots is not None else self.shots
-        return self._estimate_mixed_stack([rho], rank, [seed], budget)[0]
+        return self._estimate_mixed_stack([rho], rank, [rng_from_seed(seed)], budget)[0]
 
     def estimate_pure(self, psi: PureState, seed, shots: int | None = None) -> PureState:
         budget = shots if shots is not None else self.shots
-        return self._estimate_pure_stack([psi], [seed], [budget])[0]
+        return self._estimate_pure_stack([psi], [rng_from_seed(seed)], [budget])[0]
 
     def _estimate_mixed_stack(
-        self, rhos: list[DensityMatrix], rank: int, seeds, shots: int | None
+        self, rhos: list[DensityMatrix], rank: int, rngs, shots: int | None
     ) -> list[DensityMatrix]:
-        """estimate_mixed on a stack of states on one C^d: an oracle calibrates
-        them in lockstep, and linear inversion solves them in stacks."""
+        """estimate_mixed on a stack of states on one C^d, one generator each:
+        an oracle calibrates them in lockstep, and linear inversion solves them in stacks."""
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             eps = self.epsilon_target
-            return _calibrated_estimates(rhos, seeds, _infidelities, eps / 2.0, eps)
-        return _inverted_mixed_states(rhos, rank, [shots] * len(rhos), seeds)
+            return _calibrated_estimates(rhos, rngs, _infidelities, eps / 2.0, eps)
+        return _inverted_mixed_states(rhos, rank, [shots] * len(rhos), rngs)
 
-    def _estimate_pure_stack(self, states: list[PureState], seeds, shots) -> list[PureState]:
-        """estimate_pure on a stack of states of one shape; ``shots`` holds
-        each state's budget."""
+    def _estimate_pure_stack(self, states: list[PureState], rngs, shots) -> list[PureState]:
+        """estimate_pure on a stack of states of one shape; ``rngs`` holds
+        each state's generator and ``shots`` its budget."""
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             amps = np.array([psi.amplitudes for psi in states])
-            rows = _oracle_pure_rows(amps, self.epsilon_target, seeds)
+            rows = _oracle_pure_rows(amps, self.epsilon_target, rngs)
             return _pure_states(rows, states[0].dims)
-        return _inverted_pure_states(states, shots, seeds)
+        return _inverted_pure_states(states, shots, rngs)
 
 
 class _Family(NamedTuple):
@@ -330,17 +331,16 @@ def _calibrate(
 
 
 def _calibrated_estimates(
-    rhos: list[DensityMatrix], seeds, discrepancies, lo: float, hi: float
+    rhos: list[DensityMatrix], rngs, discrepancies, lo: float, hi: float
 ) -> list[DensityMatrix]:
-    """Calibrated estimates of a stack of states, one stack per rank, each
-    checked once."""
+    """Calibrated estimates of a stack of states, each drawn from its own
+    generator, one stack per rank, each checked once."""
     out: list[DensityMatrix] = [None] * len(rhos)
     for idx in _groups([(rho.rank, rho.eigenvectors.shape) for rho in rhos]):
         k = rhos[idx[0]].rank
         rho_w = np.array([rhos[i].eigenvalues[:k] for i in idx])
         rho_v = np.array([rhos[i].eigenvectors for i in idx])
-        rngs = [rng_from_seed(seeds[i]) for i in idx]
-        w, v = _calibrate(rho_w, rho_v, rngs, discrepancies, lo, hi)
+        w, v = _calibrate(rho_w, rho_v, [rngs[i] for i in idx], discrepancies, lo, hi)
         for i, sigma in zip(idx, _density_matrices(*_from_eigensystems(w, v))):
             out[i] = sigma
     return out
@@ -367,14 +367,16 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     eps must be at least the 1e-12 resolution floor.
     """
     _check_window("infidelity", epsilon)
-    return _calibrated_estimates([rho], [seed], _infidelities, epsilon / 2.0, epsilon)[0]
+    rng = rng_from_seed(seed)
+    return _calibrated_estimates([rho], [rng], _infidelities, epsilon / 2.0, epsilon)[0]
 
 
 def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> DensityMatrix:
     """Same-rank estimate of rho with trace distance in [delta/2, delta], for
     delta at least the 1e-12 resolution floor."""
     _check_window("trace distance", delta)
-    return _calibrated_estimates([rho], [seed], _trace_distances, delta / 2.0, delta)[0]
+    rng = rng_from_seed(seed)
+    return _calibrated_estimates([rho], [rng], _trace_distances, delta / 2.0, delta)[0]
 
 
 def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
@@ -383,20 +385,20 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
     The state is rotated toward a random orthogonal unit vector by the angle
     whose cosine meets a target overlap drawn uniformly from the window.
     """
-    return PureState(_oracle_pure_rows(psi.amplitudes[None], epsilon, [seed])[0], psi.dims)
+    rows = _oracle_pure_rows(psi.amplitudes[None], epsilon, [rng_from_seed(seed)])
+    return PureState(rows[0], psi.dims)
 
 
-def _oracle_pure_rows(amps: np.ndarray, epsilon: float, seeds) -> np.ndarray:
+def _oracle_pure_rows(amps: np.ndarray, epsilon: float, rngs) -> np.ndarray:
     """Phase-normalized, unchecked amplitude rows of the pure oracle's
-    estimates of a (T, n) stack of states, each drawn from its own seed."""
+    estimates of a (T, n) stack of states, each drawn from its own generator."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
     total = amps.shape[1]
     if total < 2:
         raise ValueError("no orthogonal direction available in a one-dimensional space")
     rows = []
-    for psi, seed in zip(amps, seeds):
-        rng = rng_from_seed(seed)
+    for psi, rng in zip(amps, rngs):
         target = rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0)
         raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
         chi = raw - np.vdot(psi, raw) * psi
@@ -490,14 +492,14 @@ def _design(dim: int, used: int) -> _Design:
     return _Design(_frozen(vectors), _frozen((v / w) @ v.conj().T))  # shared by every caller
 
 
-def _simulate_inversion(mats: np.ndarray, shots, seeds) -> np.ndarray:
+def _simulate_inversion(mats: np.ndarray, shots, rngs) -> np.ndarray:
     """Simulate shots[t] single-copy measurements of each state of a
     (T, d, d) stack and invert them, Hermitized.
 
-    Trial t draws one Haar unitary U from child 0 of seeds[t] and measures
-    in the bases U B_i of the fixed design B on C^d (see ``_design``), its
-    shots split evenly across them, with all counts from one multinomial
-    call on child 1. Rotating the design conjugates its frame operator S by
+    Trial t draws, from its generator rngs[t], first one Haar unitary U and
+    then all its counts, in one multinomial call; it measures in the bases
+    U B_i of the fixed design B on C^d (see ``_design``), its shots split
+    evenly across them. Rotating the design conjugates its frame operator S by
     a unitary, so the least-squares solution of tr(U P_k U^H X) = f_k is
     x = U mat(S^-1 vec(sum_i B_i diag(f_i) B_i^H)) U^H: the estimator is
     unitarily covariant, and S^-1 is computed once per design. Each basis
@@ -511,7 +513,7 @@ def _simulate_inversion(mats: np.ndarray, shots, seeds) -> np.ndarray:
             raise ValueError(f"budget {n} is below the informational floor {_shot_floor(dim)}")
         _check_count("shots", n)
     num_bases = _num_bases(dim)
-    u = _haar_unitary_stack(dim, [rng_from_seed(child_seed(s, 0)) for s in seeds])
+    u = _haar_unitary_stack(dim, rngs)
     rotated = u.conj().swapaxes(1, 2) @ mats @ u
     x = np.empty_like(rotated)
     keys = [min(n, num_bases) for n in shots]  # bases with shots: a prefix of the design
@@ -525,7 +527,7 @@ def _simulate_inversion(mats: np.ndarray, shots, seeds) -> np.ndarray:
             budgets = _split_budget(shots[t], num_bases)[:used]
             pt = np.clip(p[row], 0.0, None)
             pt = pt / pt.sum(axis=1, keepdims=True)
-            counts = rng_from_seed(child_seed(seeds[t], 1)).multinomial(budgets, pt)
+            counts = rngs[t].multinomial(budgets, pt)
             freqs[row] = counts / budgets[:, None]
         y = (g * freqs.reshape(len(idx), 1, used * dim)) @ g.conj().T
         solved = design.frame_inverse @ y.reshape(len(idx), dim * dim, 1)
@@ -534,24 +536,24 @@ def _simulate_inversion(mats: np.ndarray, shots, seeds) -> np.ndarray:
     return (x + x.conj().swapaxes(1, 2)) / 2.0
 
 
-def _inverted_pure_states(states: list[PureState], shots, seeds) -> list[PureState]:
+def _inverted_pure_states(states: list[PureState], shots, rngs) -> list[PureState]:
     """Linear-inversion estimates of a stack of pure states of one shape:
     the top eigenvector of each inversion, checked as one stack."""
     amps = np.array([psi.amplitudes for psi in states])
-    x = _simulate_inversion(amps[:, :, None] * amps[:, None, :].conj(), shots, seeds)
+    x = _simulate_inversion(amps[:, :, None] * amps[:, None, :].conj(), shots, rngs)
     _, v = np.linalg.eigh(x)
     return _pure_states(_phase_normalized(v[:, :, -1]), states[0].dims)
 
 
 def _inverted_mixed_states(
-    rhos: list[DensityMatrix], r: int, shots, seeds
+    rhos: list[DensityMatrix], r: int, shots, rngs
 ) -> list[DensityMatrix]:
     """Rank-capped linear-inversion estimates of a stack of states on one
     C^d, checked as one stack."""
     dim = rhos[0].dim
     if not 1 <= r <= dim:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={dim}")
-    x = _simulate_inversion(np.array([rho.matrix for rho in rhos]), shots, seeds)
+    x = _simulate_inversion(np.array([rho.matrix for rho in rhos]), shots, rngs)
     w, v = np.linalg.eigh(x)
     w = np.clip(w[:, ::-1][:, :r], 0.0, None)
     total = w.sum(axis=1, keepdims=True)
@@ -565,11 +567,11 @@ def estimate_pure_state_from_measurements(psi_true: PureState, n: int, seed) -> 
 
     The shots are split evenly across ceil(3 ln d) * d orthonormal bases (at
     least 6): the standard basis and Haar bases of one fixed design per
-    dimension, all rotated by one Haar unitary drawn per call. Linear
-    inversion through the design's cached frame operator recovers the
-    empirical density matrix, and its top eigenvector is returned.
+    dimension, all rotated by one Haar unitary that the seed's generator draws
+    before the counts. Linear inversion through the design's cached frame
+    operator recovers the empirical density matrix, and its top eigenvector is returned.
     """
-    return _inverted_pure_states([psi_true], [n], [seed])[0]
+    return _inverted_pure_states([psi_true], [n], [rng_from_seed(seed)])[0]
 
 
 def estimate_mixed_state_from_measurements(
@@ -582,4 +584,4 @@ def estimate_mixed_state_from_measurements(
     projected to the physical set: negative eigenvalues are clamped to zero,
     and the spectrum is truncated to the top r eigenpairs and renormalized.
     """
-    return _inverted_mixed_states([rho_true], r, [n], [seed])[0]
+    return _inverted_mixed_states([rho_true], r, [n], [rng_from_seed(seed)])[0]

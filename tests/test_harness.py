@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from tomoreduce import (
     reduction,
     run_experiment,
     run_reduction,
+    seeding,
     write_records,
 )
 from tomoreduce.cli import build_parser, config_from_args, main
@@ -111,6 +113,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="copies in total exceed the int64"):
             small_sweep_config(n_copies=2**63 - extra, **big)
         small_sweep_config(n_copies=2**63 - 1 - extra, **big)
+
+    @pytest.mark.parametrize("seed", [1.5, float("nan"), 1.0, True, -5])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # master_seed=1.5 used to write the records of master_seed=1, seed=1.5
+        # and seed=True ran as seed 1, and -5 failed only when it ran; the
+        # configs and the seeding functions apply one rule
+        rule = f"must be a non-negative integer, got {seed!r}"
+        for call in (
+            lambda: small_sweep_config(master_seed=seed),
+            lambda: ReductionConfig(r=1, d=2, n_copies=10, epsilon=0.1, seed=seed),
+            lambda: child_seed(seed),
+            lambda: child_seed(0, 1, seed),
+            lambda: seeding.rng_from_seed(seed),
+        ):
+            with pytest.raises(ValueError, match=rule):
+                call()
 
     def test_crossed_grid_filters_r_above_d(self):
         cfg = small_sweep_config(r_values=(1, 3), d_values=(2, 4))
@@ -241,10 +259,40 @@ class TestTrialStacks:
         keeps = sorted(1.0 - rec["trace_distance"] ** 2 for rec in base)
         monkeypatch.setattr(reduction, "PROB_TOL", (keeps[0] + keeps[1]) / 2)
         summary, forced = cell_records(20, **cell)
-        assert [t for t, rec in enumerate(forced) if rec["skipped"]] == [2]
+        skipped = [t for t, rec in enumerate(forced) if rec["skipped"]]
+        assert len(skipped) == 1
         assert summary.cells[0].stats["skipped"] == 1
-        assert all(forced[2][k] is None for k in ("trace_distance", "ratio_sqrt", "ratio_linear"))
-        assert forced[:2] + forced[3:] == base[:2] + base[3:]
+        (bad,) = skipped
+        assert 1.0 - base[bad]["trace_distance"] ** 2 == keeps[0]
+        assert all(forced[bad][k] is None for k in ("trace_distance", "ratio_sqrt", "ratio_linear"))
+        assert [rec for t, rec in enumerate(forced) if t != bad] == [
+            rec for t, rec in enumerate(base) if t != bad
+        ]
+
+
+class TestSeedLayout:
+    @pytest.mark.parametrize("backend", ["oracle", "measurement"])
+    def test_seeds_and_generators_per_trial(self, monkeypatch, backend):
+        # a trial splits its trial, psi and stream seeds, and builds one
+        # generator for its input and one that its stages share
+        trials = 20
+        cell = dict(r_values=(2,), d_values=(3,), eps_values=(0.05,), backend=backend)
+        cell_records(trials, **cell)  # builds the cached measurement designs
+        calls = {"child_seed": 0, "rng_from_seed": 0}
+        for name in calls:
+            original = getattr(seeding, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("tomoreduce") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        summary, _ = cell_records(trials, **cell)
+        assert summary.failures_total == 0
+        assert calls["child_seed"] <= 3 * trials + 1
+        assert calls["rng_from_seed"] == 2 * trials
 
 
 class TestDeterminism:

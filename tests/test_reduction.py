@@ -190,7 +190,7 @@ class TestRunReduction:
         assert rep.starved
         assert rep.estimate is None and rep.final_fidelity is None
 
-    @pytest.mark.parametrize("seed, starved", [(7, True), (0, False), (1, False)])
+    @pytest.mark.parametrize("seed, starved", [(8, True), (0, False), (1, False)])
     def test_oracle_pure_stage_starved_only_without_copies(self, seed, starved):
         # ceil(0.125 * 2^2 / 0.5) = 1 extra copy: the oracle needs that one copy kept
         psi = random_pure_state(2, 3, seed=30)

@@ -6,6 +6,7 @@ import pytest
 from tomoreduce import (
     BackendKind,
     DensityMatrix,
+    Projector,
     PureState,
     TomographyBackend,
     child_seed,
@@ -18,6 +19,8 @@ from tomoreduce import (
     oracle_trace_distance_estimate,
     random_pure_state,
     random_rank_r_state,
+    rng_from_seed,
+    sample_shots,
     trace_distance,
 )
 from tomoreduce import states
@@ -103,7 +106,8 @@ class TestStackedCalibration:
     def test_stack_matches_one_state_at_a_time(self, estimate, discrepancies, eps):
         rhos = [random_rank_r_state(d, r, child_seed(140, d, r, t)) for d, r, t in STACK_CASES]
         seeds = [child_seed(141, d, r, t) for d, r, t in STACK_CASES]
-        stacked = tm._calibrated_estimates(rhos, seeds, discrepancies, eps / 2, eps)
+        rngs = [rng_from_seed(seed) for seed in seeds]
+        stacked = tm._calibrated_estimates(rhos, rngs, discrepancies, eps / 2, eps)
         for rho, seed, sigma in zip(rhos, seeds, stacked):
             alone = estimate(rho, eps, seed)
             assert np.array_equal(alone.matrix, sigma.matrix)
@@ -268,21 +272,22 @@ class TestEstimatePure:
         assert medians[0] >= medians[1] >= medians[2]
 
 
-def _loop_inversion(probabilities, dim, n, rotation_rng, shot_rng):
+def _loop_inversion(probabilities, dim, n, rng):
     """The per-basis reference: the fixed design of dimension d rotated by one
     Haar draw, one multinomial per basis, rows from np.outer, solved by
-    lstsq. Returns (rows, x)."""
+    lstsq; the rotation and then the shots are drawn from ``rng``. Returns
+    (rows, x)."""
     num_bases = _num_bases(dim)
     design_rng = np.random.default_rng(tm._design_seed(dim))
     design = _measurement_design(dim, num_bases, design_rng)
-    u = _haar_unitaries(dim, 1, rotation_rng)[0]
+    u = _haar_unitaries(dim, 1, rng)[0]
     rows, freqs = [], []
     for b, shots in zip(design, _split_budget(n, num_bases)):
         if shots == 0:
             continue
         basis = u @ b
         p = np.clip(probabilities(basis), 0.0, None)
-        counts = shot_rng.multinomial(shots, p / p.sum())
+        counts = rng.multinomial(shots, p / p.sum())
         for j in range(dim):
             rows.append(np.outer(basis[:, j].conj(), basis[:, j]).reshape(-1))
             freqs.append(counts[j] / shots)
@@ -314,12 +319,10 @@ class TestStackedInversion:
         else:
             mat = random_rank_r_state(dim, 2, seed=50 + dim).matrix
             per_basis = lambda u: np.real(np.sum(u.conj() * (mat @ u), axis=0))
-        # the rotation comes from child 0 of the seed and the shots from child 1
-        rotation_rng = np.random.default_rng(child_seed(52, 0))
-        shot_rng = np.random.default_rng(child_seed(52, 1))
-        rows, expected = _loop_inversion(per_basis, dim, n, rotation_rng, shot_rng)
+        # the rotation and then the shots come from one generator
+        rows, expected = _loop_inversion(per_basis, dim, n, np.random.default_rng(52))
         assert rows.shape[0] >= (dim + 1) * dim
-        x = _simulate_inversion(mat[None], [n], [52])[0]
+        x = _simulate_inversion(mat[None], [n], [np.random.default_rng(52)])[0]
         assert np.max(np.abs(x - expected)) <= 1e-12
 
 
@@ -356,7 +359,8 @@ class TestCachedDesign:
         for t in range(3):
             estimate_mixed_state_from_measurements(rho, 2, 10**4, child_seed(63, t))
             estimate_pure_state_from_measurements(psi, 10, child_seed(64, t))
-        tm._inverted_mixed_states([rho] * 4, 2, [9, 10, 10**4, 9], [1, 2, 3, 4])
+        rngs = [rng_from_seed(s) for s in range(1, 5)]
+        tm._inverted_mixed_states([rho] * 4, 2, [9, 10, 10**4, 9], rngs)
         # keys (3, 12), (3, 10) and (3, 9): built once each, then read
         info = tm._design.cache_info()
         assert (info.misses, info.hits) == (3, 6)
@@ -384,14 +388,14 @@ class TestCachedDesign:
         seeds = [child_seed(67, dim, t) for t in range(len(budgets))]
         rhos = [random_rank_r_state(dim, 1 + t % dim, child_seed(68, dim, t)) for t in range(6)]
         r = min(2, dim)
-        stacked = tm._inverted_mixed_states(rhos, r, budgets, seeds)
+        stacked = tm._inverted_mixed_states(rhos, r, budgets, [rng_from_seed(s) for s in seeds])
         for rho, n, seed, sigma in zip(rhos, budgets, seeds, stacked):
             alone = estimate_mixed_state_from_measurements(rho, r, n, seed)
             assert np.array_equal(alone.matrix, sigma.matrix)
             assert np.array_equal(alone.eigenvalues, sigma.eigenvalues)
             assert np.array_equal(alone.eigenvectors, sigma.eigenvectors)
         psis = [random_pure_state(1, dim, child_seed(69, dim, t)) for t in range(6)]
-        stacked = tm._inverted_pure_states(psis, budgets, seeds)
+        stacked = tm._inverted_pure_states(psis, budgets, [rng_from_seed(s) for s in seeds])
         for psi, n, seed, phi in zip(psis, budgets, seeds, stacked):
             alone = estimate_pure_state_from_measurements(psi, n, seed)
             assert np.array_equal(alone.amplitudes, phi.amplitudes)
@@ -436,11 +440,14 @@ class TestEstimateMixed:
 
     @pytest.mark.parametrize("n", [4.5, float("nan"), 100.0, True])
     def test_rejects_budget_that_is_not_an_integer(self, n):
-        # 4.5 used to die in a TypeError, and NaN was reported as beyond int64
+        # 4.5 used to die in a TypeError, and NaN was reported as beyond int64;
+        # sample_shots used to return a count for 4.5
         rho = random_rank_r_state(2, 1, seed=38)
+        psi = random_pure_state(1, 2, seed=39)
         for estimate in (
             lambda: estimate_mixed_state_from_measurements(rho, 1, n, 3),
-            lambda: estimate_pure_state_from_measurements(random_pure_state(1, 2, seed=39), n, 3),
+            lambda: estimate_pure_state_from_measurements(psi, n, 3),
+            lambda: sample_shots(psi, Projector(np.eye(2)), n, 3),
         ):
             with pytest.raises(ValueError, match=f"shots must be an integer, got {n!r}"):
                 estimate()

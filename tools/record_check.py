@@ -65,18 +65,21 @@ SWEEPS = (
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000", "--trials", "40"],
 )
 FORMATS = ("csv", "jsonl")
-# The sweeps of --stats: both chain backends on the default grid, and the
-# scale-* grids of SWEEPS, from the d^2 floor to 1e5 shots.
+# The sweeps of --stats: both chain backends and gentle on the default grid,
+# and the scale-* grids of SWEEPS, from the d^2 floor to 1e5 shots.
 STATS_SWEEPS = (
     ["chain-sweep"],
     ["chain-sweep", "--backend", "measurement"],
+    ["gentle"],
     ["scale-pure", "--d", "2,3,4,8", "--n", "64,1000,100000"],
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000"],
 )
 STATS_TRIALS = 400
-# the chain's stage-1 fidelity, keep probability and final fidelity, and the
-# scale-* infidelity; a sweep's records hold some of them
-STATS_COLUMNS = ("fidelity_mixed_estimate", "keep_probability", "final_fidelity", "infidelity")
+# the chain's stage-1 fidelity, keep probability and final fidelity, gentle's
+# trace distance and the scale-* infidelity; a sweep's records hold some of them
+STATS_COLUMNS = (
+    "fidelity_mixed_estimate", "keep_probability", "final_fidelity", "trace_distance", "infidelity"
+)
 STATS_ALPHA = 0.01  # family-wise false-alarm rate of the Bonferroni-corrected tests
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
