@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .measurement import _check_count
+from .measurement import _check_count, _check_integer
 from .reduction import (
     ReductionConfig,
     ReductionError,
@@ -69,6 +69,13 @@ DEFAULT_PROP_D_GRID = (2, 3, 4, 5, 6)
 
 OUTPUT_DIR_ENV_VAR = "TOMOREDUCE_OUT_DIR"
 
+# Each chain-sweep backend name, with the stage backend it builds for a cell
+# of a config; one backend serves both stages.
+_BACKENDS = {
+    "oracle": lambda config, cell: TomographyBackend.oracle(cell["epsilon"]),
+    "measurement": lambda config, cell: TomographyBackend.linear_inversion(config.n_copies),
+}
+
 
 class ExperimentKind(Enum):
     CHAIN_SWEEP = "chain_sweep"
@@ -92,7 +99,7 @@ class ExperimentConfig:
     n_values: tuple[int, ...] = DEFAULT_N_GRID
     trials: int = 100
     master_seed: int = 0
-    backend: str = "oracle"  # "oracle" or "measurement"
+    backend: str = "oracle"  # a name in _BACKENDS
     n_copies: int = 10_000
     extra_copy_factor: float = 4.0
     prop_batch: int = 10_000
@@ -100,10 +107,15 @@ class ExperimentConfig:
     out_format: str = "csv"
 
     def __post_init__(self) -> None:
+        _check_integer("trials", self.trials)
+        _check_integer("prop_batch", self.prop_batch)
+        for name in ("r_values", "d_values", "n_values"):
+            for value in getattr(self, name):
+                _check_integer(f"each of {name}", value)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _check_seed("master_seed", self.master_seed)
-        if self.backend not in ("oracle", "measurement"):
+        if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.out_format not in ("csv", "jsonl"):
             raise ValueError(f"unknown output format {self.out_format!r}")
@@ -204,10 +216,7 @@ def flatten_report(report: ReductionReport) -> dict[str, Any]:
 def _reduction_config(config, cell) -> ReductionConfig:
     """The ReductionConfig of one chain cell, shared by every trial of a stack;
     each trial's generator travels beside it. One backend serves both stages."""
-    if config.backend == "oracle":
-        backend = TomographyBackend.oracle(cell["epsilon"])
-    else:
-        backend = TomographyBackend.linear_inversion(config.n_copies)
+    backend = _BACKENDS[config.backend](config, cell)
     return ReductionConfig(
         r=cell["r"],
         d=cell["d"],

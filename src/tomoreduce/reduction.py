@@ -7,9 +7,13 @@ input onto the estimate's support via a two-outcome measurement, keeping the
 copies where the support outcome fired, and (4) re-estimates the
 post-measurement state with a pure-state backend inside the surviving
 subspace. When both backends achieve infidelity eps, the final estimate has
-squared overlap at least 1 - 16*eps with the input. Each run checks that
-bound, the Cauchy-Schwarz step behind it and the projection identity; the
-composition step between them is checked only by a randomized search over
+squared overlap at least 1 - 16*eps with the input. Each run checks the five
+steps of the chain behind that bound, written once in ``_chain``: keep >= F
+(Cauchy-Schwarz) always; keep >= 1 - eps when stage 1 landed (F >= 1 - eps);
+the projection identity |<psi_tilde|psi>|^2 = keep; and, when the pure stage
+ran, eps < 1 and both stages landed, the guaranteed 1 - 16*eps bound and an
+advisory 1 - 8*eps bound that never counts as a violation. The composition
+step between the stages is checked only by a randomized search over
 synthetic triples. A side experiment measures the trace-distance
 disturbance of the projection (the gentle-measurement question).
 """
@@ -161,45 +165,55 @@ def _landed(fidelity: float, epsilon: float) -> bool:
     return fidelity >= 1.0 - epsilon - _WINDOW_SLACK
 
 
-def _keep_vs_mixed_fidelity(keep_probability: float, f_rho_sigma: float) -> ChainCheck:
-    """Cauchy-Schwarz step: the keep probability dominates F(rho, sigma)."""
-    return ChainCheck(
-        name="keep_vs_mixed_fidelity",
-        value=keep_probability,
-        bound=f_rho_sigma,
-        satisfied=keep_probability >= f_rho_sigma - CHAIN_SLACK,
-    )
-
-
-def _projection_identity(projected_fidelity: float, keep_probability: float) -> ChainCheck:
-    """|<psi_tilde|psi>|^2 equals the keep probability."""
-    return ChainCheck(
-        name="projection_identity",
-        value=projected_fidelity,
-        bound=keep_probability,
-        satisfied=abs(projected_fidelity - keep_probability) <= CHAIN_SLACK,
-    )
-
-
 def _guaranteed_bound(epsilon: float) -> float:
     return 1.0 - 16.0 * epsilon
 
 
-def _final_vs_guaranteed_bound(
-    epsilon: float, f_rho_sigma: float, estimate_fidelity: float, final_fidelity: float
-) -> ChainCheck:
-    """|<phi|psi>|^2 >= 1 - 16*eps, which applies only when epsilon < 1 and
-    both stages landed in their infidelity-epsilon windows."""
-    applicable = (
-        epsilon < 1.0 and _landed(f_rho_sigma, epsilon) and _landed(estimate_fidelity, epsilon)
-    )
-    return ChainCheck(
-        name="final_vs_guaranteed_bound",
-        value=final_fidelity,
-        bound=_guaranteed_bound(epsilon),
-        satisfied=final_fidelity >= _guaranteed_bound(epsilon) - CHAIN_SLACK,
-        applicable=applicable,
-    )
+def _stage_fidelities(psi: PureState, psi_tilde: PureState, phi: PureState | None):
+    """The overlaps |<psi_tilde|psi>|^2, |<phi|psi_tilde>|^2 and |<phi|psi>|^2
+    that the chain checks; the last two are None without phi."""
+    projected = fidelity_pure_pure(psi_tilde, psi)
+    if phi is None:
+        return projected, None, None
+    return projected, fidelity_pure_pure(phi, psi_tilde), fidelity_pure_pure(phi, psi)
+
+
+def _chain(eps, f, keep, projected, estimate, final) -> tuple[ChainCheck, ...]:
+    """The fidelity chain, in order, from its stage values as floats: eps,
+    F(rho, sigma), the keep probability and the three overlaps of
+    ``_stage_fidelities``, each None where its stage has no value.
+
+    - ``keep_vs_mixed_fidelity``: keep >= F (Cauchy-Schwarz), always.
+    - ``keep_vs_epsilon``: keep >= 1 - eps, when eps is known; applicable
+      only when stage 1 landed, F >= 1 - eps.
+    - ``projection_identity``: |projected - keep| <= slack, when psi_tilde exists.
+    - ``final_vs_guaranteed_bound``: final >= 1 - 16*eps, and the advisory
+      ``final_vs_tightened_bound``: final >= 1 - 8*eps, when phi exists;
+      applicable only when eps < 1 and both stages landed (F and the
+      estimate fidelity at least 1 - eps).
+
+    Each inequality is satisfied within CHAIN_SLACK.
+    """
+    checks = [ChainCheck("keep_vs_mixed_fidelity", keep, f, keep >= f - CHAIN_SLACK)]
+    if eps is not None:
+        landed = _landed(f, eps)
+        checks.append(
+            ChainCheck("keep_vs_epsilon", keep, 1.0 - eps, keep >= 1.0 - eps - CHAIN_SLACK, landed)
+        )
+    if projected is not None:
+        checks.append(
+            ChainCheck("projection_identity", projected, keep, abs(projected - keep) <= CHAIN_SLACK)
+        )
+    if final is not None:  # phi exists only where psi_tilde and eps do
+        both_landed = eps < 1.0 and landed and _landed(estimate, eps)
+        for name, bound, advisory in (
+            ("final_vs_guaranteed_bound", _guaranteed_bound(eps), False),
+            ("final_vs_tightened_bound", 1.0 - 8.0 * eps, True),
+        ):
+            checks.append(
+                ChainCheck(name, final, bound, final >= bound - CHAIN_SLACK, both_landed, advisory)
+            )
+    return tuple(checks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,66 +371,28 @@ def _run_reductions(
                 )
             )
             continue
+        estimate = estimates.get(t)
+        keep_t = float(keep[t])
+        projected, est, final = _stage_fidelities(psis[t], tildes[t], estimate)
         outcomes.append(
-            _report(
-                eps, sigmas[t], ranks[t], f_rho_sigma[t], float(keep[t]), extra_copies, kept[t],
-                samples_total, psis[t], tildes[t], estimates.get(t),
+            ReductionReport(
+                sigma=sigmas[t],
+                projector_rank=ranks[t],
+                fidelity_mixed_estimate=f_rho_sigma[t],
+                keep_probability=keep_t,
+                extra_copies=extra_copies,
+                kept_count=kept[t],
+                projected_fidelity=projected,
+                estimate_fidelity=est,
+                final_fidelity=final,
+                chain=_chain(eps, f_rho_sigma[t], keep_t, projected, est, final),
+                samples_total=samples_total,
+                low_yield=kept[t] < math.ceil(extra_copies / 2),
+                starved=estimate is None,
+                estimate=estimate,
             )
         )
     return outcomes
-
-
-def _report(
-    eps, sigma, rank, f_rho_sigma, keep_probability, extra_copies, kept_count, samples_total,
-    psi, psi_tilde, estimate,
-) -> ReductionReport:
-    """One trial's report and chain checks."""
-    projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
-    estimate_fidelity: float | None = None
-    final_fidelity: float | None = None
-    if estimate is not None:
-        estimate_fidelity = fidelity_pure_pure(estimate, psi_tilde)
-        final_fidelity = fidelity_pure_pure(estimate, psi)
-    chain = [
-        _keep_vs_mixed_fidelity(keep_probability, f_rho_sigma),
-        ChainCheck(
-            name="keep_vs_epsilon",
-            value=keep_probability,
-            bound=1.0 - eps,
-            satisfied=keep_probability >= 1.0 - eps - CHAIN_SLACK,
-            applicable=_landed(f_rho_sigma, eps),
-        ),
-        _projection_identity(projected_fidelity, keep_probability),
-    ]
-    if final_fidelity is not None:
-        guaranteed = _final_vs_guaranteed_bound(eps, f_rho_sigma, estimate_fidelity, final_fidelity)
-        chain += [
-            guaranteed,
-            ChainCheck(
-                name="final_vs_tightened_bound",
-                value=final_fidelity,
-                bound=1.0 - 8.0 * eps,
-                satisfied=final_fidelity >= 1.0 - 8.0 * eps - CHAIN_SLACK,
-                applicable=guaranteed.applicable,
-                advisory=True,
-            ),
-        ]
-    return ReductionReport(
-        sigma=sigma,
-        projector_rank=rank,
-        fidelity_mixed_estimate=f_rho_sigma,
-        keep_probability=keep_probability,
-        extra_copies=extra_copies,
-        kept_count=kept_count,
-        projected_fidelity=projected_fidelity,
-        estimate_fidelity=estimate_fidelity,
-        final_fidelity=final_fidelity,
-        chain=tuple(chain),
-        samples_total=samples_total,
-        low_yield=kept_count < math.ceil(extra_copies / 2),
-        starved=estimate is None,
-        estimate=estimate,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,55 +422,58 @@ def verify_chain(
 ) -> ChainReport:
     """Check every step of the fidelity chain on an explicit (psi, sigma, phi).
 
+    The checks are ``uhlmann_attains_fidelity`` (the optimal purification of
+    sigma against psi attains F(rho, sigma) within 1e-6), then the chain of
+    ``_chain``: keep >= F always; keep >= 1 - eps when eps is known, applicable
+    when F >= 1 - eps; and, when the projected state psi_tilde exists, the
+    projection identity, the guaranteed 1 - 16*eps bound and the advisory
+    1 - 8*eps bound, the last two applicable when eps < 1 and both
+    |<phi|psi_tilde>|^2 and F reach 1 - eps.
+
     Violations are reported, never raised. A supplied epsilon must lie in
     (0, 1). When epsilon is not supplied it is derived as the smallest value
     for which both chain hypotheses hold, namely
-    max(1 - F(rho, sigma), 1 - |<phi|psi_tilde>|^2); the final-bound check is
-    marked not applicable if that reaches 1.
+    max(1 - F(rho, sigma), 1 - |<phi|psi_tilde>|^2); the final checks are
+    marked not applicable if that reaches 1, and without psi_tilde no epsilon
+    is derived.
+
+    sigma must have rank at most r, or ValueError is raised: the support
+    projector is capped at rank r, and keep >= F needs supp(sigma) inside it.
     """
     if epsilon is not None and not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    rho = partial_trace_x(psi)
-    f_rho_sigma = fidelity_mixed(rho, sigma)
-    phi_opt = optimal_purification_against(sigma, psi)
-    uhlmann_overlap = fidelity_pure_pure(psi, phi_opt)
+    if sigma.rank > psi.r:
+        raise ValueError(
+            f"sigma has rank {sigma.rank} above r = {psi.r}: keep >= F(rho, sigma) "
+            "needs supp(sigma) inside the rank-r support projector"
+        )
+    f_rho_sigma = fidelity_mixed(partial_trace_x(psi), sigma)
+    uhlmann_overlap = fidelity_pure_pure(psi, optimal_purification_against(sigma, psi))
     _, keep, (psi_tilde,) = _support_projections(psi.as_matrix()[None], [sigma], psi.r)
     keep_probability = float(keep[0])
-
-    checks = [
-        ChainCheck(
-            name="uhlmann_attains_fidelity",
-            value=uhlmann_overlap,
-            bound=f_rho_sigma,
-            satisfied=abs(uhlmann_overlap - f_rho_sigma) <= 1e-6,
-        ),
-        _keep_vs_mixed_fidelity(keep_probability, f_rho_sigma),
-    ]
-
-    projected_fidelity: float | None = None
-    estimate_fidelity: float | None = None
-    final_fidelity: float | None = None
-    eps_eff = epsilon
+    projected = estimate_fidelity = final_fidelity = None
+    eps = epsilon
     if psi_tilde is not None:
-        projected_fidelity = fidelity_pure_pure(psi_tilde, psi)
-        estimate_fidelity = fidelity_pure_pure(phi, psi_tilde)
-        final_fidelity = fidelity_pure_pure(phi, psi)
-        if eps_eff is None:
-            eps_eff = max(1.0 - f_rho_sigma, 1.0 - estimate_fidelity, 1e-15)
-        checks += [
-            _projection_identity(projected_fidelity, keep_probability),
-            _final_vs_guaranteed_bound(eps_eff, f_rho_sigma, estimate_fidelity, final_fidelity),
-        ]
+        projected, estimate_fidelity, final_fidelity = _stage_fidelities(psi, psi_tilde, phi)
+        if eps is None:
+            eps = max(1.0 - f_rho_sigma, 1.0 - estimate_fidelity, 1e-15)
+    uhlmann = ChainCheck(
+        "uhlmann_attains_fidelity",
+        uhlmann_overlap,
+        f_rho_sigma,
+        abs(uhlmann_overlap - f_rho_sigma) <= 1e-6,
+    )
+    chain = _chain(eps, f_rho_sigma, keep_probability, projected, estimate_fidelity, final_fidelity)
     return ChainReport(
         fidelity_mixed_estimate=f_rho_sigma,
         uhlmann_overlap=uhlmann_overlap,
         keep_probability=keep_probability,
         usable=psi_tilde is not None,
-        projected_fidelity=projected_fidelity,
+        projected_fidelity=projected,
         estimate_fidelity=estimate_fidelity,
         final_fidelity=final_fidelity,
-        epsilon=eps_eff,
-        checks=tuple(checks),
+        epsilon=eps,
+        checks=(uhlmann, *chain),
     )
 
 
@@ -559,6 +538,8 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
     eighth of each batch pinned exactly at the edge) and random relative
     phases, then c = |<phi|psi>| is tested against 1 - 4*eta with slack 1e-9.
     """
+    _check_integer("d", d)
+    _check_integer("count", count)
     if d < 2:
         raise ValueError("need dimension at least 2")
     if not 0.0 < eta < 1.0:
@@ -634,6 +615,7 @@ def gentle_measurement_experiment(
     bound, though the sampled family does not reach that case.
     """
     _check_window("trace distance", delta)
+    _check_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     rngs = [rng_from_seed(child_seed(seed, t)) for t in range(trials)]

@@ -130,6 +130,24 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=rule):
                 call()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("prop_batch", 2.5),
+            ("r_values", (1, 2.0)),
+            ("d_values", (2.5,)),
+            ("n_values", (100.0,)),
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        # d_values=(2.5,) and trials=2.5 passed validation and trials=2.5 and
+        # prop_batch=2.5 then failed mid-run; trials=True ran one trial
+        for kind in ExperimentKind:
+            with pytest.raises(ValueError, match="must be an integer"):
+                ExperimentConfig(experiment=kind, **{field: value})
+
     def test_crossed_grid_filters_r_above_d(self):
         cfg = small_sweep_config(r_values=(1, 3), d_values=(2, 4))
         cells = experiment_cells(cfg)

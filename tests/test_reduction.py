@@ -26,7 +26,7 @@ from tomoreduce import (
     verify_chain,
 )
 from tomoreduce import states
-from tomoreduce.reduction import CHAIN_SLACK, _composition_margins
+from tomoreduce.reduction import CHAIN_SLACK, _chain, _composition_margins
 
 from oracles import random_density_matrix
 
@@ -261,8 +261,14 @@ class TestVerifyChain:
 
     def test_agrees_with_run_reduction(self):
         # on a run's own (psi, sigma, phi), the standalone verifier repeats
-        # every verdict the two entry points share
-        shared = ("keep_vs_mixed_fidelity", "projection_identity", "final_vs_guaranteed_bound")
+        # every verdict of the run's chain
+        shared = (
+            "keep_vs_mixed_fidelity",
+            "keep_vs_epsilon",
+            "projection_identity",
+            "final_vs_guaranteed_bound",
+            "final_vs_tightened_bound",
+        )
         cases = [(1, 3, 0.1), (2, 2, 0.2), (2, 4, 0.05), (3, 6, 0.01), (2, 5, 0.3)]
         for i, (r, d, eps) in enumerate(cases):
             for t in range(10):
@@ -281,6 +287,14 @@ class TestVerifyChain:
                         b.applicable,
                     ), name
 
+    def test_rejects_sigma_of_rank_above_r(self):
+        # the support projector is capped at rank r, so keep >= F needs rank(sigma) <= r
+        psi = random_pure_state(2, 4, seed=62)
+        sigma = random_rank_r_state(4, 3, seed=63)
+        with pytest.raises(ValueError, match="sigma has rank 3 above r = 2"):
+            verify_chain(psi, sigma, psi)
+        verify_chain(psi, random_rank_r_state(4, 2, seed=63), psi)
+
     def test_uhlmann_check_on_calibrated_sigma(self):
         for t in range(20):
             psi = random_pure_state(2, 4, child_seed(24, t))
@@ -290,6 +304,87 @@ class TestVerifyChain:
             named = {c.name: c for c in report.checks}
             assert named["uhlmann_attains_fidelity"].satisfied
             assert not named["keep_vs_mixed_fidelity"].violated
+
+
+# Stage values at which every check of the chain holds and applies, at eps = 0.01.
+_EPS = 0.01
+_HOLDING = dict(eps=_EPS, f=0.995, keep=0.996, projected=0.996, estimate=0.995, final=0.991)
+_CHAIN_NAMES = (
+    "keep_vs_mixed_fidelity",
+    "keep_vs_epsilon",
+    "projection_identity",
+    "final_vs_guaranteed_bound",
+    "final_vs_tightened_bound",
+)
+
+
+def _checks(**values):
+    return {c.name: c for c in _chain(**{**_HOLDING, **values})}
+
+
+class TestChain:
+    """The chain's verdict rules at hand-picked stage values."""
+
+    def test_all_checks_hold_in_chain_order(self):
+        chain = _chain(**_HOLDING)
+        assert tuple(c.name for c in chain) == _CHAIN_NAMES
+        assert all(c.satisfied and c.applicable for c in chain)
+        assert [c.advisory for c in chain] == [False] * 4 + [True]
+
+    @pytest.mark.parametrize(
+        "name, past",
+        [
+            # each row's values at an offset x past the bound
+            ("keep_vs_mixed_fidelity", lambda x: dict(keep=0.995 - x, projected=0.995 - x)),
+            ("keep_vs_epsilon", lambda x: dict(f=0.99, keep=0.99 - x, projected=0.99 - x)),
+            ("projection_identity", lambda x: dict(projected=0.996 + x)),
+            ("projection_identity", lambda x: dict(projected=0.996 - x)),
+            ("final_vs_guaranteed_bound", lambda x: dict(final=1 - 16 * _EPS - x)),
+            ("final_vs_tightened_bound", lambda x: dict(final=1 - 8 * _EPS - x)),
+        ],
+    )
+    @pytest.mark.parametrize("offset, holds", [(2 * CHAIN_SLACK, False), (CHAIN_SLACK / 2, True)])
+    def test_bound_plus_slack_separates_verdicts(self, name, past, offset, holds):
+        check = _checks(**past(offset))[name]
+        assert check.applicable
+        assert check.satisfied is holds
+        assert check.violated is (not holds and not check.advisory)
+
+    def test_final_between_guaranteed_and_tightened_counts_no_violation(self):
+        chain = _chain(**{**_HOLDING, "final": 1 - 12 * _EPS})
+        named = {c.name: c for c in chain}
+        assert named["final_vs_guaranteed_bound"].satisfied
+        tightened = named["final_vs_tightened_bound"]
+        assert tightened.applicable and not tightened.satisfied and not tightened.violated
+        assert sum(c.violated for c in chain) == 0
+
+    @pytest.mark.parametrize(
+        "values, not_applicable",
+        [
+            # stage 1 misses its window: keep >= 1 - eps and both final checks
+            (dict(f=1 - _EPS - 1e-6), _CHAIN_NAMES[1:2] + _CHAIN_NAMES[3:]),
+            # only the estimate misses its window: only the final checks
+            (dict(estimate=1 - _EPS - 1e-6), _CHAIN_NAMES[3:]),
+            # eps = 1, reachable by a derived eps: the final checks say nothing
+            (dict(eps=1.0), _CHAIN_NAMES[3:]),
+            # a window edge that rounding misses by less than 1e-12 still lands
+            (dict(f=1 - _EPS - 1e-13, estimate=1 - _EPS - 1e-13), ()),
+        ],
+    )
+    def test_applicability(self, values, not_applicable):
+        named = _checks(**values)
+        assert {n for n, c in named.items() if not c.applicable} == set(not_applicable)
+
+    @pytest.mark.parametrize(
+        "values, names",
+        [
+            (dict(estimate=None, final=None), _CHAIN_NAMES[:3]),
+            (dict(projected=None, estimate=None, final=None), _CHAIN_NAMES[:2]),
+            (dict(eps=None, projected=None, estimate=None, final=None), _CHAIN_NAMES[:1]),
+        ],
+    )
+    def test_missing_stages_drop_their_checks(self, values, names):
+        assert tuple(c.name for c in _chain(**{**_HOLDING, **values})) == names
 
 
 class TestGeometricComposition:
@@ -341,6 +436,9 @@ class TestPropositionSearch:
             proposition_search(2, 0.0, 10, seed=0)
         with pytest.raises(ValueError):
             proposition_search(2, 0.1, 0, seed=0)
+        for d, count in ((2.5, 10), (True, 10), (2, 10.0), (2, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                proposition_search(d, 0.1, count, seed=0)
 
 
 class TestGentleMeasurement:
@@ -398,6 +496,9 @@ class TestGentleMeasurement:
         psi = random_pure_state(1, 2, seed=56)
         with pytest.raises(ValueError):
             gentle_measurement_experiment(psi, 0.0, trials=5, seed=0)
+        for trials in (2.5, True, 5.0):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                gentle_measurement_experiment(psi, 0.1, trials=trials, seed=0)
         with pytest.raises(ValueError, match="1e-12"):
             gentle_measurement_experiment(psi, 1e-13, trials=5, seed=0)
         with pytest.raises(ValueError):
