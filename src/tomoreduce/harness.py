@@ -33,7 +33,7 @@ from .reduction import (
     _run_reductions,
     proposition_search,
 )
-from .seeding import _check_seed, child_seed, rng_from_seed
+from .seeding import _check_seed, _child_seeds, _generator_words, _generators
 from .states import _overlaps, _random_pure_states
 from .tomography import TomographyBackend, _check_window, _shot_floor
 
@@ -228,16 +228,18 @@ def _reduction_config(config, cell) -> ReductionConfig:
     )
 
 
-def _trial_draws(cell, trial_seeds):
-    """Each trial's Haar input, on its psi seed child_seed(s, 0), and the one
-    generator its stages draw from, on its stream seed child_seed(s, 1)."""
-    psis = _random_pure_states(cell.get("r", 1), cell["d"], [child_seed(s, 0) for s in trial_seeds])
-    return psis, [rng_from_seed(child_seed(s, 1)) for s in trial_seeds]
+def _trial_draws(cell, words):
+    """Each trial's Haar input, drawn from the generator of its psi seed
+    child_seed(s, 0), and the one generator its stages draw from, on its
+    stream seed child_seed(s, 1); words holds, per trial, the generator words
+    of those two seeds."""
+    psis = _random_pure_states(cell.get("r", 1), cell["d"], _generators(words[:, 0]))
+    return psis, _generators(words[:, 1])
 
 
-def _reduction_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
+def _reduction_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
     """The records of a stack of chain trials, run as one batch under one config."""
-    psis, rngs = _trial_draws(cell, trial_seeds)
+    psis, rngs = _trial_draws(cell, words)
     rconfig = _reduction_config(config, cell)
     bound = float(_guaranteed_bound(cell["epsilon"]))
     rows = []
@@ -258,8 +260,8 @@ def _fidelity_fields(fidelities) -> list[dict[str, Any]]:
     return [{"fidelity": f, "infidelity": 1.0 - f, "violations": 0} for f in fidelities]
 
 
-def _scaling_pure_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
-    psis, rngs = _trial_draws(cell, trial_seeds)
+def _scaling_pure_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
+    psis, rngs = _trial_draws(cell, words)
     estimates = TomographyBackend.linear_inversion(cell["n"])._estimate_pure_stack(
         psis, rngs, [cell["n"]] * len(psis)
     )
@@ -268,17 +270,17 @@ def _scaling_pure_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
     )
 
 
-def _scaling_mixed_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
+def _scaling_mixed_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
     n = cell["n"]
-    psis, rngs = _trial_draws(cell, trial_seeds)
+    psis, rngs = _trial_draws(cell, words)
     m = np.array([psi.as_matrix() for psi in psis])
     _, fidelities = _mixed_stage(m, TomographyBackend.linear_inversion(n), rngs, n)
     return _fidelity_fields(fidelities)
 
 
-def _gentle_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
+def _gentle_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
     delta = cell["delta"]
-    psis, rngs = _trial_draws(cell, trial_seeds)
+    psis, rngs = _trial_draws(cell, words)
     rows = []
     for t in _gentle_distances(psis, delta, rngs).tolist():
         values = (None,) * 3 if math.isnan(t) else (t, t / math.sqrt(delta), t / delta)
@@ -287,17 +289,17 @@ def _gentle_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
     return rows
 
 
-def _prop_search_fields(config, cell, trial_seeds) -> list[dict[str, Any]]:
+def _prop_search_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
     # one search per trial, each vectorized over its triples
     return [
-        asdict(proposition_search(cell["d"], cell["eta"], config.prop_batch, seed))
+        asdict(proposition_search(cell["d"], cell["eta"], config.prop_batch, int(seed)))
         for seed in trial_seeds
     ]
 
 
-# Each builder takes a stack of trial seeds and returns, per trial, the fields
-# of its record that follow the shared experiment, cell, trial, cell-parameter
-# and seed columns.
+# Each builder takes a stack's trial seeds and their generator words (see
+# _seed_blocks) and returns, per trial, the fields of its record that follow
+# the shared experiment, cell, trial, cell-parameter and seed columns.
 _RECORD_BUILDERS = {
     ExperimentKind.CHAIN_SWEEP: _reduction_fields,
     ExperimentKind.SCALING_PURE: _scaling_pure_fields,
@@ -311,6 +313,12 @@ _RECORD_BUILDERS = {
 # With stacks of 16 the default chain sweep peaks at the RSS of one trial at a
 # time; whole 100-trial cells as one stack raised that peak by 3%.
 _TRIAL_BATCH = 16
+
+# Seeds are derived for a block of whole cells at a time, of at least this many
+# trials. One hash pass costs about the same at 16 seeds as at 168, so a pass
+# per 12-trial cell gained less; the whole experiment's seed words at once
+# raised the default chain sweep's peak RSS by 2%.
+_SEED_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -336,8 +344,16 @@ class ExperimentSummary:
         return self.violations_total == 0
 
 
-def _quantile(values: Sequence[float], q: float) -> float:
-    return float(np.quantile(np.asarray(values, dtype=float), q)) if values else float("nan")
+def _median(values: Sequence[float]) -> float:
+    return float(np.quantile(np.asarray(values, dtype=float), 0.5)) if values else float("nan")
+
+
+def _extreme(values: Sequence[float], pick) -> float:
+    """min or max of the values as np.quantile at q = 0 or 1 gives it: NaN
+    when there are none or any of them is NaN."""
+    if not values or any(map(math.isnan, values)):
+        return float("nan")
+    return float(pick(values))
 
 
 def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], records: list[dict]) -> CellSummary:
@@ -348,18 +364,18 @@ def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], records: list[d
     if kind is ExperimentKind.CHAIN_SWEEP:
         finals = [r["final_fidelity"] for r in records if r.get("final_fidelity") is not None]
         keeps = [r["keep_probability"] for r in records if r.get("keep_probability") is not None]
-        stats["final_min"] = _quantile(finals, 0.0)
-        stats["final_median"] = _quantile(finals, 0.5)
-        stats["keep_min"] = _quantile(keeps, 0.0)
+        stats["final_min"] = _extreme(finals, min)
+        stats["final_median"] = _median(finals)
+        stats["keep_min"] = _extreme(keeps, min)
         stats["bound"] = float(_guaranteed_bound(cell["epsilon"]))
         stats["samples"] = float(sum(r.get("samples_total") or 0 for r in records))
     elif kind in (ExperimentKind.SCALING_PURE, ExperimentKind.SCALING_MIXED):
         infids = [r["infidelity"] for r in records]
-        stats["infid_median"] = _quantile(infids, 0.5)
-        stats["infid_max"] = _quantile(infids, 1.0)
+        stats["infid_median"] = _median(infids)
+        stats["infid_max"] = _extreme(infids, max)
     elif kind is ExperimentKind.GENTLE_MEASUREMENT:
         ts = [r["trace_distance"] for r in records if r.get("trace_distance") is not None]
-        stats["t_max"] = _quantile(ts, 1.0)
+        stats["t_max"] = _extreme(ts, max)
         stats["ratio_sqrt_max"] = stats["t_max"] / math.sqrt(cell["delta"]) if ts else float("nan")
         stats["ratio_linear_max"] = stats["t_max"] / cell["delta"] if ts else float("nan")
         stats["skipped"] = float(sum(1 for r in records if r.get("skipped")))
@@ -370,6 +386,21 @@ def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], records: list[d
     return CellSummary(
         label=label, trials=len(records), violations=violations, failures=failures, stats=stats
     )
+
+
+def _seed_blocks(config: ExperimentConfig, n_cells: int):
+    """Each cell's trial seeds and their generator words, derived in four hash
+    passes per block of whole cells: cell seeds child_seed(master, cell), trial
+    seeds child_seed(cell seed, trial), psi and stream seeds child_seed(trial
+    seed, 0 or 1), then those two seeds' generator words. Yields, per cell, a
+    (trials,) uint64 array and a (trials, 2, 4) one."""
+    per_block = -(-_SEED_BLOCK // config.trials)
+    for first in range(0, n_cells, per_block):
+        block = np.arange(first, min(first + per_block, n_cells))
+        cell_seeds = _child_seeds(config.master_seed, block)
+        trial_seeds = _child_seeds(cell_seeds[:, None], np.arange(config.trials))
+        words = _generator_words(_child_seeds(trial_seeds[..., None], np.arange(2)))
+        yield from zip(trial_seeds, words)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -385,15 +416,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     builder = _RECORD_BUILDERS[config.experiment]
     records: list[dict[str, Any]] = []
     summaries: list[CellSummary] = []
-    for cell_index, cell in enumerate(cells):
-        cell_seed = child_seed(config.master_seed, cell_index)
+    blocks = _seed_blocks(config, len(cells))
+    for cell_index, (cell, (trial_seeds, trial_words)) in enumerate(zip(cells, blocks)):
         params = {k: _CELL_TYPES[k](v) for k, v in cell.items()}
         stacks = []
         for first in range(0, config.trials, _TRIAL_BATCH):
             trials = range(first, min(first + _TRIAL_BATCH, config.trials))
-            seeds = [child_seed(cell_seed, t) for t in trials]
+            seeds = trial_seeds[first : trials.stop]
             start = time.perf_counter()
-            stack = builder(config, cell, seeds)
+            stack = builder(config, cell, seeds, trial_words[first : trials.stop])
             stacks.append((trials, seeds, stack, (time.perf_counter() - start) / len(seeds)))
         # The records are built once the cell's last stack is done: built
         # between stacks, they sat among the freed arrays of each stack and
@@ -436,6 +467,17 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+# _csv_cell for the exact types records hold; any other type, such as a
+# subclass, takes _csv_cell itself.
+_CSV_CELLS = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    float: repr,
+    int: str,
+    str: str,
+}
+
+
 def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike, fmt: str) -> None:
     """Persist records as RFC-4180 CSV or JSON Lines, full float precision."""
     records = list(records)
@@ -450,7 +492,9 @@ def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike,
             writer = csv.writer(f)
             writer.writerow(keys)
             for rec in records:
-                writer.writerow([_csv_cell(rec.get(k)) for k in keys])
+                writer.writerow(
+                    [_CSV_CELLS.get(type(v), _csv_cell)(v) for v in map(rec.get, keys)]
+                )
     elif fmt == "jsonl":
         with open(out, "w") as f:
             for rec in records:

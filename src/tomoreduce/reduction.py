@@ -32,7 +32,7 @@ from .measurement import (
     _keep_and_projected,
     _renormalized,
 )
-from .seeding import _check_seed, child_seed, rng_from_seed
+from .seeding import _check_seed, _child_seeds, _generator_words, _generators, rng_from_seed
 from .states import (
     DensityMatrix,
     PureState,
@@ -618,7 +618,8 @@ def gentle_measurement_experiment(
     _check_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    rngs = [rng_from_seed(child_seed(seed, t)) for t in range(trials)]
+    trial_seeds = _child_seeds(_check_seed("master seed", seed), np.arange(trials))
+    rngs = _generators(_generator_words(trial_seeds))
     distances = _gentle_distances([psi] * trials, delta, rngs)
     kept = distances[~np.isnan(distances)]
     return GentleMeasurementResult(delta=delta, skipped=trials - kept.size, trace_distances=kept)

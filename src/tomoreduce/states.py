@@ -382,16 +382,15 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
 
 def random_pure_state(r: int, d: int, seed) -> PureState:
     """Haar-random unit vector on the (r, d) register pair, deterministic per seed."""
-    return _random_pure_states(r, d, [seed])[0]
+    return _random_pure_states(r, d, [rng_from_seed(seed)])[0]
 
 
-def _random_pure_states(r: int, d: int, seeds) -> list[PureState]:
-    """One Haar-random state per seed, checked as one stack."""
+def _random_pure_states(r: int, d: int, rngs) -> list[PureState]:
+    """One Haar-random state per generator, checked as one stack."""
     if r < 1 or d < 1:
         raise ValueError("register dimensions must be positive")
     rows = []
-    for seed in seeds:
-        rng = rng_from_seed(seed)
+    for rng in rngs:
         amps = rng.standard_normal(r * d) + 1j * rng.standard_normal(r * d)
         rows.append(amps / np.linalg.norm(amps))
     return _pure_states(_phase_normalized(np.array(rows)), (r, d))

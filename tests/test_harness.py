@@ -6,6 +6,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from tomoreduce import (
@@ -15,6 +16,7 @@ from tomoreduce import (
     TomographyBackend,
     child_seed,
     fit_scaling,
+    harness,
     random_pure_state,
     reduction,
     run_experiment,
@@ -288,29 +290,70 @@ class TestTrialStacks:
         ]
 
 
+def count_calls(monkeypatch, module, names):
+    """Count the calls of each named function of ``module``, wherever a
+    tomoreduce module holds it."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, holder in list(sys.modules.items()):
+            if module_name.startswith("tomoreduce") and getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counting)
+    return calls
+
+
+def reference_seeding(monkeypatch):
+    """Make the harness derive each seed with child_seed and each generator
+    with rng_from_seed, one call per seed: the words it hands the builders
+    are then the seeds themselves."""
+
+    def child_seeds(masters, *path):
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (masters, *path)))
+        columns = [np.broadcast_to(np.asarray(v, dtype=object), shape).ravel()
+                   for v in (masters, *path)]
+        seeds = [child_seed(*map(int, row)) for row in zip(*columns)]
+        return np.array(seeds, dtype=np.uint64).reshape(shape)
+
+    monkeypatch.setattr(harness, "_child_seeds", child_seeds)
+    monkeypatch.setattr(harness, "_generator_words", lambda seeds: seeds)
+    monkeypatch.setattr(
+        harness, "_generators", lambda seeds: [seeding.rng_from_seed(int(s)) for s in seeds]
+    )
+
+
 class TestSeedLayout:
     @pytest.mark.parametrize("backend", ["oracle", "measurement"])
-    def test_seeds_and_generators_per_trial(self, monkeypatch, backend):
-        # a trial splits its trial, psi and stream seeds, and builds one
-        # generator for its input and one that its stages share
-        trials = 20
+    def test_seeds_and_generators_per_block(self, monkeypatch, backend):
+        # a sweep calls neither child_seed nor rng_from_seed per trial: a
+        # one-cell sweep is one block, whose cell, trial, psi-and-stream seeds
+        # and generator words take one hash pass each, however many trials
         cell = dict(r_values=(2,), d_values=(3,), eps_values=(0.05,), backend=backend)
-        cell_records(trials, **cell)  # builds the cached measurement designs
-        calls = {"child_seed": 0, "rng_from_seed": 0}
-        for name in calls:
-            original = getattr(seeding, name)
+        cell_records(20, **cell)  # builds the cached measurement designs
+        calls = count_calls(monkeypatch, seeding, ["child_seed", "rng_from_seed", "_pool"])
+        for trials in (1, 20, 300):
+            summary, _ = cell_records(trials, **cell)
+            assert summary.failures_total == 0
+            assert calls == {"child_seed": 0, "rng_from_seed": 0, "_pool": 4}
+            calls["_pool"] = 0
 
-            def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            for module_name, module in list(sys.modules.items()):
-                if module_name.startswith("tomoreduce") and getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counting)
-        summary, _ = cell_records(trials, **cell)
-        assert summary.failures_total == 0
-        assert calls["child_seed"] <= 3 * trials + 1
-        assert calls["rng_from_seed"] == 2 * trials
+    def test_records_do_not_depend_on_block_or_stack_boundaries(self, monkeypatch):
+        # four cells, in 1, 1, 2 and 4 seed blocks and stacks of 16 that end
+        # at 1, 17, 255 and 300 trials; the master takes the scalar fallback
+        cells = dict(r_values=(1, 2), d_values=(2, 3), eps_values=(0.1,), master_seed=2**70)
+        _, full = cell_records(300, **cells)
+        assert [rec["seed"] for rec in full] == [
+            child_seed(child_seed(2**70, c), t) for c in range(4) for t in range(300)
+        ]
+        for trials in (1, 17, 255):
+            _, records = cell_records(trials, **cells)
+            assert records == [rec for rec in full if rec["trial"] < trials]
+        reference_seeding(monkeypatch)
+        assert cell_records(300, **cells)[1] == full
 
 
 class TestDeterminism:
