@@ -35,7 +35,7 @@ from .reduction import (
 )
 from .seeding import _check_seed, _child_seeds, _generator_words, _generators
 from .states import _overlaps, _random_pure_states
-from .tomography import TomographyBackend, _check_window, _shot_floor
+from .tomography import TomographyBackend, _check_window, _inverted_pure_states, _shot_floor
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -262,9 +262,7 @@ def _fidelity_fields(fidelities) -> list[dict[str, Any]]:
 
 def _scaling_pure_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
     psis, rngs = _trial_draws(cell, words)
-    estimates = TomographyBackend.linear_inversion(cell["n"])._estimate_pure_stack(
-        psis, rngs, [cell["n"]] * len(psis)
-    )
+    estimates = _inverted_pure_states(psis, [cell["n"]] * len(psis), rngs)
     return _fidelity_fields(
         _overlaps([psi.amplitudes for psi in psis], [phi.amplitudes for phi in estimates])
     )
@@ -458,6 +456,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
 
 def _csv_cell(value: Any) -> str:
+    if isinstance(value, np.generic):  # np.float64 is a float whose repr names its type
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -465,6 +465,12 @@ def _csv_cell(value: Any) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _json_value(value: Any) -> Any:
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # _csv_cell for the exact types records hold; any other type, such as a
@@ -479,10 +485,21 @@ _CSV_CELLS = {
 
 
 def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike, fmt: str) -> None:
-    """Persist records as RFC-4180 CSV or JSON Lines, full float precision."""
+    """Persist records as RFC-4180 CSV or JSON Lines, full float precision.
+
+    A numpy scalar is written as the Python scalar it holds. CSV takes its
+    columns from the first record, so a record with a key the first one lacks
+    raises ValueError before the file is opened.
+    """
     records = list(records)
     if not records:
         raise ValueError("no records to write")
+    if fmt == "csv":
+        first = records[0].keys()
+        for i, rec in enumerate(records):
+            if not rec.keys() <= first:
+                extra = [k for k in rec if k not in first]
+                raise ValueError(f"record {i} has columns the first record lacks: {extra}")
     out = Path(path)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -498,7 +515,7 @@ def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike,
     elif fmt == "jsonl":
         with open(out, "w") as f:
             for rec in records:
-                f.write(json.dumps(dict(rec)))
+                f.write(json.dumps(dict(rec), default=_json_value))
                 f.write("\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")

@@ -50,9 +50,9 @@ from .states import (
     partial_trace_x,
 )
 from .tomography import (
-    BackendKind,
     TomographyBackend,
     _calibrated_estimates,
+    _check_perturbable,
     _check_window,
     _trace_distances,
 )
@@ -127,8 +127,8 @@ class ReductionConfig:
             object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
         if self.pure_backend is None:
             object.__setattr__(self, "pure_backend", TomographyBackend.oracle(self.epsilon))
-        if self.mixed_backend.kind is BackendKind.ORACLE_EXACT_INFIDELITY and self.d == 1:
-            raise ValueError("the mixed oracle cannot perturb the only state on d = 1")
+        if self.d == 1:
+            raise ValueError("the reduction needs d >= 2: on d = 1 there is one state only")
         floor = self.mixed_backend.min_shots(self.d)
         if self.n_copies < floor:  # only linear inversion asks for more than one copy
             raise ValueError(
@@ -290,6 +290,8 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     projection tolerance raises :class:`ReductionError` (the support estimate
     misses the state entirely); a starved pure-state stage is reported, not raised.
     """
+    if psi.dims != (config.r, config.d):
+        raise ValueError(f"state dims {psi.dims} do not match config ({config.r}, {config.d})")
     (outcome,) = _run_reductions([psi], config, [rng_from_seed(config.seed)])
     if isinstance(outcome, ReductionError):
         raise outcome
@@ -326,11 +328,9 @@ def _run_reductions(
     checked once. Each trial's stages draw in order from its own generator: stage 1,
     the kept count, then stage 2. So its report is the one ``run_reduction`` gives
     it alone. Returns a report per trial, or the ReductionError that failed it alone.
+    Every input has the config's dims (r, d).
     """
     r, d, eps = config.r, config.d, config.epsilon
-    for psi in psis:
-        if psi.dims != (r, d):
-            raise ValueError(f"state dims {psi.dims} do not match config ({r}, {d})")
     count = len(psis)
     m = np.array([psi.as_matrix() for psi in psis])
 
@@ -618,6 +618,7 @@ def gentle_measurement_experiment(
     _check_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_perturbable(psi.d)
     trial_seeds = _child_seeds(_check_seed("master seed", seed), np.arange(trials))
     rngs = _generators(_generator_words(trial_seeds))
     distances = _gentle_distances([psi] * trials, delta, rngs)

@@ -340,9 +340,7 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> list[float]:
 
 
 def _support_rank(sigma: DensityMatrix, rank_cap: int) -> int:
-    """Rank of the projector onto sigma's leading eigenvectors under a cap."""
-    if rank_cap < 1:
-        raise ValueError("rank cap must be at least 1")
+    """Rank of the projector onto sigma's leading eigenvectors under a cap of at least 1."""
     k = min(sigma.rank, rank_cap)
     if k < 1:
         raise ValueError("state has no eigenvalue above the rank tolerance")
@@ -494,4 +492,6 @@ def support_projector(sigma: DensityMatrix, rank_cap: int) -> Projector:
     lower numerical rank yields a lower-rank projector rather than one padded
     with arbitrary directions.
     """
+    if rank_cap < 1:
+        raise ValueError("rank cap must be at least 1")
     return Projector(sigma.eigenvectors[:, : _support_rank(sigma, rank_cap)])

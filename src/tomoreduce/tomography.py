@@ -13,7 +13,8 @@ use; each estimate rotates that design by its own Haar unitary, so every
 basis it measures in is Haar. A stack of estimates is one pass: one batched
 QR draws the rotations, one multinomial call per trial its counts, and one
 stacked product applies the cached inverse. The stack kernels take one
-generator per trial and draw from it in program order.
+generator per trial, draw from it in program order, and check no input:
+each public entry checks its inputs once.
 """
 
 from __future__ import annotations
@@ -75,11 +76,11 @@ class TomographyBackend:
     """Estimator selection plus its parameters.
 
     Oracle backends need a target infidelity in [1e-12, 1), 1e-12 being the
-    oracles' resolution floor; measurement backends need a default shot
-    budget, an integer of at least 1. That budget applies only to direct
-    ``estimate_mixed`` and ``estimate_pure`` calls that pass no ``shots``:
-    ``run_reduction`` always passes its own budgets, ``n_copies`` for the
-    mixed-state stage and the kept copy count for the pure-state stage.
+    oracles' resolution floor; measurement backends need a shot budget, an
+    integer of at least 1. No stage reads that budget: ``run_reduction``
+    passes its own, ``n_copies`` for the mixed-state stage and the kept copy
+    count for the pure-state stage. ``shots`` stays, checked, because
+    ``benchmark/checks.py`` builds its backends with ``linear_inversion(shots)``.
     """
 
     kind: BackendKind
@@ -112,29 +113,19 @@ class TomographyBackend:
         """Fewest shots to estimate a state on C^dim: 1 for an oracle, d^2 for inversion."""
         return 1 if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY else _shot_floor(dim)
 
-    def estimate_mixed(
-        self, rho: DensityMatrix, rank: int, seed, shots: int | None = None
-    ) -> DensityMatrix:
-        budget = shots if shots is not None else self.shots
-        return self._estimate_mixed_stack([rho], rank, [rng_from_seed(seed)], budget)[0]
-
-    def estimate_pure(self, psi: PureState, seed, shots: int | None = None) -> PureState:
-        budget = shots if shots is not None else self.shots
-        return self._estimate_pure_stack([psi], [rng_from_seed(seed)], [budget])[0]
-
     def _estimate_mixed_stack(
-        self, rhos: list[DensityMatrix], rank: int, rngs, shots: int | None
+        self, rhos: list[DensityMatrix], rank: int, rngs, shots: int
     ) -> list[DensityMatrix]:
-        """estimate_mixed on a stack of states on one C^d, one generator each:
-        an oracle calibrates them in lockstep, and linear inversion solves them in stacks."""
+        """Estimates at a checked rank and budget of a stack of states on one C^d, one generator
+        each: an oracle calibrates them in lockstep, and linear inversion solves them in stacks."""
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             eps = self.epsilon_target
             return _calibrated_estimates(rhos, rngs, _infidelities, eps / 2.0, eps)
         return _inverted_mixed_states(rhos, rank, [shots] * len(rhos), rngs)
 
     def _estimate_pure_stack(self, states: list[PureState], rngs, shots) -> list[PureState]:
-        """estimate_pure on a stack of states of one shape; ``rngs`` holds
-        each state's generator and ``shots`` its budget."""
+        """Estimates of a stack of pure states of one shape; ``rngs`` holds
+        each state's generator and ``shots`` its checked budget."""
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             amps = np.array([psi.amplitudes for psi in states])
             rows = _oracle_pure_rows(amps, self.epsilon_target, rngs)
@@ -359,6 +350,20 @@ def _shot_floor(dim: int) -> int:
     return dim * dim
 
 
+def _check_budget(n, dim: int) -> None:
+    """Raise ValueError unless a shot budget on C^dim is an integer that
+    reaches the d^2 floor and fits in int64."""
+    _check_integer("shots", n)
+    if n < _shot_floor(dim):
+        raise ValueError(f"budget {n} is below the informational floor {_shot_floor(dim)}")
+    _check_count("shots", n)
+
+
+def _check_perturbable(dim: int) -> None:
+    if dim < 2:
+        raise ValueError("the oracle cannot perturb the only state on d = 1")
+
+
 def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMatrix:
     """Estimate of rho with the same rank and fidelity in [1 - eps, 1 - eps/2].
 
@@ -367,6 +372,7 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     eps must be at least the 1e-12 resolution floor.
     """
     _check_window("infidelity", epsilon)
+    _check_perturbable(rho.dim)
     rng = rng_from_seed(seed)
     return _calibrated_estimates([rho], [rng], _infidelities, epsilon / 2.0, epsilon)[0]
 
@@ -375,6 +381,7 @@ def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> De
     """Same-rank estimate of rho with trace distance in [delta/2, delta], for
     delta at least the 1e-12 resolution floor."""
     _check_window("trace distance", delta)
+    _check_perturbable(rho.dim)
     rng = rng_from_seed(seed)
     return _calibrated_estimates([rho], [rng], _trace_distances, delta / 2.0, delta)[0]
 
@@ -385,18 +392,19 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
     The state is rotated toward a random orthogonal unit vector by the angle
     whose cosine meets a target overlap drawn uniformly from the window.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
+    if psi.amplitudes.size < 2:
+        raise ValueError("no orthogonal direction available in a one-dimensional space")
     rows = _oracle_pure_rows(psi.amplitudes[None], epsilon, [rng_from_seed(seed)])
     return PureState(rows[0], psi.dims)
 
 
 def _oracle_pure_rows(amps: np.ndarray, epsilon: float, rngs) -> np.ndarray:
     """Phase-normalized, unchecked amplitude rows of the pure oracle's
-    estimates of a (T, n) stack of states, each drawn from its own generator."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
+    estimates of a (T, n) stack of states, n >= 2 and epsilon in (0, 1),
+    each drawn from its own generator."""
     total = amps.shape[1]
-    if total < 2:
-        raise ValueError("no orthogonal direction available in a one-dimensional space")
     rows = []
     for psi, rng in zip(amps, rngs):
         target = rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0)
@@ -504,14 +512,10 @@ def _simulate_inversion(mats: np.ndarray, shots, rngs) -> np.ndarray:
     x = U mat(S^-1 vec(sum_i B_i diag(f_i) B_i^H)) U^H: the estimator is
     unitarily covariant, and S^-1 is computed once per design. Each basis
     U B_i is Haar, though the bases of a trial are not independent. Trials
-    whose budgets use the same number of bases share one stacked pass.
+    whose budgets use the same number of bases share one stacked pass. Each
+    budget must pass ``_check_budget``.
     """
     dim = mats.shape[1]
-    for n in shots:
-        _check_integer("shots", n)
-        if n < _shot_floor(dim):
-            raise ValueError(f"budget {n} is below the informational floor {_shot_floor(dim)}")
-        _check_count("shots", n)
     num_bases = _num_bases(dim)
     u = _haar_unitary_stack(dim, rngs)
     rotated = u.conj().swapaxes(1, 2) @ mats @ u
@@ -548,11 +552,8 @@ def _inverted_pure_states(states: list[PureState], shots, rngs) -> list[PureStat
 def _inverted_mixed_states(
     rhos: list[DensityMatrix], r: int, shots, rngs
 ) -> list[DensityMatrix]:
-    """Rank-capped linear-inversion estimates of a stack of states on one
-    C^d, checked as one stack."""
-    dim = rhos[0].dim
-    if not 1 <= r <= dim:
-        raise ValueError(f"need 1 <= r <= d, got r={r}, d={dim}")
+    """Rank-capped linear-inversion estimates, 1 <= r <= d, of a stack of
+    states on one C^d, checked as one stack."""
     x = _simulate_inversion(np.array([rho.matrix for rho in rhos]), shots, rngs)
     w, v = np.linalg.eigh(x)
     w = np.clip(w[:, ::-1][:, :r], 0.0, None)
@@ -571,6 +572,7 @@ def estimate_pure_state_from_measurements(psi_true: PureState, n: int, seed) -> 
     before the counts. Linear inversion through the design's cached frame
     operator recovers the empirical density matrix, and its top eigenvector is returned.
     """
+    _check_budget(n, psi_true.amplitudes.size)
     return _inverted_pure_states([psi_true], [n], [rng_from_seed(seed)])[0]
 
 
@@ -584,4 +586,7 @@ def estimate_mixed_state_from_measurements(
     projected to the physical set: negative eigenvalues are clamped to zero,
     and the spectrum is truncated to the top r eigenpairs and renormalized.
     """
+    if not 1 <= r <= rho_true.dim:
+        raise ValueError(f"need 1 <= r <= d, got r={r}, d={rho_true.dim}")
+    _check_budget(n, rho_true.dim)
     return _inverted_mixed_states([rho_true], r, [n], [rng_from_seed(seed)])[0]

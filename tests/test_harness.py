@@ -476,6 +476,25 @@ class TestWriteRecords:
         with open(out) as f:
             assert json.loads(f.readline()) == recs[0]
 
+    def test_numpy_scalars_written_as_python_scalars(self, tmp_path):
+        # np.float64(0.5) used to become the CSV cell "np.float64(0.5)", and
+        # JSON Lines raised a TypeError on np.int64
+        rec = {"x": np.float64(0.5), "n": np.int64(3), "b": np.bool_(True), "f": np.float32(0.25)}
+        write_records([rec], tmp_path / "x.csv", "csv")
+        assert read_csv(tmp_path / "x.csv")[1] == ["0.5", "3", "true", "0.25"]
+        write_records([rec], tmp_path / "x.jsonl", "jsonl")
+        with open(tmp_path / "x.jsonl") as f:
+            assert json.loads(f.readline()) == {"x": 0.5, "n": 3, "b": True, "f": 0.25}
+
+    def test_csv_rejects_columns_the_first_record_lacks(self, tmp_path):
+        # the column b used to be dropped without a word
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=r"record 1 has columns the first record lacks: \['b'\]"):
+            write_records([{"a": 1}, {"a": 2, "b": 3}], out, "csv")
+        assert not out.exists()
+        write_records([{"a": 1, "b": 2}, {"a": 3}], out, "csv")
+        assert read_csv(out)[1:] == [["1", "2"], ["3", ""]]
+
 
 class TestFitScaling:
     def test_exact_inverse_law(self):

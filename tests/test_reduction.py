@@ -54,6 +54,16 @@ class TestReductionConfig:
             ReductionConfig(r=1, d=4, n_copies=15, epsilon=0.1, mixed_backend=inversion)
         ReductionConfig(r=1, d=4, n_copies=16, epsilon=0.1, mixed_backend=inversion)
 
+    @pytest.mark.parametrize(
+        "backend", [TomographyBackend.oracle(0.1), TomographyBackend.linear_inversion(10)]
+    )
+    def test_rejects_d_1_for_every_backend(self, backend):
+        # linear inversion used to run on d = 1, where there is one state only
+        with pytest.raises(ValueError, match="d = 1"):
+            ReductionConfig(
+                r=1, d=1, n_copies=10, epsilon=0.1, mixed_backend=backend, pure_backend=backend
+            )
+
     @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, 1e308, 2.0**62])
     def test_rejects_copy_count_beyond_int64(self, factor):
         # the kept count is one binomial draw, which takes an int64 copy count

@@ -1,5 +1,7 @@
 """Tests for the oracle and measurement-based estimators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,23 @@ from tomoreduce import (
     DensityMatrix,
     Projector,
     PureState,
+    ReductionConfig,
     TomographyBackend,
     child_seed,
     estimate_mixed_state_from_measurements,
     estimate_pure_state_from_measurements,
     fidelity_mixed,
     fidelity_pure_pure,
+    gentle_measurement_experiment,
     oracle_mixed_estimate,
     oracle_pure_estimate,
     oracle_trace_distance_estimate,
     random_pure_state,
     random_rank_r_state,
     rng_from_seed,
+    run_reduction,
     sample_shots,
+    support_projector,
     trace_distance,
 )
 from tomoreduce import states
@@ -508,15 +514,109 @@ class TestBackendConfig:
             assert TomographyBackend.linear_inversion(5).min_shots(dim) == dim * dim
 
     def test_dispatch(self):
+        # each backend's stack kernels are the ones its public entries run
         rho = random_rank_r_state(3, 2, seed=40)
         oracle = TomographyBackend.oracle(0.1)
-        sigma = oracle.estimate_mixed(rho, rank=2, seed=41)
+        sigma = oracle_mixed_estimate(rho, 0.1, seed=41)
         assert 0.9 <= fidelity_mixed(rho, sigma) <= 0.95
+        (same,) = oracle._estimate_mixed_stack([rho], 2, [rng_from_seed(41)], 1)
+        assert np.array_equal(same.matrix, sigma.matrix)
         li = TomographyBackend.linear_inversion(shots=5000)
-        sigma2 = li.estimate_mixed(rho, rank=2, seed=42)
+        sigma2 = estimate_mixed_state_from_measurements(rho, 2, 5000, seed=42)
         assert sigma2.rank <= 2
+        (same,) = li._estimate_mixed_stack([rho], 2, [rng_from_seed(42)], 5000)
+        assert np.array_equal(same.matrix, sigma2.matrix)
         psi = random_pure_state(1, 3, seed=43)
-        phi = oracle.estimate_pure(psi, seed=44)
+        phi = oracle_pure_estimate(psi, 0.1, seed=44)
         assert 0.9 <= fidelity_pure_pure(phi, psi) <= 0.95
-        phi2 = li.estimate_pure(psi, seed=45, shots=2000)
+        (same,) = oracle._estimate_pure_stack([psi], [rng_from_seed(44)], [1])
+        assert np.array_equal(same.amplitudes, phi.amplitudes)
+        phi2 = estimate_pure_state_from_measurements(psi, 2000, seed=45)
         assert np.linalg.norm(phi2.amplitudes) == pytest.approx(1.0, abs=1e-9)
+        (same,) = li._estimate_pure_stack([psi], [rng_from_seed(45)], [2000])
+        assert np.array_equal(same.amplitudes, phi2.amplitudes)
+
+
+# Each check the stack kernels trust their callers with, at the public entry
+# that makes it: the call, and the whole message of its ValueError.
+_RHO3 = random_rank_r_state(3, 2, seed=70)
+_PSI3 = random_pure_state(1, 3, seed=71)
+ENTRY_CHECKS = {
+    "pure_budget_not_integer": (
+        lambda: estimate_pure_state_from_measurements(_PSI3, 9.5, 0),
+        "shots must be an integer, got 9.5",
+    ),
+    "pure_budget_below_floor": (
+        lambda: estimate_pure_state_from_measurements(_PSI3, 8, 0),
+        "budget 8 is below the informational floor 9",
+    ),
+    "pure_budget_beyond_int64": (
+        lambda: estimate_pure_state_from_measurements(_PSI3, 2**63, 0),
+        "9.22e+18 shots exceed the int64 limit 2^63 - 1",
+    ),
+    "mixed_budget_not_integer": (
+        lambda: estimate_mixed_state_from_measurements(_RHO3, 2, 9.5, 0),
+        "shots must be an integer, got 9.5",
+    ),
+    "mixed_budget_below_floor": (
+        lambda: estimate_mixed_state_from_measurements(_RHO3, 2, 8, 0),
+        "budget 8 is below the informational floor 9",
+    ),
+    "mixed_budget_beyond_int64": (
+        lambda: estimate_mixed_state_from_measurements(_RHO3, 2, 2**63, 0),
+        "9.22e+18 shots exceed the int64 limit 2^63 - 1",
+    ),
+    "mixed_rank_above_d": (
+        lambda: estimate_mixed_state_from_measurements(_RHO3, 4, 100, 0),
+        "need 1 <= r <= d, got r=4, d=3",
+    ),
+    "mixed_rank_zero": (
+        lambda: estimate_mixed_state_from_measurements(_RHO3, 0, 100, 0),
+        "need 1 <= r <= d, got r=0, d=3",
+    ),
+    "oracle_pure_eps_zero": (
+        lambda: oracle_pure_estimate(_PSI3, 0.0, 0),
+        "target infidelity must be in (0, 1), got 0.0",
+    ),
+    "oracle_pure_eps_one": (
+        lambda: oracle_pure_estimate(_PSI3, 1.0, 0),
+        "target infidelity must be in (0, 1), got 1.0",
+    ),
+    "oracle_pure_one_dimensional": (
+        lambda: oracle_pure_estimate(PureState(np.array([1.0]), (1, 1)), 0.1, 0),
+        "no orthogonal direction available in a one-dimensional space",
+    ),
+    "reduction_dims": (
+        lambda: run_reduction(_PSI3, ReductionConfig(r=1, d=4, n_copies=10, epsilon=0.1)),
+        "state dims (1, 3) do not match config (1, 4)",
+    ),
+    "support_rank_cap": (
+        lambda: support_projector(_RHO3, 0),
+        "rank cap must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_CHECKS)
+def test_entry_checks(name):
+    call, message = ENTRY_CHECKS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, psi: oracle_mixed_estimate(rho, 0.1, 0),
+        lambda rho, psi: oracle_trace_distance_estimate(rho, 0.1, 0),
+        lambda rho, psi: gentle_measurement_experiment(psi, 0.1, 3, 0),
+    ],
+    ids=["oracle_mixed", "oracle_trace_distance", "gentle"],
+)
+def test_oracles_reject_d_1(call):
+    # there is no other state on d = 1 to calibrate toward; these calls used
+    # to give up with a RuntimeError after eight perturbation families
+    rho = DensityMatrix.from_matrix(np.eye(1))
+    psi = PureState(np.array([1.0]), (1, 1))
+    with pytest.raises(ValueError, match="cannot perturb the only state on d = 1"):
+        call(rho, psi)

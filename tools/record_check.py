@@ -10,9 +10,11 @@ and per record format (CSV and JSON Lines), each in a fresh interpreter with
 one BLAS thread, from an empty working directory; the two trees' runs of a
 sweep run side by side. The ``wall_time`` column is left out of the
 comparison, since it is the only field that is not a function of the seed.
-For each run the script prints ``same`` or the columns that differ with
-their largest absolute difference, and it exits 1 if any record, stdout or
-exit code differs.
+Where both trees exit 2 (a configuration error), their stderr is compared
+too; other stderr is not, since a traceback holds the tree's paths. For each
+run the script prints ``same`` or the columns that differ with their largest
+absolute difference, and it exits 1 if any record, stdout, exit code or such
+stderr differs.
 
 With ``--stats`` the trees may draw different records from the same law,
 which a byte comparison cannot show. Every sweep of ``STATS_SWEEPS`` then
@@ -41,7 +43,9 @@ from pathlib import Path
 # grid, the side experiments, the one-cell default, 40-trial default grids on
 # both backends, and 40-trial side-experiment grids whose stacks cross the
 # 16-trial boundary: gentle with rank-3 projections and the 1e-12 window, and
-# scale-* from the d^2 floor to 1e5 shots.
+# scale-* from the d^2 floor to 1e5 shots; then configuration errors: stage 1
+# below the d^2 floor, eps below the oracles' resolution floor, budgets that
+# all fall below the floor, and d = 1.
 SWEEPS = (
     ["chain-sweep", "--trials", "2", "--seed", "11"],
     ["chain-sweep", "--backend", "measurement", "--trials", "1", "--seed", "12"],
@@ -63,6 +67,10 @@ SWEEPS = (
     ],
     ["scale-pure", "--d", "2,3,4,8", "--n", "64,1000,100000", "--trials", "40"],
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000", "--trials", "40"],
+    ["chain-sweep", "--backend", "measurement", "--d", "4", "--n-copies", "15"],
+    ["reduce", "--eps", "1e-13"],
+    ["scale-pure", "--d", "4", "--n", "10"],
+    ["chain-sweep", "--d", "1"],
 )
 FORMATS = ("csv", "jsonl")
 # The sweeps of --stats: both chain backends and gentle on the default grid,
@@ -84,8 +92,8 @@ STATS_ALPHA = 0.01  # family-wise false-alarm rate of the Bonferroni-corrected t
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, list[dict]]:
-    """Exit code, stdout and records (without wall_time) of one CLI run."""
+def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, str, list[dict]]:
+    """Exit code, stdout, stderr and records (without wall_time) of one CLI run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(_ONE_THREAD, "1"))
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / f"records.{fmt}"
@@ -96,7 +104,7 @@ def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, list[dic
         records = _read(out, fmt) if out.exists() else []
     for rec in records:
         rec.pop("wall_time", None)
-    return proc.returncode, proc.stdout, records
+    return proc.returncode, proc.stdout, proc.stderr, records
 
 
 def _read(path: Path, fmt: str) -> list[dict]:
@@ -153,7 +161,7 @@ def compare_laws(parent: Path, change: Path) -> int:
         for sweep in STATS_SWEEPS:
             argv = [*sweep, "--trials", str(STATS_TRIALS)]
             runs = pool.map(lambda tree: run_sweep(tree, argv, "csv"), (parent, change))
-            (code_a, _, recs_a), (code_b, _, recs_b) = runs
+            (code_a, _, _, recs_a), (code_b, _, _, recs_b) = runs
             found = []
             for column in STATS_COLUMNS:
                 old, new = cell_values(recs_a, column), cell_values(recs_b, column)
@@ -195,12 +203,14 @@ def main(argv: list[str]) -> int:
         for sweep in SWEEPS:
             for fmt in FORMATS:
                 runs = pool.map(lambda tree: run_sweep(tree, sweep, fmt), (parent, change))
-                (code_a, out_a, recs_a), (code_b, out_b, recs_b) = runs
+                (code_a, out_a, err_a, recs_a), (code_b, out_b, err_b, recs_b) = runs
                 problems = []
                 if code_a != code_b:
                     problems.append(f"exit code {code_a} -> {code_b}")
                 if out_a != out_b:
                     problems.append("stdout differs")
+                if code_a == code_b == 2 and err_a != err_b:
+                    problems.append("stderr differs")
                 diffs = record_differences(recs_a, recs_b)
                 problems += [f"{key} max |d| {delta:.3g}" for key, delta in sorted(diffs.items())]
                 label = f"{' '.join(sweep)} [{fmt}]"
