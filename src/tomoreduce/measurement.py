@@ -52,9 +52,10 @@ def _keep_and_projected(m: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, n
     """Keep probabilities ||M_t conj(B_t)||_F^2 and unnormalized projected
     coefficient matrices M_t conj(B_t) B_t^T, for a stack of (r, d)
     coefficient matrices M and (d, k) orthonormal support bases B. Each
-    probability is summed alone, so a stack gives the bits of one state."""
+    probability is the pairwise sum along one contiguous row of r*k squared
+    moduli, as a state's sum alone is, so a stack gives the bits of one state."""
     g = m @ basis.conj()
-    return np.array([np.sum(np.abs(x) ** 2) for x in g]), g @ basis.swapaxes(1, 2)
+    return (np.abs(g) ** 2).reshape(len(g), -1).sum(axis=1), g @ basis.swapaxes(1, 2)
 
 
 def _renormalized(p: np.ndarray, projected: np.ndarray) -> np.ndarray:

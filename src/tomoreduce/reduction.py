@@ -36,14 +36,19 @@ from .seeding import _check_seed, _child_seeds, _generator_words, _generators, r
 from .states import (
     DensityMatrix,
     PureState,
+    _check_unit_norms,
     _density_matrices,
     _fidelities,
     _groups,
+    _overlaps,
     _phase_normalized,
     _pure_states,
+    _ranks,
     _reduced_states,
+    _row_norms,
+    _row_vdots,
     _sqrt_matrices,
-    _support_rank,
+    _support_ranks,
     fidelity_mixed,
     fidelity_pure_pure,
     optimal_purification_against,
@@ -114,6 +119,8 @@ class ReductionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer("r", self.r)
+        _check_integer("d", self.d)
         if not 1 <= self.r <= self.d:
             raise ValueError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
         _check_seed("seed", self.seed)
@@ -169,13 +176,10 @@ def _guaranteed_bound(epsilon: float) -> float:
     return 1.0 - 16.0 * epsilon
 
 
-def _stage_fidelities(psi: PureState, psi_tilde: PureState, phi: PureState | None):
+def _stage_fidelities(psi: np.ndarray, psi_tilde: np.ndarray, phi: np.ndarray):
     """The overlaps |<psi_tilde|psi>|^2, |<phi|psi_tilde>|^2 and |<phi|psi>|^2
-    that the chain checks; the last two are None without phi."""
-    projected = fidelity_pure_pure(psi_tilde, psi)
-    if phi is None:
-        return projected, None, None
-    return projected, fidelity_pure_pure(phi, psi_tilde), fidelity_pure_pure(phi, psi)
+    that the chain checks, as lists, for (T, n) stacks of amplitude rows."""
+    return _overlaps(psi, psi_tilde), _overlaps(psi_tilde, phi), _overlaps(psi, phi)
 
 
 def _chain(eps, f, keep, projected, estimate, final) -> tuple[ChainCheck, ...]:
@@ -246,31 +250,24 @@ class ReductionReport:
         return sum(1 for c in self.chain if c.violated)
 
 
-def _support_projections(m: np.ndarray, sigmas: list[DensityMatrix], rank_cap: int):
-    """Projector ranks, keep probabilities and projected states of a stack of
-    (r, d) coefficient matrices on the rank-capped supports of their sigmas.
-
-    Trials are stacked by projector rank. The projected states are
-    phase-normalized and checked as one stack: a PureState per trial, or None
-    where the keep probability is at most PROB_TOL. The support bases need no
-    check of their own: they are columns of sigma's eigenvectors, whose Gram
-    defect sigma's check bounds.
-    """
-    count, r, d = m.shape
-    ranks = [_support_rank(sigma, rank_cap) for sigma in sigmas]
+def _support_projections(m: np.ndarray, sigma_w: np.ndarray, sigma_v: np.ndarray, rank_cap):
+    """Projector ranks, keep probabilities, the trials ``usable`` whose keep
+    probability exceeds PROB_TOL, and their projected states as phase-normalized
+    amplitude rows checked as one stack, for (r, d) coefficient matrices on the
+    rank-capped supports of sigmas given by eigenvalues (T, k) and eigenvectors
+    (T, d, k), stacked by projector rank. The support bases need no check of
+    their own: sigma's check bounds the Gram defect of its eigenvectors."""
+    count = len(m)
+    ranks = _support_ranks(sigma_w, rank_cap)
     p = np.empty(count)
     projected = np.empty(m.shape, dtype=complex)
     for idx in _groups(ranks):
-        k = ranks[idx[0]]
-        basis = np.array([sigmas[i].eigenvectors[:, :k] for i in idx])
-        p[idx], projected[idx] = _keep_and_projected(m[idx], basis)
+        p[idx], projected[idx] = _keep_and_projected(m[idx], sigma_v[idx, :, : ranks[idx[0]]])
     keep = np.clip(p, 0.0, 1.0)
     usable = np.flatnonzero(keep > PROB_TOL)
     rows = _renormalized(p[usable], projected[usable])
-    tildes: list[PureState | None] = [None] * count
-    for t, tilde in zip(usable, _pure_states(rows, (r, d))):
-        tildes[t] = tilde
-    return ranks, keep, tildes
+    _check_unit_norms(rows)
+    return ranks, keep, usable, rows
 
 
 def _embeddings(basis: np.ndarray, r: int) -> np.ndarray:
@@ -292,102 +289,100 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     """
     if psi.dims != (config.r, config.d):
         raise ValueError(f"state dims {psi.dims} do not match config ({config.r}, {config.d})")
-    (outcome,) = _run_reductions([psi], config, [rng_from_seed(config.seed)])
+    (outcome,) = _run_reductions(psi.amplitudes[None], config, [rng_from_seed(config.seed)])
     if isinstance(outcome, ReductionError):
         raise outcome
     return outcome
 
 
-def _mixed_stage(
-    m: np.ndarray, backend: TomographyBackend, rngs, shots: int
-) -> tuple[list[DensityMatrix], list[float]]:
-    """Stage 1 on a (T, r, d) stack of coefficient matrices: the backend's
-    rank-r estimates sigma_t of the reduced states rho_t, drawn from rngs[t],
-    and F(rho_t, sigma_t). sqrt(sigma) is taken per stack of one eigenvector shape."""
-    count, r, d = m.shape
-    rho_mat, rho_w, rho_v = _reduced_states(m)
-    rhos = _density_matrices(rho_mat, rho_w, rho_v)
-    sigmas = backend._estimate_mixed_stack(rhos, r, rngs, shots)
-    root_sigma = np.empty((count, d, d), dtype=complex)
-    for idx in _groups([sigma.eigenvectors.shape for sigma in sigmas]):
-        root_sigma[idx] = _sqrt_matrices(
-            np.array([sigmas[i].eigenvalues for i in idx]),
-            np.array([sigmas[i].eigenvectors for i in idx]),
-        )
-    return sigmas, _fidelities(_sqrt_matrices(rho_w, rho_v), root_sigma)
+def _mixed_stage(rho, backend: TomographyBackend, r: int, rngs, shots: int):
+    """Stage 1 on checked (matrix, eigenvalues, eigenvectors) stacks of reduced
+    states rho_t, of one rank for an oracle: the like stacks of the backend's
+    rank-r estimates sigma_t, drawn from rngs[t], and F(rho_t, sigma_t)."""
+    _, rho_w, rho_v = rho
+    sigma = backend._estimate_mixed_stack(rho, r, rngs, shots)
+    return sigma, _fidelities(_sqrt_matrices(rho_w, rho_v), _sqrt_matrices(*sigma[1:]))
 
 
 def _run_reductions(
-    psis: list[PureState], config: ReductionConfig, rngs
+    amps: np.ndarray, config: ReductionConfig, rngs
 ) -> list[ReductionReport | ReductionError]:
-    """The reduction on a stack of inputs under one config, trial t drawing
-    from the generator rngs[t] in place of ``config.seed``'s.
+    """The reduction on a (T, r*d) stack of input amplitude rows under one config,
+    trial t drawing from the generator rngs[t] in place of ``config.seed``'s.
 
     One numpy call serves every trial of the stack that shares a shape (the
     projector rank may differ between trials), and each state stack is
     checked once. Each trial's stages draw in order from its own generator: stage 1,
     the kept count, then stage 2. So its report is the one ``run_reduction`` gives
     it alone. Returns a report per trial, or the ReductionError that failed it alone.
-    Every input has the config's dims (r, d).
     """
     r, d, eps = config.r, config.d, config.epsilon
-    count = len(psis)
-    m = np.array([psi.as_matrix() for psi in psis])
+    count = len(amps)
+    m = amps.reshape(count, r, d)
+    rho = _reduced_states(m)
+    groups = _groups(_ranks(rho[1]))
+    if len(groups) > 1:  # the oracle calibrates states of one rank at a time
+        outcomes = np.empty(count, dtype=object)
+        for idx in groups:
+            outcomes[idx] = _run_reductions(amps[idx], config, [rngs[t] for t in idx])
+        return outcomes.tolist()
 
-    sigmas, f_rho_sigma = _mixed_stage(m, config.mixed_backend, rngs, config.n_copies)
+    sigma, f_rho_sigma = _mixed_stage(rho, config.mixed_backend, r, rngs, config.n_copies)
 
-    ranks, keep, tildes = _support_projections(m, sigmas, r)
-    usable = [t for t in range(count) if tildes[t] is not None]
+    ranks, keep, usable, tilde = _support_projections(m, *sigma[1:], r)
     extra_copies = config.extra_copies
     samples_total = config.n_copies + extra_copies
-    kept = {t: int(rngs[t].binomial(extra_copies, keep[t])) for t in usable}
+    kept = np.zeros(count, dtype=np.int64)
+    kept[usable] = [rngs[t].binomial(extra_copies, keep[t]) for t in usable.tolist()]
     # The pure-state stage runs in coordinates on (X register) x supp(Pi),
-    # a subspace of dimension r * rank(Pi) <= r^2.
-    fed = [t for t in usable if kept[t] >= config.pure_backend.min_shots(r * ranks[t])]
-    estimates = {t: tildes[t] for t in fed if r * ranks[t] == 1}  # tomography is trivially exact
-    embedded = [t for t in fed if r * ranks[t] > 1]
-    for idx in _groups([ranks[t] for t in embedded]):
-        trials = [embedded[i] for i in idx]
-        k = ranks[trials[0]]
-        embed = _embeddings(np.array([sigmas[t].eigenvectors[:, :k] for t in trials]), r)
-        tilde = np.array([tildes[t].amplitudes for t in trials])
-        coords = (embed.conj().swapaxes(1, 2) @ tilde[:, :, None])[:, :, 0]
-        # one vector norm per trial: a norm along an axis rounds differently
-        coords = np.array([c / np.linalg.norm(c) for c in coords])
-        phis = config.pure_backend._estimate_pure_stack(
-            _pure_states(coords, (r, k)), [rngs[t] for t in trials], [kept[t] for t in trials]
-        )
-        phi = np.array([p.amplitudes for p in phis])
-        rows = _phase_normalized((embed @ phi[:, :, None])[:, :, 0])
-        estimates.update(zip(trials, _pure_states(rows, (r, d))))
+    # a subspace of dimension r * rank(Pi) <= r^2. Rows of phi stay zero where
+    # the stage is starved, and their overlaps are not read.
+    support = ranks[usable]
+    fed = kept[usable] >= config.pure_backend.min_shots(r * support)
+    phi = np.where((fed & (r * support == 1))[:, None], tilde, 0.0)  # tomography is trivially exact
+    lifted = np.flatnonzero(fed & (r * support > 1))
+    for at in (lifted[idx] for idx in _groups(support[lifted])):
+        trials, k = usable[at], support[at[0]]
+        embed = _embeddings(sigma[2][trials, :, :k], r)
+        coords = (embed.conj().swapaxes(1, 2) @ tilde[at][:, :, None])[:, :, 0]
+        # the stacked dots of _row_norms are those of one row's norm alone
+        coords = coords / _row_norms(coords)[:, None]
+        _check_unit_norms(coords)
+        stage = config.pure_backend._estimate_pure_stack
+        in_support = stage(coords, [rngs[t] for t in trials], kept[trials])
+        phi[at] = _phase_normalized((embed @ in_support[:, :, None])[:, :, 0])
+    _check_unit_norms(phi[lifted])
+    projected, est, final = _stage_fidelities(amps[usable], tilde, phi)
 
+    sigmas = _density_matrices(*sigma)
+    estimates = dict(zip(usable[fed].tolist(), _pure_states(phi[fed], (r, d))))
+    position = dict(zip(usable.tolist(), range(len(usable))))
     outcomes: list[ReductionReport | ReductionError] = []
-    for t in range(count):
-        if tildes[t] is None:
+    for t, keep_t, kept_t in zip(range(count), keep.tolist(), kept.tolist()):
+        if t not in position:
             outcomes.append(
                 ReductionError(
-                    f"keep probability {keep[t]:.3e} is below {PROB_TOL:g}; "
+                    f"keep probability {keep_t:.3e} is below {PROB_TOL:g}; "
                     "the support estimate is disjoint from the input state"
                 )
             )
             continue
-        estimate = estimates.get(t)
-        keep_t = float(keep[t])
-        projected, est, final = _stage_fidelities(psis[t], tildes[t], estimate)
+        j, estimate = position[t], estimates.get(t)
+        est_t, final_t = (None, None) if estimate is None else (est[j], final[j])
         outcomes.append(
             ReductionReport(
                 sigma=sigmas[t],
-                projector_rank=ranks[t],
+                projector_rank=int(ranks[t]),
                 fidelity_mixed_estimate=f_rho_sigma[t],
                 keep_probability=keep_t,
                 extra_copies=extra_copies,
-                kept_count=kept[t],
-                projected_fidelity=projected,
-                estimate_fidelity=est,
-                final_fidelity=final,
-                chain=_chain(eps, f_rho_sigma[t], keep_t, projected, est, final),
+                kept_count=kept_t,
+                projected_fidelity=projected[j],
+                estimate_fidelity=est_t,
+                final_fidelity=final_t,
+                chain=_chain(eps, f_rho_sigma[t], keep_t, projected[j], est_t, final_t),
                 samples_total=samples_total,
-                low_yield=kept[t] < math.ceil(extra_copies / 2),
+                low_yield=kept_t < math.ceil(extra_copies / 2),
                 starved=estimate is None,
                 estimate=estimate,
             )
@@ -449,12 +444,14 @@ def verify_chain(
         )
     f_rho_sigma = fidelity_mixed(partial_trace_x(psi), sigma)
     uhlmann_overlap = fidelity_pure_pure(psi, optimal_purification_against(sigma, psi))
-    _, keep, (psi_tilde,) = _support_projections(psi.as_matrix()[None], [sigma], psi.r)
+    m, w, v = psi.as_matrix()[None], sigma.eigenvalues[None], sigma.eigenvectors[None]
+    _, keep, usable, psi_tilde = _support_projections(m, w, v, psi.r)
     keep_probability = float(keep[0])
     projected = estimate_fidelity = final_fidelity = None
     eps = epsilon
-    if psi_tilde is not None:
-        projected, estimate_fidelity, final_fidelity = _stage_fidelities(psi, psi_tilde, phi)
+    if usable.size:
+        overlaps = _stage_fidelities(psi.amplitudes[None], psi_tilde, phi.amplitudes[None])
+        projected, estimate_fidelity, final_fidelity = (values[0] for values in overlaps)
         if eps is None:
             eps = max(1.0 - f_rho_sigma, 1.0 - estimate_fidelity, 1e-15)
     uhlmann = ChainCheck(
@@ -468,7 +465,7 @@ def verify_chain(
         fidelity_mixed_estimate=f_rho_sigma,
         uhlmann_overlap=uhlmann_overlap,
         keep_probability=keep_probability,
-        usable=psi_tilde is not None,
+        usable=bool(usable.size),
         projected_fidelity=projected,
         estimate_fidelity=estimate_fidelity,
         final_fidelity=final_fidelity,
@@ -621,24 +618,30 @@ def gentle_measurement_experiment(
     _check_perturbable(psi.d)
     trial_seeds = _child_seeds(_check_seed("master seed", seed), np.arange(trials))
     rngs = _generators(_generator_words(trial_seeds))
-    distances = _gentle_distances([psi] * trials, delta, rngs)
+    amps = np.repeat(psi.amplitudes[None], trials, axis=0)
+    distances = _gentle_distances(amps, psi.r, delta, rngs)
     kept = distances[~np.isnan(distances)]
     return GentleMeasurementResult(delta=delta, skipped=trials - kept.size, trace_distances=kept)
 
 
-def _gentle_distances(psis: list[PureState], delta: float, rngs) -> np.ndarray:
-    """T per trial of the gentle-measurement experiment on a stack of states
-    of one shape, the trial's sigma drawn from its generator; NaN where the
-    keep probability vanishes and the trial is skipped."""
-    m = np.array([psi.as_matrix() for psi in psis])
-    rhos = _density_matrices(*_reduced_states(m))
-    sigmas = _calibrated_estimates(rhos, rngs, _trace_distances, delta / 2.0, delta)
-    _, _, tildes = _support_projections(m, sigmas, psis[0].r)
-    distances = np.full(len(psis), np.nan)
-    for t, tilde in enumerate(tildes):
-        if tilde is None:
-            continue
-        # one vdot and one vector norm per trial: row-wise forms round differently
-        a, b = psis[t].amplitudes, tilde.amplitudes
-        distances[t] = float(np.linalg.norm(a - np.vdot(b, a) * b))
+def _gentle_distances(amps: np.ndarray, r: int, delta: float, rngs) -> np.ndarray:
+    """T per trial of the gentle-measurement experiment on a (T, r*d) stack of
+    input amplitude rows, the trial's sigma drawn from its generator; NaN where
+    the keep probability vanishes and the trial is skipped."""
+    count = len(amps)
+    m = amps.reshape(count, r, -1)
+    _, rho_w, rho_v = _reduced_states(m)
+    groups = _groups(_ranks(rho_w))
+    if len(groups) > 1:  # the oracle calibrates states of one rank at a time
+        distances = np.empty(count)
+        for idx in groups:
+            distances[idx] = _gentle_distances(amps[idx], r, delta, [rngs[t] for t in idx])
+        return distances
+    k = _ranks(rho_w[:1])[0]
+    _, w, v = _calibrated_estimates(rho_w[:, :k], rho_v, rngs, _trace_distances, delta / 2.0, delta)
+    _, _, usable, tilde = _support_projections(m, w, v, r)
+    # _row_vdots and _row_norms make, per row, the BLAS calls of np.vdot and np.linalg.norm
+    a = amps[usable]
+    distances = np.full(count, np.nan)
+    distances[usable] = _row_norms(a - _row_vdots(tilde, a)[:, None] * tilde)
     return distances

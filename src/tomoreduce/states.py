@@ -7,6 +7,11 @@ and positivity at fixed tolerances, written ``not defect <= tol`` so that a
 NaN fails them, and the eigenvectors or factors a state carries are checked
 to be orthonormal. Every array held by a state object is frozen after
 construction, so instances are safe to share across threads.
+
+A stack kernel on (T, ...) arrays loops over trials only to draw; each other
+step is one numpy call per stack that keeps each trial's bits: ``_row_vdots``
+and ``_row_norms`` make the BLAS calls of ``np.vdot`` and ``np.linalg.norm``
+per row, moduli are ``np.hypot``, and squares stay scalar (``pow``, not x * x).
 """
 
 from __future__ import annotations
@@ -129,8 +134,8 @@ class DensityMatrix:
     def from_eigensystem(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> "DensityMatrix":
         """Build from explicit orthonormal eigenpairs (possibly truncated)."""
         w = np.asarray(eigenvalues, dtype=float).reshape(1, -1)
-        mat, w, v = _from_eigensystems(w, np.asarray(eigenvectors, dtype=complex)[None])
-        return cls(matrix=mat[0], eigenvalues=w[0], eigenvectors=v[0])
+        v = np.asarray(eigenvectors, dtype=complex)[None]
+        return _density_matrices(*_from_eigensystems(w, v))[0]
 
     @property
     def dim(self) -> int:
@@ -139,7 +144,7 @@ class DensityMatrix:
     @property
     def rank(self) -> int:
         """Number of eigenvalues above the rank tolerance."""
-        return int(np.count_nonzero(self.eigenvalues > RANK_TOL))
+        return int(_ranks(self.eigenvalues[None])[0])
 
     def sqrt_matrix(self) -> np.ndarray:
         """Principal square root, with rounding-noise negatives clamped to 0."""
@@ -212,12 +217,34 @@ class Projector:
 # trials checks each of its stacks once.
 
 
-def _groups(keys) -> list[np.ndarray]:
-    """Index arrays of the positions of equal keys, in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return [np.array(idx) for idx in groups.values()]
+def _groups(keys: np.ndarray) -> list[np.ndarray]:
+    """Index arrays of the positions of equal entries of a (T,) array, in order of
+    first appearance: not np.unique, whose first use faults about 1.2 MiB in."""
+    groups, rest = [], np.arange(len(keys))
+    while rest.size:
+        same = keys[rest] == keys[rest[0]]
+        groups.append(rest[same])
+        rest = rest[~same]
+    return groups
+
+
+def _ranks(w: np.ndarray) -> np.ndarray:
+    """Numerical ranks of a (T, k) stack of spectra: the eigenvalues above RANK_TOL."""
+    return np.count_nonzero(w > RANK_TOL, axis=1)
+
+
+def _row_vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_t|b_t> for the rows of two (T, n) stacks: per row the BLAS dot that
+    ``np.vdot(a_t, b_t)`` calls, on the conjugated row, so bit for bit its value."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Norms of the rows of a (T, n) complex stack, bit for bit ``np.linalg.norm``
+    of each: the dots of the strided ``.real`` and ``.imag`` views, as its 1-D
+    path takes them; contiguous copies, or a norm along an axis, round otherwise."""
+    dots = [(x[:, None, :] @ x[:, :, None])[:, 0, 0] for x in (a.real, a.imag)]
+    return np.sqrt(dots[0] + dots[1])
 
 
 def _unchecked(cls, **fields):
@@ -236,8 +263,7 @@ def _check_unit_norms(amps: np.ndarray) -> None:
 
 
 def _pure_states(amps: np.ndarray, dims: tuple[int, int]) -> list[PureState]:
-    """The rows of a (T, r*d) amplitude stack as PureStates, checked as one stack."""
-    _check_unit_norms(amps)
+    """The rows of a (T, r*d) amplitude stack that passed ``_check_unit_norms`` as PureStates."""
     return [_unchecked(PureState, amplitudes=row, dims=dims) for row in _frozen(amps)]
 
 
@@ -287,9 +313,7 @@ def _check_density_stack(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
 
 
 def _density_matrices(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> list[DensityMatrix]:
-    """DensityMatrix objects from (T, n, n), (T, k) and (T, n, k) stacks,
-    checked as one stack."""
-    _check_density_stack(mat, w, v)
+    """DensityMatrix objects from checked (T, n, n), (T, k) and (T, n, k) stacks."""
     return [
         _unchecked(DensityMatrix, matrix=m, eigenvalues=a, eigenvectors=b)
         for m, a, b in zip(_frozen(mat), _frozen(w), _frozen(v))
@@ -306,19 +330,24 @@ def _from_matrices(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _from_eigensystems(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermitized matrices of a stack of eigenpairs, and the pairs sorted nonincreasing."""
+    """Hermitized matrices of a stack of eigenpairs, and the pairs sorted
+    nonincreasing, checked as one stack."""
     order = np.argsort(w, axis=1)[:, ::-1]
     stack = np.arange(len(w))[:, None]
     w = w[stack, order]
     v = v[stack[:, :, None], np.arange(v.shape[1])[:, None], order[:, None, :]]
     mat = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
-    return (mat + mat.conj().swapaxes(1, 2)) / 2.0, w, v
+    mat = (mat + mat.conj().swapaxes(1, 2)) / 2.0
+    _check_density_stack(mat, w, v)
+    return mat, w, v
 
 
 def _reduced_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced states on Y of a stack of (r, d) coefficient matrices, as
-    (matrix, eigenvalues, eigenvectors) stacks."""
-    return _from_matrices(m.swapaxes(1, 2) @ m.conj())
+    (matrix, eigenvalues, eigenvectors) stacks checked as one stack."""
+    mat, w, v = _from_matrices(m.swapaxes(1, 2) @ m.conj())
+    _check_density_stack(mat, w, v)
+    return mat, w, v
 
 
 def _sqrt_matrices(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -328,23 +357,27 @@ def _sqrt_matrices(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _fidelities(root_rho: np.ndarray, root_sigma: np.ndarray) -> list[float]:
     """F(rho_t, sigma_t) from stacks of square roots: the squared nuclear norm
-    of their product. The sum of each row of singular values is taken alone,
-    so a stack gives the bits of one pair at a time."""
+    of their product. Summing each row of the contiguous singular values along
+    the axis is the pairwise sum that one row gets alone; the squares are
+    taken per scalar, as ``pow``."""
     s = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
-    return [min(1.0, float(np.sum(row)) ** 2) for row in s]
+    return [min(1.0, x**2) for x in s.sum(axis=1).tolist()]
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """|<a_t|b_t>|^2 for the rows of two amplitude stacks, one vdot per row."""
-    return [float(min(1.0, abs(np.vdot(x, y)) ** 2)) for x, y in zip(a, b)]
+    """|<a_t|b_t>|^2 for the rows of two amplitude stacks: the moduli of
+    ``_row_vdots`` as ``np.hypot``, the scalar ``abs``, squared per scalar."""
+    dots = _row_vdots(a, b)
+    return [min(1.0, x**2) for x in np.hypot(dots.real, dots.imag).tolist()]
 
 
-def _support_rank(sigma: DensityMatrix, rank_cap: int) -> int:
-    """Rank of the projector onto sigma's leading eigenvectors under a cap of at least 1."""
-    k = min(sigma.rank, rank_cap)
-    if k < 1:
+def _support_ranks(w: np.ndarray, rank_cap: int) -> np.ndarray:
+    """Ranks of the projectors onto the leading eigenvectors of a (T, k) stack
+    of spectra under a cap of at least 1."""
+    ranks = np.minimum(_ranks(w), rank_cap)
+    if not ranks.all():
         raise ValueError("state has no eigenvalue above the rank tolerance")
-    return k
+    return ranks
 
 
 def _haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,18 +413,18 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
 
 def random_pure_state(r: int, d: int, seed) -> PureState:
     """Haar-random unit vector on the (r, d) register pair, deterministic per seed."""
-    return _random_pure_states(r, d, [rng_from_seed(seed)])[0]
+    return PureState(_random_pure_states(r, d, [rng_from_seed(seed)])[0], (r, d))
 
 
-def _random_pure_states(r: int, d: int, rngs) -> list[PureState]:
-    """One Haar-random state per generator, checked as one stack."""
+def _random_pure_states(r: int, d: int, rngs) -> np.ndarray:
+    """Unchecked amplitude rows (T, r*d) of one Haar-random state per
+    generator: one draw of the real and imaginary parts per generator."""
     if r < 1 or d < 1:
         raise ValueError("register dimensions must be positive")
-    rows = []
-    for rng in rngs:
-        amps = rng.standard_normal(r * d) + 1j * rng.standard_normal(r * d)
-        rows.append(amps / np.linalg.norm(amps))
-    return _pure_states(_phase_normalized(np.array(rows)), (r, d))
+    n = r * d
+    g = np.array([rng.standard_normal(2 * n) for rng in rngs])
+    amps = g[:, :n] + 1j * g[:, n:]
+    return _phase_normalized(amps / _row_norms(amps)[:, None])
 
 
 def random_rank_r_state(d: int, r: int, seed) -> DensityMatrix:
@@ -407,8 +440,7 @@ def random_rank_r_state(d: int, r: int, seed) -> DensityMatrix:
 
 def partial_trace_x(psi: PureState) -> DensityMatrix:
     """Reduced state on Y: rho[a, b] = sum_x psi[x, a] * conj(psi[x, b])."""
-    mat, w, v = _reduced_states(psi.as_matrix()[None])
-    return DensityMatrix(matrix=mat[0], eigenvalues=w[0], eigenvectors=v[0])
+    return _density_matrices(*_reduced_states(psi.as_matrix()[None]))[0]
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtDecomposition:
@@ -494,4 +526,4 @@ def support_projector(sigma: DensityMatrix, rank_cap: int) -> Projector:
     """
     if rank_cap < 1:
         raise ValueError("rank cap must be at least 1")
-    return Projector(sigma.eigenvectors[:, : _support_rank(sigma, rank_cap)])
+    return Projector(sigma.eigenvectors[:, : _support_ranks(sigma.eigenvalues[None], rank_cap)[0]])

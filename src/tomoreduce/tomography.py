@@ -14,7 +14,8 @@ basis it measures in is Haar. A stack of estimates is one pass: one batched
 QR draws the rotations, one multinomial call per trial its counts, and one
 stacked product applies the cached inverse. The stack kernels take one
 generator per trial, draw from it in program order, and check no input:
-each public entry checks its inputs once.
+each public entry checks its inputs once. They loop over trials only to draw,
+and take norms and overlaps with ``states._row_norms`` and ``_row_vdots``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .states import (
     RANK_TOL,
     DensityMatrix,
     PureState,
+    _check_unit_norms,
     _density_matrices,
     _from_eigensystems,
     _frozen,
@@ -40,7 +42,9 @@ from .states import (
     _haar_unitaries,
     _haar_unitary_stack,
     _phase_normalized,
-    _pure_states,
+    _ranks,
+    _row_norms,
+    _row_vdots,
 )
 
 __all__ = [
@@ -113,24 +117,27 @@ class TomographyBackend:
         """Fewest shots to estimate a state on C^dim: 1 for an oracle, d^2 for inversion."""
         return 1 if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY else _shot_floor(dim)
 
-    def _estimate_mixed_stack(
-        self, rhos: list[DensityMatrix], rank: int, rngs, shots: int
-    ) -> list[DensityMatrix]:
-        """Estimates at a checked rank and budget of a stack of states on one C^d, one generator
-        each: an oracle calibrates them in lockstep, and linear inversion solves them in stacks."""
+    def _estimate_mixed_stack(self, rho, rank: int, rngs, shots: int):
+        """Checked (matrix, eigenvalues, eigenvectors) stacks of the estimates of the
+        states ``rho``, such stacks on one C^d with full spectra and all of one rank
+        for an oracle, at a checked rank and budget, one generator per state."""
+        mat, w, v = rho
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             eps = self.epsilon_target
-            return _calibrated_estimates(rhos, rngs, _infidelities, eps / 2.0, eps)
-        return _inverted_mixed_states(rhos, rank, [shots] * len(rhos), rngs)
+            k = _ranks(w[:1])[0]
+            return _calibrated_estimates(w[:, :k], v, rngs, _infidelities, eps / 2.0, eps)
+        return _inverted_mixed_states(mat, rank, np.full(len(mat), shots), rngs)
 
-    def _estimate_pure_stack(self, states: list[PureState], rngs, shots) -> list[PureState]:
-        """Estimates of a stack of pure states of one shape; ``rngs`` holds
-        each state's generator and ``shots`` its checked budget."""
+    def _estimate_pure_stack(self, amps: np.ndarray, rngs, shots) -> np.ndarray:
+        """Checked amplitude rows of the estimates of a (T, n) stack of pure
+        states; ``rngs`` holds each state's generator and ``shots`` its
+        checked budget."""
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            amps = np.array([psi.amplitudes for psi in states])
             rows = _oracle_pure_rows(amps, self.epsilon_target, rngs)
-            return _pure_states(rows, states[0].dims)
-        return _inverted_pure_states(states, shots, rngs)
+        else:
+            rows = _inverted_pure_states(amps, shots, rngs)
+        _check_unit_norms(rows)
+        return rows
 
 
 class _Family(NamedTuple):
@@ -165,11 +172,13 @@ def _perturbation_families(
     scale overflows), floored so the numerical rank never drops.
     """
     d, k = rho_v.shape[1], rho_w.shape[1]
-    g = np.array([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs])
+    # one draw per trial: the generator's real and imaginary parts, then its drift
+    x = np.array([rng.standard_normal(2 * d * d + k) for rng in rngs])
+    g = x[:, : d * d].reshape(-1, d, d) + 1j * x[:, d * d : 2 * d * d].reshape(-1, d, d)
     h = (g + g.conj().swapaxes(1, 2)) / 2.0
     lam, q = np.linalg.eigh(h)
     lam = lam / np.maximum(np.max(np.abs(lam), axis=1), 1e-30)[:, None]
-    drift = np.array([rng.standard_normal(k) for rng in rngs])
+    drift = x[:, 2 * d * d :]
     base_log = np.log(np.clip(rho_w, RANK_TOL, None))
     # a strided view of the eigenvectors, as one state's [:, :k] slice is:
     # BLAS rounds a contiguous copy differently at some d
@@ -230,42 +239,40 @@ def _bracket_and_bisect(
     bisect in lockstep, one midpoint per trial per call; each trial retires
     as it lands. Returns the landing theta per trial, NaN where the family
     never reaches the window (the caller redraws a fresh family)."""
-    theta = np.empty(count)
-    theta.fill(np.nan)
-    climbing = list(range(count))
-    brackets: dict[int, tuple[float, float]] = {}
+    theta, theta_lo, theta_hi = np.full((3, count), np.nan)
+    climbing = np.arange(count)
     # repeated products, not powers: records depend on the exact rungs
     ladder = np.cumprod([max(lo, 1e-4)] + [_LADDER_RATIO] * (_LADDER_STEPS - 1))
     for start in range(0, _LADDER_STEPS, _LADDER_CHUNK):
         chunk = ladder[start : start + _LADDER_CHUNK]
-        still = []
-        for trial, row in zip(climbing, discrepancies(climbing, chunk[None]).tolist()):
-            # the first rung that reaches the window; a NaN rung counts as below it
-            i = next((i for i, val in enumerate(row) if val >= lo), None)
-            if i is None:
-                still.append(trial)
-            elif row[i] <= hi:
-                theta[trial] = chunk[i]
-            else:
-                brackets[trial] = (ladder[start + i - 1] if start + i else 0.0, chunk[i])
-        climbing = still
-        if not climbing:
+        vals = discrepancies(climbing, chunk[None])
+        # each trial's first rung that reaches the window; a NaN rung counts as below it
+        reached = vals >= lo
+        i = reached.argmax(axis=1)
+        hit = reached.any(axis=1)
+        over = hit & ~(vals[np.arange(len(i)), i] <= hi)
+        landed = hit & ~over
+        theta[climbing[landed]] = chunk[i[landed]]
+        rung = start + i[over]
+        theta_lo[climbing[over]] = np.where(rung > 0, ladder[rung - 1], 0.0)
+        theta_hi[climbing[over]] = chunk[i[over]]
+        climbing = climbing[~hit]
+        if not climbing.size:
             break
-    bisecting = sorted(brackets)
-    theta_lo = np.array([brackets[t][0] for t in bisecting])
-    theta_hi = np.array([brackets[t][1] for t in bisecting])
+    bisecting = np.flatnonzero(~np.isnan(theta_hi))
+    theta_lo, theta_hi = theta_lo[bisecting], theta_hi[bisecting]
     for _ in range(BISECTION_MAX_ITER):
-        if not bisecting:
+        if not bisecting.size:
             return theta
         mid = 0.5 * (theta_lo + theta_hi)
         val = discrepancies(bisecting, mid[:, None])[:, 0]
         inside = (lo <= val) & (val <= hi)
         below = val < lo  # a NaN midpoint counts as above the window
-        theta[np.array(bisecting)[inside]] = mid[inside]
+        theta[bisecting[inside]] = mid[inside]
         theta_lo = np.where(below, mid, theta_lo)[~inside]
         theta_hi = np.where(below, theta_hi, mid)[~inside]
-        bisecting = [t for t, done in zip(bisecting, inside.tolist()) if not done]
-    if bisecting:
+        bisecting = bisecting[~inside]
+    if bisecting.size:
         raise RuntimeError(
             f"calibration failed to land in [{lo:g}, {hi:g}] after {BISECTION_MAX_ITER} bisection steps"
         )
@@ -321,20 +328,11 @@ def _calibrate(
     return w, v
 
 
-def _calibrated_estimates(
-    rhos: list[DensityMatrix], rngs, discrepancies, lo: float, hi: float
-) -> list[DensityMatrix]:
-    """Calibrated estimates of a stack of states, each drawn from its own
-    generator, one stack per rank, each checked once."""
-    out: list[DensityMatrix] = [None] * len(rhos)
-    for idx in _groups([(rho.rank, rho.eigenvectors.shape) for rho in rhos]):
-        k = rhos[idx[0]].rank
-        rho_w = np.array([rhos[i].eigenvalues[:k] for i in idx])
-        rho_v = np.array([rhos[i].eigenvectors for i in idx])
-        w, v = _calibrate(rho_w, rho_v, [rngs[i] for i in idx], discrepancies, lo, hi)
-        for i, sigma in zip(idx, _density_matrices(*_from_eigensystems(w, v))):
-            out[i] = sigma
-    return out
+def _calibrated_estimates(rho_w: np.ndarray, rho_v: np.ndarray, rngs, discrepancies, lo, hi):
+    """Checked (matrix, eigenvalues, eigenvectors) stacks of the calibrated estimates
+    of states of one rank k, from rho_w (T, k), their top-k eigenvalues, and rho_v
+    (T, d, m), m >= k, their eigenvectors; each drawn from its own generator."""
+    return _from_eigensystems(*_calibrate(rho_w, rho_v, rngs, discrepancies, lo, hi))
 
 
 def _check_window(what: str, target: float) -> None:
@@ -373,8 +371,9 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     """
     _check_window("infidelity", epsilon)
     _check_perturbable(rho.dim)
-    rng = rng_from_seed(seed)
-    return _calibrated_estimates([rho], [rng], _infidelities, epsilon / 2.0, epsilon)[0]
+    w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
+    sigma = _calibrated_estimates(w, v, rngs, _infidelities, epsilon / 2.0, epsilon)
+    return _density_matrices(*sigma)[0]
 
 
 def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> DensityMatrix:
@@ -382,8 +381,9 @@ def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> De
     delta at least the 1e-12 resolution floor."""
     _check_window("trace distance", delta)
     _check_perturbable(rho.dim)
-    rng = rng_from_seed(seed)
-    return _calibrated_estimates([rho], [rng], _trace_distances, delta / 2.0, delta)[0]
+    w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
+    sigma = _calibrated_estimates(w, v, rngs, _trace_distances, delta / 2.0, delta)
+    return _density_matrices(*sigma)[0]
 
 
 def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
@@ -404,15 +404,14 @@ def _oracle_pure_rows(amps: np.ndarray, epsilon: float, rngs) -> np.ndarray:
     """Phase-normalized, unchecked amplitude rows of the pure oracle's
     estimates of a (T, n) stack of states, n >= 2 and epsilon in (0, 1),
     each drawn from its own generator."""
-    total = amps.shape[1]
-    rows = []
-    for psi, rng in zip(amps, rngs):
-        target = rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0)
-        raw = rng.standard_normal(total) + 1j * rng.standard_normal(total)
-        chi = raw - np.vdot(psi, raw) * psi
-        chi = chi / np.linalg.norm(chi)
-        rows.append(math.sqrt(target) * psi + math.sqrt(1.0 - target) * chi)
-    return _phase_normalized(np.array(rows))
+    n = amps.shape[1]
+    # per generator: the target overlap, then one draw of the direction's parts
+    target = np.array([rng.uniform(1.0 - epsilon, 1.0 - epsilon / 2.0) for rng in rngs])[:, None]
+    raw = np.array([rng.standard_normal(2 * n) for rng in rngs])
+    raw = raw[:, :n] + 1j * raw[:, n:]
+    chi = raw - _row_vdots(amps, raw)[:, None] * amps
+    chi = chi / _row_norms(chi)[:, None]
+    return _phase_normalized(np.sqrt(target) * amps + np.sqrt(1.0 - target) * chi)
 
 
 def _measurement_design(dim: int, num_bases: int, rng: np.random.Generator) -> np.ndarray:
@@ -427,10 +426,10 @@ def _num_bases(dim: int) -> int:
     return max(6, int(math.ceil(3.0 * math.log(dim))) * dim)
 
 
-def _split_budget(n: int, num_bases: int) -> np.ndarray:
-    per = np.full(num_bases, n // num_bases, dtype=int)
-    per[: n % num_bases] += 1
-    return per
+def _split_budget(n, num_bases: int) -> np.ndarray:
+    """Shots per basis, the remainder on the first bases, of a budget or a (T,) array of them."""
+    n = np.asarray(n, dtype=np.int64)[..., None]
+    return n // num_bases + (np.arange(num_bases) < n % num_bases)
 
 
 def _projector_rows(bases: np.ndarray) -> np.ndarray:
@@ -513,26 +512,24 @@ def _simulate_inversion(mats: np.ndarray, shots, rngs) -> np.ndarray:
     unitarily covariant, and S^-1 is computed once per design. Each basis
     U B_i is Haar, though the bases of a trial are not independent. Trials
     whose budgets use the same number of bases share one stacked pass. Each
-    budget must pass ``_check_budget``.
+    of the T budgets ``shots`` must pass ``_check_budget``.
     """
-    dim = mats.shape[1]
+    dim, shots = mats.shape[1], np.asarray(shots)
     num_bases = _num_bases(dim)
     u = _haar_unitary_stack(dim, rngs)
     rotated = u.conj().swapaxes(1, 2) @ mats @ u
     x = np.empty_like(rotated)
-    keys = [min(n, num_bases) for n in shots]  # bases with shots: a prefix of the design
+    keys = np.minimum(shots, num_bases)  # bases with shots: a prefix of the design
     for idx in _groups(keys):
-        used = keys[idx[0]]
+        used = int(keys[idx[0]])
         design = _design(dim, used)
         g = design.vectors
         p = np.real(np.sum(g.conj() * (rotated[idx] @ g), axis=1)).reshape(len(idx), used, dim)
-        freqs = np.empty_like(p)
-        for row, t in enumerate(idx.tolist()):
-            budgets = _split_budget(shots[t], num_bases)[:used]
-            pt = np.clip(p[row], 0.0, None)
-            pt = pt / pt.sum(axis=1, keepdims=True)
-            counts = rngs[t].multinomial(budgets, pt)
-            freqs[row] = counts / budgets[:, None]
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum(axis=2, keepdims=True)
+        budgets = _split_budget(shots[idx], num_bases)[:, :used]
+        counts = np.array([rngs[t].multinomial(n, q) for t, n, q in zip(idx.tolist(), budgets, p)])
+        freqs = counts / budgets[:, :, None]
         y = (g * freqs.reshape(len(idx), 1, used * dim)) @ g.conj().T
         solved = design.frame_inverse @ y.reshape(len(idx), dim * dim, 1)
         x[idx] = solved.reshape(len(idx), dim, dim)
@@ -540,27 +537,24 @@ def _simulate_inversion(mats: np.ndarray, shots, rngs) -> np.ndarray:
     return (x + x.conj().swapaxes(1, 2)) / 2.0
 
 
-def _inverted_pure_states(states: list[PureState], shots, rngs) -> list[PureState]:
-    """Linear-inversion estimates of a stack of pure states of one shape:
-    the top eigenvector of each inversion, checked as one stack."""
-    amps = np.array([psi.amplitudes for psi in states])
+def _inverted_pure_states(amps: np.ndarray, shots, rngs) -> np.ndarray:
+    """Unchecked amplitude rows of the linear-inversion estimates of a (T, n)
+    stack of pure states: the top eigenvector of each inversion."""
     x = _simulate_inversion(amps[:, :, None] * amps[:, None, :].conj(), shots, rngs)
     _, v = np.linalg.eigh(x)
-    return _pure_states(_phase_normalized(v[:, :, -1]), states[0].dims)
+    return _phase_normalized(v[:, :, -1])
 
 
-def _inverted_mixed_states(
-    rhos: list[DensityMatrix], r: int, shots, rngs
-) -> list[DensityMatrix]:
-    """Rank-capped linear-inversion estimates, 1 <= r <= d, of a stack of
-    states on one C^d, checked as one stack."""
-    x = _simulate_inversion(np.array([rho.matrix for rho in rhos]), shots, rngs)
+def _inverted_mixed_states(mats: np.ndarray, r: int, shots, rngs):
+    """Checked (matrix, eigenvalues, eigenvectors) stacks of the rank-capped
+    linear-inversion estimates, 1 <= r <= d, of a (T, d, d) stack of states."""
+    x = _simulate_inversion(mats, shots, rngs)
     w, v = np.linalg.eigh(x)
     w = np.clip(w[:, ::-1][:, :r], 0.0, None)
     total = w.sum(axis=1, keepdims=True)
     if not (total > 0.0).all():  # pragma: no cover - requires adversarial shot data
         raise RuntimeError("all truncated eigenvalues vanished; cannot renormalize")
-    return _density_matrices(*_from_eigensystems(w / total, v[:, :, ::-1][:, :, :r]))
+    return _from_eigensystems(w / total, v[:, :, ::-1][:, :, :r])
 
 
 def estimate_pure_state_from_measurements(psi_true: PureState, n: int, seed) -> PureState:
@@ -573,7 +567,8 @@ def estimate_pure_state_from_measurements(psi_true: PureState, n: int, seed) -> 
     operator recovers the empirical density matrix, and its top eigenvector is returned.
     """
     _check_budget(n, psi_true.amplitudes.size)
-    return _inverted_pure_states([psi_true], [n], [rng_from_seed(seed)])[0]
+    rows = _inverted_pure_states(psi_true.amplitudes[None], np.array([n]), [rng_from_seed(seed)])
+    return PureState(rows[0], psi_true.dims)
 
 
 def estimate_mixed_state_from_measurements(
@@ -586,7 +581,9 @@ def estimate_mixed_state_from_measurements(
     projected to the physical set: negative eigenvalues are clamped to zero,
     and the spectrum is truncated to the top r eigenpairs and renormalized.
     """
+    _check_integer("r", r)
     if not 1 <= r <= rho_true.dim:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={rho_true.dim}")
     _check_budget(n, rho_true.dim)
-    return _inverted_mixed_states([rho_true], r, [n], [rng_from_seed(seed)])[0]
+    sigma = _inverted_mixed_states(rho_true.matrix[None], r, np.array([n]), [rng_from_seed(seed)])
+    return _density_matrices(*sigma)[0]

@@ -29,6 +29,7 @@ from tomoreduce.harness import (
     _REPORT_COLUMNS,
     OUTPUT_DIR_ENV_VAR,
     _cell_summary,
+    _median,
     experiment_cells,
     flatten_report,
 )
@@ -457,6 +458,19 @@ class TestCellSummary:
         assert summary.failures == 1
         assert summary.trials == 4
 
+    def test_median_is_numpy_quantile(self):
+        # numpy's linear rule at q = 0.5, on ties and repeats too; NaN when
+        # there are no values or any is NaN
+        rng = np.random.default_rng(65)
+        for n in range(1, 61):
+            ties = rng.integers(0, 4, n) / 3.0
+            for values in (rng.random(n), ties, rng.standard_normal(n) * 1e-9):
+                expected = np.quantile(values, 0.5)
+                assert np.array_equal(_median(values.tolist()), expected), (n, values)
+            values = rng.random(n).tolist() + [float("nan")]
+            assert math.isnan(_median(values)) and math.isnan(np.quantile(values, 0.5))
+        assert math.isnan(_median([]))
+
 
 class TestWriteRecords:
     def test_rejects_empty(self, tmp_path):
@@ -494,6 +508,13 @@ class TestWriteRecords:
         assert not out.exists()
         write_records([{"a": 1, "b": 2}, {"a": 3}], out, "csv")
         assert read_csv(out)[1:] == [["1", "2"], ["3", ""]]
+
+    def test_jsonl_serializes_before_opening(self, tmp_path):
+        # a set used to raise TypeError after the file was opened, leaving it empty
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            write_records([{"a": 1}, {"a": {1}}], out, "jsonl")
+        assert not out.exists()
 
 
 class TestFitScaling:

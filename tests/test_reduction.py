@@ -1,6 +1,7 @@
 """Tests for the reduction protocol, chain verifier, composition margins,
 and the gentle-measurement experiment."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,13 +21,20 @@ from tomoreduce import (
     proposition_search,
     random_pure_state,
     random_rank_r_state,
+    rng_from_seed,
     run_reduction,
     support_projector,
     trace_distance,
     verify_chain,
 )
 from tomoreduce import states
-from tomoreduce.reduction import CHAIN_SLACK, _chain, _composition_margins
+from tomoreduce.reduction import (
+    CHAIN_SLACK,
+    _chain,
+    _composition_margins,
+    _gentle_distances,
+    _run_reductions,
+)
 
 from oracles import random_density_matrix
 
@@ -63,6 +71,16 @@ class TestReductionConfig:
             ReductionConfig(
                 r=1, d=1, n_copies=10, epsilon=0.1, mixed_backend=backend, pure_backend=backend
             )
+
+    @pytest.mark.parametrize("field", ["r", "d"])
+    @pytest.mark.parametrize("value", [1.5, 3.0, True])
+    def test_register_dimensions_must_be_integers(self, field, value):
+        # r = 1.5 used to be accepted, with 90 extra copies; d = 3.0 too
+        dims = {"r": 1, "d": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ReductionConfig(**dims, n_copies=10, epsilon=0.1)
+        config = ReductionConfig(r=np.int64(2), d=np.int64(3), n_copies=10, epsilon=0.1)
+        assert config.extra_copies == 160
 
     @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, 1e308, 2.0**62])
     def test_rejects_copy_count_beyond_int64(self, factor):
@@ -451,6 +469,43 @@ class TestPropositionSearch:
                 proposition_search(d, 0.1, count, seed=0)
 
 
+class TestMixedRankStacks:
+    # reduced states of rank 1 and 2 in one stack: the oracle calibrates each
+    # rank apart, and every trial gets what it gets alone
+    PSIS = [
+        random_pure_state(2, 3, child_seed(66, t))
+        if t % 3
+        else PureState(np.kron(random_pure_state(1, 2, t).amplitudes, np.eye(3)[t % 2]), (2, 3))
+        for t in range(7)
+    ]
+    SEEDS = [child_seed(67, t) for t in range(7)]
+
+    @pytest.mark.parametrize(
+        "backend", [TomographyBackend.oracle(0.1), TomographyBackend.linear_inversion(10_000)]
+    )
+    def test_reductions_match_one_trial_at_a_time(self, backend):
+        config = ReductionConfig(
+            r=2, d=3, n_copies=10_000, epsilon=0.1, mixed_backend=backend, pure_backend=backend
+        )
+        amps = np.array([psi.amplitudes for psi in self.PSIS])
+        stack = _run_reductions(amps, config, [rng_from_seed(s) for s in self.SEEDS])
+        assert [psi.as_matrix().shape for psi in self.PSIS] == [(2, 3)] * 7
+        assert {partial_trace_x(psi).rank for psi in self.PSIS} == {1, 2}
+        for psi, seed, report in zip(self.PSIS, self.SEEDS, stack):
+            alone = run_reduction(psi, dataclasses.replace(config, seed=seed))
+            assert np.array_equal(report.sigma.eigenvectors, alone.sigma.eigenvectors)
+            assert np.array_equal(report.sigma.matrix, alone.sigma.matrix)
+            assert np.array_equal(report.estimate.amplitudes, alone.estimate.amplitudes)
+            fields = ("keep_probability", "kept_count", "final_fidelity", "fidelity_mixed_estimate")
+            assert [getattr(report, f) for f in fields] == [getattr(alone, f) for f in fields]
+
+    def test_gentle_distances_match_one_trial_at_a_time(self):
+        amps = np.array([psi.amplitudes for psi in self.PSIS])
+        stack = _gentle_distances(amps, 2, 0.01, [rng_from_seed(s) for s in self.SEEDS])
+        for row, seed, distance in zip(amps, self.SEEDS, stack):
+            assert distance == _gentle_distances(row[None], 2, 0.01, [rng_from_seed(seed)])[0]
+
+
 class TestGentleMeasurement:
     def test_tiny_delta_moves_state_little(self):
         psi = random_pure_state(2, 4, seed=50)
@@ -486,6 +541,20 @@ class TestGentleMeasurement:
                         tilde = project_and_renormalize(psi, support_projector(sigma, r))
                         ref = trace_distance(tilde.to_density_matrix(), psi.to_density_matrix())
                         assert abs(res.trace_distances[t] - ref) <= 1e-15
+
+    @pytest.mark.parametrize("r, d", [(1, 3), (2, 4), (3, 8)])
+    def test_stack_matches_one_trial_at_a_time(self, r, d):
+        # each distance is the per-trial vdot and vector norm of the public
+        # one-state calls, bit for bit, on a stack of different inputs
+        psis = [random_pure_state(r, d, child_seed(63, r, d, t)) for t in range(16)]
+        seeds = [child_seed(64, r, d, t) for t in range(16)]
+        amps = np.array([psi.amplitudes for psi in psis])
+        stack = _gentle_distances(amps, r, 0.01, [rng_from_seed(s) for s in seeds])
+        for psi, seed, distance in zip(psis, seeds, stack):
+            sigma = oracle_trace_distance_estimate(partial_trace_x(psi), 0.01, seed)
+            tilde = project_and_renormalize(psi, support_projector(sigma, r)).amplitudes
+            a = psi.amplitudes
+            assert distance == np.linalg.norm(a - np.vdot(tilde, a) * tilde)
 
     def test_builds_one_density_matrix_per_estimate(self, monkeypatch):
         # one stack check of the 10 reduced states (full spectra) and one of

@@ -24,7 +24,13 @@ from tomoreduce import (
 )
 
 from tomoreduce import states
-from tomoreduce.states import _haar_unitaries
+from tomoreduce.states import (
+    _haar_unitaries,
+    _phase_normalized,
+    _random_pure_states,
+    _row_norms,
+    _row_vdots,
+)
 
 from oracles import random_density_matrix
 
@@ -481,3 +487,34 @@ class TestModuleInvariants:
             for u in stack:
                 assert np.array_equal(u, _haar_unitaries(dim, 1, singles)[0])
                 assert np.array_equal(u, reference(loop))
+
+
+class TestRowForms:
+    # the stacked forms give each row the bits of the per-row numpy call they
+    # replace, on contiguous stacks and on the strided views kernels pass
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_row_vdots_and_norms_match_per_row_calls(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((2, 2, 9, 2 * n))
+        a, b = g[:, 0] + 1j * g[:, 1]
+        mix = rng.standard_normal((2, 9, n, 2 * n)) + 1j * rng.standard_normal((2, 9, n, 2 * n))
+        stacks = {
+            "contiguous": (a[:, :n].copy(), b[:, :n].copy()),
+            "prefix": (a[:, :n], b[:, :n]),
+            "every_other": (a[:, ::2], b[:, ::2]),
+            # the [:, :, 0] slice of a stacked product, as _run_reductions normalizes
+            "product_slice": ((mix[0] @ a[:, :, None])[:, :, 0], (mix[1] @ b[:, :, None])[:, :, 0]),
+        }
+        for x, y in stacks.values():
+            assert np.array_equal(_row_vdots(x, y), [np.vdot(p, q) for p, q in zip(x, y)])
+            assert np.array_equal(_row_norms(x), [np.linalg.norm(p) for p in x])
+
+    @pytest.mark.parametrize("r, d", [(1, 1), (1, 2), (2, 3), (3, 8), (4, 16)])
+    def test_random_pure_states_stack_matches_one_trial_at_a_time(self, r, d):
+        # and each row is the per-trial loop's: two draws and one vector norm
+        stack = _random_pure_states(r, d, [np.random.default_rng(s) for s in range(20)])
+        for seed, row in enumerate(stack):
+            assert np.array_equal(row, _random_pure_states(r, d, [np.random.default_rng(seed)])[0])
+            rng = np.random.default_rng(seed)
+            amps = rng.standard_normal(r * d) + 1j * rng.standard_normal(r * d)
+            assert np.array_equal(row, _phase_normalized((amps / np.linalg.norm(amps))[None])[0])

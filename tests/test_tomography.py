@@ -1,5 +1,6 @@
 """Tests for the oracle and measurement-based estimators."""
 
+import math
 import re
 
 import numpy as np
@@ -113,12 +114,16 @@ class TestStackedCalibration:
         rhos = [random_rank_r_state(d, r, child_seed(140, d, r, t)) for d, r, t in STACK_CASES]
         seeds = [child_seed(141, d, r, t) for d, r, t in STACK_CASES]
         rngs = [rng_from_seed(seed) for seed in seeds]
-        stacked = tm._calibrated_estimates(rhos, rngs, discrepancies, eps / 2, eps)
-        for rho, seed, sigma in zip(rhos, seeds, stacked):
-            alone = estimate(rho, eps, seed)
-            assert np.array_equal(alone.matrix, sigma.matrix)
-            assert np.array_equal(alone.eigenvectors, sigma.eigenvectors)
-            assert np.array_equal(alone.eigenvalues, sigma.eigenvalues)
+        for i in range(0, len(STACK_CASES), 3):  # a stack of the three states of one (d, r)
+            stack = rhos[i : i + 3]
+            w = np.array([rho.eigenvalues[: rho.rank] for rho in stack])
+            v = np.array([rho.eigenvectors for rho in stack])
+            stacked = tm._calibrated_estimates(w, v, rngs[i : i + 3], discrepancies, eps / 2, eps)
+            for rho, seed, *sigma in zip(stack, seeds[i : i + 3], *stacked):
+                alone = estimate(rho, eps, seed)
+                assert np.array_equal(alone.matrix, sigma[0])
+                assert np.array_equal(alone.eigenvectors, sigma[2])
+                assert np.array_equal(alone.eigenvalues, sigma[1])
 
     def test_stack_cases_bisect_and_redraw(self, monkeypatch):
         # pins two trials of the stacks above: (d, r, t) = (3, 2, 2) at eps 0.5
@@ -183,6 +188,23 @@ class TestOraclePureEstimate:
         psi = PureState(np.array([1.0]), (1, 1))
         with pytest.raises(ValueError, match="one-dimensional"):
             oracle_pure_estimate(psi, 0.1, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 24])
+    def test_stack_matches_one_trial_at_a_time(self, n):
+        # and each row is the per-trial loop's: three draws, one vdot and one vector norm
+        psis = [random_pure_state(1, n, child_seed(150, n, t)) for t in range(16)]
+        seeds = [child_seed(151, n, t) for t in range(16)]
+        amps = np.array([psi.amplitudes for psi in psis])
+        stack = tm._oracle_pure_rows(amps, 0.1, [rng_from_seed(seed) for seed in seeds])
+        for psi, seed, row in zip(psis, seeds, stack):
+            assert np.array_equal(row, oracle_pure_estimate(psi, 0.1, seed).amplitudes)
+            rng, a = rng_from_seed(seed), psi.amplitudes
+            target = rng.uniform(0.9, 0.95)
+            raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            chi = raw - np.vdot(a, raw) * a
+            chi = chi / np.linalg.norm(chi)
+            loop = math.sqrt(target) * a + math.sqrt(1.0 - target) * chi
+            assert np.array_equal(row, states._phase_normalized(loop[None])[0])
 
 
 class TestOracleWindowSweep:
@@ -331,6 +353,17 @@ class TestStackedInversion:
         x = _simulate_inversion(mat[None], [n], [np.random.default_rng(52)])[0]
         assert np.max(np.abs(x - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_stack_matches_one_trial_at_a_time(self, dim):
+        # unequal budgets: trials with the same number of bases share one pass
+        budgets = [dim * dim, 10**4, dim * dim + 1, 997, dim * dim, 10**5]
+        rhos = [random_rank_r_state(dim, 1 + t % dim, child_seed(152, dim, t)) for t in range(6)]
+        mats = np.array([rho.matrix for rho in rhos])
+        seeds = [child_seed(153, dim, t) for t in range(6)]
+        stack = _simulate_inversion(mats, budgets, [rng_from_seed(seed) for seed in seeds])
+        for mat, n, seed, x in zip(mats, budgets, seeds, stack):
+            assert np.array_equal(x, _simulate_inversion(mat[None], [n], [rng_from_seed(seed)])[0])
+
 
 # Every key the estimators can ask for at d = 2-9: the full design of each
 # dimension, and the prefixes that budgets from the d^2 floor up leave with shots.
@@ -366,7 +399,7 @@ class TestCachedDesign:
             estimate_mixed_state_from_measurements(rho, 2, 10**4, child_seed(63, t))
             estimate_pure_state_from_measurements(psi, 10, child_seed(64, t))
         rngs = [rng_from_seed(s) for s in range(1, 5)]
-        tm._inverted_mixed_states([rho] * 4, 2, [9, 10, 10**4, 9], rngs)
+        tm._inverted_mixed_states(np.array([rho.matrix] * 4), 2, [9, 10, 10**4, 9], rngs)
         # keys (3, 12), (3, 10) and (3, 9): built once each, then read
         info = tm._design.cache_info()
         assert (info.misses, info.hits) == (3, 6)
@@ -394,17 +427,19 @@ class TestCachedDesign:
         seeds = [child_seed(67, dim, t) for t in range(len(budgets))]
         rhos = [random_rank_r_state(dim, 1 + t % dim, child_seed(68, dim, t)) for t in range(6)]
         r = min(2, dim)
-        stacked = tm._inverted_mixed_states(rhos, r, budgets, [rng_from_seed(s) for s in seeds])
-        for rho, n, seed, sigma in zip(rhos, budgets, seeds, stacked):
+        mats = np.array([rho.matrix for rho in rhos])
+        stacked = tm._inverted_mixed_states(mats, r, budgets, [rng_from_seed(s) for s in seeds])
+        for rho, n, seed, *sigma in zip(rhos, budgets, seeds, *stacked):
             alone = estimate_mixed_state_from_measurements(rho, r, n, seed)
-            assert np.array_equal(alone.matrix, sigma.matrix)
-            assert np.array_equal(alone.eigenvalues, sigma.eigenvalues)
-            assert np.array_equal(alone.eigenvectors, sigma.eigenvectors)
+            assert np.array_equal(alone.matrix, sigma[0])
+            assert np.array_equal(alone.eigenvalues, sigma[1])
+            assert np.array_equal(alone.eigenvectors, sigma[2])
         psis = [random_pure_state(1, dim, child_seed(69, dim, t)) for t in range(6)]
-        stacked = tm._inverted_pure_states(psis, budgets, [rng_from_seed(s) for s in seeds])
-        for psi, n, seed, phi in zip(psis, budgets, seeds, stacked):
+        amps = np.array([psi.amplitudes for psi in psis])
+        stacked = tm._inverted_pure_states(amps, budgets, [rng_from_seed(s) for s in seeds])
+        for psi, n, seed, row in zip(psis, budgets, seeds, stacked):
             alone = estimate_pure_state_from_measurements(psi, n, seed)
-            assert np.array_equal(alone.amplitudes, phi.amplitudes)
+            assert np.array_equal(alone.amplitudes, row)
 
 
 class TestEstimateMixed:
@@ -457,6 +492,14 @@ class TestEstimateMixed:
         ):
             with pytest.raises(ValueError, match=f"shots must be an integer, got {n!r}"):
                 estimate()
+
+    @pytest.mark.parametrize("r", [1.5, 3.0, True])
+    def test_rejects_rank_that_is_not_an_integer(self, r):
+        # 1.5 used to fail inside the kernel with a TypeError from a slice
+        rho = random_rank_r_state(3, 2, seed=37)
+        with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+            estimate_mixed_state_from_measurements(rho, r, 100, 0)
+        assert estimate_mixed_state_from_measurements(rho, np.int64(2), 100, 0).rank <= 2
 
     def test_budget_floor_and_rank_bounds(self):
         rho = random_rank_r_state(3, 2, seed=37)
@@ -519,22 +562,23 @@ class TestBackendConfig:
         oracle = TomographyBackend.oracle(0.1)
         sigma = oracle_mixed_estimate(rho, 0.1, seed=41)
         assert 0.9 <= fidelity_mixed(rho, sigma) <= 0.95
-        (same,) = oracle._estimate_mixed_stack([rho], 2, [rng_from_seed(41)], 1)
-        assert np.array_equal(same.matrix, sigma.matrix)
+        stack = (rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
+        same, _, _ = oracle._estimate_mixed_stack(stack, 2, [rng_from_seed(41)], 1)
+        assert np.array_equal(same[0], sigma.matrix)
         li = TomographyBackend.linear_inversion(shots=5000)
         sigma2 = estimate_mixed_state_from_measurements(rho, 2, 5000, seed=42)
         assert sigma2.rank <= 2
-        (same,) = li._estimate_mixed_stack([rho], 2, [rng_from_seed(42)], 5000)
-        assert np.array_equal(same.matrix, sigma2.matrix)
+        same, _, _ = li._estimate_mixed_stack(stack, 2, [rng_from_seed(42)], 5000)
+        assert np.array_equal(same[0], sigma2.matrix)
         psi = random_pure_state(1, 3, seed=43)
         phi = oracle_pure_estimate(psi, 0.1, seed=44)
         assert 0.9 <= fidelity_pure_pure(phi, psi) <= 0.95
-        (same,) = oracle._estimate_pure_stack([psi], [rng_from_seed(44)], [1])
-        assert np.array_equal(same.amplitudes, phi.amplitudes)
+        same = oracle._estimate_pure_stack(psi.amplitudes[None], [rng_from_seed(44)], [1])
+        assert np.array_equal(same[0], phi.amplitudes)
         phi2 = estimate_pure_state_from_measurements(psi, 2000, seed=45)
         assert np.linalg.norm(phi2.amplitudes) == pytest.approx(1.0, abs=1e-9)
-        (same,) = li._estimate_pure_stack([psi], [rng_from_seed(45)], [2000])
-        assert np.array_equal(same.amplitudes, phi2.amplitudes)
+        same = li._estimate_pure_stack(psi.amplitudes[None], [rng_from_seed(45)], [2000])
+        assert np.array_equal(same[0], phi2.amplitudes)
 
 
 # Each check the stack kernels trust their callers with, at the public entry
