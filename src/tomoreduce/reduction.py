@@ -250,7 +250,7 @@ class ReductionReport:
         return sum(1 for c in self.chain if c.violated)
 
 
-def _support_projections(m: np.ndarray, sigma_w: np.ndarray, sigma_v: np.ndarray, rank_cap):
+def _support_projections(m: np.ndarray, w: np.ndarray, v: np.ndarray, rank_cap: int):
     """Projector ranks, keep probabilities, the trials ``usable`` whose keep
     probability exceeds PROB_TOL, and their projected states as phase-normalized
     amplitude rows checked as one stack, for (r, d) coefficient matrices on the
@@ -258,11 +258,11 @@ def _support_projections(m: np.ndarray, sigma_w: np.ndarray, sigma_v: np.ndarray
     (T, d, k), stacked by projector rank. The support bases need no check of
     their own: sigma's check bounds the Gram defect of its eigenvectors."""
     count = len(m)
-    ranks = _support_ranks(sigma_w, rank_cap)
+    ranks = _support_ranks(w, rank_cap)
     p = np.empty(count)
     projected = np.empty(m.shape, dtype=complex)
     for idx in _groups(ranks):
-        p[idx], projected[idx] = _keep_and_projected(m[idx], sigma_v[idx, :, : ranks[idx[0]]])
+        p[idx], projected[idx] = _keep_and_projected(m[idx], v[idx, :, : ranks[idx[0]]])
     keep = np.clip(p, 0.0, 1.0)
     usable = np.flatnonzero(keep > PROB_TOL)
     rows = _renormalized(p[usable], projected[usable])
@@ -320,10 +320,10 @@ def _run_reductions(
     count = len(amps)
     m = amps.reshape(count, r, d)
     rho = _reduced_states(m)
-    groups = _groups(_ranks(rho[1]))
-    if len(groups) > 1:  # the oracle calibrates states of one rank at a time
+    rho_ranks = _ranks(rho[1])
+    if (rho_ranks != rho_ranks[0]).any():  # the oracle calibrates states of one rank at a time
         outcomes = np.empty(count, dtype=object)
-        for idx in groups:
+        for idx in _groups(rho_ranks):
             outcomes[idx] = _run_reductions(amps[idx], config, [rngs[t] for t in idx])
         return outcomes.tolist()
 
@@ -631,14 +631,14 @@ def _gentle_distances(amps: np.ndarray, r: int, delta: float, rngs) -> np.ndarra
     count = len(amps)
     m = amps.reshape(count, r, -1)
     _, rho_w, rho_v = _reduced_states(m)
-    groups = _groups(_ranks(rho_w))
-    if len(groups) > 1:  # the oracle calibrates states of one rank at a time
+    ranks = _ranks(rho_w)
+    if (ranks != ranks[0]).any():  # the oracle calibrates states of one rank at a time
         distances = np.empty(count)
-        for idx in groups:
+        for idx in _groups(ranks):
             distances[idx] = _gentle_distances(amps[idx], r, delta, [rngs[t] for t in idx])
         return distances
-    k = _ranks(rho_w[:1])[0]
-    _, w, v = _calibrated_estimates(rho_w[:, :k], rho_v, rngs, _trace_distances, delta / 2.0, delta)
+    rho_w = rho_w[:, : ranks[0]]
+    _, w, v = _calibrated_estimates(rho_w, rho_v, rngs, _trace_distances, delta / 2.0, delta)
     _, _, usable, tilde = _support_projections(m, w, v, r)
     # _row_vdots and _row_norms make, per row, the BLAS calls of np.vdot and np.linalg.norm
     a = amps[usable]
