@@ -4,7 +4,9 @@ statistics, and CSV / JSON Lines persistence.
 Records are append-ordered by (cell index, trial index) and every field
 except wall_time is a pure function of the master seed, so re-running a
 configuration reproduces the record files byte for byte once wall-time
-columns are excluded.
+columns are excluded. A chain record's fields are the row that
+``reduction._chain_rows`` builds from a stack's stage arrays, in the columns
+of ``reduction._CHAIN_COLUMNS``; a sweep builds no per-trial report objects.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import numpy as np
 from .measurement import _check_count, _check_integer
 from .reduction import (
     ReductionConfig,
-    ReductionError,
-    ReductionReport,
     _gentle_distances,
     _guaranteed_bound,
     _mixed_stage,
@@ -51,8 +51,6 @@ __all__ = [
     "CellSummary",
     "ExperimentSummary",
     "ScalingFit",
-    "flatten_report",
-    "experiment_cells",
     "run_experiment",
     "write_records",
     "print_summary",
@@ -137,7 +135,7 @@ class ExperimentConfig:
             out = Path(self.out_path)
             if out.is_dir() or not next(p for p in out.parents if p.exists()).is_dir():
                 raise ValueError(f"{out} is a directory or lies below a file")
-        cells = experiment_cells(self)
+        cells = _experiment_cells(self)
         if not cells:
             raise ValueError("grids produce no cell satisfying the module preconditions")
         if any(c["d"] == 1 for c in cells):
@@ -161,7 +159,7 @@ _CELL_AXES = {
 }
 
 
-def experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
+def _experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
     """Grid cells for the experiment, with r > d combinations and budgets
     below the linear-inversion floor d^2 filtered out."""
     axes = _CELL_AXES[config.experiment]
@@ -172,45 +170,8 @@ def experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
     ]
 
 
-# Columns of a reduction record, in file order. A type names the cast of the
-# ReductionReport attribute of that name (None passes through); a string names
-# the ChainCheck whose verdict the column holds, None where it does not apply.
-_REPORT_COLUMNS: dict[str, type | str] = {
-    "fidelity_mixed_estimate": float,
-    "keep_probability": float,
-    "projector_rank": int,
-    "extra_copies": int,
-    "kept_count": int,
-    "samples_total": int,
-    "projected_fidelity": float,
-    "estimate_fidelity": float,
-    "final_fidelity": float,
-    "keep_vs_mixed_fidelity_ok": "keep_vs_mixed_fidelity",
-    "keep_vs_epsilon_ok": "keep_vs_epsilon",
-    "projection_identity_ok": "projection_identity",
-    "final_vs_guaranteed_ok": "final_vs_guaranteed_bound",
-    "final_vs_tightened_holds": "final_vs_tightened_bound",
-    "violations": int,
-    "low_yield": bool,
-    "starved": bool,
-}
-
 # Casts of the cell parameters every record carries.
 _CELL_TYPES = {"r": int, "d": int, "n": int, "epsilon": float, "delta": float, "eta": float}
-
-
-def flatten_report(report: ReductionReport) -> dict[str, Any]:
-    """Lossless flat view of a reduction report for record files."""
-    checks = {c.name: c for c in report.chain}
-    row: dict[str, Any] = {}
-    for column, source in _REPORT_COLUMNS.items():
-        if isinstance(source, str):
-            check = checks.get(source)
-            row[column] = bool(check.satisfied) if check is not None and check.applicable else None
-        else:
-            value = getattr(report, column)
-            row[column] = None if value is None else source(value)
-    return row
 
 
 def _reduction_config(config, cell) -> ReductionConfig:
@@ -240,20 +201,7 @@ def _trial_draws(cell, words):
 def _reduction_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
     """The records of a stack of chain trials, run as one batch under one config."""
     amps, rngs = _trial_draws(cell, words)
-    rconfig = _reduction_config(config, cell)
-    bound = float(_guaranteed_bound(cell["epsilon"]))
-    rows = []
-    for outcome in _run_reductions(amps, rconfig, rngs):
-        if isinstance(outcome, ReductionError):
-            fields = dict.fromkeys(_REPORT_COLUMNS)
-            error = str(outcome)
-        else:
-            fields = flatten_report(outcome)
-            error = ""
-        fields["guaranteed_bound"] = bound
-        fields["error"] = error
-        rows.append(fields)
-    return rows
+    return _run_reductions(amps, _reduction_config(config, cell), rngs)
 
 
 def _fidelity_fields(fidelities) -> list[dict[str, Any]]:
@@ -419,7 +367,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     a cell's trials in stacks of up to 16; each record's wall_time is its
     stack's time divided by the number of trials in the stack.
     """
-    cells = experiment_cells(config)
+    cells = _experiment_cells(config)
     builder = _RECORD_BUILDERS[config.experiment]
     records: list[dict[str, Any]] = []
     summaries: list[CellSummary] = []

@@ -16,12 +16,17 @@ advisory 1 - 8*eps bound that never counts as a violation. The composition
 step between the stages is checked only by a randomized search over
 synthetic triples. A side experiment measures the trace-distance
 disturbance of the projection (the gentle-measurement question).
+
+A chain record's columns are listed once, in ``_CHAIN_COLUMNS``, and
+``_chain_rows`` fills them from a stack's stage arrays: a sweep builds no
+per-trial state or report objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any
 
 import numpy as np
 
@@ -220,6 +225,54 @@ def _chain(eps, f, keep, projected, estimate, final) -> tuple[ChainCheck, ...]:
     return tuple(checks)
 
 
+# The verdict column of each check of ``_chain``, in chain order.
+_VERDICTS = {
+    "keep_vs_mixed_fidelity": "keep_vs_mixed_fidelity_ok",
+    "keep_vs_epsilon": "keep_vs_epsilon_ok",
+    "projection_identity": "projection_identity_ok",
+    "final_vs_guaranteed_bound": "final_vs_guaranteed_ok",
+    "final_vs_tightened_bound": "final_vs_tightened_holds",
+}
+
+# The columns of a chain record, in file order: the nine stage values, the
+# verdicts (None where a check is absent or does not apply), the violation
+# count and the trial's flags, the cell's guaranteed bound, and the error ("" when
+# the trial ran). A failed trial holds only its bound and its error.
+_CHAIN_COLUMNS = (
+    "fidelity_mixed_estimate", "keep_probability", "projector_rank", "extra_copies",
+    "kept_count", "samples_total", "projected_fidelity", "estimate_fidelity", "final_fidelity",
+    *_VERDICTS.values(), "violations", "low_yield", "starved", "guaranteed_bound", "error",
+)
+
+
+def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
+    """Each trial's chain record fields, keyed by ``_CHAIN_COLUMNS``, from the
+    stage values of one stack under its config (see ``_reduction_stages``).
+    The copy counts and the guaranteed bound are built once and shared by the
+    stack's rows; a trial whose keep probability is at or below PROB_TOL fails."""
+    eps, extra_copies = config.epsilon, config.extra_copies
+    samples_total, bound = config.n_copies + extra_copies, _guaranteed_bound(eps)
+    low_yield_below = math.ceil(extra_copies / 2)
+    rows = []
+    for f, keep, rank, kept, projected, est, final in zip(*stages):
+        if projected is None:
+            row = dict.fromkeys(_CHAIN_COLUMNS)
+            row["guaranteed_bound"] = bound
+            row["error"] = (
+                f"keep probability {keep:.3e} is below {PROB_TOL:g}; "
+                "the support estimate is disjoint from the input state"
+            )
+        else:
+            checks = _chain(eps, f, keep, projected, est, final)
+            verdicts = {c.name: c.satisfied if c.applicable else None for c in checks}
+            values = (f, keep, rank, extra_copies, kept, samples_total, projected, est, final)
+            flags = (sum(c.violated for c in checks), kept < low_yield_below, est is None)
+            row = dict(zip(_CHAIN_COLUMNS, (*values, *map(verdicts.get, _VERDICTS), *flags)))
+            row["guaranteed_bound"], row["error"] = bound, ""
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class ReductionReport:
     """Full trace of one reduction run.
@@ -286,13 +339,22 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     is a pure function of (psi, config). A keep probability at or below the
     projection tolerance raises :class:`ReductionError` (the support estimate
     misses the state entirely); a starved pure-state stage is reported, not raised.
+    The report is the trial's chain record row with sigma, phi and the checks added.
     """
     if psi.dims != (config.r, config.d):
         raise ValueError(f"state dims {psi.dims} do not match config ({config.r}, {config.d})")
-    (outcome,) = _run_reductions(psi.amplitudes[None], config, [rng_from_seed(config.seed)])
-    if isinstance(outcome, ReductionError):
-        raise outcome
-    return outcome
+    m, rngs = psi.as_matrix()[None], [rng_from_seed(config.seed)]
+    sigma, phi, stages = _reduction_stages(m, _reduced_states(m), config, rngs)
+    (row,) = _chain_rows(config, stages)
+    if row["error"]:
+        raise ReductionError(row["error"])
+    f, keep, _, _, *overlaps = (values[0] for values in stages)
+    return ReductionReport(
+        sigma=_density_matrices(*sigma)[0],
+        chain=_chain(config.epsilon, f, keep, *overlaps),
+        estimate=None if row["starved"] else _pure_states(phi, psi.dims)[0],
+        **{f.name: row[f.name] for f in fields(ReductionReport) if f.name in row},
+    )
 
 
 def _mixed_stage(rho, backend: TomographyBackend, r: int, rngs, shots: int):
@@ -304,34 +366,33 @@ def _mixed_stage(rho, backend: TomographyBackend, r: int, rngs, shots: int):
     return sigma, _fidelities(_sqrt_matrices(rho_w, rho_v), _sqrt_matrices(*sigma[1:]))
 
 
-def _run_reductions(
-    amps: np.ndarray, config: ReductionConfig, rngs
-) -> list[ReductionReport | ReductionError]:
-    """The reduction on a (T, r*d) stack of input amplitude rows under one config,
-    trial t drawing from the generator rngs[t] in place of ``config.seed``'s.
-
-    One numpy call serves every trial of the stack that shares a shape (the
-    projector rank may differ between trials), and each state stack is
-    checked once. Each trial's stages draw in order from its own generator: stage 1,
-    the kept count, then stage 2. So its report is the one ``run_reduction`` gives
-    it alone. Returns a report per trial, or the ReductionError that failed it alone.
-    """
-    r, d, eps = config.r, config.d, config.epsilon
-    count = len(amps)
-    m = amps.reshape(count, r, d)
+def _run_reductions(amps: np.ndarray, config: ReductionConfig, rngs) -> list[dict[str, Any]]:
+    """The chain record fields of each trial of a (T, r*d) stack of input amplitude
+    rows under one config, trial t drawing from rngs[t] in place of ``config.seed``'s
+    generator; the stack is split by the rank of rho only where ranks differ."""
+    m = amps.reshape(len(amps), config.r, config.d)
     rho = _reduced_states(m)
     rho_ranks = _ranks(rho[1])
     if (rho_ranks != rho_ranks[0]).any():  # the oracle calibrates states of one rank at a time
-        outcomes = np.empty(count, dtype=object)
+        rows = np.empty(len(amps), dtype=object)
         for idx in _groups(rho_ranks):
-            outcomes[idx] = _run_reductions(amps[idx], config, [rngs[t] for t in idx])
-        return outcomes.tolist()
+            rows[idx] = _run_reductions(amps[idx], config, [rngs[t] for t in idx])
+        return rows.tolist()
+    return _chain_rows(config, _reduction_stages(m, rho, config, rngs)[2])
 
+
+def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
+    """The four stages on a (T, r, d) stack of coefficient matrices whose reduced
+    states, the checked stacks rho, share one rank, in one numpy call per shape;
+    trial t draws from rngs[t] in order: stage 1, the kept count, then stage 2.
+    Returns sigma's stacks, phi's rows for the trials whose keep probability
+    exceeds PROB_TOL (zero where the pure stage starved), and per-trial lists of
+    F(rho, sigma), keep, projector rank, kept count and the three overlaps of
+    ``_stage_fidelities``, None where their stage did not run."""
+    r, count = config.r, len(m)
     sigma, f_rho_sigma = _mixed_stage(rho, config.mixed_backend, r, rngs, config.n_copies)
-
     ranks, keep, usable, tilde = _support_projections(m, *sigma[1:], r)
     extra_copies = config.extra_copies
-    samples_total = config.n_copies + extra_copies
     kept = np.zeros(count, dtype=np.int64)
     kept[usable] = [rngs[t].binomial(extra_copies, keep[t]) for t in usable.tolist()]
     # The pure-state stage runs in coordinates on (X register) x supp(Pi),
@@ -352,42 +413,11 @@ def _run_reductions(
         in_support = stage(coords, [rngs[t] for t in trials], kept[trials])
         phi[at] = _phase_normalized((embed @ in_support[:, :, None])[:, :, 0])
     _check_unit_norms(phi[lifted])
-    projected, est, final = _stage_fidelities(amps[usable], tilde, phi)
-
-    sigmas = _density_matrices(*sigma)
-    estimates = dict(zip(usable[fed].tolist(), _pure_states(phi[fed], (r, d))))
-    position = dict(zip(usable.tolist(), range(len(usable))))
-    outcomes: list[ReductionReport | ReductionError] = []
-    for t, keep_t, kept_t in zip(range(count), keep.tolist(), kept.tolist()):
-        if t not in position:
-            outcomes.append(
-                ReductionError(
-                    f"keep probability {keep_t:.3e} is below {PROB_TOL:g}; "
-                    "the support estimate is disjoint from the input state"
-                )
-            )
-            continue
-        j, estimate = position[t], estimates.get(t)
-        est_t, final_t = (None, None) if estimate is None else (est[j], final[j])
-        outcomes.append(
-            ReductionReport(
-                sigma=sigmas[t],
-                projector_rank=int(ranks[t]),
-                fidelity_mixed_estimate=f_rho_sigma[t],
-                keep_probability=keep_t,
-                extra_copies=extra_copies,
-                kept_count=kept_t,
-                projected_fidelity=projected[j],
-                estimate_fidelity=est_t,
-                final_fidelity=final_t,
-                chain=_chain(eps, f_rho_sigma[t], keep_t, projected[j], est_t, final_t),
-                samples_total=samples_total,
-                low_yield=kept_t < math.ceil(extra_copies / 2),
-                starved=estimate is None,
-                estimate=estimate,
-            )
-        )
-    return outcomes
+    overlaps = np.full((3, count), None, dtype=object)
+    overlaps[:, usable] = _stage_fidelities(m.reshape(count, -1)[usable], tilde, phi)
+    overlaps[1:, usable[~fed]] = None
+    values = (f_rho_sigma, keep.tolist(), ranks.tolist(), kept.tolist(), *overlaps.tolist())
+    return sigma, phi, values
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,3 +95,33 @@ def random_density_matrix(d: int, rank: int, rng: np.random.Generator) -> np.nda
     a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = a @ a.conj().T
     return mat / np.real(np.trace(mat))
+
+
+# The check of a report's chain behind each verdict column of a chain record,
+# written out here apart from the library's row builder.
+VERDICT_CHECKS = {
+    "keep_vs_mixed_fidelity_ok": "keep_vs_mixed_fidelity",
+    "keep_vs_epsilon_ok": "keep_vs_epsilon",
+    "projection_identity_ok": "projection_identity",
+    "final_vs_guaranteed_ok": "final_vs_guaranteed_bound",
+    "final_vs_tightened_holds": "final_vs_tightened_bound",
+}
+
+
+def report_columns(report, columns) -> list[tuple]:
+    """(column, type, value) of each chain record column a ReductionReport
+    holds, in the given order: a verdict from the report's chain by check name
+    (None where the check is absent or does not apply), any other column the
+    attribute of its name. guaranteed_bound and error are not report values."""
+    checks = {c.name: c for c in report.chain}
+    out = []
+    for column in columns:
+        if column in ("guaranteed_bound", "error"):
+            continue
+        if column in VERDICT_CHECKS:
+            check = checks.get(VERDICT_CHECKS[column])
+            value = check.satisfied if check is not None and check.applicable else None
+        else:
+            value = getattr(report, column)
+        out.append((column, type(value), value))
+    return out

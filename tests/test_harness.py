@@ -26,13 +26,14 @@ from tomoreduce import (
 )
 from tomoreduce.cli import build_parser, config_from_args, main
 from tomoreduce.harness import (
-    _REPORT_COLUMNS,
     OUTPUT_DIR_ENV_VAR,
     _cell_summary,
+    _experiment_cells,
     _median,
-    experiment_cells,
-    flatten_report,
 )
+from tomoreduce.reduction import _CHAIN_COLUMNS
+
+from oracles import report_columns
 
 
 def small_sweep_config(**overrides):
@@ -153,7 +154,7 @@ class TestConfigValidation:
 
     def test_crossed_grid_filters_r_above_d(self):
         cfg = small_sweep_config(r_values=(1, 3), d_values=(2, 4))
-        cells = experiment_cells(cfg)
+        cells = _experiment_cells(cfg)
         assert all(c["r"] <= c["d"] for c in cells)
         assert {(c["r"], c["d"]) for c in cells} == {(1, 2), (1, 4), (3, 4)}
 
@@ -247,7 +248,11 @@ class TestTrialStacks:
                 pure_backend=stage, seed=child_seed(rec["seed"], 1),
             )
             report = run_reduction(random_pure_state(2, 3, child_seed(rec["seed"], 0)), config)
-            assert flatten_report(report) == {k: rec[k] for k in _REPORT_COLUMNS}
+            expected = report_columns(report, _CHAIN_COLUMNS)
+            assert len(expected) == len(_CHAIN_COLUMNS) - 2
+            assert [(k, type(rec[k]), rec[k]) for k, _, _ in expected] == expected
+            assert list(rec)[-len(_CHAIN_COLUMNS) :] == list(_CHAIN_COLUMNS)
+            assert rec["error"] == ""
 
     def test_failed_trial_fails_alone(self, monkeypatch):
         # a tolerance between the two smallest keep probabilities of the cell
@@ -263,7 +268,10 @@ class TestTrialStacks:
         (bad,) = failed
         assert base[bad]["keep_probability"] == keeps[0]
         assert "keep probability" in forced[bad]["error"]
-        assert all(forced[bad][column] is None for column in _REPORT_COLUMNS)
+        assert list(forced[bad])[-len(_CHAIN_COLUMNS) :] == list(_CHAIN_COLUMNS)
+        values = [forced[bad][c] for c in _CHAIN_COLUMNS if c not in ("guaranteed_bound", "error")]
+        assert values == [None] * (len(_CHAIN_COLUMNS) - 2)
+        assert forced[bad]["guaranteed_bound"] == base[bad]["guaranteed_bound"]
         assert [rec for t, rec in enumerate(forced) if t != bad] == [
             rec for t, rec in enumerate(base) if t != bad
         ]
@@ -402,7 +410,7 @@ class TestOtherExperiments:
             trials=2,
             master_seed=4,
         )
-        cells = experiment_cells(cfg)
+        cells = _experiment_cells(cfg)
         assert [c["n"] for c in cells] == [100]
 
     def test_gentle_records(self):

@@ -32,11 +32,14 @@ from tomoreduce.reduction import (
     CHAIN_SLACK,
     _chain,
     _composition_margins,
+    _CHAIN_COLUMNS,
     _gentle_distances,
+    _reduction_stages,
     _run_reductions,
 )
+from tomoreduce.states import _reduced_states
 
-from oracles import random_density_matrix
+from oracles import random_density_matrix, report_columns
 
 
 def bell_state() -> PureState:
@@ -488,16 +491,26 @@ class TestMixedRankStacks:
             r=2, d=3, n_copies=10_000, epsilon=0.1, mixed_backend=backend, pure_backend=backend
         )
         amps = np.array([psi.amplitudes for psi in self.PSIS])
-        stack = _run_reductions(amps, config, [rng_from_seed(s) for s in self.SEEDS])
+        rows = _run_reductions(amps, config, [rng_from_seed(s) for s in self.SEEDS])
         assert [psi.as_matrix().shape for psi in self.PSIS] == [(2, 3)] * 7
-        assert {partial_trace_x(psi).rank for psi in self.PSIS} == {1, 2}
-        for psi, seed, report in zip(self.PSIS, self.SEEDS, stack):
-            alone = run_reduction(psi, dataclasses.replace(config, seed=seed))
-            assert np.array_equal(report.sigma.eigenvectors, alone.sigma.eigenvectors)
-            assert np.array_equal(report.sigma.matrix, alone.sigma.matrix)
-            assert np.array_equal(report.estimate.amplitudes, alone.estimate.amplitudes)
-            fields = ("keep_probability", "kept_count", "final_fidelity", "fidelity_mixed_estimate")
-            assert [getattr(report, f) for f in fields] == [getattr(alone, f) for f in fields]
+        ranks = [partial_trace_x(psi).rank for psi in self.PSIS]
+        assert set(ranks) == {1, 2}
+        for rank in (1, 2):
+            # the stage arrays of the one-rank sub-stack the rows were built from
+            trials = [t for t in range(7) if ranks[t] == rank]
+            m = amps[trials].reshape(len(trials), 2, 3)
+            rngs = [rng_from_seed(self.SEEDS[t]) for t in trials]
+            sigma, phi, _ = _reduction_stages(m, _reduced_states(m), config, rngs)
+            for j, t in enumerate(trials):
+                alone = run_reduction(self.PSIS[t], dataclasses.replace(config, seed=self.SEEDS[t]))
+                assert np.array_equal(sigma[2][j], alone.sigma.eigenvectors)
+                assert np.array_equal(sigma[0][j], alone.sigma.matrix)
+                assert np.array_equal(phi[j], alone.estimate.amplitudes)
+                row = rows[t]
+                expected = report_columns(alone, _CHAIN_COLUMNS)
+                assert [(k, type(row[k]), row[k]) for k, _, _ in expected] == expected
+                assert list(row) == list(_CHAIN_COLUMNS)
+                assert (row["guaranteed_bound"], row["error"]) == (1.0 - 16.0 * 0.1, "")
 
     def test_gentle_distances_match_one_trial_at_a_time(self):
         amps = np.array([psi.amplitudes for psi in self.PSIS])

@@ -10,9 +10,11 @@ and per record format (CSV and JSON Lines), each in a fresh interpreter with
 one BLAS thread, from an empty working directory; the two trees' runs of a
 sweep run side by side. The ``wall_time`` column is left out of the
 comparison, since it is the only field that is not a function of the seed.
-Where both trees exit 2 (a configuration error), their stderr is compared
-too; other stderr is not, since a traceback holds the tree's paths. For each
-run the script prints ``same`` or the columns that differ with their largest
+Records are compared key by key, in order, and in JSON Lines with the type of
+each value, so ``true`` differs from ``1`` and ``1`` from ``1.0``. Where both
+trees exit 2 (a configuration error), their stderr is compared too; other
+stderr is not, since a traceback holds the tree's paths. For each run the
+script prints ``same`` or the columns that differ with their largest
 absolute difference, and it exits 1 if any record, stdout, exit code or such
 stderr differs.
 
@@ -128,17 +130,22 @@ def _as_float(value) -> float | None:
 
 def record_differences(old: list[dict], new: list[dict]) -> dict[str, float]:
     """Columns that differ, each with its largest |difference| (nan where a
-    differing value is not numeric, or the record counts differ)."""
+    differing value is not numeric, the types differ, or the record counts
+    differ). So JSON's true is not 1 and 1 is not 1.0, and records whose keys
+    come in a different order differ in ``<key order>``."""
     if len(old) != len(new):
         return {"<record count>": math.nan}
     diffs: dict[str, float] = {}
     for a, b in zip(old, new):
+        if list(a) != list(b):
+            diffs["<key order>"] = math.nan
         for key in a.keys() | b.keys():
             x, y = a.get(key), b.get(key)
-            if x == y:
+            if x == y and type(x) is type(y):
                 continue
             fx, fy = _as_float(x), _as_float(y)
-            delta = abs(fx - fy) if fx is not None and fy is not None else math.nan
+            numeric = fx is not None and fy is not None and type(x) is type(y)
+            delta = abs(fx - fy) if numeric else math.nan
             prev = diffs.get(key, 0.0)
             diffs[key] = math.nan if math.isnan(prev) or math.isnan(delta) else max(prev, delta)
     return diffs
