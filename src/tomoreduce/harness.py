@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .measurement import _check_count, _check_integer
+from .measurement import _check_count
 from .reduction import (
     ReductionConfig,
     _gentle_distances,
@@ -33,7 +33,7 @@ from .reduction import (
     _run_reductions,
     proposition_search,
 )
-from .seeding import _check_seed, _child_seeds, _generator_words, _generators
+from .seeding import _check_integer, _check_seed, _child_seeds, _generator_words, _generators
 from .states import _check_unit_norms, _overlaps, _random_pure_states, _reduced_states
 from .tomography import TomographyBackend, _check_window, _inverted_pure_states, _shot_floor
 

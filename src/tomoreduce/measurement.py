@@ -14,11 +14,9 @@ gentle-measurement reference test projects with it.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .seeding import rng_from_seed
+from .seeding import _check_integer, rng_from_seed
 from .states import Projector, PureState, _phase_normalized
 
 __all__ = [
@@ -62,13 +60,6 @@ def _renormalized(p: np.ndarray, projected: np.ndarray) -> np.ndarray:
     """Phase-normalized amplitude rows of the projected states, unchecked."""
     count, r, d = projected.shape
     return _phase_normalized((projected / np.sqrt(p)[:, None, None]).reshape(count, r * d))
-
-
-def _check_integer(what: str, count) -> None:
-    """Raise ValueError unless a shot or copy count is an integer: a bool, a
-    float (NaN or whole) and a fraction are not counts."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {count!r}")
 
 
 def _check_count(what: str, count: float) -> None:

@@ -30,14 +30,15 @@ from typing import Any
 
 import numpy as np
 
-from .measurement import (
-    PROB_TOL,
-    _check_count,
+from .measurement import PROB_TOL, _check_count, _keep_and_projected, _renormalized
+from .seeding import (
     _check_integer,
-    _keep_and_projected,
-    _renormalized,
+    _check_seed,
+    _child_seeds,
+    _generator_words,
+    _generators,
+    rng_from_seed,
 )
-from .seeding import _check_seed, _child_seeds, _generator_words, _generators, rng_from_seed
 from .states import (
     DensityMatrix,
     PureState,
@@ -464,9 +465,12 @@ def verify_chain(
 
     sigma must have rank at most r, or ValueError is raised: the support
     projector is capped at rank r, and keep >= F needs supp(sigma) inside it.
+    So must phi have psi's total dimension.
     """
     if epsilon is not None and not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    if phi.total_dim != psi.total_dim:
+        raise ValueError(f"phi has dimension {phi.total_dim}, psi has {psi.total_dim}")
     if sigma.rank > psi.r:
         raise ValueError(
             f"sigma has rank {sigma.rank} above r = {psi.r}: keep >= F(rho, sigma) "

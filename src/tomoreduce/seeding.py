@@ -25,6 +25,14 @@ def _check_seed(what: str, seed) -> int:
     return int(seed)
 
 
+def _check_integer(what: str, count) -> None:
+    """The integer rule for counts and dimensions: raise ValueError unless the
+    value is an integer; a bool, a float (NaN or whole) and a fraction are not.
+    It sits beside the seed rule because every module, states too, imports seeding."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {count!r}")
+
+
 def child_seed(master: int, *path: int) -> int:
     """Derive a decorrelated 64-bit seed for one node of a seed tree.
 

@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measurement import _check_count, _check_integer
-from .seeding import child_seed, rng_from_seed
+from .measurement import _check_count
+from .seeding import _check_integer, child_seed, rng_from_seed
 from .states import (
     RANK_TOL,
     DensityMatrix,

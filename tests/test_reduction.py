@@ -326,6 +326,16 @@ class TestVerifyChain:
             verify_chain(psi, sigma, psi)
         verify_chain(psi, random_rank_r_state(4, 2, seed=63), psi)
 
+    def test_rejects_phi_of_another_dimension(self):
+        # a phi on 3 amplitudes against psi on 6 failed inside numpy's matmul
+        psi, phi = random_pure_state(2, 3, 0), random_pure_state(1, 3, 1)
+        sigma = partial_trace_x(psi)
+        with pytest.raises(ValueError, match=r"^phi has dimension 3, psi has 6$"):
+            verify_chain(psi, sigma, phi)
+        # the check is on the total dimension: phi on (3, 2) has psi's 6
+        flipped = PureState(random_pure_state(3, 2, 1).amplitudes, (3, 2))
+        assert verify_chain(psi, sigma, flipped).final_fidelity is not None
+
     def test_uhlmann_check_on_calibrated_sigma(self):
         for t in range(20):
             psi = random_pure_state(2, 4, child_seed(24, t))

@@ -94,6 +94,35 @@ class TestPureState:
             assert pivot.real >= 0
 
 
+class TestIntegerRule:
+    # each entry raised TypeError from inside numpy on a float, and PureState
+    # took (2.0, 3) and (True, 6), the latter as dims (1, 6)
+    SIGMA = random_rank_r_state(3, 1, seed=0)
+    ENTRIES = {
+        "random_pure_state r": ("r", lambda x: random_pure_state(x, 3, 0)),
+        "random_pure_state d": ("d", lambda x: random_pure_state(2, x, 0)),
+        "random_rank_r_state d": ("d", lambda x: random_rank_r_state(x, 1, 0)),
+        "random_rank_r_state r": ("r", lambda x: random_rank_r_state(3, x, 0)),
+        "haar_random_unitary": ("dim", lambda x: haar_random_unitary(x, 0)),
+        "purify": ("purifier_dim", lambda x: purify(TestIntegerRule.SIGMA, x)),
+        "support_projector": ("rank_cap", lambda x: support_projector(TestIntegerRule.SIGMA, x)),
+        "PureState r": ("r", lambda x: PureState(np.ones(6) / np.sqrt(6), (x, 3 if x != 1 else 6))),
+        "PureState d": ("d", lambda x: PureState(np.ones(6) / np.sqrt(6), (3 if x != 1 else 6, x))),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("value", [2.0, 1.5, True])
+    def test_rejects_values_that_are_not_integers(self, entry, value):
+        name, call = self.ENTRIES[entry]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_accepts_numpy_integers(self, entry):
+        _, call = self.ENTRIES[entry]
+        call(np.int64(2))
+
+
 class TestRandomRankRState:
     def test_rank_one_is_pure(self):
         rho = random_rank_r_state(3, 1, seed=11)
