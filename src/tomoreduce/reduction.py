@@ -258,8 +258,7 @@ def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
     for f, keep, rank, kept, projected, est, final in zip(*stages):
         if projected is None:
             row = dict.fromkeys(_CHAIN_COLUMNS)
-            row["guaranteed_bound"] = bound
-            row["error"] = (
+            error = (
                 f"keep probability {keep:.3e} is below {PROB_TOL:g}; "
                 "the support estimate is disjoint from the input state"
             )
@@ -269,7 +268,8 @@ def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
             values = (f, keep, rank, extra_copies, kept, samples_total, projected, est, final)
             flags = (sum(c.violated for c in checks), kept < low_yield_below, est is None)
             row = dict(zip(_CHAIN_COLUMNS, (*values, *map(verdicts.get, _VERDICTS), *flags)))
-            row["guaranteed_bound"], row["error"] = bound, ""
+            error = ""
+        row["guaranteed_bound"], row["error"] = bound, error
         rows.append(row)
     return rows
 
@@ -354,7 +354,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
         sigma=_density_matrices(*sigma)[0],
         chain=_chain(config.epsilon, f, keep, *overlaps),
         estimate=None if row["starved"] else _pure_states(phi, psi.dims)[0],
-        **{f.name: row[f.name] for f in fields(ReductionReport) if f.name in row},
+        **{field.name: row[field.name] for field in fields(ReductionReport) if field.name in row},
     )
 
 
