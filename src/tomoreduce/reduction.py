@@ -398,7 +398,7 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
     kept[usable] = [rngs[t].binomial(extra_copies, keep[t]) for t in usable.tolist()]
     # The pure-state stage runs in coordinates on (X register) x supp(Pi),
     # a subspace of dimension r * rank(Pi) <= r^2. Rows of phi stay zero where
-    # the stage is starved, and their overlaps are not read.
+    # the stage is starved, and their overlaps are replaced by None.
     support = ranks[usable]
     fed = kept[usable] >= config.pure_backend.min_shots(r * support)
     phi = np.where((fed & (r * support == 1))[:, None], tilde, 0.0)  # tomography is trivially exact

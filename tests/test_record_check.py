@@ -20,7 +20,7 @@ def jsonl(*lines):
 
 
 def test_identical_records_do_not_differ():
-    recs = jsonl('{"x": 1, "y": true, "z": 0.5, "e": ""}', '{"x": 2, "y": null, "z": 1.5}')
+    recs = jsonl('{"x": 1, "y": true, "z": 0.5, "e": ""}', '{"x": 2, "y": null, "z": NaN}')
     assert record_check.record_differences(recs, jsonl(*map(json.dumps, recs))) == {}
 
 

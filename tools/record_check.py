@@ -141,7 +141,7 @@ def record_differences(old: list[dict], new: list[dict]) -> dict[str, float]:
             diffs["<key order>"] = math.nan
         for key in a.keys() | b.keys():
             x, y = a.get(key), b.get(key)
-            if x == y and type(x) is type(y):
+            if type(x) is type(y) and (x == y or x != x and y != y):  # NaN is NaN
                 continue
             fx, fy = _as_float(x), _as_float(y)
             numeric = fx is not None and fy is not None and type(x) is type(y)
