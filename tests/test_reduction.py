@@ -30,9 +30,9 @@ from tomoreduce import (
 from tomoreduce import states
 from tomoreduce.reduction import (
     CHAIN_SLACK,
+    _CHAIN_COLUMNS,
     _chain,
     _composition_margins,
-    _CHAIN_COLUMNS,
     _gentle_distances,
     _reduction_stages,
     _run_reductions,
