@@ -18,8 +18,10 @@ synthetic triples. A side experiment measures the trace-distance
 disturbance of the projection (the gentle-measurement question).
 
 A chain record's columns are listed once, in ``_CHAIN_COLUMNS``, and
-``_chain_rows`` fills them from a stack's stage arrays: a sweep builds no
-per-trial state or report objects.
+``_chain_rows`` fills them from a stack's stage arrays with one ``_chain``:
+a sweep builds no per-trial state, report or check objects. A starved trial's
+estimate and final overlap are NaN in the stack, so its final checks do not
+apply, and its record holds None there, set from the ``fed`` mask.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class ReductionConfig:
 
 @dataclass(frozen=True)
 class ChainCheck:
-    """One inequality of the fidelity chain: value, bound, and the verdict.
+    """One inequality of the fidelity chain: value, bound, and the verdict, as
+    floats and bools or as a stack's arrays.
 
     ``advisory`` marks checks that are recorded but never counted as
     violations (bounds stronger than the guaranteed one)."""
@@ -170,7 +173,8 @@ class ChainCheck:
 
     @property
     def violated(self) -> bool:
-        return self.applicable and not self.advisory and not self.satisfied
+        # applicable and not satisfied; elementwise on a stack's arrays
+        return not self.advisory and self.applicable > self.satisfied
 
 
 def _landed(fidelity: float, epsilon: float) -> bool:
@@ -189,9 +193,10 @@ def _stage_fidelities(psi: np.ndarray, psi_tilde: np.ndarray, phi: np.ndarray):
 
 
 def _chain(eps, f, keep, projected, estimate, final) -> tuple[ChainCheck, ...]:
-    """The fidelity chain, in order, from its stage values as floats: eps,
-    F(rho, sigma), the keep probability and the three overlaps of
-    ``_stage_fidelities``, each None where its stage has no value.
+    """The fidelity chain, in order, from its stage values: eps, F(rho, sigma),
+    the keep probability and the three overlaps of ``_stage_fidelities``, as
+    floats, each None where its stage has no value, or as a stack's arrays,
+    NaN where the pure stage starved. A NaN never lands, nor satisfies a check.
 
     - ``keep_vs_mixed_fidelity``: keep >= F (Cauchy-Schwarz), always.
     - ``keep_vs_epsilon``: keep >= 1 - eps, when eps is known; applicable
@@ -215,7 +220,7 @@ def _chain(eps, f, keep, projected, estimate, final) -> tuple[ChainCheck, ...]:
             ChainCheck("projection_identity", projected, keep, abs(projected - keep) <= CHAIN_SLACK)
         )
     if final is not None:  # phi exists only where psi_tilde and eps do
-        both_landed = eps < 1.0 and landed and _landed(estimate, eps)
+        both_landed = (eps < 1.0) & landed & _landed(estimate, eps)
         for name, bound, advisory in (
             ("final_vs_guaranteed_bound", _guaranteed_bound(eps), False),
             ("final_vs_tightened_bound", 1.0 - 8.0 * eps, True),
@@ -226,51 +231,45 @@ def _chain(eps, f, keep, projected, estimate, final) -> tuple[ChainCheck, ...]:
     return tuple(checks)
 
 
-# The verdict column of each check of ``_chain``, in chain order.
-_VERDICTS = {
-    "keep_vs_mixed_fidelity": "keep_vs_mixed_fidelity_ok",
-    "keep_vs_epsilon": "keep_vs_epsilon_ok",
-    "projection_identity": "projection_identity_ok",
-    "final_vs_guaranteed_bound": "final_vs_guaranteed_ok",
-    "final_vs_tightened_bound": "final_vs_tightened_holds",
-}
-
 # The columns of a chain record, in file order: the nine stage values, the
-# verdicts (None where a check is absent or does not apply), the violation
-# count and the trial's flags, the cell's guaranteed bound, and the error ("" when
-# the trial ran). A failed trial holds only its bound and its error.
+# verdict of each check of ``_chain`` in chain order (None where it does not
+# apply), the violation count and the trial's flags, the cell's guaranteed bound,
+# and the error ("" when the trial ran). A failed trial holds only its bound and its error.
 _CHAIN_COLUMNS = (
     "fidelity_mixed_estimate", "keep_probability", "projector_rank", "extra_copies",
     "kept_count", "samples_total", "projected_fidelity", "estimate_fidelity", "final_fidelity",
-    *_VERDICTS.values(), "violations", "low_yield", "starved", "guaranteed_bound", "error",
+    "keep_vs_mixed_fidelity_ok", "keep_vs_epsilon_ok", "projection_identity_ok",
+    "final_vs_guaranteed_ok", "final_vs_tightened_holds",
+    "violations", "low_yield", "starved", "guaranteed_bound", "error",
 )
 
 
 def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
     """Each trial's chain record fields, keyed by ``_CHAIN_COLUMNS``, from the
-    stage values of one stack under its config (see ``_reduction_stages``).
-    The copy counts and the guaranteed bound are built once and shared by the
-    stack's rows; a trial whose keep probability is at or below PROB_TOL fails."""
+    stage arrays of one stack under its config (see ``_reduction_stages``), with
+    one ``_chain`` on the whole stack. A trial whose keep probability is at or
+    below PROB_TOL fails; a starved trial's estimate and final fidelity are None."""
     eps, extra_copies = config.epsilon, config.extra_copies
-    samples_total, bound = config.n_copies + extra_copies, _guaranteed_bound(eps)
-    low_yield_below = math.ceil(extra_copies / 2)
-    rows = []
-    for f, keep, rank, kept, projected, est, final in zip(*stages):
-        if projected is None:
-            row = dict.fromkeys(_CHAIN_COLUMNS)
-            error = (
-                f"keep probability {keep:.3e} is below {PROB_TOL:g}; "
-                "the support estimate is disjoint from the input state"
-            )
-        else:
-            checks = _chain(eps, f, keep, projected, est, final)
-            verdicts = {c.name: c.satisfied if c.applicable else None for c in checks}
-            values = (f, keep, rank, extra_copies, kept, samples_total, projected, est, final)
-            flags = (sum(c.violated for c in checks), kept < low_yield_below, est is None)
-            row = dict(zip(_CHAIN_COLUMNS, (*values, *map(verdicts.get, _VERDICTS), *flags)))
-            error = ""
-        row["guaranteed_bound"], row["error"] = bound, error
-        rows.append(row)
+    f, keep, ranks, kept, usable, fed, overlaps = stages
+    checks = _chain(eps, f, keep, *overlaps)
+    projected, est, final = overlaps.tolist()
+    for t in usable[~fed].tolist():
+        est[t] = final[t] = None
+    count, bound = len(keep), _guaranteed_bound(eps)
+    columns = (
+        f.tolist(), keep.tolist(), ranks.tolist(), [extra_copies] * count, kept.tolist(),
+        [config.n_copies + extra_copies] * count, projected, est, final,
+        *(np.where(c.applicable, c.satisfied, None).tolist() for c in checks),
+        sum(c.violated for c in checks).tolist(), (kept < math.ceil(extra_copies / 2)).tolist(),
+        [value is None for value in est], [bound] * count, [""] * count,
+    )
+    rows = [dict(zip(_CHAIN_COLUMNS, values)) for values in zip(*columns)]
+    for t in np.delete(np.arange(count), usable).tolist():
+        rows[t] = dict.fromkeys(_CHAIN_COLUMNS)
+        rows[t]["guaranteed_bound"], rows[t]["error"] = bound, (
+            f"keep probability {keep[t]:.3e} is below {PROB_TOL:g}; "
+            "the support estimate is disjoint from the input state"
+        )
     return rows
 
 
@@ -349,7 +348,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     (row,) = _chain_rows(config, stages)
     if row["error"]:
         raise ReductionError(row["error"])
-    f, keep, _, _, *overlaps = (values[0] for values in stages)
+    f, keep, _, _, _, _, *overlaps = map(row.get, _CHAIN_COLUMNS[:9])  # the stage values
     return ReductionReport(
         sigma=_density_matrices(*sigma)[0],
         chain=_chain(config.epsilon, f, keep, *overlaps),
@@ -386,10 +385,11 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
     """The four stages on a (T, r, d) stack of coefficient matrices whose reduced
     states, the checked stacks rho, share one rank, in one numpy call per shape;
     trial t draws from rngs[t] in order: stage 1, the kept count, then stage 2.
-    Returns sigma's stacks, phi's rows for the trials whose keep probability
-    exceeds PROB_TOL (zero where the pure stage starved), and per-trial lists of
-    F(rho, sigma), keep, projector rank, kept count and the three overlaps of
-    ``_stage_fidelities``, None where their stage did not run."""
+    Returns sigma's stacks, phi's rows for the trials ``usable`` whose keep
+    probability exceeds PROB_TOL (zero where the pure stage starved), and the
+    arrays of F(rho, sigma), keep, projector rank and kept count, ``usable``, the
+    mask ``fed`` over it of trials whose pure stage ran, and the (3, T) overlaps
+    of ``_stage_fidelities``, NaN where their stage did not run."""
     r, count = config.r, len(m)
     sigma, f_rho_sigma = _mixed_stage(rho, config.mixed_backend, r, rngs, config.n_copies)
     ranks, keep, usable, tilde = _support_projections(m, *sigma[1:], r)
@@ -398,7 +398,7 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
     kept[usable] = [rngs[t].binomial(extra_copies, keep[t]) for t in usable.tolist()]
     # The pure-state stage runs in coordinates on (X register) x supp(Pi),
     # a subspace of dimension r * rank(Pi) <= r^2. Rows of phi stay zero where
-    # the stage is starved, and their overlaps are replaced by None.
+    # the stage is starved, and their overlaps are replaced by NaN.
     support = ranks[usable]
     fed = kept[usable] >= config.pure_backend.min_shots(r * support)
     phi = np.where((fed & (r * support == 1))[:, None], tilde, 0.0)  # tomography is trivially exact
@@ -414,11 +414,10 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
         in_support = stage(coords, [rngs[t] for t in trials], kept[trials])
         phi[at] = _phase_normalized((embed @ in_support[:, :, None])[:, :, 0])
     _check_unit_norms(phi[lifted])
-    overlaps = np.full((3, count), None, dtype=object)
+    overlaps = np.full((3, count), np.nan)
     overlaps[:, usable] = _stage_fidelities(m.reshape(count, -1)[usable], tilde, phi)
-    overlaps[1:, usable[~fed]] = None
-    values = (f_rho_sigma, keep.tolist(), ranks.tolist(), kept.tolist(), *overlaps.tolist())
-    return sigma, phi, values
+    overlaps[1:, usable[~fed]] = np.nan
+    return sigma, phi, (np.array(f_rho_sigma), keep, ranks, kept, usable, fed, overlaps)
 
 
 @dataclass(frozen=True, eq=False)
