@@ -33,7 +33,14 @@ from .reduction import (
     _run_reductions,
     proposition_search,
 )
-from .seeding import _check_integer, _check_seed, _child_seeds, _generator_words, _generators
+from .seeding import (
+    _check_integer,
+    _check_real,
+    _check_seed,
+    _child_seeds,
+    _generator_words,
+    _generators,
+)
 from .states import _check_unit_norms, _overlaps, _random_pure_states, _reduced_states
 from .tomography import TomographyBackend, _check_window, _inverted_pure_states, _shot_floor
 
@@ -105,11 +112,17 @@ class ExperimentConfig:
     out_format: str = "csv"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.experiment, ExperimentKind):
+            raise ValueError(f"experiment must be an ExperimentKind, got {self.experiment!r}")
         _check_integer("trials", self.trials)
         _check_integer("prop_batch", self.prop_batch)
         for name in ("r_values", "d_values", "n_values"):
             for value in getattr(self, name):
                 _check_integer(f"each of {name}", value)
+        for name in ("eps_values", "delta_values"):
+            for value in getattr(self, name):
+                _check_real(f"each of {name}", value)
+        _check_real("extra_copy_factor", self.extra_copy_factor)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _check_seed("master_seed", self.master_seed)

@@ -35,6 +35,7 @@ import numpy as np
 from .measurement import PROB_TOL, _check_count, _keep_and_projected, _renormalized
 from .seeding import (
     _check_integer,
+    _check_real,
     _check_seed,
     _child_seeds,
     _generator_words,
@@ -132,11 +133,13 @@ class ReductionConfig:
         if not 1 <= self.r <= self.d:
             raise ValueError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
         _check_seed("seed", self.seed)
+        _check_real("epsilon", self.epsilon)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
         _check_integer("n_copies", self.n_copies)
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
+        _check_real("extra_copy_factor", self.extra_copy_factor)
         _extra_copy_count(self.extra_copy_factor, self.r, self.epsilon)
         if self.mixed_backend is None:
             object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
@@ -466,8 +469,10 @@ def verify_chain(
     projector is capped at rank r, and keep >= F needs supp(sigma) inside it.
     So must phi have psi's total dimension.
     """
-    if epsilon is not None and not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
+    if epsilon is not None:
+        _check_real("epsilon", epsilon)
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
     if phi.total_dim != psi.total_dim:
         raise ValueError(f"phi has dimension {phi.total_dim}, psi has {psi.total_dim}")
     if sigma.rank > psi.r:
@@ -572,6 +577,7 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
     _check_integer("count", count)
     if d < 2:
         raise ValueError("need dimension at least 2")
+    _check_real("eta", eta)
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     if count < 1:

@@ -33,6 +33,13 @@ def _check_integer(what: str, count) -> None:
         raise ValueError(f"{what} must be an integer, got {count!r}")
 
 
+def _check_real(what: str, value) -> None:
+    """The real-number rule for epsilon, delta, eta and factors: raise ValueError
+    unless the value is a real number; a bool, a string, None and a complex are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def child_seed(master: int, *path: int) -> int:
     """Derive a decorrelated 64-bit seed for one node of a seed tree.
 

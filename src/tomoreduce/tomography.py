@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .measurement import _check_count
-from .seeding import _check_integer, child_seed, rng_from_seed
+from .seeding import _check_integer, _check_real, child_seed, rng_from_seed
 from .states import (
     RANK_TOL,
     DensityMatrix,
@@ -92,9 +92,7 @@ class TomographyBackend:
     shots: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            if self.epsilon_target is None:
-                raise ValueError("oracle backend needs a target infidelity")
+        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:  # the real rule rejects None
             _check_window("infidelity", self.epsilon_target)
         elif self.kind is BackendKind.MEASUREMENT_LINEAR_INVERSION:
             if self.shots is None:
@@ -336,6 +334,7 @@ def _calibrated_estimates(rho_w: np.ndarray, rho_v: np.ndarray, rngs, discrepanc
 
 
 def _check_window(what: str, target: float) -> None:
+    _check_real(f"target {what}", target)
     if not _RESOLUTION_FLOOR <= target < 1.0:
         raise ValueError(
             f"target {what} must be in [{_RESOLUTION_FLOOR:g}, 1), got {target!r}: a calibrated "
@@ -392,6 +391,7 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
     The state is rotated toward a random orthogonal unit vector by the angle
     whose cosine meets a target overlap drawn uniformly from the window.
     """
+    _check_real("target infidelity", epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
     if psi.amplitudes.size < 2:

@@ -231,6 +231,16 @@ class TestTrialStacks:
         run_experiment(config)
         assert len(builds) == 4
 
+    def test_one_chain_evaluation_per_stack(self, monkeypatch):
+        # the stacks of 16, 16 and 8 trials each run the five checks once, on arrays
+        calls, checks = [], []
+        chain, check = reduction._chain, reduction.ChainCheck
+        monkeypatch.setattr(reduction, "_chain", lambda *a: calls.append(1) or chain(*a))
+        monkeypatch.setattr(reduction, "ChainCheck", lambda *a: checks.append(1) or check(*a))
+        config = small_sweep_config(r_values=(2,), d_values=(3,), eps_values=(0.1,), trials=40)
+        assert len(run_experiment(config).records) == 40
+        assert (len(calls), len(checks)) == (3, 15)
+
     @pytest.mark.parametrize("backend", ["oracle", "measurement"])
     def test_run_reduction_reproduces_the_stack(self, backend):
         # the public one-trial call gives each trial the record its stack gave it

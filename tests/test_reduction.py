@@ -3,18 +3,22 @@ and the gentle-measurement experiment."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tomoreduce import (
     DensityMatrix,
+    ExperimentConfig,
+    ExperimentKind,
     PureState,
     ReductionConfig,
     TomographyBackend,
     child_seed,
     gentle_measurement_experiment,
     oracle_mixed_estimate,
+    oracle_pure_estimate,
     oracle_trace_distance_estimate,
     partial_trace_x,
     project_and_renormalize,
@@ -426,6 +430,147 @@ class TestChain:
     )
     def test_missing_stages_drop_their_checks(self, values, names):
         assert tuple(c.name for c in _chain(**{**_HOLDING, **values})) == names
+
+
+def _parameters(test, argnames):
+    """The parameter sets of the parametrize mark of ``test`` over ``argnames``."""
+    (mark,) = (m for m in test.pytestmark if m.args[0] == argnames)
+    return mark.args[1]
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)  # NaN equals NaN
+
+
+_NAN = float("nan")
+
+
+def _chain_value_sets():
+    """TestChain's value sets without missing stages: the holding values, each
+    row past its bound by either offset, a final between the two bounds and the
+    applicability sets; then NaN sets, for a starved pure stage or a broken value."""
+    bound_test = TestChain.test_bound_plus_slack_separates_verdicts
+    offsets = [offset for offset, _ in _parameters(bound_test, "offset, holds")]
+    applicability = _parameters(TestChain.test_applicability, "values, not_applicable")
+    past_bounds = [past(x) for _, past in _parameters(bound_test, "name, past") for x in offsets]
+    nans = [dict(f=_NAN), dict(final=_NAN), dict(estimate=_NAN), dict(estimate=_NAN, final=_NAN)]
+    return [
+        {**_HOLDING, **values}
+        for values in (
+            {}, *past_bounds, {"final": 1 - 12 * _EPS}, *(v for v, _ in applicability), *nans
+        )
+    ]
+
+
+class TestStackedChain:
+    """``_chain`` on a stack's arrays gives, element for element, each scalar call."""
+
+    SETS = _chain_value_sets()
+
+    @pytest.mark.parametrize("eps", sorted({values["eps"] for values in SETS}))
+    def test_stack_gives_each_scalar_chain(self, eps):
+        sets = [values for values in self.SETS if values["eps"] == eps]
+        names = ("f", "keep", "projected", "estimate", "final")
+        stacked = _chain(eps, *(np.array([values[n] for values in sets]) for n in names))
+        for t, values in enumerate(sets):
+            scalar = _chain(**values)
+            assert [c.name for c in stacked] == [c.name for c in scalar] == list(_CHAIN_NAMES)
+            for s, c in zip(scalar, stacked):
+                for attr in ("value", "bound", "satisfied", "applicable", "violated"):
+                    at_t = np.broadcast_to(getattr(c, attr), len(sets))[t]
+                    assert _same(at_t, getattr(s, attr)), (values, s.name, attr)
+
+    @pytest.mark.parametrize(
+        "values, violated", [(dict(f=_NAN), _CHAIN_NAMES[0]), (dict(final=_NAN), _CHAIN_NAMES[3])]
+    )
+    def test_nan_stage_value_is_violated(self, values, violated):
+        # a NaN never drops a check or lets it pass silently
+        for chain in (_checks(**values).values(), self._stack_of_one(values)):
+            assert [c.name for c in chain] == list(_CHAIN_NAMES)
+            assert [c.name for c in chain if c.violated] == [violated]
+
+    def test_nan_estimate_makes_only_the_final_checks_inapplicable(self):
+        values = dict(estimate=_NAN)
+        for chain in (_checks(**values).values(), self._stack_of_one(values)):
+            assert [c.name for c in chain if not c.applicable] == list(_CHAIN_NAMES[3:])
+            assert not any(c.violated for c in chain)
+
+    def test_scalar_verdicts_stay_python_bools(self):
+        for values in self.SETS:
+            for c in _chain(**values):
+                assert {type(c.satisfied), type(c.applicable), type(c.violated)} == {bool}
+
+    @staticmethod
+    def _stack_of_one(values):
+        """The chain on a stack of one trial: the holding values with ``values``."""
+        values = {**_HOLDING, **values}
+        return _chain(values.pop("eps"), *(np.array([v]) for v in values.values()))
+
+
+_PSI = random_pure_state(2, 3, seed=0)
+_RHO = partial_trace_x(_PSI)
+
+
+class TestRealRule:
+    # each entry raised TypeError from a comparison on a string, None or a
+    # complex; extra_copy_factor took True as 1
+    ENTRIES = {
+        "ReductionConfig epsilon": (
+            "epsilon", lambda x: ReductionConfig(r=1, d=2, n_copies=10, epsilon=x)
+        ),
+        "ReductionConfig extra_copy_factor": (
+            "extra_copy_factor",
+            lambda x: ReductionConfig(r=1, d=2, n_copies=10, epsilon=0.1, extra_copy_factor=x),
+        ),
+        "verify_chain": ("epsilon", lambda x: verify_chain(_PSI, _RHO, _PSI, epsilon=x)),
+        "TomographyBackend.oracle": ("target infidelity", TomographyBackend.oracle),
+        "oracle_mixed_estimate": ("target infidelity", lambda x: oracle_mixed_estimate(_RHO, x, 0)),
+        "oracle_trace_distance_estimate": (
+            "target trace distance", lambda x: oracle_trace_distance_estimate(_RHO, x, 0)
+        ),
+        "oracle_pure_estimate": ("target infidelity", lambda x: oracle_pure_estimate(_PSI, x, 0)),
+        "gentle_measurement_experiment": (
+            "target trace distance", lambda x: gentle_measurement_experiment(_PSI, x, 2, 0)
+        ),
+        "proposition_search": ("eta", lambda x: proposition_search(3, x, 10, 0)),
+        "ExperimentConfig eps_values": (
+            "each of eps_values",
+            lambda x: ExperimentConfig(ExperimentKind.PROPOSITION_SEARCH, eps_values=(x,)),
+        ),
+        "ExperimentConfig delta_values": (
+            "each of delta_values",
+            lambda x: ExperimentConfig(ExperimentKind.GENTLE_MEASUREMENT, delta_values=(x,)),
+        ),
+        "ExperimentConfig extra_copy_factor": (
+            "extra_copy_factor",
+            lambda x: ExperimentConfig(ExperimentKind.CHAIN_SWEEP, extra_copy_factor=x),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            (entry, value)
+            for entry in ENTRIES
+            for value in ("0.1", None, 0.1 + 0j, True)
+            if (entry, value) != ("verify_chain", None)  # None derives epsilon there
+        ],
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, entry, value):
+        name, call = self.ENTRIES[entry]
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_accepts_numpy_floats(self, entry):
+        _, call = self.ENTRIES[entry]
+        call(np.float64(0.1))
+
+    def test_experiment_config_rejects_a_kind_by_name(self):
+        message = "experiment must be an ExperimentKind, got 'chain_sweep'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig("chain_sweep")
 
 
 class TestGeometricComposition:

@@ -41,7 +41,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # The sweeps every record check repeats: the default grid at two trials, a
-# measurement grid, a grid with starved pure stages (seed 13), the tight-eps
+# measurement grid, a grid with starved pure stages (seed 13), 16-trial stacks
+# that mix fed and starved trials (eps 0.2, 21 of 32 starved) or starve every
+# trial at eps = 1 - 1e-13, where a stage value of 0 would land, the tight-eps
 # grid, the side experiments, the one-cell default, 40-trial default grids on
 # both backends, and 40-trial side-experiment grids whose stacks cross the
 # 16-trial boundary: gentle with rank-3 projections and the 1e-12 window, and
@@ -56,6 +58,11 @@ SWEEPS = (
     [
         "chain-sweep", "--backend", "measurement", "--r", "1,2", "--d", "2,3",
         "--eps", "0.2,0.4", "--c-extra", "0.2", "--trials", "3", "--seed", "13",
+    ],
+    [
+        "chain-sweep", "--backend", "measurement", "--r", "2", "--d", "3,4",
+        "--eps", "0.2,0.9999999999999", "--c-extra", "0.8", "--n-copies", "100",
+        "--trials", "16", "--seed", "5",
     ],
     ["chain-sweep", "--d", "4,8", "--eps", "0.001,0.0001,1e-05", "--trials", "3", "--seed", "19"],
     ["scale-pure"],
