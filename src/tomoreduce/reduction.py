@@ -162,7 +162,8 @@ class ReductionConfig:
 @dataclass(frozen=True)
 class ChainCheck:
     """One inequality of the fidelity chain: value, bound, and the verdict, as
-    floats and bools or as a stack's arrays.
+    floats and bools for one trial or as arrays for a whole stack, which
+    ``_chain`` evaluates once (NaN where a starved trial has no value).
 
     ``advisory`` marks checks that are recorded but never counted as
     violations (bounds stronger than the guaranteed one)."""
@@ -251,7 +252,9 @@ def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
     """Each trial's chain record fields, keyed by ``_CHAIN_COLUMNS``, from the
     stage arrays of one stack under its config (see ``_reduction_stages``), with
     one ``_chain`` on the whole stack. A trial whose keep probability is at or
-    below PROB_TOL fails; a starved trial's estimate and final fidelity are None."""
+    below PROB_TOL fails. A starved trial's NaN estimate and final fidelity land
+    nowhere, so its final verdicts are None, and so are those two columns,
+    set from the ``fed`` mask."""
     eps, extra_copies = config.epsilon, config.extra_copies
     f, keep, ranks, kept, usable, fed, overlaps = stages
     checks = _chain(eps, f, keep, *overlaps)
@@ -267,7 +270,7 @@ def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
         [value is None for value in est], [bound] * count, [""] * count,
     )
     rows = [dict(zip(_CHAIN_COLUMNS, values)) for values in zip(*columns)]
-    for t in np.delete(np.arange(count), usable).tolist():
+    for t in set(range(count)).difference(usable.tolist()):
         rows[t] = dict.fromkeys(_CHAIN_COLUMNS)
         rows[t]["guaranteed_bound"], rows[t]["error"] = bound, (
             f"keep probability {keep[t]:.3e} is below {PROB_TOL:g}; "
