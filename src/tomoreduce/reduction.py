@@ -198,9 +198,9 @@ def _stage_fidelities(psi: np.ndarray, psi_tilde: np.ndarray, phi: np.ndarray):
 
 def _chain(eps, f, keep, projected, estimate, final) -> tuple[ChainCheck, ...]:
     """The fidelity chain, in order, from its stage values: eps, F(rho, sigma),
-    the keep probability and the three overlaps of ``_stage_fidelities``, as
-    floats, each None where its stage has no value, or as a stack's arrays,
-    NaN where the pure stage starved. A NaN never lands, nor satisfies a check.
+    the keep probability and the three overlaps of ``_stage_fidelities``: as
+    floats, each None where its stage has no value, or once for a whole stack as
+    arrays, NaN where the pure stage starved. A NaN never lands, nor satisfies a check.
 
     - ``keep_vs_mixed_fidelity``: keep >= F (Cauchy-Schwarz), always.
     - ``keep_vs_epsilon``: keep >= 1 - eps, when eps is known; applicable
