@@ -12,6 +12,8 @@ parser defaults, so the parsed namespace is the config's keyword arguments.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import sys
 from pathlib import Path
@@ -129,15 +131,22 @@ def main(argv: list[str] | None = None) -> int:
     summary = run_experiment(config)
     print_summary(summary)
     if config.experiment in (ExperimentKind.SCALING_PURE, ExperimentKind.SCALING_MIXED):
-        _print_scaling_fits(summary)
+        _print_scaling_fits(config)
     if summary.out_path:
         print(f"records written to {summary.out_path}")
     return 0 if summary.ok else 1
 
 
-def _print_scaling_fits(summary) -> None:
+def _print_scaling_fits(config: ExperimentConfig) -> None:
+    """One fit per (r, d), from the records the run just wrote; CSV gives
+    their values as strings, which fit_scaling casts."""
+    with open(config.out_path, newline="") as f:
+        if config.out_format == "csv":
+            records = list(csv.DictReader(f))
+        else:
+            records = [json.loads(line) for line in f]
     by_dim: dict[tuple, list] = {}
-    for rec in summary.records:
+    for rec in records:
         key = (rec.get("r"), rec["d"])
         by_dim.setdefault(key, []).append(rec)
     for key, recs in by_dim.items():

@@ -1,5 +1,6 @@
 """Batch experiment runner: seed-stable grids, per-trial records, summary
-statistics, and CSV / JSON Lines persistence.
+statistics, and CSV / JSON Lines persistence, streamed to disk one cell at a
+time.
 
 Records are append-ordered by (cell index, trial index) and every field
 except wall_time is a pure function of the master seed, so re-running a
@@ -27,6 +28,7 @@ import numpy as np
 from .measurement import _check_count
 from .reduction import (
     ReductionConfig,
+    _check_copy_factor,
     _gentle_distances,
     _guaranteed_bound,
     _mixed_stage,
@@ -92,9 +94,11 @@ class ExperimentKind(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's grids, trial count, seeding, and output target. A chain
-    grid is validated by building the ReductionConfig of each of its cells,
-    and each cell's samples_total column must fit in int64."""
+    """One experiment's grids, trial count, seeding, and output target. Every
+    experiment checks that n_copies is an integer of at least 1 and that
+    extra_copy_factor is finite and positive; a chain grid is also validated
+    by building the ReductionConfig of each of its cells, and each cell's
+    samples_total column must fit in int64."""
 
     experiment: ExperimentKind
     r_values: tuple[int, ...] = DEFAULT_R_GRID
@@ -122,7 +126,10 @@ class ExperimentConfig:
         for name in ("eps_values", "delta_values"):
             for value in getattr(self, name):
                 _check_real(f"each of {name}", value)
-        _check_real("extra_copy_factor", self.extra_copy_factor)
+        _check_copy_factor(self.extra_copy_factor)
+        _check_integer("n_copies", self.n_copies)
+        if self.n_copies < 1:
+            raise ValueError("n_copies must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         _check_seed("master_seed", self.master_seed)
@@ -290,6 +297,10 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
+    """Per-cell summaries and totals of one run. ``records`` holds every
+    record only when the run had no ``out_path``; a run with one streamed its
+    records to that file cell by cell, and ``records`` is empty."""
+
     experiment: ExperimentKind
     cells: tuple[CellSummary, ...]
     violations_total: int
@@ -379,11 +390,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     without changing any record field but wall_time. Every experiment runs
     a cell's trials in stacks of up to 16; each record's wall_time is its
     stack's time divided by the number of trials in the stack.
+
+    Records go to one place. With ``out_path`` set, each cell's records are
+    written as soon as its last stack is done and then dropped, so no more
+    than two cells' records are in memory at once and the peak is bounded by
+    the largest cell, not by the sweep; the file appears at ``out_path``
+    only when the last cell is written (see ``write_records``), and
+    ``ExperimentSummary.records`` is empty. Without it, the summary holds
+    every record.
     """
+    summaries: list[CellSummary] = []
+    batches = _cell_records(config, summaries)
+    records: tuple[dict[str, Any], ...] = ()
+    if config.out_path is None:
+        records = tuple(itertools.chain.from_iterable(batches))
+    else:
+        _write_batches(batches, config.out_path, config.out_format)
+    return ExperimentSummary(
+        experiment=config.experiment,
+        cells=tuple(summaries),
+        violations_total=sum(c.violations for c in summaries),
+        failures_total=sum(c.failures for c in summaries),
+        records=records,
+        out_path=config.out_path,
+    )
+
+
+def _cell_records(config: ExperimentConfig, summaries: list[CellSummary]):
+    """Yields each cell's records in order, once its last stack is done, and
+    appends the cell's summary to ``summaries`` first."""
     cells = _experiment_cells(config)
     builder = _RECORD_BUILDERS[config.experiment]
-    records: list[dict[str, Any]] = []
-    summaries: list[CellSummary] = []
     blocks = _seed_blocks(config, len(cells))
     for cell_index, (cell, (trial_seeds, trial_words)) in enumerate(zip(cells, blocks)):
         params = {k: _CELL_TYPES[k](v) for k, v in cell.items()}
@@ -398,7 +435,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         # between stacks, they sat among the freed arrays of each stack and
         # fragmented the heap, which raised the default chain sweep's peak
         # RSS by about 0.5%.
-        cell_records = [
+        records = [
             {
                 "experiment": config.experiment.value,
                 "cell": cell_index,
@@ -411,18 +448,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             for trials, seeds, stack, wall_time in stacks
             for trial_index, trial_seed, fields in zip(trials, seeds, stack)
         ]
-        records.extend(cell_records)
-        summaries.append(_cell_summary(config.experiment, cell, cell_records))
-    if config.out_path is not None:
-        write_records(records, config.out_path, config.out_format)
-    return ExperimentSummary(
-        experiment=config.experiment,
-        cells=tuple(summaries),
-        violations_total=sum(c.violations for c in summaries),
-        failures_total=sum(c.failures for c in summaries),
-        records=tuple(records),
-        out_path=config.out_path,
-    )
+        summaries.append(_cell_summary(config.experiment, cell, records))
+        yield records
 
 
 def _csv_cell(value: Any) -> str:
@@ -459,38 +486,57 @@ def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike,
 
     A numpy scalar is written as the Python scalar it holds. CSV takes its
     columns from the first record, so a record with a key the first one lacks
-    raises ValueError before the file is opened. JSON Lines serializes every
-    record before the file is opened, so a value JSON cannot hold raises
-    TypeError and leaves no file behind.
+    raises ValueError; JSON Lines raises TypeError on a value JSON cannot
+    hold. Either way no file is left behind, and a file already at ``path``
+    keeps its bytes: the records go to a temporary file beside ``path``,
+    which replaces it only once every record is written.
     """
     records = list(records)
     if not records:
         raise ValueError("no records to write")
-    if fmt == "csv":
-        first = records[0].keys()
-        for i, rec in enumerate(records):
-            if not rec.keys() <= first:
-                extra = [k for k in rec if k not in first]
-                raise ValueError(f"record {i} has columns the first record lacks: {extra}")
-    elif fmt == "jsonl":  # every line serialized before the file is opened
-        lines = [json.dumps(dict(rec), default=_json_value) + "\n" for rec in records]
-    else:
+    _write_batches([records], path, fmt)
+
+
+def _write_batches(batches: Iterable[list[Mapping[str, Any]]], path, fmt: str) -> None:
+    """Write each batch of records as it comes, as CSV with the columns of the
+    first record or as JSON Lines, to a temporary file beside ``path``, made
+    with its directory once the first batch is ready; then move the file to
+    ``path`` with ``os.replace``. On any exception, raised by a record or by
+    the code that yields the batches, the temporary file is deleted."""
+    if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown output format {fmt!r}")
+    batches = iter(batches)
+    batch = next(batches)
+    keys = list(batch[0])
+    columns = frozenset(keys)
     out = Path(path)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        keys = list(records[0].keys())
-        with open(out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(keys)
-            for rec in records:
-                writer.writerow(
-                    [_CSV_CELLS.get(type(v), _csv_cell)(v) for v in map(rec.get, keys)]
-                )
-    else:
-        with open(out, "w") as f:
-            f.writelines(lines)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(tmp, "w", newline="" if fmt == "csv" else None) as f:
+            if fmt == "csv":
+                writer = csv.writer(f)
+                writer.writerow(keys)
+            written = 0
+            while batch is not None:
+                if fmt == "csv":
+                    for i, rec in enumerate(batch, written):
+                        if not rec.keys() <= columns:
+                            extra = [k for k in rec if k not in columns]
+                            raise ValueError(
+                                f"record {i} has columns the first record lacks: {extra}"
+                            )
+                    writer.writerows(
+                        [_CSV_CELLS.get(type(v), _csv_cell)(v) for v in map(rec.get, keys)]
+                        for rec in batch
+                    )
+                else:
+                    f.writelines(json.dumps(dict(rec), default=_json_value) + "\n" for rec in batch)
+                written += len(batch)
+                batch = next(batches, None)
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def print_summary(summary: ExperimentSummary) -> None:
@@ -519,7 +565,7 @@ def print_summary(summary: ExperimentSummary) -> None:
     for row in rows:
         print("  ".join(col.ljust(w) for col, w in zip(row, widths)))
     print(
-        f"{summary.experiment.value}: {len(summary.records)} records, "
+        f"{summary.experiment.value}: {sum(c.trials for c in summary.cells)} records, "
         f"{summary.violations_total} bound violation(s), {summary.failures_total} failed trial(s)"
     )
 

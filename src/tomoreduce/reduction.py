@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -94,17 +95,11 @@ class ReductionError(RuntimeError):
     """The support estimate is incompatible with the input state."""
 
 
-def _extra_copy_count(factor: float, r: int, epsilon: float) -> int:
-    """ceil(factor * r^2 / epsilon), the projection stage's copy count.
-
-    Raises ValueError unless factor is finite and positive and the count fits
-    in int64, so that the kept count is one binomial draw.
-    """
+def _check_copy_factor(factor: float) -> None:
+    """Raise ValueError unless the extra-copy factor is a finite positive real."""
+    _check_real("extra_copy_factor", factor)
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"extra_copy_factor must be finite and positive, got {factor!r}")
-    copies = factor * r**2 / epsilon
-    _check_count("extra copies", copies)
-    return int(math.ceil(copies))
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,8 @@ class ReductionConfig:
         _check_integer("n_copies", self.n_copies)
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
-        _check_real("extra_copy_factor", self.extra_copy_factor)
-        _extra_copy_count(self.extra_copy_factor, self.r, self.epsilon)
+        _check_copy_factor(self.extra_copy_factor)
+        _check_count("extra copies", self.extra_copy_factor * self.r**2 / self.epsilon)
         if self.mixed_backend is None:
             object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
         if self.pure_backend is None:
@@ -154,9 +149,11 @@ class ReductionConfig:
             )
         _check_count("copies", self.n_copies)
 
-    @property
+    @cached_property
     def extra_copies(self) -> int:
-        return _extra_copy_count(self.extra_copy_factor, self.r, self.epsilon)
+        """ceil(extra_copy_factor * r^2 / epsilon), checked to fit in int64 at
+        construction, so that the kept count is one binomial draw."""
+        return int(math.ceil(self.extra_copy_factor * self.r**2 / self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -262,11 +259,20 @@ def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
     for t in usable[~fed].tolist():
         est[t] = final[t] = None
     count, bound = len(keep), _guaranteed_bound(eps)
+    # Python lists, not object arrays: a verdict is None where its check does
+    # not apply, and a False verdict of a check that is not advisory is
+    # ``ChainCheck.violated``.
+    verdicts = [
+        c.satisfied.tolist() if c.applicable is True
+        else [s if a else None for s, a in zip(c.satisfied.tolist(), c.applicable.tolist())]
+        for c in checks
+    ]
+    counted = [v for v, c in zip(verdicts, checks) if not c.advisory]
     columns = (
         f.tolist(), keep.tolist(), ranks.tolist(), [extra_copies] * count, kept.tolist(),
         [config.n_copies + extra_copies] * count, projected, est, final,
-        *(np.where(c.applicable, c.satisfied, None).tolist() for c in checks),
-        sum(c.violated for c in checks).tolist(), (kept < math.ceil(extra_copies / 2)).tolist(),
+        *verdicts, [v.count(False) for v in zip(*counted)],
+        (kept < math.ceil(extra_copies / 2)).tolist(),
         [value is None for value in est], [bound] * count, [""] * count,
     )
     rows = [dict(zip(_CHAIN_COLUMNS, values)) for values in zip(*columns)]

@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +155,25 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="must be an integer"):
                 ExperimentConfig(experiment=kind, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_copies", 0, "n_copies must be at least 1"),
+            ("n_copies", -5, "n_copies must be at least 1"),
+            ("n_copies", 2.5, "n_copies must be an integer, got 2.5"),
+            *(
+                ("extra_copy_factor", x, f"extra_copy_factor must be finite and positive, got {x}")
+                for x in (-1.0, 0.0, math.nan, math.inf)
+            ),
+        ],
+    )
+    def test_copy_rules_hold_for_every_experiment(self, field, value, message):
+        # only chain cells used to check them, through their ReductionConfig,
+        # so gentle took extra_copy_factor=-1.0 and n_copies=0
+        for kind in ExperimentKind:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig(experiment=kind, **{field: value})
+
     def test_crossed_grid_filters_r_above_d(self):
         cfg = small_sweep_config(r_values=(1, 3), d_values=(2, 4))
         cells = _experiment_cells(cfg)
@@ -163,7 +185,8 @@ class TestChainSweep:
     def test_forty_records_zero_violations(self, tmp_path):
         out = tmp_path / "sweep.csv"
         summary = run_experiment(small_sweep_config(out_path=str(out)))
-        assert len(summary.records) == 40
+        assert sum(c.trials for c in summary.cells) == 40
+        assert summary.records == ()  # streamed to the file, not kept
         assert summary.violations_total == 0
         assert summary.failures_total == 0
         rows = read_csv(out)
@@ -533,6 +556,78 @@ class TestWriteRecords:
         with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
             write_records([{"a": 1}, {"a": {1}}], out, "jsonl")
         assert not out.exists()
+
+
+def without_wall_time(path, fmt) -> list[bytes]:
+    """The file's lines, each cut before its last field, wall_time."""
+    cut = b"," if fmt == "csv" else b', "wall_time": '
+    return [line.rsplit(cut, 1)[0] for line in Path(path).read_bytes().splitlines()]
+
+
+class TestStreamedRecords:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_streamed_file_matches_write_records(self, fmt, tmp_path):
+        # four cells of two stacks each, written cell by cell
+        config = small_sweep_config(trials=20, out_format=fmt)
+        streamed = tmp_path / f"streamed.{fmt}"
+        summary = run_experiment(dataclasses.replace(config, out_path=str(streamed)))
+        assert summary.records == ()
+        assert [c.trials for c in summary.cells] == [20] * 4
+        in_memory = run_experiment(config)
+        assert len(in_memory.records) == 80
+        assert summary.cells == in_memory.cells
+        written = tmp_path / f"written.{fmt}"
+        write_records(in_memory.records, written, fmt)
+        assert without_wall_time(streamed, fmt) == without_wall_time(written, fmt)
+        assert len(without_wall_time(streamed, fmt)) == 80 + (fmt == "csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([streamed.name, written.name])
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_sweep_leaves_no_file(self, fmt, existing, tmp_path, monkeypatch):
+        config = small_sweep_config(out_path=str(tmp_path / f"sweep.{fmt}"), out_format=fmt)
+        last = _experiment_cells(config)[-1]
+        builder = harness._RECORD_BUILDERS[ExperimentKind.CHAIN_SWEEP]
+        seen = []
+
+        def failing(config, cell, *args):
+            if cell == last:  # the earlier cells are on disk by now
+                seen.extend(p.name for p in tmp_path.iterdir())
+                raise RuntimeError("trial failed")
+            return builder(config, cell, *args)
+
+        monkeypatch.setitem(harness._RECORD_BUILDERS, ExperimentKind.CHAIN_SWEEP, failing)
+        target = Path(config.out_path)
+        if existing:
+            target.write_bytes(b"old records\n")
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_experiment(config)
+        temporary = f".{target.name}.{os.getpid()}.tmp"
+        assert [name for name in seen if name != target.name] == [temporary]
+        if existing:
+            assert [p.name for p in tmp_path.iterdir()] == [target.name]
+            assert target.read_bytes() == b"old records\n"
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale-pure", "--d", "2,3", "--n", "100,1000,10000"],
+            ["scale-mixed", "--r", "1,2", "--d", "2,3", "--n", "100,1000,10000"],
+        ],
+    )
+    def test_scaling_fits_read_back_from_either_format(self, argv, tmp_path, capsys):
+        # the fits come from the written file, whose CSV values are strings
+        outputs = []
+        for fmt in ("csv", "jsonl"):
+            out = tmp_path / f"scale.{fmt}"
+            assert main([*argv, "--trials", "5", "--format", fmt, "--out", str(out)]) == 0
+            outputs.append(capsys.readouterr().out.replace(str(out), "<out>"))
+        assert outputs[0] == outputs[1]
+        fits = [line for line in outputs[0].splitlines() if line.startswith("scaling fit")]
+        assert len(fits) == (2 if argv[0] == "scale-pure" else 4)
+        assert all("slope" in line for line in fits)
 
 
 class TestFitScaling:

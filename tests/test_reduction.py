@@ -31,7 +31,7 @@ from tomoreduce import (
     trace_distance,
     verify_chain,
 )
-from tomoreduce import states
+from tomoreduce import reduction, states
 from tomoreduce.reduction import (
     CHAIN_SLACK,
     _CHAIN_COLUMNS,
@@ -122,6 +122,16 @@ class TestReductionConfig:
     def test_extra_copies(self):
         cfg = ReductionConfig(r=2, d=4, n_copies=10, epsilon=0.1, extra_copy_factor=4.0)
         assert cfg.extra_copies == math.ceil(4.0 * 4 / 0.1) == 160
+
+    def test_extra_copies_computed_once(self, monkeypatch):
+        # each access used to recompute the count and check it again
+        calls = []
+        check = reduction._check_count
+        monkeypatch.setattr(reduction, "_check_count", lambda *a: calls.append(a) or check(*a))
+        cfg = ReductionConfig(r=2, d=4, n_copies=10, epsilon=0.1)
+        assert len(calls) == 2  # the extra copies and the stage-one copies
+        assert [cfg.extra_copies for _ in range(5)] == [160] * 5
+        assert len(calls) == 2
 
     def test_default_backends_are_oracles(self):
         cfg = ReductionConfig(r=1, d=2, n_copies=1, epsilon=0.25)

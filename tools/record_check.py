@@ -13,10 +13,12 @@ comparison, since it is the only field that is not a function of the seed.
 Records are compared key by key, in order, and in JSON Lines with the type of
 each value, so ``true`` differs from ``1`` and ``1`` from ``1.0``. Where both
 trees exit 2 (a configuration error), their stderr is compared too; other
-stderr is not, since a traceback holds the tree's paths. For each run the
-script prints ``same`` or the columns that differ with their largest
-absolute difference, and it exits 1 if any record, stdout, exit code or such
-stderr differs.
+stderr is not, since a traceback holds the tree's paths. A run that leaves
+anything but its record file in its working directory, such as a temporary
+file, fails the check on either tree. For each run the script prints
+``same`` or the columns that differ with their largest absolute difference
+and any files left behind, and it exits 1 if any record, stdout, exit code
+or such stderr differs, or a run left a file behind.
 
 With ``--stats`` the trees may draw different records from the same law,
 which a byte comparison cannot show. Every sweep of ``STATS_SWEEPS`` then
@@ -25,7 +27,8 @@ runs once per tree at ``--trials 400``, and per cell and per column of
 trees' values (a trial that wrote no value, such as an errored trial's, is
 left out). The script prints each sweep's smallest p-value and test count,
 then the smallest p-value of the whole run with its Bonferroni count, and it
-exits 1 if that p-value times the count is below 1%, or an exit code differs.
+exits 1 if that p-value times the count is below 1%, an exit code differs,
+or a run left a file behind.
 """
 
 from __future__ import annotations
@@ -104,8 +107,10 @@ STATS_ALPHA = 0.01  # family-wise false-alarm rate of the Bonferroni-corrected t
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, str, list[dict]]:
-    """Exit code, stdout, stderr and records (without wall_time) of one CLI run."""
+def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, str, list[dict], list[str]]:
+    """Exit code, stdout, stderr, records (without wall_time) and the names of
+    any files other than the record file left in the working directory, such
+    as a temporary file, of one CLI run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(_ONE_THREAD, "1"))
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / f"records.{fmt}"
@@ -114,9 +119,10 @@ def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, str, lis
             cwd=work, env=env, capture_output=True, text=True,
         )
         records = _read(out, fmt) if out.exists() else []
+        leftovers = sorted(p.name for p in Path(work).iterdir() if p != out)
     for rec in records:
         rec.pop("wall_time", None)
-    return proc.returncode, proc.stdout, proc.stderr, records
+    return proc.returncode, proc.stdout, proc.stderr, records, leftovers
 
 
 def _read(path: Path, fmt: str) -> list[dict]:
@@ -173,12 +179,12 @@ def compare_laws(parent: Path, change: Path) -> int:
     from scipy.stats import ks_2samp
 
     tests: list[tuple[float, str]] = []
-    codes_differ = False
+    runs_differ = False
     with ThreadPoolExecutor(max_workers=2) as pool:  # a sweep's two trees side by side
         for sweep in STATS_SWEEPS:
             argv = [*sweep, "--trials", str(STATS_TRIALS)]
             runs = pool.map(lambda tree: run_sweep(tree, argv, "csv"), (parent, change))
-            (code_a, _, _, recs_a), (code_b, _, _, recs_b) = runs
+            (code_a, _, _, recs_a, left_a), (code_b, _, _, recs_b, left_b) = runs
             found = []
             for column in STATS_COLUMNS:
                 old, new = cell_values(recs_a, column), cell_values(recs_b, column)
@@ -188,7 +194,10 @@ def compare_laws(parent: Path, change: Path) -> int:
             label = f"{' '.join(argv)}: {len(recs_a)} -> {len(recs_b)} records"
             if code_a != code_b:
                 label += f", exit code {code_a} -> {code_b}"
-                codes_differ = True
+                runs_differ = True
+            if left_a or left_b:
+                label += f", files left behind {left_a} -> {left_b}"
+                runs_differ = True
             if found:
                 p, where = min(found)
                 label += f", {len(found)} tests, smallest p {p:.3g} ({where.split(': ', 1)[1]})"
@@ -202,7 +211,7 @@ def compare_laws(parent: Path, change: Path) -> int:
     verdict = "differ" if corrected < STATS_ALPHA else "agree"
     print(f"smallest p {p:.3g} of {len(tests)} tests ({where}); "
           f"Bonferroni-corrected {corrected:.3g}: the laws {verdict} at {STATS_ALPHA:g}")
-    return 1 if corrected < STATS_ALPHA or codes_differ else 0
+    return 1 if corrected < STATS_ALPHA or runs_differ else 0
 
 
 def main(argv: list[str]) -> int:
@@ -220,8 +229,12 @@ def main(argv: list[str]) -> int:
         for sweep in SWEEPS:
             for fmt in FORMATS:
                 runs = pool.map(lambda tree: run_sweep(tree, sweep, fmt), (parent, change))
-                (code_a, out_a, err_a, recs_a), (code_b, out_b, err_b, recs_b) = runs
+                (code_a, out_a, err_a, recs_a, left_a), (code_b, out_b, err_b, recs_b, left_b) = (
+                    runs
+                )
                 problems = []
+                if left_a or left_b:
+                    problems.append(f"files left behind {left_a} -> {left_b}")
                 if code_a != code_b:
                     problems.append(f"exit code {code_a} -> {code_b}")
                 if out_a != out_b:
