@@ -626,8 +626,14 @@ class TestStreamedRecords:
             outputs.append(capsys.readouterr().out.replace(str(out), "<out>"))
         assert outputs[0] == outputs[1]
         fits = [line for line in outputs[0].splitlines() if line.startswith("scaling fit")]
-        assert len(fits) == (2 if argv[0] == "scale-pure" else 4)
-        assert all("slope" in line for line in fits)
+        # the same fits as from the records held in memory
+        config = _parse([*argv, "--trials", "5", "--out", "x.csv"])
+        records = run_experiment(dataclasses.replace(config, out_path=None)).records
+        dims = list(dict.fromkeys((rec.get("r"), rec["d"]) for rec in records))
+        assert len(fits) == len(dims) == (2 if argv[0] == "scale-pure" else 4)
+        for line, dim in zip(fits, dims):
+            fit = fit_scaling([rec for rec in records if (rec.get("r"), rec["d"]) == dim])
+            assert f"slope {fit.slope:+.3f}, intercept {fit.intercept:+.3f}" in line
 
 
 class TestFitScaling:
