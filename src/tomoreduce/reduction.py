@@ -546,31 +546,81 @@ _SEARCH_BATCH = 65536  # triples drawn per vectorized batch
 _EDGE_FRACTION = 0.125  # share of each batch with a and b pinned at 1 - eta
 
 
-def _random_unit_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum of the d rows of a (d, m) real or complex array, with the bits that
+    np.sum(..., axis=1) gives on its (m, d) transpose held as C-contiguous rows.
+
+    That is numpy's pairwise summation of d contiguous scalars: in order below
+    8 scalars, in 8 interleaved accumulators up to 128, and beyond that as the
+    sum of two halves split at a multiple of 8. A complex element counts as two
+    interleaved scalars, so 4 accumulators hold its real and imaginary parts.
+    Each step adds whole rows, m elements at a time.
+    """
+    d = len(x)
+    width = 2 if np.iscomplexobj(x) else 1  # float64 scalars per element
+    if width * d < 8:
+        out = x[0].copy()
+        for row in x[1:]:
+            out += row
+        return out
+    if width * d > 128:
+        half = width * d // 2
+        half -= half % 8
+        return _sum_rows(x[: half // width]) + _sum_rows(x[half // width :])
+    lanes = 8 // width
+    full = d - d % lanes
+    acc = x[:lanes]
+    if full > lanes:
+        acc = acc.copy()
+        for i in range(lanes, full, lanes):
+            acc += x[i : i + lanes]
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    out = acc[0]
+    for row in x[full:]:
+        out += row
+    return out
 
 
-def _orthogonal_unit_rows(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
-    m, d = base.shape
-    z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-    ip = np.sum(base.conj() * z, axis=1)
-    z = z - ip[:, None] * base
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return z / np.maximum(norms, 1e-300)
+def _unit_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """(d, m) columns of complex Gaussians from an (m, d) real and then an
+    (m, d) imaginary draw: the bits of re + 1j*im, transposed."""
+    z = np.empty((d, m), dtype=complex)
+    z.real = rng.standard_normal((m, d)).T
+    z.imag = rng.standard_normal((m, d)).T
+    return z
+
+
+def _normalize_columns(z: np.ndarray, t: np.ndarray, floor: float = 0.0) -> None:
+    """Divide each (d, m) column of z in place by the larger of its norm and
+    floor, the norm with the bits of np.linalg.norm on rows; t is scratch of
+    z's shape."""
+    np.conjugate(z, out=t)
+    t *= z
+    z /= np.maximum(np.sqrt(_sum_rows(t.real)), floor)
 
 
 def _rotate_toward_orthogonal(
     rng: np.random.Generator, base: np.ndarray, eta: float, n_edge: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows rotated toward random orthogonal unit rows, with a random phase and
-    overlap moduli from [1 - eta, 1] (the first n_edge at 1 - eta), and the moduli."""
-    m = base.shape[0]
-    chi = _orthogonal_unit_rows(rng, base)
+    """Unit (d, m) columns rotated toward random orthogonal unit columns, with a
+    random phase and overlap moduli from [1 - eta, 1] (the first n_edge at
+    1 - eta), and the moduli."""
+    d, m = base.shape
+    chi = _unit_columns(rng, m, d)
+    t = np.conjugate(base)
+    t *= chi
+    np.multiply(_sum_rows(t), base, out=t)
+    chi -= t
+    _normalize_columns(chi, t, 1e-300)
     a = rng.uniform(1.0 - eta, 1.0, m)
     a[:n_edge] = 1.0 - eta
     th = rng.uniform(0.0, 2.0 * np.pi, m)
-    rotated = np.exp(1j * th)[:, None] * (a[:, None] * base + np.sqrt(1.0 - a**2)[:, None] * chi)
+    rotated = np.multiply(a, base, out=t)
+    np.multiply(np.sqrt(1.0 - a**2), chi, out=chi)
+    rotated += chi
+    del chi
+    np.multiply(np.exp(1j * th), rotated, out=rotated)
     return rotated, a
 
 
@@ -581,6 +631,16 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
     orthogonal directions with overlap moduli drawn from [1 - eta, 1] (an
     eighth of each batch pinned exactly at the edge) and random relative
     phases, then c = |<phi|psi>| is tested against 1 - 4*eta with slack 1e-9.
+
+    The triples come in batches of up to ``_SEARCH_BATCH``, and each batch
+    draws, in this order: psi's real and then imaginary (m, d) Gaussians;
+    chi_1's real and imaginary (m, d) Gaussians, the m moduli a and the m
+    phases theta_1; then chi_2's, b and theta_2 the same way. A batch is held
+    as C-contiguous (d, m) complex columns, one triple a column, with each
+    draw written transposed into them, so every numpy step runs over the m
+    triples of a row. The sums over d follow numpy's pairwise order on rows
+    (``_sum_rows``), so the result is, bit for bit, that of the same steps on
+    (m, d) rows.
     """
     _check_integer("d", d)
     _check_integer("count", count)
@@ -600,11 +660,16 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
     while checked < count:
         m = min(_SEARCH_BATCH, count - checked)
         n_edge = int(_EDGE_FRACTION * m)
-        psi = _random_unit_rows(rng, m, d)
+        psi = _unit_columns(rng, m, d)
+        _normalize_columns(psi, np.empty_like(psi))
         # phi first holds the intermediate psi_t; rebinding it frees psi_t
         phi, a = _rotate_toward_orthogonal(rng, psi, eta, n_edge)
         phi, b = _rotate_toward_orthogonal(rng, phi, eta, n_edge)
-        c = np.abs(np.sum(phi.conj() * psi, axis=1))
+        np.conjugate(phi, out=phi)
+        phi *= psi
+        del psi
+        c = np.abs(_sum_rows(phi))
+        del phi
         slack, excess = _composition_margins(a, b, c, eta)
         violations += int(np.count_nonzero(slack < -CHAIN_SLACK))
         min_slack = min(min_slack, float(slack.min()))

@@ -125,3 +125,68 @@ def report_columns(report, columns) -> list[tuple]:
             value = getattr(report, column)
         out.append((column, type(value), value))
     return out
+
+
+# The composition search on (m, d) rows, as the library ran it before its
+# kernel moved to (d, m) columns: the same draws in the same order, each
+# batch's triples summed along rows by numpy itself.
+SEARCH_BATCH = 65536
+EDGE_FRACTION = 0.125
+
+
+def _random_unit_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _orthogonal_unit_rows(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
+    m, d = base.shape
+    z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    ip = np.sum(base.conj() * z, axis=1)
+    z = z - ip[:, None] * base
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    return z / np.maximum(norms, 1e-300)
+
+
+def _rotate_toward_orthogonal(
+    rng: np.random.Generator, base: np.ndarray, eta: float, n_edge: int
+) -> tuple[np.ndarray, np.ndarray]:
+    m = base.shape[0]
+    chi = _orthogonal_unit_rows(rng, base)
+    a = rng.uniform(1.0 - eta, 1.0, m)
+    a[:n_edge] = 1.0 - eta
+    th = rng.uniform(0.0, 2.0 * np.pi, m)
+    rotated = np.exp(1j * th)[:, None] * (a[:, None] * base + np.sqrt(1.0 - a**2)[:, None] * chi)
+    return rotated, a
+
+
+def proposition_search_rows(d: int, eta: float, count: int, seed: int, slack: float) -> dict:
+    """The fields of a PropositionSearchResult, with violations counted below
+    -slack."""
+    rng = np.random.default_rng(seed)
+    checked = 0
+    violations = 0
+    min_slack = np.inf
+    min_c = np.inf
+    max_excess = -np.inf
+    while checked < count:
+        m = min(SEARCH_BATCH, count - checked)
+        n_edge = int(EDGE_FRACTION * m)
+        psi = _random_unit_rows(rng, m, d)
+        phi, a = _rotate_toward_orthogonal(rng, psi, eta, n_edge)
+        phi, b = _rotate_toward_orthogonal(rng, phi, eta, n_edge)
+        c = np.abs(np.sum(phi.conj() * psi, axis=1))
+        margin = c - (1.0 - 4.0 * eta)
+        excess = (2.0 - 2.0 * c) - (2.0 * (2.0 - 2.0 * a) + 2.0 * (2.0 - 2.0 * b))
+        violations += int(np.count_nonzero(margin < -slack))
+        min_slack = min(min_slack, float(margin.min()))
+        min_c = min(min_c, float(c.min()))
+        max_excess = max(max_excess, float(excess.max()))
+        checked += m
+    return {
+        "checked": checked,
+        "violations": violations,
+        "min_slack": float(min_slack),
+        "min_c": float(min_c),
+        "max_triangle_excess": float(max_excess),
+    }

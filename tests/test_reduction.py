@@ -4,9 +4,12 @@ and the gentle-measurement experiment."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomoreduce import (
     DensityMatrix,
@@ -40,10 +43,11 @@ from tomoreduce.reduction import (
     _gentle_distances,
     _reduction_stages,
     _run_reductions,
+    _sum_rows,
 )
 from tomoreduce.states import _reduced_states
 
-from oracles import random_density_matrix, report_columns
+from oracles import proposition_search_rows, random_density_matrix, report_columns
 
 
 def bell_state() -> PureState:
@@ -625,6 +629,38 @@ class TestPropositionSearch:
         assert res.violations == 0
         assert res.min_slack < 0.25  # actually stressed, not vacuous
 
+    @pytest.mark.parametrize("count", [5, 10_000, 70_000])  # 70,000 crosses a batch
+    @pytest.mark.parametrize("eta", [0.01, 0.3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 16, 65])
+    def test_matches_the_row_kernel(self, d, eta, count):
+        expected = proposition_search_rows(d, eta, count, d, CHAIN_SLACK)
+        assert dataclasses.asdict(proposition_search(d, eta, count, d)) == expected
+
+    def test_peak_memory_stays_below_five_batch_arrays(self):
+        d, m = 6, 10_000
+        proposition_search(d, 0.1, 1, seed=0)  # imports numpy.random outside the trace
+        tracemalloc.start()
+        try:
+            proposition_search(d, 0.1, m, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * d * m * np.dtype(complex).itemsize
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 12),
+        eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        count=st.integers(1, 2_000),
+        seed=st.integers(0, 2**63),
+    )
+    def test_composition_holds_for_any_triple_law(self, d, eta, count, seed):
+        res = proposition_search(d, eta, count, seed)
+        assert res.violations == 0
+        assert res.min_slack >= -CHAIN_SLACK
+        assert res.max_triangle_excess <= CHAIN_SLACK
+        assert res.checked == count
+
     def test_validation(self):
         with pytest.raises(ValueError):
             proposition_search(1, 0.1, 10, seed=0)
@@ -635,6 +671,22 @@ class TestPropositionSearch:
         for d, count in ((2.5, 10), (True, 10), (2, 10.0), (2, True)):
             with pytest.raises(ValueError, match="must be an integer"):
                 proposition_search(d, 0.1, count, seed=0)
+
+
+class TestSumRows:
+    # numpy's pairwise summation order, which _sum_rows reproduces on (d, m)
+    # columns: if numpy changes it, the column kernel no longer matches rows
+    @pytest.mark.parametrize("d", [*range(2, 21), 64, 65, 130])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bits_equal_numpy_on_contiguous_rows(self, d, kind):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((d, 257)) * np.exp(rng.uniform(-20, 20, (d, 1)))
+        if kind == "complex":
+            x = x + 1j * rng.standard_normal((d, 257))
+        expected = np.sum(np.ascontiguousarray(x.T), axis=1)
+        got = _sum_rows(x)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMixedRankStacks:

@@ -52,7 +52,10 @@ from pathlib import Path
 # 16-trial boundary: gentle with rank-3 projections and the 1e-12 window, and
 # scale-* from the d^2 floor to 1e5 shots; a wide-eps grid whose calibration
 # overshoots the window and bisects back (one stack) and redraws families (16
-# times), which no other sweep reaches; then configuration errors: stage 1
+# times), which no other sweep reaches; prop-search at d = 7, 8, 9 and 16 with
+# 70,000 triples a trial, whose sums take numpy's 8-accumulator branch and
+# whose trials run a second batch, which the default d grid never reaches;
+# then configuration errors: stage 1
 # below the d^2 floor, eps below the oracles' resolution floor, budgets that
 # all fall below the floor, and d = 1.
 SWEEPS = (
@@ -82,6 +85,7 @@ SWEEPS = (
     ["scale-pure", "--d", "2,3,4,8", "--n", "64,1000,100000", "--trials", "40"],
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000", "--trials", "40"],
     ["chain-sweep", "--eps", "0.5,0.9", "--trials", "20", "--seed", "3"],
+    ["prop-search", "--d", "7,8,9,16", "--eps", "0.1", "--batch", "70000", "--trials", "2"],
     ["chain-sweep", "--backend", "measurement", "--d", "4", "--n-copies", "15"],
     ["reduce", "--eps", "1e-13"],
     ["scale-pure", "--d", "4", "--n", "10"],
