@@ -654,7 +654,7 @@ class TestPropositionSearch:
         count=st.integers(1, 2_000),
         seed=st.integers(0, 2**63),
     )
-    def test_composition_holds_for_any_triple_law(self, d, eta, count, seed):
+    def test_composition_bound_holds_on_any_search(self, d, eta, count, seed):
         res = proposition_search(d, eta, count, seed)
         assert res.violations == 0
         assert res.min_slack >= -CHAIN_SLACK
