@@ -57,7 +57,6 @@ from .states import (
     _reduced_states,
     _row_norms,
     _row_vdots,
-    _sqrt_matrices,
     _support_ranks,
     fidelity_mixed,
     fidelity_pure_pure,
@@ -372,10 +371,12 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
 def _mixed_stage(rho, backend: TomographyBackend, r: int, rngs, shots: int):
     """Stage 1 on checked (matrix, eigenvalues, eigenvectors) stacks of reduced
     states rho_t, of one rank for an oracle: the like stacks of the backend's
-    rank-r estimates sigma_t, drawn from rngs[t], and F(rho_t, sigma_t)."""
+    rank-r estimates sigma_t, drawn from rngs[t], and F(rho_t, sigma_t) as a list,
+    from the pairs ``fidelity_mixed`` takes, so ``verify_chain`` repeats it bit for bit."""
     _, rho_w, rho_v = rho
     sigma = backend._estimate_mixed_stack(rho, r, rngs, shots)
-    return sigma, _fidelities(_sqrt_matrices(rho_w, rho_v), _sqrt_matrices(*sigma[1:]))
+    k = _ranks(rho_w).max()
+    return sigma, _fidelities(rho_w[:, :k], rho_v[:, :, :k], *sigma[1:]).tolist()
 
 
 def _run_reductions(amps: np.ndarray, config: ReductionConfig, rngs) -> list[dict[str, Any]]:
@@ -460,7 +461,7 @@ def verify_chain(
     """Check every step of the fidelity chain on an explicit (psi, sigma, phi).
 
     The checks are ``uhlmann_attains_fidelity`` (the optimal purification of
-    sigma against psi attains F(rho, sigma) within 1e-6), then the chain of
+    sigma against psi attains F(rho, sigma) within CHAIN_SLACK), then the chain of
     ``_chain``: keep >= F always; keep >= 1 - eps when eps is known, applicable
     when F >= 1 - eps; and, when the projected state psi_tilde exists, the
     projection identity, the guaranteed 1 - 16*eps bound and the advisory
@@ -505,7 +506,7 @@ def verify_chain(
         "uhlmann_attains_fidelity",
         uhlmann_overlap,
         f_rho_sigma,
-        abs(uhlmann_overlap - f_rho_sigma) <= 1e-6,
+        abs(uhlmann_overlap - f_rho_sigma) <= CHAIN_SLACK,
     )
     chain = _chain(eps, f_rho_sigma, keep_probability, projected, estimate_fidelity, final_fidelity)
     return ChainReport(

@@ -11,7 +11,10 @@ construction, so instances are safe to share across threads.
 A stack kernel on (T, ...) arrays loops over trials only to draw; each other
 step is one numpy call per stack that keeps each trial's bits: ``_row_vdots``
 and ``_row_norms`` make the BLAS calls of ``np.vdot`` and ``np.linalg.norm``
-per row, moduli are ``np.hypot``, and squares stay scalar (``pow``, not x * x).
+per row, moduli are ``np.hypot``, and squares of overlaps stay scalar (``pow``).
+Each distance between mixed states has one stacked kernel: ``_fidelities``, on
+eigenpairs whose eigenvalues at or below RANK_TOL count as 0 (the rule of
+``_ranks`` and ``support_projector``), and ``_half_trace_norms``.
 """
 
 from __future__ import annotations
@@ -147,10 +150,6 @@ class DensityMatrix:
     def rank(self) -> int:
         """Number of eigenvalues above the rank tolerance."""
         return int(_ranks(self.eigenvalues[None])[0])
-
-    def sqrt_matrix(self) -> np.ndarray:
-        """Principal square root, with rounding-noise negatives clamped to 0."""
-        return _sqrt_matrices(self.eigenvalues[None], self.eigenvectors[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,18 +351,22 @@ def _reduced_states(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mat, w, v
 
 
-def _sqrt_matrices(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Principal square roots from eigenpair stacks, rounding-noise negatives clamped to 0."""
-    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(1, 2)
+def _fidelities(w_a: np.ndarray, v_a: np.ndarray, w_b: np.ndarray, v_b: np.ndarray) -> np.ndarray:
+    """F(a, b) for stacks (..., k) and (..., n, k) of the eigenpairs of two
+    states, the vectors of both in one orthonormal basis: the squared sum of the
+    singular values of diag(sqrt w_a) v_a^H v_b diag(sqrt w_b), capped at 1.
+    Eigenvalues at or below RANK_TOL count as 0. Summing along the last axis of
+    the contiguous singular values is the pairwise sum one state gets alone."""
+    root_a, root_b = (np.sqrt(np.where(w > RANK_TOL, w, 0.0)) for w in (w_a, w_b))
+    overlap = v_a.conj().swapaxes(-1, -2) @ v_b
+    s = np.linalg.svd(root_a[..., :, None] * overlap * root_b[..., None, :], compute_uv=False)
+    return np.minimum(1.0, np.sum(s, axis=-1) ** 2)
 
 
-def _fidelities(root_rho: np.ndarray, root_sigma: np.ndarray) -> list[float]:
-    """F(rho_t, sigma_t) from stacks of square roots: the squared nuclear norm
-    of their product. Summing each row of the contiguous singular values along
-    the axis is the pairwise sum that one row gets alone; the squares are
-    taken per scalar, as ``pow``."""
-    s = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
-    return [min(1.0, x**2) for x in s.sum(axis=1).tolist()]
+def _half_trace_norms(diff: np.ndarray) -> np.ndarray:
+    """T = ||diff||_1 / 2, clipped to [0, 1], for a stack (..., n, n) of
+    Hermitian differences of states."""
+    return np.clip(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1), 0.0, 1.0)
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -467,21 +470,22 @@ def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
 def fidelity_mixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Squared-convention fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
-    Computed as the squared nuclear norm of sqrt(rho) @ sqrt(sigma), which is
-    the same quantity and symmetric in the arguments. Equals 1 exactly when
-    the states coincide and |<phi|psi>|^2 on pure inputs.
+    Computed by ``_fidelities`` from rho's eigenpairs cut to its rank and
+    sigma's stored pairs, so eigenvalues at or below RANK_TOL count as 0. Equals
+    1 exactly when the states coincide and |<phi|psi>|^2 on pure inputs.
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    return _fidelities(rho.sqrt_matrix()[None], sigma.sqrt_matrix()[None])[0]
+    k = rho.rank
+    w, v = rho.eigenvalues[None, :k], rho.eigenvectors[None, :, :k]
+    return float(_fidelities(w, v, sigma.eigenvalues[None], sigma.eigenvectors[None])[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of the absolute eigenvalues of rho - sigma."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    w = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(np.clip(0.5 * np.sum(np.abs(w)), 0.0, 1.0))
+    return float(_half_trace_norms((rho.matrix - sigma.matrix)[None])[0])
 
 
 def purify(sigma: DensityMatrix, purifier_dim: int) -> PureState:

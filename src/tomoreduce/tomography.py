@@ -36,11 +36,13 @@ from .states import (
     PureState,
     _check_unit_norms,
     _density_matrices,
+    _fidelities,
     _from_eigensystems,
     _frozen,
     _groups,
     _haar_unitaries,
     _haar_unitary_stack,
+    _half_trace_norms,
     _phase_normalized,
     _ranks,
     _row_norms,
@@ -199,18 +201,10 @@ def _phased_coords(family: _Family, thetas: np.ndarray) -> np.ndarray:
 
 
 def _infidelities(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """1 - F(rho_t, sigma_t(theta)) for a (T, L) stack of thetas.
-
-    With rho = U diag(w) U^H and sigma = V diag(v) V^H, the singular values of
-    sqrt(rho) sqrt(sigma) are those of the k x k matrix
-    diag(sqrt w) U^H V diag(sqrt v), and U^H V = coords^H diag(e^{i theta lam}) coords.
-    """
-    root_w = np.sqrt(np.clip(rho_w, 0.0, None))
-    overlap = family.coords.conj().swapaxes(1, 2)[:, None] @ _phased_coords(family, thetas)
-    root_v = np.sqrt(_eigenvalues_at(family, thetas))
-    factor = root_w[:, None, :, None] * overlap * root_v[:, :, None, :]
-    s = np.linalg.svd(factor, compute_uv=False)
-    return 1.0 - np.minimum(1.0, np.sum(s, axis=2) ** 2)
+    """1 - F(rho_t, sigma_t(theta)) for a (T, L) stack of thetas, the eigenvectors
+    of both states taken in the generator's eigenbasis."""
+    eigs, phased = _eigenvalues_at(family, thetas), _phased_coords(family, thetas)
+    return 1.0 - _fidelities(rho_w[:, None], family.coords[:, None], eigs, phased)
 
 
 def _trace_distances(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
@@ -221,8 +215,7 @@ def _trace_distances(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> 
     phased = _phased_coords(family, thetas)
     eigs = _eigenvalues_at(family, thetas)
     sigma_q = (phased * eigs[:, :, None, :]) @ phased.conj().swapaxes(2, 3)
-    w = np.linalg.eigvalsh(rho_q[:, None] - sigma_q)
-    return np.clip(0.5 * np.sum(np.abs(w), axis=2), 0.0, 1.0)
+    return _half_trace_norms(rho_q[:, None] - sigma_q)
 
 
 def _bracket_and_bisect(

@@ -90,6 +90,17 @@ def uhlmann_fidelity_search(
     return float(_ascend(c, np.array(starts), iters).max())
 
 
+def factor_fidelity(coefficients: np.ndarray, sigma_mat: np.ndarray, rank_tol: float) -> float:
+    """F(rho, sigma) for rho = A A^H, A the transpose of psi's (r, d) coefficient
+    matrix, by Uhlmann's theorem on factors: with B = V sqrt(w) from sigma's
+    eigenpairs above rank_tol, F = (sum of the singular values of A^H B)^2. No
+    eigendecomposition of rho is taken."""
+    w, v = eigh_desc(sigma_mat)
+    keep = w > rank_tol
+    b = v[:, keep] * np.sqrt(w[keep])
+    return float(np.linalg.svd(coefficients.conj() @ b, compute_uv=False).sum() ** 2)
+
+
 def random_density_matrix(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random rank-capped density matrix built directly from Gaussian factors."""
     a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))

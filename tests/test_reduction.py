@@ -19,6 +19,7 @@ from tomoreduce import (
     ReductionConfig,
     TomographyBackend,
     child_seed,
+    fidelity_mixed,
     gentle_measurement_experiment,
     oracle_mixed_estimate,
     oracle_pure_estimate,
@@ -48,6 +49,23 @@ from tomoreduce.reduction import (
 from tomoreduce.states import _reduced_states
 
 from oracles import proposition_search_rows, random_density_matrix, report_columns
+
+
+@st.composite
+def _arbitrary_sigma_cases(draw):
+    """A random psi on (r, d) and a sigma of rank <= r: either an arbitrary
+    density matrix or an oracle estimate of psi's reduced state, down to the
+    oracles' 1e-12 floor."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(max(2, r), 8))
+    seed = draw(st.integers(0, 2**32))
+    psi = random_pure_state(r, d, seed)
+    eps = draw(st.sampled_from([None, 0.1, 1e-6, 1e-10, 1e-12]))
+    if eps is not None:
+        return psi, oracle_mixed_estimate(partial_trace_x(psi), eps, seed)
+    rng = np.random.default_rng(seed)
+    rank = draw(st.integers(1, r))
+    return psi, DensityMatrix.from_matrix(random_density_matrix(d, rank, rng))
 
 
 def bell_state() -> PureState:
@@ -292,9 +310,6 @@ class TestVerifyChain:
             assert not named["keep_vs_mixed_fidelity"].violated
 
     def test_cauchy_schwarz_on_arbitrary_sigma(self):
-        # unconditioned random sigma: the fidelity of the stored matrix sees
-        # its ~1e-16 noise eigenvalues (sqrt amplifies them to ~1e-8) that the
-        # rank-capped support projector truncates, so the slack is looser here
         rng = np.random.default_rng(21)
         for t in range(2_000):
             r, d = 2, 4
@@ -306,7 +321,27 @@ class TestVerifyChain:
             else:
                 sigma = random_rank_r_state(d, r, child_seed(28, t))
             report = verify_chain(psi, sigma, psi)
-            assert report.keep_probability >= report.fidelity_mixed_estimate - 1e-7
+            assert report.violations == 0
+            assert report.keep_probability >= report.fidelity_mixed_estimate - CHAIN_SLACK
+            assert abs(report.uhlmann_overlap - report.fidelity_mixed_estimate) <= CHAIN_SLACK
+
+    @settings(max_examples=150, deadline=None)
+    @given(sigma_case=_arbitrary_sigma_cases())
+    def test_keep_dominates_fidelity_on_any_sigma(self, sigma_case):
+        psi, sigma = sigma_case
+        report = verify_chain(psi, sigma, psi)
+        assert report.keep_probability >= report.fidelity_mixed_estimate - CHAIN_SLACK
+
+    @settings(max_examples=150, deadline=None)
+    @given(sigma_case=_arbitrary_sigma_cases())
+    def test_fuchs_van_de_graaf_on_any_sigma(self, sigma_case):
+        # the forms rounding resolves: at r = 1, T = sqrt(1 - F) exactly, and
+        # near F = 1 a rounding of F by 2e-15 moves sqrt(1 - F) by 1.4e-9
+        psi, sigma = sigma_case
+        rho = partial_trace_x(psi)
+        f, t = fidelity_mixed(rho, sigma), trace_distance(rho, sigma)
+        assert 1.0 - math.sqrt(f) <= t + CHAIN_SLACK
+        assert t**2 <= 1.0 - f + CHAIN_SLACK
 
     def test_agrees_with_run_reduction(self):
         # on a run's own (psi, sigma, phi), the standalone verifier repeats

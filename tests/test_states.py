@@ -9,11 +9,13 @@ from tomoreduce import (
     PureState,
     SchmidtDecomposition,
     child_seed,
+    estimate_mixed_state_from_measurements,
     estimate_pure_state_from_measurements,
     fidelity_mixed,
     fidelity_pure_pure,
     haar_random_unitary,
     optimal_purification_against,
+    oracle_mixed_estimate,
     partial_trace_x,
     purify,
     random_pure_state,
@@ -25,6 +27,7 @@ from tomoreduce import (
 
 from tomoreduce import states
 from tomoreduce.states import (
+    RANK_TOL,
     _haar_unitaries,
     _phase_normalized,
     _random_pure_states,
@@ -32,7 +35,7 @@ from tomoreduce.states import (
     _row_vdots,
 )
 
-from oracles import random_density_matrix
+from oracles import factor_fidelity, random_density_matrix
 
 
 def bell_state() -> PureState:
@@ -347,6 +350,29 @@ class TestFidelityMixed:
         assert fidelity_mixed(psi.to_density_matrix(), phi.to_density_matrix()) == pytest.approx(
             fidelity_pure_pure(psi, phi), abs=1e-8
         )
+
+    @pytest.mark.parametrize("r, d", [(1, 4), (2, 4), (3, 8), (2, 16)])
+    def test_matches_factor_form_on_stage_one_estimates(self, r, d):
+        # F from psi's coefficients, never from rho's eigenpairs, against the
+        # oracle's estimates down to its 1e-12 floor, linear inversion and an
+        # arbitrary sigma of rank <= r, whose stored matrix has ~1e-16 noise
+        # eigenvalues: the square-root form lifted them to ~1e-8
+        rng = np.random.default_rng(child_seed(70, r, d))
+        for t in range(3):
+            psi = random_pure_state(r, d, child_seed(71, r, d, t))
+            rho = partial_trace_x(psi)
+            sigmas = [
+                oracle_mixed_estimate(rho, eps, child_seed(72, r, d, t, i))
+                for i, eps in enumerate((0.1, 1e-6, 1e-10, 1e-12))
+            ]
+            sigmas.append(
+                estimate_mixed_state_from_measurements(rho, r, 10 * d * d, child_seed(73, r, d, t))
+            )
+            rank = int(rng.integers(1, r + 1))
+            sigmas.append(DensityMatrix.from_matrix(random_density_matrix(d, rank, rng)))
+            for sigma in sigmas:
+                reference = factor_fidelity(psi.as_matrix(), sigma.matrix, RANK_TOL)
+                assert abs(fidelity_mixed(rho, sigma) - reference) <= 1e-14
 
 
 class TestTraceDistance:

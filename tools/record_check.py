@@ -55,7 +55,9 @@ from pathlib import Path
 # times), which no other sweep reaches; prop-search at d = 7, 8, 9 and 16 with
 # 70,000 triples a trial, whose sums take numpy's 8-accumulator branch and
 # whose trials run a second batch, which the default d grid never reaches;
-# then configuration errors: stage 1
+# a chain grid down to the oracles' eps = 1e-12 floor, where the last bits of
+# F(rho, sigma) decide keep >= F and the landing tests, which no other sweep
+# takes below 1e-5; then configuration errors: stage 1
 # below the d^2 floor, eps below the oracles' resolution floor, budgets that
 # all fall below the floor, and d = 1.
 SWEEPS = (
@@ -86,6 +88,10 @@ SWEEPS = (
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000", "--trials", "40"],
     ["chain-sweep", "--eps", "0.5,0.9", "--trials", "20", "--seed", "3"],
     ["prop-search", "--d", "7,8,9,16", "--eps", "0.1", "--batch", "70000", "--trials", "2"],
+    [
+        "chain-sweep", "--r", "1,2", "--d", "4", "--eps", "1e-6,1e-8,1e-10,1e-12",
+        "--trials", "16", "--seed", "23",
+    ],
     ["chain-sweep", "--backend", "measurement", "--d", "4", "--n-copies", "15"],
     ["reduce", "--eps", "1e-13"],
     ["scale-pure", "--d", "4", "--n", "10"],
