@@ -44,7 +44,14 @@ from .seeding import (
     _generators,
 )
 from .states import _check_unit_norms, _overlaps, _random_pure_states, _reduced_states
-from .tomography import TomographyBackend, _check_window, _inverted_pure_states, _shot_floor
+from .tomography import (
+    _LADDER_CHUNK,
+    _PRODUCT_BYTES,
+    TomographyBackend,
+    _check_window,
+    _inverted_pure_states,
+    _shot_floor,
+)
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -273,11 +280,63 @@ _RECORD_BUILDERS = {
     ExperimentKind.PROPOSITION_SEARCH: _prop_search_fields,
 }
 
-# Every experiment runs a cell's trials in stacks of this many, one numpy call
-# per step for the whole stack (prop-search: one vectorized search per trial).
-# With stacks of 16 the default chain sweep peaks at the RSS of one trial at a
-# time; whole 100-trial cells as one stack raised that peak by 3%.
-_TRIAL_BATCH = 16
+# Every experiment runs a cell's trials in stacks, one numpy call per step for
+# the whole stack (prop-search: one vectorized search per trial, in batches of
+# at most reduction._SEARCH_BATCH triples, whatever the stack). A stack's arrays
+# stay within this many bytes: it holds as many trials as _trial_bytes says fit,
+# and at least one, and linear inversion keeps tomography._PRODUCT_BYTES of it
+# for its design products. Peak RSS follows the budget: whole 100-trial cells
+# at d = 8 raise that of the default chain sweep by 2.8% (oracle) and 37%
+# (measurement) over stacks of 16 trials; 640 KiB raises the oracle's by 0.6
+# MiB (1.6%), and 768 KiB by 0.8 MiB (2.0%).
+_STACK_BYTES = 640 << 10
+
+# Bytes a trial holds in its stack beside its arrays: its record and generators.
+_TRIAL_OVERHEAD = 2048
+
+
+def _trial_bytes(config: ExperimentConfig, cell: Mapping[str, Any]) -> int:
+    """An upper estimate of the bytes one trial adds to the peak of its stack,
+    read off the shapes of the experiment's per-trial arrays, in complex
+    elements of 16 bytes:
+
+    - oracle chain: five arrays of the calibration's _LADDER_CHUNK rungs of
+      (d, k) eigenvectors, k = min(r, d) the rank of rho, and five (d, d) ones;
+    - gentle: five arrays of the calibration's _LADDER_CHUNK rungs of (d, d)
+      trace-distance differences;
+    - linear inversion (measurement chain, scale-*): eight (d, d) arrays and,
+      in a chain, eight of stage 2's (r^2, r^2) ones; the design products, of
+      _num_bases(dim) * dim columns, are counted in _PRODUCT_BYTES;
+    - prop-search: none, as each trial's search ends before the next begins.
+
+    Each estimate holds on every cell of the default grids (at r = 3, d = 8 a
+    test checks it with tracemalloc).
+    """
+    kind, r, d = config.experiment, cell.get("r", 1), cell["d"]
+    if kind is ExperimentKind.PROPOSITION_SEARCH:
+        elements = 0
+    elif kind is ExperimentKind.GENTLE_MEASUREMENT:
+        elements = 5 * _LADDER_CHUNK * d * d
+    elif _inverts(config):
+        elements = 8 * (d * d + (r**4 if kind is ExperimentKind.CHAIN_SWEEP else 0))
+    else:
+        elements = 5 * (_LADDER_CHUNK * d * min(r, d) + d * d)
+    return _TRIAL_OVERHEAD + 16 * elements
+
+
+def _inverts(config: ExperimentConfig) -> bool:
+    """Whether the experiment's estimates are linear inversions."""
+    kind = config.experiment
+    if kind is ExperimentKind.CHAIN_SWEEP:
+        return config.backend == "measurement"
+    return kind in (ExperimentKind.SCALING_PURE, ExperimentKind.SCALING_MIXED)
+
+
+def _stack_size(config: ExperimentConfig, cell: Mapping[str, Any]) -> int:
+    """Trials per stack of a cell: as many as fit in _STACK_BYTES, at least one."""
+    budget = _STACK_BYTES - (_PRODUCT_BYTES if _inverts(config) else 0)
+    return max(1, min(config.trials, budget // _trial_bytes(config, cell)))
+
 
 # Seeds are derived for a block of whole cells at a time, of at least this many
 # trials. One hash pass costs about the same at 16 seeds as at 168, so a pass
@@ -388,8 +447,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     Cell and trial seeds are split from the master seed, so cells can be
     evaluated in any order, and a cell's trials in stacks of any size,
     without changing any record field but wall_time. Every experiment runs
-    a cell's trials in stacks of up to 16; each record's wall_time is its
-    stack's time divided by the number of trials in the stack.
+    a cell's trials in stacks of as many as fit in a memory budget
+    (``_stack_size``); each record's wall_time is its stack's time divided by
+    the number of trials in the stack.
 
     Records go to one place. With ``out_path`` set, each cell's records are
     written as soon as its last stack is done and then dropped, so no more
@@ -425,8 +485,9 @@ def _cell_records(config: ExperimentConfig, summaries: list[CellSummary]):
     for cell_index, (cell, (trial_seeds, trial_words)) in enumerate(zip(cells, blocks)):
         params = {k: _CELL_TYPES[k](v) for k, v in cell.items()}
         stacks = []
-        for first in range(0, config.trials, _TRIAL_BATCH):
-            trials = range(first, min(first + _TRIAL_BATCH, config.trials))
+        size = _stack_size(config, cell)
+        for first in range(0, config.trials, size):
+            trials = range(first, min(first + size, config.trials))
             seeds = trial_seeds[first : trials.stop]
             start = time.perf_counter()
             stack = builder(config, cell, seeds, trial_words[first : trials.stop])

@@ -70,6 +70,7 @@ _RESOLUTION_FLOOR = 1e-12  # narrowest window float64 resolves; at 1e-15 F lande
 _DESIGN_SEED = 0  # master seed of the candidate measurement designs
 _DESIGN_CANDIDATES = 15  # seeded designs per dimension, of which the median one is used
 _DESIGN_CONDITION = 1e6  # largest condition number accepted for a design's frame operator
+_PRODUCT_BYTES = 320 << 10  # design products an inversion holds at once (see _simulate_inversion)
 
 
 class BackendKind(Enum):
@@ -504,8 +505,11 @@ def _simulate_inversion(mats: np.ndarray, shots, rngs) -> np.ndarray:
     x = U mat(S^-1 vec(sum_i B_i diag(f_i) B_i^H)) U^H: the estimator is
     unitarily covariant, and S^-1 is computed once per design. Each basis
     U B_i is Haar, though the bases of a trial are not independent. Trials
-    whose budgets use the same number of bases share one stacked pass. Each
-    of the T budgets ``shots`` must pass ``_check_budget``.
+    whose budgets use the same number of bases share one stacked pass, whose
+    products with the design, two (dim, m * dim) arrays per trial for m bases,
+    are taken a chunk of trials at a time within _PRODUCT_BYTES; each trial
+    gets the bits it gets alone. Each of the T budgets ``shots`` must pass
+    ``_check_budget``.
     """
     dim, shots = mats.shape[1], np.asarray(shots)
     num_bases = _num_bases(dim)
@@ -513,19 +517,24 @@ def _simulate_inversion(mats: np.ndarray, shots, rngs) -> np.ndarray:
     rotated = u.conj().swapaxes(1, 2) @ mats @ u
     x = np.empty_like(rotated)
     keys = np.minimum(shots, num_bases)  # bases with shots: a prefix of the design
-    for idx in _groups(keys):
-        used = int(keys[idx[0]])
+    for group in _groups(keys):
+        used = int(keys[group[0]])
         design = _design(dim, used)
-        g = design.vectors
-        p = np.real(np.sum(g.conj() * (rotated[idx] @ g), axis=1)).reshape(len(idx), used, dim)
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum(axis=2, keepdims=True)
-        budgets = _split_budget(shots[idx], num_bases)[:, :used]
-        counts = np.array([rngs[t].multinomial(n, q) for t, n, q in zip(idx.tolist(), budgets, p)])
-        freqs = counts / budgets[:, :, None]
-        y = (g * freqs.reshape(len(idx), 1, used * dim)) @ g.conj().T
-        solved = design.frame_inverse @ y.reshape(len(idx), dim * dim, 1)
-        x[idx] = solved.reshape(len(idx), dim, dim)
+        g, g_conj = design.vectors, design.vectors.conj()
+        # two arrays of g's shape per trial, counted as three for g_conj and the counts
+        per_chunk = max(1, _PRODUCT_BYTES // (3 * g.nbytes))
+        for idx in np.split(group, range(per_chunk, len(group), per_chunk)):
+            p = np.real(np.sum(g_conj * (rotated[idx] @ g), axis=1)).reshape(len(idx), used, dim)
+            p = np.clip(p, 0.0, None)
+            p = p / p.sum(axis=2, keepdims=True)
+            budgets = _split_budget(shots[idx], num_bases)[:, :used]
+            counts = np.array(
+                [rngs[t].multinomial(n, q) for t, n, q in zip(idx.tolist(), budgets, p)]
+            )
+            freqs = counts / budgets[:, :, None]
+            y = (g * freqs.reshape(len(idx), 1, used * dim)) @ g_conj.T
+            solved = design.frame_inverse @ y.reshape(len(idx), dim * dim, 1)
+            x[idx] = solved.reshape(len(idx), dim, dim)
     x = u @ x @ u.conj().swapaxes(1, 2)
     return (x + x.conj().swapaxes(1, 2)) / 2.0
 

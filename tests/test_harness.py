@@ -7,6 +7,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,23 +228,42 @@ STACK_CELLS = [
 ]
 
 
+def stack_budget(config, size: int) -> int:
+    """A _STACK_BYTES under which the config's first cell runs in stacks of
+    ``size`` trials (of all its trials, if it has fewer)."""
+    reserved = harness._PRODUCT_BYTES if harness._inverts(config) else 0
+    return reserved + size * harness._trial_bytes(config, _experiment_cells(config)[0])
+
+
+def plan_stacks(monkeypatch, config, size: int) -> None:
+    """Set _STACK_BYTES so that the config's first cell runs in stacks of ``size``."""
+    monkeypatch.setattr(harness, "_STACK_BYTES", stack_budget(config, size))
+    assert harness._stack_size(config, _experiment_cells(config)[0]) == min(size, config.trials)
+
+
 class TestTrialStacks:
+    @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize(
         "cell",
         STACK_CELLS,
         ids=["oracle", "measurement", "gentle", "scale-pure", "scale-mixed", "prop-search"],
     )
-    def test_records_do_not_depend_on_stack_boundaries(self, cell):
+    def test_records_do_not_depend_on_stack_boundaries(self, cell, size, monkeypatch):
+        # the planned stacks (whole cells but for the measurement cell's 19,
+        # 19 and 2) against stacks of one and of a few trials
         _, full = cell_records(40, **cell)
-        for trials in (1, 15, 16, 17, 33):
+        plan_stacks(monkeypatch, small_sweep_config(trials=40, **cell), size)
+        assert cell_records(40, **cell)[1] == full
+        for trials in (1, 4, 17):
             assert cell_records(trials, **cell)[1] == full[:trials]
 
     def test_measurement_cell_mixes_projector_ranks(self):
         _, records = cell_records(40, **STACK_CELLS[1])
         assert {rec["projector_rank"] for rec in records} == {2, 3}
 
-    def test_one_reduction_config_per_stack(self, monkeypatch):
-        # one build validates the grid, then one per stack of 16, 16 and 8 trials
+    @pytest.mark.parametrize("size", [1, 16, 40])
+    def test_one_reduction_config_per_stack(self, monkeypatch, size):
+        # one build validates the grid, then one per planned stack
         builds = []
         original = ReductionConfig.__post_init__
         monkeypatch.setattr(
@@ -251,18 +271,53 @@ class TestTrialStacks:
         )
         config = small_sweep_config(r_values=(2,), d_values=(3,), eps_values=(0.1,), trials=40)
         assert len(builds) == 1
+        plan_stacks(monkeypatch, config, size)
         run_experiment(config)
-        assert len(builds) == 4
+        assert len(builds) == 1 + math.ceil(40 / size)
 
-    def test_one_chain_evaluation_per_stack(self, monkeypatch):
-        # the stacks of 16, 16 and 8 trials each run the five checks once, on arrays
+    @pytest.mark.parametrize("size", [1, 16, 40])
+    def test_one_chain_evaluation_per_stack(self, monkeypatch, size):
+        # each planned stack runs the five checks once, on arrays
         calls, checks = [], []
         chain, check = reduction._chain, reduction.ChainCheck
         monkeypatch.setattr(reduction, "_chain", lambda *a: calls.append(1) or chain(*a))
         monkeypatch.setattr(reduction, "ChainCheck", lambda *a: checks.append(1) or check(*a))
         config = small_sweep_config(r_values=(2,), d_values=(3,), eps_values=(0.1,), trials=40)
+        plan_stacks(monkeypatch, config, size)
         assert len(run_experiment(config).records) == 40
-        assert (len(calls), len(checks)) == (3, 15)
+        stacks = math.ceil(40 / size)
+        assert (len(calls), len(checks)) == (stacks, 5 * stacks)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(backend="oracle"),
+            dict(backend="measurement"),
+            dict(experiment=ExperimentKind.GENTLE_MEASUREMENT),
+            dict(experiment=ExperimentKind.SCALING_MIXED),
+        ],
+        ids=["oracle", "measurement", "gentle", "scale-mixed"],
+    )
+    def test_planned_stack_stays_within_the_budget(self, overrides):
+        # at the largest default d and r = 3, one planned stack's traced peak
+        # stays within _STACK_BYTES: it fails if a per-trial estimate is too low
+        config = small_sweep_config(
+            r_values=(3,), d_values=(max(harness.DEFAULT_D_GRID),), eps_values=(0.05,),
+            delta_values=(0.01,), n_values=(10_000,), trials=100, **overrides,
+        )
+        (cell,) = _experiment_cells(config)
+        size = harness._stack_size(config, cell)
+        assert size < config.trials  # the budget, not the cell, bounds the stack
+        seeds, words = (a[:size] for a in next(harness._seed_blocks(config, 1)))
+        builder = harness._RECORD_BUILDERS[config.experiment]
+        builder(config, cell, seeds, words)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            builder(config, cell, seeds, words)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness._STACK_BYTES
 
     @pytest.mark.parametrize("backend", ["oracle", "measurement"])
     def test_run_reduction_reproduces_the_stack(self, backend):
@@ -384,9 +439,14 @@ class TestSeedLayout:
             calls["_pool"] = 0
 
     def test_records_do_not_depend_on_block_or_stack_boundaries(self, monkeypatch):
-        # four cells, in 1, 1, 2 and 4 seed blocks and stacks of 16 that end
-        # at 1, 17, 255 and 300 trials; the master takes the scalar fallback
+        # four cells, in 1, 1, 2 and 4 seed blocks and stacks of 16, 12, 11
+        # and 8 trials that end at 1, 17, 255 and 300 trials; the master takes
+        # the scalar fallback
         cells = dict(r_values=(1, 2), d_values=(2, 3), eps_values=(0.1,), master_seed=2**70)
+        config = small_sweep_config(trials=300, **cells)
+        plan_stacks(monkeypatch, config, 16)
+        sizes = [harness._stack_size(config, c) for c in _experiment_cells(config)]
+        assert sizes == [16, 12, 11, 8]
         _, full = cell_records(300, **cells)
         assert [rec["seed"] for rec in full] == [
             child_seed(child_seed(2**70, c), t) for c in range(4) for t in range(300)

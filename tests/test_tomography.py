@@ -353,9 +353,12 @@ class TestStackedInversion:
         x = _simulate_inversion(mat[None], [n], [np.random.default_rng(52)])[0]
         assert np.max(np.abs(x - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("product_bytes", [1, tm._PRODUCT_BYTES])
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
-    def test_stack_matches_one_trial_at_a_time(self, dim):
-        # unequal budgets: trials with the same number of bases share one pass
+    def test_stack_matches_one_trial_at_a_time(self, dim, product_bytes, monkeypatch):
+        # unequal budgets: trials with the same number of bases share one pass,
+        # in chunks of one trial or as many as _PRODUCT_BYTES holds
+        monkeypatch.setattr(tm, "_PRODUCT_BYTES", product_bytes)
         budgets = [dim * dim, 10**4, dim * dim + 1, 997, dim * dim, 10**5]
         rhos = [random_rank_r_state(dim, 1 + t % dim, child_seed(152, dim, t)) for t in range(6)]
         mats = np.array([rho.matrix for rho in rhos])

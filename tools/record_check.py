@@ -44,13 +44,16 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # The sweeps every record check repeats: the default grid at two trials, a
-# measurement grid, a grid with starved pure stages (seed 13), 16-trial stacks
+# measurement grid, a grid with starved pure stages (seed 13), 16-trial cells
 # that mix fed and starved trials (eps 0.2, 21 of 32 starved) or starve every
 # trial at eps = 1 - 1e-13, where a stage value of 0 would land, the tight-eps
 # grid, the side experiments, the one-cell default, 40-trial default grids on
-# both backends, and 40-trial side-experiment grids whose stacks cross the
-# 16-trial boundary: gentle with rank-3 projections and the 1e-12 window, and
-# scale-* from the d^2 floor to 1e5 shots; a wide-eps grid whose calibration
+# both backends, and 40-trial side-experiment grids, whose d = 8 cells run in
+# more than one stack: gentle with rank-3 projections and the 1e-12 window, and
+# scale-* from the d^2 floor to 1e5 shots; 130-trial chain grids on both
+# backends at d = 2 and 8 and a 130-trial gentle grid, whose cells cross the
+# 16-trial stacks of older trees and run whole or in stacks of 15 to 121
+# under the memory budget (harness._stack_size); a wide-eps grid whose calibration
 # overshoots the window and bisects back (one stack) and redraws families (16
 # times), which no other sweep reaches; prop-search at d = 7, 8, 9 and 16 with
 # 70,000 triples a trial, whose sums take numpy's 8-accumulator branch and
@@ -86,6 +89,9 @@ SWEEPS = (
     ],
     ["scale-pure", "--d", "2,3,4,8", "--n", "64,1000,100000", "--trials", "40"],
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000", "--trials", "40"],
+    ["chain-sweep", "--d", "2,8", "--eps", "0.1", "--trials", "130"],
+    ["chain-sweep", "--backend", "measurement", "--d", "2,8", "--eps", "0.1", "--trials", "130"],
+    ["gentle", "--trials", "130"],
     ["chain-sweep", "--eps", "0.5,0.9", "--trials", "20", "--seed", "3"],
     ["prop-search", "--d", "7,8,9,16", "--eps", "0.1", "--batch", "70000", "--trials", "2"],
     [
