@@ -287,8 +287,8 @@ _RECORD_BUILDERS = {
 # and at least one, and linear inversion keeps tomography._PRODUCT_BYTES of it
 # for its design products. Peak RSS follows the budget: whole 100-trial cells
 # at d = 8 raise that of the default chain sweep by 2.8% (oracle) and 37%
-# (measurement) over stacks of 16 trials; 640 KiB raises the oracle's by 0.6
-# MiB (1.6%), and 768 KiB by 0.8 MiB (2.0%).
+# (measurement) over stacks of 16 trials; 640 KiB raises the oracle's by 0.6 to
+# 0.7 MiB (1.6-1.9%), and 768 KiB by 0.8 MiB (2.0%).
 _STACK_BYTES = 640 << 10
 
 # Bytes a trial holds in its stack beside its arrays: its record and generators.

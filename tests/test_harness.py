@@ -228,17 +228,14 @@ STACK_CELLS = [
 ]
 
 
-def stack_budget(config, size: int) -> int:
-    """A _STACK_BYTES under which the config's first cell runs in stacks of
-    ``size`` trials (of all its trials, if it has fewer)."""
-    reserved = harness._PRODUCT_BYTES if harness._inverts(config) else 0
-    return reserved + size * harness._trial_bytes(config, _experiment_cells(config)[0])
-
-
 def plan_stacks(monkeypatch, config, size: int) -> None:
-    """Set _STACK_BYTES so that the config's first cell runs in stacks of ``size``."""
-    monkeypatch.setattr(harness, "_STACK_BYTES", stack_budget(config, size))
-    assert harness._stack_size(config, _experiment_cells(config)[0]) == min(size, config.trials)
+    """Set _STACK_BYTES so that the config's first cell runs in stacks of
+    ``size`` trials (of all its trials, if it has fewer)."""
+    cell = _experiment_cells(config)[0]
+    reserved = harness._PRODUCT_BYTES if harness._inverts(config) else 0
+    budget = reserved + size * harness._trial_bytes(config, cell)
+    monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+    assert harness._stack_size(config, cell) == min(size, config.trials)
 
 
 class TestTrialStacks:
