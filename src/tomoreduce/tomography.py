@@ -4,7 +4,11 @@ measurement-based estimator.
 The oracle estimators return a randomly perturbed copy of the true state
 whose infidelity (or trace distance) is driven by bisection into a requested
 window. They stand in for an estimation procedure with a known guarantee, so
-downstream analysis can be checked at an exact error level. The
+downstream analysis can be checked at an exact error level. Calibration only
+compares each rung with the window's edges: infidelity rungs are evaluated by
+a closed-form kernel with a rounding bound (``_bounded_infidelities``), and a
+row with a rung within its bound of an edge by the exact SVD kernel
+``states._fidelities``, so every landing is the exact kernel's. The
 measurement-based estimators simulate single-copy measurements in randomized
 orthonormal bases and reconstruct by linear inversion; they realize the
 error-vs-budget scaling shape without optimal constants. Each dimension has
@@ -126,7 +130,7 @@ class TomographyBackend:
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
             eps = self.epsilon_target
             k = _ranks(w[:1])[0]
-            return _calibrated_estimates(w[:, :k], v, rngs, _infidelities, eps / 2.0, eps)
+            return _calibrated_estimates(w[:, :k], v, rngs, _sided_infidelities, eps / 2.0, eps)
         return _inverted_mixed_states(mat, rank, np.full(len(mat), shots), rngs)
 
     def _estimate_pure_stack(self, amps: np.ndarray, rngs, shots) -> np.ndarray:
@@ -197,8 +201,12 @@ def _eigenvalues_at(family: _Family, thetas: np.ndarray) -> np.ndarray:
 
 def _phased_coords(family: _Family, thetas: np.ndarray) -> np.ndarray:
     """Eigenvectors of sigma_t(theta) in the generator's eigenbasis, shape (T, L, d, k)."""
-    phases = np.exp(1j * thetas[:, :, None] * family.lam[:, None, :])
-    return phases[:, :, :, None] * family.coords[:, None]
+    return _phases(family, thetas)[:, :, :, None] * family.coords[:, None]
+
+
+def _phases(family: _Family, thetas: np.ndarray) -> np.ndarray:
+    """e^{i theta lam} of the generators' spectra, shape (T, L, d)."""
+    return np.exp(1j * thetas[:, :, None] * family.lam[:, None, :])
 
 
 def _infidelities(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
@@ -208,9 +216,101 @@ def _infidelities(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.
     return 1.0 - _fidelities(rho_w[:, None], family.coords[:, None], eigs, phased)
 
 
-def _trace_distances(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
+def _bounded_infidelities(
+    rho_w: np.ndarray, family: _Family, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """1 - F(rho_t, sigma_t(theta)) for a (T, L) stack of thetas without an SVD,
+    and a bound on each value's distance to ``_infidelities``'s, both (T, L).
+
+    sqrt F is the trace norm s = ||M||_1 of M = diag(sqrt w_rho) W diag(sqrt w_sigma),
+    W = C^H diag(e^{i theta lam}) C for the family's coordinates C (d, k). W is
+    one (T, L, d) @ (T, d, k^2) product of the phases with the outer products
+    conj(C_ja) C_jb, and s is |m_11| at k = 1, sqrt(||M||_F^2 + 2|det M|) at
+    k = 2 (s^2 = s_1^2 + s_2^2 + 2 s_1 s_2), and the sum of sqrt(lambda_i) over
+    eigvalsh(M^H M) at k >= 3. With u = 2^-53, |s - s_exact| <= ds, the sum of:
+
+    - The norm's rounding, here and in the exact kernel's SVD, which LAPACK
+      bounds by a small multiple of u ||M||_2 <= u s.
+      - k = 1: 64 u s. hypot and the 1 x 1 SVD are each within a few ulps of
+        |m_11|.
+      - k = 2: 128 u ||M||_F^2 / s. ||M||_F^2 carries at most 5 u ||M||_F^2;
+        2|det M| at most 5 u ||M||_F^2, as |m_11 m_22| + |m_12 m_21| <=
+        ||M||_F^2 / 2 bounds the cancellation; so s^2 is within
+        12 u ||M||_F^2, s within 8 u ||M||_F^2 / s, and s <= 2 ||M||_F^2 / s
+        takes the SVD's error into the same form.
+      - k >= 3: sum_i min(sqrt(dl), dl / sqrt(lambda_i)), dl = 8 k^2 u tr(M^H M).
+        Forming M^H M moves each eigenvalue by at most (k + 2) u ||M||_F^2 and
+        eigvalsh by a small multiple of u ||M^H M||_2 <= u tr(M^H M); then
+        |sqrt a - sqrt b| <= min(sqrt|a - b|, |a - b| / sqrt a). The SVD's
+        error, a small multiple of k u s_1, is below the top term
+        dl / s_1 >= 8 k^2 u s_1.
+    - W's, formed here as phases @ outer products and there as C^H (phases * C):
+      8 sqrt(k) (d + 6) u. Each entry of either carries at most (d + 6) u
+      sum_j |C_ja| |C_jb|, so the two Ms differ by 2 (d + 6) u in Frobenius
+      norm (the weights sum to at most 1) and their trace norms by sqrt(k) times that.
+
+    The infidelities 1 - min(1, s^2) then differ by at most ds (2 s + ds) + 16 u,
+    the last term for the square and the subtraction, 2 u a side. Each
+    constant is at least 4 times its worst case above, or, for LAPACK's terms,
+    10 times the largest distance measured over k = 1 to 4, d = 2 to 16 and
+    thetas from 1e-8 to 50: the closed forms and the SVD differed by at most
+    3.7 u s at k = 1, 9.2 u ||M||_F^2 / s at k = 2 (7 u s of it the SVD's, by
+    mpmath) and 0.34 of the k >= 3 term at dl = k^2 u tr(M^H M), the two Ms
+    by 0.4 sqrt(k) (d + 6) u, and the subtractions by 1 u. A value or bound
+    that is not finite (a NaN theta, M = 0) compares false, so
+    ``_sided_infidelities`` rechecks it.
+    """
+    c = family.coords
+    d, k = c.shape[1:]
+    u = np.finfo(float).eps / 2.0
+    root_a = np.sqrt(np.where(rho_w > RANK_TOL, rho_w, 0.0))
+    eigs = _eigenvalues_at(family, thetas)
+    root_b = np.sqrt(np.where(eigs > RANK_TOL, eigs, 0.0))
+    phases = _phases(family, thetas)
+    outer = (c.conj()[:, :, :, None] * c[:, :, None, :]).reshape(len(c), d, k * k)
+    w = (phases @ outer).reshape(*phases.shape[:2], k, k)
+    m = root_a[:, None, :, None] * w * root_b[:, :, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if k == 1:
+            s = np.abs(m[..., 0, 0])
+            ds = 64.0 * u * s
+        elif k == 2:
+            fro2 = np.sum(m.real**2 + m.imag**2, axis=(2, 3))
+            det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+            s = np.sqrt(fro2 + 2.0 * np.abs(det))
+            ds = 128.0 * u * fro2 / s
+        else:
+            lam = np.linalg.eigvalsh(m.conj().swapaxes(2, 3) @ m)
+            dl = 8.0 * k * k * u * np.sum(m.real**2 + m.imag**2, axis=(2, 3))[..., None]
+            s = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=2)
+            # min(sqrt(dl), dl / sqrt(lambda)) in one step: sqrt(dl) where lambda < dl
+            ds = np.sum(dl / np.sqrt(np.maximum(lam, dl)), axis=2)
+    ds = ds + 8.0 * math.sqrt(k) * (d + 6) * u
+    return 1.0 - np.minimum(1.0, s * s), ds * (2.0 * s + ds) + 16.0 * u
+
+
+def _sided_infidelities(
+    rho_w: np.ndarray, family: _Family, thetas: np.ndarray, lo: float, hi: float
+) -> np.ndarray:
+    """Infidelities that lie on the same side of lo and of hi as
+    ``_infidelities``'s, for a (T, L) stack of thetas: ``_bounded_infidelities``
+    where its bound decides both sides, and ``_infidelities``'s values, in one
+    call of the same shape, on every row with an entry it leaves undecided."""
+    vals, bound = _bounded_infidelities(rho_w, family, thetas)
+    decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)  # False at NaN
+    rows = np.flatnonzero(~decided.all(axis=1))
+    if rows.size:
+        shared = thetas if len(thetas) == 1 else thetas[rows]
+        vals[rows] = _infidelities(rho_w[rows], family.take(rows), shared)
+    return vals
+
+
+def _trace_distances(
+    rho_w: np.ndarray, family: _Family, thetas: np.ndarray, lo: float, hi: float
+) -> np.ndarray:
     """T(rho_t, sigma_t(theta)) for a (T, L) stack of thetas, both states taken
-    in the generator's eigenbasis."""
+    in the generator's eigenbasis. Every value is exact, so the window lo, hi
+    that calibration passes goes unused."""
     coords = family.coords
     rho_q = (coords * rho_w[:, None, :]) @ coords.conj().swapaxes(1, 2)
     phased = _phased_coords(family, thetas)
@@ -281,7 +381,7 @@ def _calibrate(
     rho_w: np.ndarray,
     rho_v: np.ndarray,
     rngs: list[np.random.Generator],
-    discrepancies: Callable[[np.ndarray, _Family, np.ndarray], np.ndarray],
+    discrepancies: Callable[[np.ndarray, _Family, np.ndarray, float, float], np.ndarray],
     lo: float,
     hi: float,
     families: int = _FAMILIES,
@@ -292,13 +392,15 @@ def _calibrate(
     (T, d, m), m >= k. Each trial draws a perturbation family from its own
     generator and is bisected into [lo, hi]; the trials whose family never
     reaches the window draw their next family together, up to ``families``
-    draws, so a trial's draws are the ones it makes alone."""
+    draws, so a trial's draws are the ones it makes alone. Calibration only
+    compares discrepancies with lo and hi, so ``discrepancies(rho_w, family,
+    thetas, lo, hi)`` may return any value on the exact value's side of each."""
     family = _perturbation_families(rho_w, rho_v, rngs)
 
     def family_discrepancies(idx, thetas):
         if len(idx) == len(rngs):  # every trial: no copies
-            return discrepancies(rho_w, family, thetas)
-        return discrepancies(rho_w[idx], family.take(idx), thetas)
+            return discrepancies(rho_w, family, thetas, lo, hi)
+        return discrepancies(rho_w[idx], family.take(idx), thetas, lo, hi)
 
     theta = _bracket_and_bisect(family_discrepancies, len(rngs), lo, hi)
     missed = np.isnan(theta)
@@ -365,7 +467,7 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     _check_window("infidelity", epsilon)
     _check_perturbable(rho.dim)
     w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
-    sigma = _calibrated_estimates(w, v, rngs, _infidelities, epsilon / 2.0, epsilon)
+    sigma = _calibrated_estimates(w, v, rngs, _sided_infidelities, epsilon / 2.0, epsilon)
     return _density_matrices(*sigma)[0]
 
 

@@ -26,6 +26,7 @@ from tomoreduce import (
     run_experiment,
     run_reduction,
     seeding,
+    tomography,
     write_records,
 )
 from tomoreduce.cli import build_parser, config_from_args, main
@@ -286,20 +287,23 @@ class TestTrialStacks:
         assert (len(calls), len(checks)) == (stacks, 5 * stacks)
 
     @pytest.mark.parametrize(
-        "overrides",
+        "d, overrides",
         [
-            dict(backend="oracle"),
-            dict(backend="measurement"),
-            dict(experiment=ExperimentKind.GENTLE_MEASUREMENT),
-            dict(experiment=ExperimentKind.SCALING_MIXED),
+            (8, dict(backend="oracle")),
+            (3, dict(backend="oracle")),
+            (8, dict(backend="measurement")),
+            (8, dict(experiment=ExperimentKind.GENTLE_MEASUREMENT)),
+            (8, dict(experiment=ExperimentKind.SCALING_MIXED)),
         ],
-        ids=["oracle", "measurement", "gentle", "scale-mixed"],
+        ids=["oracle", "oracle-d3", "measurement", "gentle", "scale-mixed"],
     )
-    def test_planned_stack_stays_within_the_budget(self, overrides):
-        # at the largest default d and r = 3, one planned stack's traced peak
-        # stays within _STACK_BYTES: it fails if a per-trial estimate is too low
+    def test_planned_stack_stays_within_the_budget(self, d, overrides):
+        # at r = 3, one planned stack's traced peak stays within _STACK_BYTES: it
+        # fails if a per-trial estimate is too low. The largest default d sets
+        # the largest arrays; the oracle's estimate is tightest at d = 3, where
+        # a stack holds 76 trials
         config = small_sweep_config(
-            r_values=(3,), d_values=(max(harness.DEFAULT_D_GRID),), eps_values=(0.05,),
+            r_values=(3,), d_values=(d,), eps_values=(0.05,),
             delta_values=(0.01,), n_values=(10_000,), trials=100, **overrides,
         )
         (cell,) = _experiment_cells(config)
@@ -418,6 +422,39 @@ def reference_seeding(monkeypatch):
     monkeypatch.setattr(
         harness, "_generators", lambda seeds: [seeding.rng_from_seed(int(s)) for s in seeds]
     )
+
+
+class TestCalibrationKernel:
+    # calibration's rungs go to the exact SVD kernel only near a window's edge
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls, exact = [], tomography._infidelities
+
+        def counted(rho_w, family, thetas):
+            calls.append(len(rho_w))
+            return exact(rho_w, family, thetas)
+
+        monkeypatch.setattr(tomography, "_infidelities", counted)
+        return calls
+
+    @pytest.mark.parametrize("eps", harness.DEFAULT_EPS_GRID)
+    def test_default_grid_needs_no_exact_kernel(self, exact_calls, eps):
+        # a sweep of the benchmark's oracle chain: the default grid at one eps
+        run_experiment(small_sweep_config(
+            r_values=harness.DEFAULT_R_GRID, d_values=harness.DEFAULT_D_GRID,
+            eps_values=(eps,), trials=12,
+        ))
+        assert exact_calls == []
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_resolution_floor_reaches_the_exact_kernel(self, exact_calls, r):
+        # at eps = 1e-12 the window is about 4,500 ulps of F wide, and
+        # some rungs land within the bound of its edges
+        summary = run_experiment(small_sweep_config(
+            r_values=(r,), d_values=(4,), eps_values=(1e-12,), trials=4,
+        ))
+        assert len(exact_calls) >= 1
+        assert summary.failures_total == 0
 
 
 class TestSeedLayout:

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tomoreduce import (
     BackendKind,
@@ -106,7 +108,10 @@ class TestStackedCalibration:
     # the lockstep calibration of a stack lands every trial where it lands alone
     @pytest.mark.parametrize(
         "estimate, discrepancies",
-        [(oracle_mixed_estimate, tm._infidelities), (oracle_trace_distance_estimate, tm._trace_distances)],
+        [
+            (oracle_mixed_estimate, tm._sided_infidelities),
+            (oracle_trace_distance_estimate, tm._trace_distances),
+        ],
         ids=["fidelity", "trace"],
     )
     @pytest.mark.parametrize("eps", [0.5, 0.2, 0.05, 1e-11])
@@ -130,18 +135,19 @@ class TestStackedCalibration:
         # overshoots the window on the ladder and bisects back into it, and
         # (2, 1, 2) at eps 0.2 draws a second family
         draws, bisects = [], []
-        families, infidelities = tm._perturbation_families, tm._infidelities
+        families, infidelities = tm._perturbation_families, tm._sided_infidelities
 
         def counted_families(rho_w, rho_v, rngs):
             draws.append(len(rngs))
             return families(rho_w, rho_v, rngs)
 
-        def counted_infidelities(rho_w, family, thetas):
+        def counted_infidelities(rho_w, family, thetas, lo, hi):
             bisects.append(thetas.shape[1] == 1)  # one midpoint per trial
-            return infidelities(rho_w, family, thetas)
+            return infidelities(rho_w, family, thetas, lo, hi)
 
         monkeypatch.setattr(tm, "_perturbation_families", counted_families)
-        monkeypatch.setattr(tm, "_infidelities", counted_infidelities)
+        # every evaluation of calibration, whichever kernel decides it
+        monkeypatch.setattr(tm, "_sided_infidelities", counted_infidelities)
         rho = random_rank_r_state(3, 2, child_seed(140, 3, 2, 2))
         oracle_mixed_estimate(rho, 0.5, child_seed(141, 3, 2, 2))
         assert draws == [1] and any(bisects)
@@ -171,6 +177,78 @@ class TestStackedCalibration:
         theta = tm._bracket_and_bisect(overshoot_from_rung_j, 1, lo, 2.0 * lo)
         assert climbed == ladder[: (j // tm._LADDER_CHUNK + 1) * tm._LADDER_CHUNK]
         assert theta[0] == ((ladder[j - 1] if j else 0.0) + ladder[j]) / 2
+
+
+@st.composite
+def _rung_cases(draw):
+    """A stack of two rank-k states on C^d with their families, thetas that mix
+    the calibration ladder's rungs with random midpoints, and a window
+    [eps/2, eps] with eps from 1e-12 to 0.9."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(max(2, k), 8))
+    seed = draw(st.integers(0, 2**32))
+    eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.9)))
+    mids = draw(st.lists(st.floats(1e-6, 60.0), min_size=1, max_size=16))
+    return k, d, seed, eps, mids
+
+
+def _rung_stack(k, d, seed, eps, mids):
+    rhos = [random_rank_r_state(d, k, child_seed(seed, t)) for t in range(2)]
+    w = np.array([rho.eigenvalues[:k] for rho in rhos])
+    v = np.array([rho.eigenvectors for rho in rhos])
+    family = tm._perturbation_families(w, v, [rng_from_seed(child_seed(seed, 2, t)) for t in range(2)])
+    ladder = np.cumprod([max(eps / 2, 1e-4)] + [tm._LADDER_RATIO] * (tm._LADDER_STEPS - 1))
+    thetas = np.concatenate([ladder[ladder < 1e3], mids])[None]
+    return w, family, thetas
+
+
+class TestCheapRungKernel:
+    # _bounded_infidelities decides a side of lo and hi only where its bound
+    # proves it; every other row comes from the exact SVD kernel
+    @settings(max_examples=120, deadline=None)
+    @given(case=_rung_cases())
+    @example(case=(3, 16, 5, 1e-3, [0.05, 2.0]))
+    @example(case=(2, 16, 6, 1e-12, [1e-5, 3.0]))
+    def test_decides_every_side_as_the_exact_kernel(self, case):
+        k, d, seed, eps, mids = case
+        w, family, thetas = _rung_stack(*case)
+        lo, hi = eps / 2, eps
+        exact = tm._infidelities(w, family, thetas)
+        vals, bound = tm._bounded_infidelities(w, family, thetas)
+        for shared in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
+            if shared.shape[0] == 1:
+                want = exact
+            else:
+                want = tm._infidelities(w, family, shared)
+            sided = tm._sided_infidelities(w, family, shared, lo, hi)
+            assert np.array_equal(sided >= lo, want >= lo)
+            assert np.array_equal(sided <= hi, want <= hi)
+        decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)
+        assert np.all(np.abs(vals - exact)[decided] <= bound[decided] / 10)
+        # an edge one ulp from an exact value leaves its row to the exact kernel
+        for t, j in [(0, 0), (1, thetas.shape[1] // 2), (0, thetas.shape[1] - 1)]:
+            for edge in (np.nextafter(exact[t, j], -1.0), np.nextafter(exact[t, j], 2.0)):
+                for window in ((edge, 2.0), (-1.0, edge)):
+                    assert not ((np.abs(vals[t, j] - window[0]) > bound[t, j])
+                                & (np.abs(vals[t, j] - window[1]) > bound[t, j]))
+                    sided = tm._sided_infidelities(w, family, thetas, *window)
+                    assert np.array_equal(sided[t], exact[t])
+
+    def test_a_nan_rung_goes_to_the_exact_kernel(self, monkeypatch):
+        w, family, thetas = _rung_stack(2, 4, 7, 0.05, [0.3])
+        thetas = np.repeat(thetas, 2, axis=0)
+        thetas[1, 3] = np.nan
+        seen = []
+
+        def exact(rho_w, fam, th):
+            seen.append(th.copy())
+            return np.full(th.shape, 0.5)
+
+        monkeypatch.setattr(tm, "_infidelities", exact)
+        sided = tm._sided_infidelities(w, family, thetas, 0.025, 0.05)
+        assert len(seen) == 1 and np.array_equal(seen[0], thetas[1:], equal_nan=True)
+        assert np.array_equal(sided[1], np.full(thetas.shape[1], 0.5))
+        assert np.all(np.isfinite(sided[0])) and not np.any(sided[0] == 0.5)
 
 
 class TestOraclePureEstimate:

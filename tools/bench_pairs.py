@@ -12,9 +12,12 @@ one after the other, each from its own root, and the tree that runs first
 alternates from pair to pair, so slow phases of a shared machine fall on both
 sides alike. The JSON file holds each pair's metrics, and per workload and
 metric each side's median and quartiles and the number of pairs the change
-won, in the direction BENCHMARK.json gives the metric. Quartiles are those of
-``statistics.quantiles(values, n=4)``, as ``benchmark/repeat.py`` prints them.
-The script exits 1 if a run fails or reports incorrect output.
+won, in the direction BENCHMARK.json gives the metric, plus each side's share
+of failed operations (failed over attempted, summed over its runs). Quartiles
+are those of ``statistics.quantiles(values, n=4)``, as ``benchmark/repeat.py``
+prints them. If a run fails or reports incorrect output, the script writes the
+report so far, with that workload's finished pairs and the failing side, its
+seed and the last lines of its stderr, and exits 1.
 """
 
 from __future__ import annotations
@@ -40,6 +43,17 @@ def git_state(tree: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip())}
 
 
+STDERR_LINES = 20  # lines of a failed run's stderr kept in the report
+
+
+class RunFailed(RuntimeError):
+    """A benchmark run that exited nonzero or reported incorrect output."""
+
+    def __init__(self, reason: str, stderr: str):
+        super().__init__(reason)
+        self.stderr_tail = stderr.splitlines()[-STDERR_LINES:]
+
+
 def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
@@ -47,10 +61,10 @@ def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"{tree} {workload} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
+        raise RunFailed(f"exit {proc.returncode}", proc.stderr)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
-        raise RuntimeError(f"{tree} {workload} seed {seed}: incorrect output\n{proc.stdout}")
+        raise RunFailed("incorrect output", proc.stderr)
     return {
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -65,9 +79,13 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
-    summary = {}
-    for name in pairs[0]["parent"]["metrics"]:
+    """Per metric: each side's median and quartiles, and the pairs the change
+    won; and each side's failed share of the operations it attempted."""
+    summary = {"failed_share": {
+        side: sum(p[side]["failed"] for p in pairs) / max(1, sum(p[side]["attempted"] for p in pairs))
+        for side in ("parent", "change")
+    }}
+    for name in (pairs[0]["parent"]["metrics"] if pairs else ()):
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         entry = {"parent": spread(parent), "change": spread(change)}
@@ -107,12 +125,20 @@ def main() -> int:
         for index, seed in enumerate(args.seeds):
             order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
             pair = {"seed": seed, "first": order[0]}
-            try:
-                for side in order:
+            for side in order:
+                try:
                     pair[side] = run(trees[side], workload, seed, seconds)
-            except RuntimeError as error:
-                print(error, file=sys.stderr)
-                return 1
+                except RunFailed as error:
+                    failure = {"side": side, "seed": seed, "reason": str(error),
+                               "stderr_tail": error.stderr_tail}
+                    report["workloads"][workload] = {
+                        "pairs": pairs, "summary": summarize(pairs, better), "failure": failure,
+                    }
+                    args.out.write_text(json.dumps(report, indent=1) + "\n")
+                    print(f"{workload} seed {seed}: {side} run failed ({error}); "
+                          f"report so far written to {args.out}", file=sys.stderr)
+                    print("\n".join(error.stderr_tail), file=sys.stderr)
+                    return 1
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + "  ".join(
                 f"{name} {pair['parent']['metrics'][name]:.6g} -> {pair['change']['metrics'][name]:.6g}"
@@ -121,6 +147,8 @@ def main() -> int:
         report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
+        shares = entry["summary"]["failed_share"]
+        print(f"== {workload} failed share: parent {shares['parent']:.3g}, change {shares['change']:.3g}")
         for name, s in entry["summary"].items():
             if "change_wins" in s:
                 print(f"== {workload} {name}: median {s['parent']['median']:.6g} -> "

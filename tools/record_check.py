@@ -60,7 +60,9 @@ from pathlib import Path
 # whose trials run a second batch, which the default d grid never reaches;
 # a chain grid down to the oracles' eps = 1e-12 floor, where the last bits of
 # F(rho, sigma) decide keep >= F and the landing tests, which no other sweep
-# takes below 1e-5; then configuration errors: stage 1
+# takes below 1e-5; the same floor at r = 3 (d = 3 and 8), where calibration
+# takes the eigvalsh path of its cheap kernel and falls back to the exact SVD
+# near the window's edges; then configuration errors: stage 1
 # below the d^2 floor, eps below the oracles' resolution floor, budgets that
 # all fall below the floor, and d = 1.
 SWEEPS = (
@@ -97,6 +99,10 @@ SWEEPS = (
     [
         "chain-sweep", "--r", "1,2", "--d", "4", "--eps", "1e-6,1e-8,1e-10,1e-12",
         "--trials", "16", "--seed", "23",
+    ],
+    [
+        "chain-sweep", "--r", "3", "--d", "3,8", "--eps", "1e-5,1e-9,1e-12",
+        "--trials", "16", "--seed", "29",
     ],
     ["chain-sweep", "--backend", "measurement", "--d", "4", "--n-copies", "15"],
     ["reduce", "--eps", "1e-13"],
