@@ -3,6 +3,7 @@ keeps when a run fails."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,14 +30,16 @@ def test_summary_holds_each_sides_failed_share():
 
 def test_failed_run_keeps_the_report_so_far(monkeypatch, tmp_path):
     # the second pair's change run fails: the first pair, the failing side, its
-    # seed and the tail of its stderr are written before the script exits 1
-    stderr = "\n".join(f"line {i}" for i in range(30))
+    # seed and the tails of its stderr and stdout are written before it exits 1
+    proc = subprocess.CompletedProcess(
+        [], 1, stdout="CHECK FAILED: x\n", stderr="\n".join(f"line {i}" for i in range(30))
+    )
     calls = []
 
     def fake_run(tree, workload, seed, seconds):
         calls.append(seed)
         if seed == 2 and tree == bench_pairs.CHANGE.resolve():
-            raise bench_pairs.RunFailed("exit 1", stderr)
+            raise bench_pairs.RunFailed("exit 1", proc)
         return result(float(seed), attempted=10, failed=seed == 2)
 
     monkeypatch.setattr(bench_pairs, "run", fake_run)
@@ -49,7 +52,7 @@ def test_failed_run_keeps_the_report_so_far(monkeypatch, tmp_path):
     assert [p["seed"] for p in entry["pairs"]] == [1]
     assert entry["failure"] == {
         "side": "change", "seed": 2, "reason": "exit 1",
-        "stderr_tail": [f"line {i}" for i in range(10, 30)],
+        "stderr_tail": [f"line {i}" for i in range(10, 30)], "stdout_tail": ["CHECK FAILED: x"],
     }
     assert entry["summary"]["failed_share"] == {"parent": 0.0, "change": 0.0}
     assert calls == [1, 1, 2]  # the second pair runs the change first

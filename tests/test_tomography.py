@@ -181,9 +181,8 @@ class TestStackedCalibration:
 
 @st.composite
 def _rung_cases(draw):
-    """A stack of two rank-k states on C^d with their families, thetas that mix
-    the calibration ladder's rungs with random midpoints, and a window
-    [eps/2, eps] with eps from 1e-12 to 0.9."""
+    """The rank k, dimension d, seed, window edge eps (1e-12 to 0.9) and random
+    midpoints of a ``_rung_stack``."""
     k = draw(st.integers(1, 4))
     d = draw(st.integers(max(2, k), 8))
     seed = draw(st.integers(0, 2**32))
@@ -193,6 +192,8 @@ def _rung_cases(draw):
 
 
 def _rung_stack(k, d, seed, eps, mids):
+    """Two rank-k states on C^d, their families, and thetas (1, L): the
+    calibration ladder's rungs below 1e3 for the window [eps/2, eps], then mids."""
     rhos = [random_rank_r_state(d, k, child_seed(seed, t)) for t in range(2)]
     w = np.array([rho.eigenvalues[:k] for rho in rhos])
     v = np.array([rho.eigenvectors for rho in rhos])
@@ -210,16 +211,12 @@ class TestCheapRungKernel:
     @example(case=(3, 16, 5, 1e-3, [0.05, 2.0]))
     @example(case=(2, 16, 6, 1e-12, [1e-5, 3.0]))
     def test_decides_every_side_as_the_exact_kernel(self, case):
-        k, d, seed, eps, mids = case
         w, family, thetas = _rung_stack(*case)
-        lo, hi = eps / 2, eps
+        lo, hi = case[3] / 2, case[3]
         exact = tm._infidelities(w, family, thetas)
         vals, bound = tm._bounded_infidelities(w, family, thetas)
         for shared in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
-            if shared.shape[0] == 1:
-                want = exact
-            else:
-                want = tm._infidelities(w, family, shared)
+            want = exact if len(shared) == 1 else tm._infidelities(w, family, shared)
             sided = tm._sided_infidelities(w, family, shared, lo, hi)
             assert np.array_equal(sided >= lo, want >= lo)
             assert np.array_equal(sided <= hi, want <= hi)
@@ -248,7 +245,7 @@ class TestCheapRungKernel:
         sided = tm._sided_infidelities(w, family, thetas, 0.025, 0.05)
         assert len(seen) == 1 and np.array_equal(seen[0], thetas[1:], equal_nan=True)
         assert np.array_equal(sided[1], np.full(thetas.shape[1], 0.5))
-        assert np.all(np.isfinite(sided[0])) and not np.any(sided[0] == 0.5)
+        assert np.all(np.isfinite(sided[0]))
 
 
 class TestOraclePureEstimate:

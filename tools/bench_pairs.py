@@ -17,7 +17,7 @@ of failed operations (failed over attempted, summed over its runs). Quartiles
 are those of ``statistics.quantiles(values, n=4)``, as ``benchmark/repeat.py``
 prints them. If a run fails or reports incorrect output, the script writes the
 report so far, with that workload's finished pairs and the failing side, its
-seed and the last lines of its stderr, and exits 1.
+seed and the last lines of its stderr and stdout, and exits 1.
 """
 
 from __future__ import annotations
@@ -43,15 +43,17 @@ def git_state(tree: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip())}
 
 
-STDERR_LINES = 20  # lines of a failed run's stderr kept in the report
+TAIL_LINES = 20  # lines of a failed run's stderr and stdout kept in the report
 
 
 class RunFailed(RuntimeError):
-    """A benchmark run that exited nonzero or reported incorrect output."""
+    """A benchmark run that exited nonzero or reported incorrect output; run.py
+    prints its failed checks (``CHECK FAILED``) to stdout, its errors to stderr."""
 
-    def __init__(self, reason: str, stderr: str):
+    def __init__(self, reason: str, proc: subprocess.CompletedProcess):
         super().__init__(reason)
-        self.stderr_tail = stderr.splitlines()[-STDERR_LINES:]
+        self.stderr_tail = proc.stderr.splitlines()[-TAIL_LINES:]
+        self.stdout_tail = proc.stdout.splitlines()[-TAIL_LINES:]
 
 
 def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -61,10 +63,13 @@ def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise RunFailed(f"exit {proc.returncode}", proc.stderr)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+        raise RunFailed(f"exit {proc.returncode}", proc)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RunFailed("no JSON result on the last line of stdout", proc) from None
     if not result["correct"]:
-        raise RunFailed("incorrect output", proc.stderr)
+        raise RunFailed("incorrect output", proc)
     return {
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -130,14 +135,14 @@ def main() -> int:
                     pair[side] = run(trees[side], workload, seed, seconds)
                 except RunFailed as error:
                     failure = {"side": side, "seed": seed, "reason": str(error),
-                               "stderr_tail": error.stderr_tail}
+                               "stderr_tail": error.stderr_tail, "stdout_tail": error.stdout_tail}
                     report["workloads"][workload] = {
                         "pairs": pairs, "summary": summarize(pairs, better), "failure": failure,
                     }
                     args.out.write_text(json.dumps(report, indent=1) + "\n")
                     print(f"{workload} seed {seed}: {side} run failed ({error}); "
                           f"report so far written to {args.out}", file=sys.stderr)
-                    print("\n".join(error.stderr_tail), file=sys.stderr)
+                    print("\n".join(error.stderr_tail + error.stdout_tail), file=sys.stderr)
                     return 1
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + "  ".join(
