@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -111,6 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # parse_args keeps no state in a parser, so main reuses one
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     fields = vars(args).copy()
     del fields["command"]
@@ -121,8 +127,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = config_from_args(args)
     except ValueError as exc:

@@ -5,9 +5,9 @@ time.
 Records are append-ordered by (cell index, trial index) and every field
 except wall_time is a pure function of the master seed, so re-running a
 configuration reproduces the record files byte for byte once wall-time
-columns are excluded. A chain record's fields are the row that
-``reduction._chain_rows`` builds from a stack's stage arrays, in the columns
-of ``reduction._CHAIN_COLUMNS``; a sweep builds no per-trial report objects.
+columns are excluded. Records travel as columns, one list per field, from the
+stack kernels (a chain stack's are those ``reduction._chain_columns`` fills)
+to the file; a sweep that writes a file builds no per-trial record objects.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -225,24 +225,24 @@ def _trial_draws(cell, words):
     return amps, _generators(words[:, 1])
 
 
-def _reduction_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
-    """The records of a stack of chain trials, run as one batch under one config."""
+def _reduction_fields(config, cell, trial_seeds, words) -> dict[str, list]:
+    """The record columns of a stack of chain trials, run as one batch under one config."""
     amps, rngs = _trial_draws(cell, words)
     return _run_reductions(amps, _reduction_config(config, cell), rngs)
 
 
-def _fidelity_fields(fidelities) -> list[dict[str, Any]]:
-    return [{"fidelity": f, "infidelity": 1.0 - f, "violations": 0} for f in fidelities]
+def _fidelity_fields(fids: list[float]) -> dict[str, list]:
+    return {"fidelity": fids, "infidelity": [1.0 - f for f in fids], "violations": [0] * len(fids)}
 
 
-def _scaling_pure_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
+def _scaling_pure_fields(config, cell, trial_seeds, words) -> dict[str, list]:
     amps, rngs = _trial_draws(cell, words)
     estimates = _inverted_pure_states(amps, np.full(len(amps), cell["n"]), rngs)
     _check_unit_norms(estimates)
     return _fidelity_fields(_overlaps(amps, estimates))
 
 
-def _scaling_mixed_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
+def _scaling_mixed_fields(config, cell, trial_seeds, words) -> dict[str, list]:
     r, n = cell["r"], cell["n"]
     amps, rngs = _trial_draws(cell, words)
     rho = _reduced_states(amps.reshape(len(amps), r, cell["d"]))
@@ -250,28 +250,31 @@ def _scaling_mixed_fields(config, cell, trial_seeds, words) -> list[dict[str, An
     return _fidelity_fields(fidelities)
 
 
-def _gentle_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
+def _gentle_fields(config, cell, trial_seeds, words) -> dict[str, list]:
     delta = cell["delta"]
     amps, rngs = _trial_draws(cell, words)
-    rows = []
-    for t in _gentle_distances(amps, cell["r"], delta, rngs).tolist():
-        values = (None,) * 3 if math.isnan(t) else (t, t / math.sqrt(delta), t / delta)
-        fields = dict(zip(("trace_distance", "ratio_sqrt", "ratio_linear"), values))
-        rows.append({**fields, "skipped": math.isnan(t), "violations": 0})
-    return rows
+    distances = _gentle_distances(amps, cell["r"], delta, rngs).tolist()
+    ts = [None if math.isnan(t) else t for t in distances]
+    return {
+        "trace_distance": ts,
+        "ratio_sqrt": [None if t is None else t / math.sqrt(delta) for t in ts],
+        "ratio_linear": [None if t is None else t / delta for t in ts],
+        "skipped": [t is None for t in ts],
+        "violations": [0] * len(ts),
+    }
 
 
-def _prop_search_fields(config, cell, trial_seeds, words) -> list[dict[str, Any]]:
+def _prop_search_fields(config, cell, trial_seeds, words) -> dict[str, list]:
     # one search per trial, each vectorized over its triples
-    return [
-        asdict(proposition_search(cell["d"], cell["eta"], config.prop_batch, int(seed)))
-        for seed in trial_seeds
-    ]
+    d, eta, batch = cell["d"], cell["eta"], config.prop_batch
+    results = [proposition_search(d, eta, batch, int(seed)) for seed in trial_seeds]
+    return {f.name: [getattr(res, f.name) for res in results] for f in fields(results[0])}
 
 
 # Each builder takes a stack's trial seeds and their generator words (see
-# _seed_blocks) and returns, per trial, the fields of its record that follow
-# the shared experiment, cell, trial, cell-parameter and seed columns.
+# _seed_blocks) and returns the fields of its trials' records that follow the
+# shared experiment, cell, trial, cell-parameter and seed columns, as one list
+# per field, in column order.
 _RECORD_BUILDERS = {
     ExperimentKind.CHAIN_SWEEP: _reduction_fields,
     ExperimentKind.SCALING_PURE: _scaling_pure_fields,
@@ -394,36 +397,34 @@ def _extreme(values: Sequence[float], pick) -> float:
     return float(pick(values))
 
 
-def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], records: list[dict]) -> CellSummary:
+def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], columns: Mapping) -> CellSummary:
     label = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in cell.items())
-    violations = sum(1 for rec in records if (rec.get("violations") or 0) > 0)
-    failures = sum(1 for rec in records if rec.get("error"))
+    violations = sum(1 for v in columns["violations"] if (v or 0) > 0)
+    failures = sum(1 for error in columns.get("error", ()) if error)
     stats: dict[str, float] = {}
     if kind is ExperimentKind.CHAIN_SWEEP:
-        finals = [r["final_fidelity"] for r in records if r.get("final_fidelity") is not None]
-        keeps = [r["keep_probability"] for r in records if r.get("keep_probability") is not None]
+        finals = [v for v in columns["final_fidelity"] if v is not None]
+        keeps = [v for v in columns["keep_probability"] if v is not None]
         stats["final_min"] = _extreme(finals, min)
         stats["final_median"] = _median(finals)
         stats["keep_min"] = _extreme(keeps, min)
         stats["bound"] = float(_guaranteed_bound(cell["epsilon"]))
-        stats["samples"] = float(sum(r.get("samples_total") or 0 for r in records))
+        stats["samples"] = float(sum(v or 0 for v in columns["samples_total"]))
     elif kind in (ExperimentKind.SCALING_PURE, ExperimentKind.SCALING_MIXED):
-        infids = [r["infidelity"] for r in records]
+        infids = columns["infidelity"]
         stats["infid_median"] = _median(infids)
         stats["infid_max"] = _extreme(infids, max)
     elif kind is ExperimentKind.GENTLE_MEASUREMENT:
-        ts = [r["trace_distance"] for r in records if r.get("trace_distance") is not None]
+        ts = [t for t in columns["trace_distance"] if t is not None]
         stats["t_max"] = _extreme(ts, max)
         stats["ratio_sqrt_max"] = stats["t_max"] / math.sqrt(cell["delta"]) if ts else float("nan")
         stats["ratio_linear_max"] = stats["t_max"] / cell["delta"] if ts else float("nan")
-        stats["skipped"] = float(sum(1 for r in records if r.get("skipped")))
+        stats["skipped"] = float(sum(1 for s in columns["skipped"] if s))
     elif kind is ExperimentKind.PROPOSITION_SEARCH:
-        stats["checked"] = float(sum(r["checked"] for r in records))
-        stats["violations_found"] = float(sum(r["violations"] for r in records))
-        stats["min_slack"] = min(r["min_slack"] for r in records)
-    return CellSummary(
-        label=label, trials=len(records), violations=violations, failures=failures, stats=stats
-    )
+        stats["checked"] = float(sum(columns["checked"]))
+        stats["violations_found"] = float(sum(columns["violations"]))
+        stats["min_slack"] = min(columns["min_slack"])
+    return CellSummary(label, len(columns["violations"]), violations, failures, stats)
 
 
 def _seed_blocks(config: ExperimentConfig, n_cells: int):
@@ -463,7 +464,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     batches = _cell_records(config, summaries)
     records: tuple[dict[str, Any], ...] = ()
     if config.out_path is None:
-        records = tuple(itertools.chain.from_iterable(batches))
+        records = tuple(dict(zip(cols, row)) for cols in batches for row in zip(*cols.values()))
     else:
         _write_batches(batches, config.out_path, config.out_format)
     return ExperimentSummary(
@@ -477,40 +478,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
 
 
 def _cell_records(config: ExperimentConfig, summaries: list[CellSummary]):
-    """Yields each cell's records in order, once its last stack is done, and
-    appends the cell's summary to ``summaries`` first."""
+    """Yields each cell's records in order, as one list per column, once its
+    last stack is done, and appends the cell's summary to ``summaries`` first."""
     cells = _experiment_cells(config)
     builder = _RECORD_BUILDERS[config.experiment]
     blocks = _seed_blocks(config, len(cells))
     for cell_index, (cell, (trial_seeds, trial_words)) in enumerate(zip(cells, blocks)):
-        params = {k: _CELL_TYPES[k](v) for k, v in cell.items()}
-        stacks = []
+        stacks, wall_times = [], []
         size = _stack_size(config, cell)
         for first in range(0, config.trials, size):
-            trials = range(first, min(first + size, config.trials))
-            seeds = trial_seeds[first : trials.stop]
+            stop = min(first + size, config.trials)
             start = time.perf_counter()
-            stack = builder(config, cell, seeds, trial_words[first : trials.stop])
-            stacks.append((trials, seeds, stack, (time.perf_counter() - start) / len(seeds)))
-        # The records are built once the cell's last stack is done: built
-        # between stacks, they sat among the freed arrays of each stack and
-        # fragmented the heap, which raised the default chain sweep's peak
+            stacks.append(builder(config, cell, trial_seeds[first:stop], trial_words[first:stop]))
+            wall_times += [(time.perf_counter() - start) / (stop - first)] * (stop - first)
+        # The shared columns are built once the cell's last stack is done:
+        # records built between stacks sat among the freed arrays of each stack
+        # and fragmented the heap, which raised the default chain sweep's peak
         # RSS by about 0.5%.
-        records = [
-            {
-                "experiment": config.experiment.value,
-                "cell": cell_index,
-                "trial": trial_index,
-                **params,
-                "seed": int(trial_seed),
-                **fields,
-                "wall_time": wall_time,
-            }
-            for trials, seeds, stack, wall_time in stacks
-            for trial_index, trial_seed, fields in zip(trials, seeds, stack)
-        ]
-        summaries.append(_cell_summary(config.experiment, cell, records))
-        yield records
+        columns = {
+            "experiment": [config.experiment.value] * config.trials,
+            "cell": [cell_index] * config.trials,
+            "trial": list(range(config.trials)),
+            **{k: [_CELL_TYPES[k](v)] * config.trials for k, v in cell.items()},
+            "seed": trial_seeds.tolist(),
+            **{k: [v for stack in stacks for v in stack[k]] for k in stacks[0]},
+            "wall_time": wall_times,
+        }
+        summaries.append(_cell_summary(config.experiment, cell, columns))
+        yield columns
 
 
 def _csv_cell(value: Any) -> str:
@@ -541,6 +536,23 @@ _CSV_CELLS = {
     str: str,
 }
 
+_CSV_QUOTED = frozenset(',"\r\n')  # csv.writer's minimal rule quotes a field with one
+
+
+def _csv_column(values: list) -> list[str]:
+    """One CSV column's fields as csv.writer writes _csv_cell's: float.__repr__ or
+    int.__repr__ where every value has that exact type, else _CSV_CELLS per value,
+    quoted, with its quotes doubled, where a field holds a character of _CSV_QUOTED."""
+    types = set(map(type, values))
+    if types == {float}:
+        return list(map(float.__repr__, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    cells = [_CSV_CELLS.get(type(v), _csv_cell)(v) for v in values]
+    if not _CSV_QUOTED.isdisjoint("".join(cells)):
+        cells = [c if _CSV_QUOTED.isdisjoint(c) else '"%s"' % c.replace('"', '""') for c in cells]
+    return cells
+
 
 def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike, fmt: str) -> None:
     """Persist records as RFC-4180 CSV or JSON Lines, full float precision.
@@ -555,45 +567,44 @@ def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike,
     records = list(records)
     if not records:
         raise ValueError("no records to write")
-    _write_batches([records], path, fmt)
+    if fmt == "csv":
+        keys = records[0].keys()
+        for i, rec in enumerate(records):
+            if extra := [k for k in rec if k not in keys]:
+                raise ValueError(f"record {i} has columns the first record lacks: {extra}")
+        batches = [{k: [rec.get(k) for rec in records] for k in keys}]
+    else:  # a JSON Lines record keeps its own keys
+        batches = ({k: [v] for k, v in rec.items()} for rec in records)
+    _write_batches(batches, path, fmt)
 
 
-def _write_batches(batches: Iterable[list[Mapping[str, Any]]], path, fmt: str) -> None:
-    """Write each batch of records as it comes, as CSV with the columns of the
-    first record or as JSON Lines, to a temporary file beside ``path``, made
-    with its directory once the first batch is ready; then move the file to
-    ``path`` with ``os.replace``. On any exception, raised by a record or by
-    the code that yields the batches, the temporary file is deleted."""
+def _write_batches(batches: Iterable[Mapping[str, list]], path, fmt: str) -> None:
+    """Write each batch of records, one list per column, as it comes, as CSV with
+    the columns of the first batch or as JSON Lines, to a temporary file beside
+    ``path``, made with its directory once the first batch is ready; then move the
+    file to ``path`` with ``os.replace``. On any exception, raised by a value or
+    by the code that yields the batches, the temporary file is deleted."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown output format {fmt!r}")
     batches = iter(batches)
     batch = next(batches)
-    keys = list(batch[0])
-    columns = frozenset(keys)
+    keys = list(batch)
     out = Path(path)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     out.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "w", newline="" if fmt == "csv" else None) as f:
             if fmt == "csv":
-                writer = csv.writer(f)
-                writer.writerow(keys)
-            written = 0
+                csv.writer(f).writerow(keys)
             while batch is not None:
                 if fmt == "csv":
-                    for i, rec in enumerate(batch, written):
-                        if not rec.keys() <= columns:
-                            extra = [k for k in rec if k not in columns]
-                            raise ValueError(
-                                f"record {i} has columns the first record lacks: {extra}"
-                            )
-                    writer.writerows(
-                        [_CSV_CELLS.get(type(v), _csv_cell)(v) for v in map(rec.get, keys)]
-                        for rec in batch
-                    )
+                    cells = [_csv_column(batch[k]) for k in keys]
+                    if len(cells) == 1:  # csv.writer quotes an empty field alone in its row
+                        cells = [[c or '""' for c in cells[0]]]
+                    f.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
                 else:
-                    f.writelines(json.dumps(dict(rec), default=_json_value) + "\n" for rec in batch)
-                written += len(batch)
+                    rows = (dict(zip(batch, values)) for values in zip(*batch.values()))
+                    f.writelines(json.dumps(row, default=_json_value) + "\n" for row in rows)
                 batch = next(batches, None)
         os.replace(tmp, out)
     finally:
@@ -602,27 +613,12 @@ def _write_batches(batches: Iterable[list[Mapping[str, Any]]], path, fmt: str) -
 
 def print_summary(summary: ExperimentSummary) -> None:
     """Aligned per-cell table plus a verdict line."""
-    stat_keys: list[str] = []
+    stat_keys = list(dict.fromkeys(k for cell in summary.cells for k in cell.stats))
+    rows = [["cell", "trials", "violations", "failures", *stat_keys]]
     for cell in summary.cells:
-        for k in cell.stats:
-            if k not in stat_keys:
-                stat_keys.append(k)
-    header = ["cell", "trials", "violations", "failures", *stat_keys]
-    rows = [header]
-    for cell in summary.cells:
-        rows.append(
-            [
-                cell.label,
-                str(cell.trials),
-                str(cell.violations),
-                str(cell.failures),
-                *[
-                    f"{cell.stats[k]:.6g}" if k in cell.stats else ""
-                    for k in stat_keys
-                ],
-            ]
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+        stats = (f"{cell.stats[k]:.6g}" if k in cell.stats else "" for k in stat_keys)
+        rows.append([cell.label, *map(str, (cell.trials, cell.violations, cell.failures)), *stats])
+    widths = [max(map(len, column)) for column in zip(*rows)]
     for row in rows:
         print("  ".join(col.ljust(w) for col, w in zip(row, widths)))
     print(

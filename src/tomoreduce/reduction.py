@@ -17,11 +17,10 @@ step between the stages is checked only by a randomized search over
 synthetic triples. A side experiment measures the trace-distance
 disturbance of the projection (the gentle-measurement question).
 
-A chain record's columns are listed once, in ``_CHAIN_COLUMNS``, and
-``_chain_rows`` fills them from a stack's stage arrays with one ``_chain``:
-a sweep builds no per-trial state, report or check objects. A starved trial's
-estimate and final overlap are NaN in the stack, so its final checks do not
-apply, and its record holds None there, set from the ``fed`` mask.
+A chain record's columns are listed once, in ``_CHAIN_COLUMNS``; ``_chain_columns``
+fills them, a list each, from a stack's stage arrays with one ``_chain``, and builds
+no per-trial object. A starved trial's estimate and final overlap are NaN in the stack,
+so its final checks do not apply, and its record holds None there, from the ``fed`` mask.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 
@@ -244,13 +242,13 @@ _CHAIN_COLUMNS = (
 )
 
 
-def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
-    """Each trial's chain record fields, keyed by ``_CHAIN_COLUMNS``, from the
-    stage arrays of one stack under its config (see ``_reduction_stages``), with
-    one ``_chain`` on the whole stack. A trial whose keep probability is at or
-    below PROB_TOL fails. A starved trial's NaN estimate and final fidelity land
-    nowhere, so its final verdicts are None, and so are those two columns,
-    set from the ``fed`` mask."""
+def _chain_columns(config: ReductionConfig, stages) -> dict[str, list]:
+    """The chain record fields of a stack's trials, as one list per column of
+    ``_CHAIN_COLUMNS``, from the stage arrays of the stack under its config (see
+    ``_reduction_stages``), with one ``_chain`` on the whole stack. A trial whose
+    keep probability is at or below PROB_TOL fails. A starved trial's NaN
+    estimate and final fidelity land nowhere, so its final verdicts are None,
+    and so are those two columns, set from the ``fed`` mask."""
     eps, extra_copies = config.epsilon, config.extra_copies
     f, keep, ranks, kept, usable, fed, overlaps = stages
     checks = _chain(eps, f, keep, *overlaps)
@@ -267,21 +265,21 @@ def _chain_rows(config: ReductionConfig, stages) -> list[dict[str, Any]]:
         for c in checks
     ]
     counted = [v for v, c in zip(verdicts, checks) if not c.advisory]
-    columns = (
+    columns = dict(zip(_CHAIN_COLUMNS, (
         f.tolist(), keep.tolist(), ranks.tolist(), [extra_copies] * count, kept.tolist(),
         [config.n_copies + extra_copies] * count, projected, est, final,
         *verdicts, [v.count(False) for v in zip(*counted)],
         (kept < math.ceil(extra_copies / 2)).tolist(),
         [value is None for value in est], [bound] * count, [""] * count,
-    )
-    rows = [dict(zip(_CHAIN_COLUMNS, values)) for values in zip(*columns)]
+    )))
     for t in set(range(count)).difference(usable.tolist()):
-        rows[t] = dict.fromkeys(_CHAIN_COLUMNS)
-        rows[t]["guaranteed_bound"], rows[t]["error"] = bound, (
+        for column in columns.values():
+            column[t] = None
+        columns["guaranteed_bound"][t], columns["error"][t] = bound, (
             f"keep probability {keep[t]:.3e} is below {PROB_TOL:g}; "
             "the support estimate is disjoint from the input state"
         )
-    return rows
+    return columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,7 +354,7 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
         raise ValueError(f"state dims {psi.dims} do not match config ({config.r}, {config.d})")
     m, rngs = psi.as_matrix()[None], [rng_from_seed(config.seed)]
     sigma, phi, stages = _reduction_stages(m, _reduced_states(m), config, rngs)
-    (row,) = _chain_rows(config, stages)
+    row = {name: column[0] for name, column in _chain_columns(config, stages).items()}
     if row["error"]:
         raise ReductionError(row["error"])
     f, keep, _, _, _, _, *overlaps = map(row.get, _CHAIN_COLUMNS[:9])  # the stage values
@@ -379,19 +377,20 @@ def _mixed_stage(rho, backend: TomographyBackend, r: int, rngs, shots: int):
     return sigma, _fidelities(rho_w[:, :k], rho_v[:, :, :k], *sigma[1:]).tolist()
 
 
-def _run_reductions(amps: np.ndarray, config: ReductionConfig, rngs) -> list[dict[str, Any]]:
-    """The chain record fields of each trial of a (T, r*d) stack of input amplitude
-    rows under one config, trial t drawing from rngs[t] in place of ``config.seed``'s
-    generator; the stack is split by the rank of rho only where ranks differ."""
+def _run_reductions(amps: np.ndarray, config: ReductionConfig, rngs) -> dict[str, list]:
+    """The chain record columns of a (T, r*d) stack of input amplitude rows under
+    one config, trial t drawing from rngs[t] in place of ``config.seed``'s generator;
+    the stack is split by the rank of rho only where ranks differ."""
     m = amps.reshape(len(amps), config.r, config.d)
     rho = _reduced_states(m)
     rho_ranks = _ranks(rho[1])
     if (rho_ranks != rho_ranks[0]).any():  # the oracle calibrates states of one rank at a time
-        rows = np.empty(len(amps), dtype=object)
-        for idx in _groups(rho_ranks):
-            rows[idx] = _run_reductions(amps[idx], config, [rngs[t] for t in idx])
-        return rows.tolist()
-    return _chain_rows(config, _reduction_stages(m, rho, config, rngs)[2])
+        groups = _groups(rho_ranks)
+        parts = [_run_reductions(amps[idx], config, [rngs[t] for t in idx]) for idx in groups]
+        joined = {name: [v for part in parts for v in part[name]] for name in _CHAIN_COLUMNS}
+        where = np.argsort(np.concatenate(groups)).tolist()  # each trial's place in joined
+        return {name: [column[i] for i in where] for name, column in joined.items()}
+    return _chain_columns(config, _reduction_stages(m, rho, config, rngs)[2])
 
 
 def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):

@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
 import re
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from tomoreduce import (
     ReductionConfig,
     TomographyBackend,
     child_seed,
+    cli,
     fit_scaling,
     harness,
     random_pure_state,
@@ -576,19 +580,14 @@ class TestCellSummary:
     def test_violation_count_matches_records(self):
         # the summary counts records with any unsatisfied analytic inequality
         cell = {"r": 1, "d": 2, "epsilon": 0.1}
-        base = {
-            "final_fidelity": 0.9,
-            "keep_probability": 0.95,
-            "samples_total": 100,
-            "error": "",
+        columns = {
+            "final_fidelity": [0.9] * 4,
+            "keep_probability": [0.95] * 4,
+            "samples_total": [100] * 4,
+            "error": ["", "", "", "support estimate disjoint"],
+            "violations": [0, 2, 1, 0],
         }
-        records = [
-            {**base, "violations": 0},
-            {**base, "violations": 2},
-            {**base, "violations": 1},
-            {**base, "violations": 0, "error": "support estimate disjoint"},
-        ]
-        summary = _cell_summary(ExperimentKind.CHAIN_SWEEP, cell, records)
+        summary = _cell_summary(ExperimentKind.CHAIN_SWEEP, cell, columns)
         assert summary.violations == 2
         assert summary.failures == 1
         assert summary.trials == 4
@@ -730,6 +729,123 @@ class TestStreamedRecords:
             assert f"slope {fit.slope:+.3f}, intercept {fit.intercept:+.3f}" in line
 
 
+class LabelFloat(float):
+    """A float subclass whose repr would need CSV quoting."""
+
+    def __repr__(self):
+        return f'label "{float(self)}", float'
+
+
+class LabelInt(int):
+    """An int subclass whose str would need CSV quoting."""
+
+    def __str__(self):
+        return f'label "{int(self)}", int'
+
+
+# Columns of adversarial values for the record writer: strings that CSV must
+# quote, empty strings, None, bools, ints, edge floats, numpy scalars,
+# subclasses (bool admits none, so np.bool_ stands in), and columns that mix
+# types, None with floats among them; trial t takes value t % len of each.
+ADVERSARIAL_COLUMNS = {
+    "text": ["plain", "a,b", 'say "hi"', "cr\rx", "lf\nx", "crlf\r\nx", "", " lead ", '"'],
+    "maybe": [None, 0.5, None, -0.0, 1e300],
+    "flag": [True, False, True],
+    "count": [0, -3, 2**70, 7],
+    "real": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, 2.5],
+    "numpy": [np.float64(0.5), np.int64(-2), np.bool_(False), np.float32(0.1), np.uint64(2**63)],
+    "subclass": [LabelFloat(1.5), LabelInt(4), 2.5, 3, LabelFloat(-0.0)],
+    "floats_and_subclass": [0.25, 0.75, LabelFloat(0.5)],
+    "ints_and_bools": [1, True, 0, False],
+    "none": [None],
+    "blank": [""],
+}
+
+
+def adversarial_records(count: int, first: int = 0) -> list[dict]:
+    return [
+        {k: values[t % len(values)] for k, values in ADVERSARIAL_COLUMNS.items()}
+        for t in range(first, first + count)
+    ]
+
+
+def reference_file(records, fmt: str) -> str:
+    """The text the writer must produce: csv.writer fed _CSV_CELLS/_csv_cell
+    per value under the first record's columns, or one json.dumps per record."""
+    if fmt == "jsonl":
+        return "".join(json.dumps(rec, default=harness._json_value) + "\n" for rec in records)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    keys = list(records[0])
+    writer.writerow(keys)
+    writer.writerows(
+        [harness._CSV_CELLS.get(type(v), harness._csv_cell)(v) for v in map(rec.get, keys)]
+        for rec in records
+    )
+    return buf.getvalue()
+
+
+def read_text(path) -> str:
+    with open(path, newline="") as f:
+        return f.read()
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_write_records_matches_the_per_value_writers(self, fmt, tmp_path):
+        records = adversarial_records(24)
+        out = tmp_path / f"x.{fmt}"
+        write_records(records, out, fmt)
+        assert read_text(out) == reference_file(records, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("column", sorted(ADVERSARIAL_COLUMNS))
+    def test_one_column_records(self, fmt, column, tmp_path):
+        # csv.writer quotes an empty field when it is the only one of its row
+        records = [{column: v} for v in ADVERSARIAL_COLUMNS[column]]
+        out = tmp_path / f"x.{fmt}"
+        write_records(records, out, fmt)
+        assert read_text(out) == reference_file(records, fmt)
+
+    def test_csv_records_that_lack_columns(self, tmp_path):
+        records = adversarial_records(6)
+        for t in (1, 4):
+            del records[t]["maybe"], records[t]["text"]
+        write_records(records, tmp_path / "x.csv", "csv")
+        assert read_text(tmp_path / "x.csv") == reference_file(records, "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_streamed_cells_match_the_per_value_writers(self, fmt, tmp_path, monkeypatch):
+        # three cells in stacks of one to three trials, each stack's columns
+        # the adversarial ones from an offset its first seed sets; every stack
+        # takes one tick of a counting clock, so wall_time is the same in both runs
+        stacks = []
+
+        def adversarial_fields(config, cell, trial_seeds, words):
+            count = len(trial_seeds)
+            stacks.append(count)
+            records = adversarial_records(count, int(trial_seeds[0]) % 1000)
+            columns = {k: [rec[k] for rec in records] for k in ADVERSARIAL_COLUMNS}
+            return {**columns, "infidelity": [0.5] * count, "violations": [0] * count}
+
+        monkeypatch.setitem(harness._RECORD_BUILDERS, ExperimentKind.SCALING_PURE, adversarial_fields)
+        config = ExperimentConfig(
+            experiment=ExperimentKind.SCALING_PURE, d_values=(2, 3, 4), n_values=(1000,), trials=7
+        )
+        plan_stacks(monkeypatch, config, 3)
+        clock = types.SimpleNamespace(perf_counter=itertools.count().__next__)
+        monkeypatch.setattr(harness, "time", clock)
+        out = tmp_path / f"streamed.{fmt}"
+        streamed = run_experiment(dataclasses.replace(config, out_path=str(out), out_format=fmt))
+        assert len(stacks) > len(streamed.cells) == 3
+        in_memory = run_experiment(config)
+        records = in_memory.records
+        assert in_memory.cells == streamed.cells
+        assert read_text(out) == reference_file(records, fmt)
+        write_records(records, tmp_path / f"written.{fmt}", fmt)
+        assert read_text(tmp_path / f"written.{fmt}") == read_text(out)
+
+
 class TestFitScaling:
     def test_exact_inverse_law(self):
         records = [{"n": n, "infidelity": 3.0 / n} for n in (10, 100, 1000) for _ in range(5)]
@@ -788,6 +904,41 @@ class TestCli:
         assert out.exists()
         captured = capsys.readouterr()
         assert "0 bound violation(s)" in captured.out
+
+    def test_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser once, and no parsed value outlives its call:
+        # not an --r before a call that takes the default, nor one of a call
+        # that argparse ended with SystemExit(2) or that exited 2 on a
+        # configuration error
+        build = cli.build_parser
+        builds, parsed = [], []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        convert = cli.config_from_args
+        monkeypatch.setattr(
+            cli, "config_from_args", lambda args: parsed.append(vars(args).copy()) or convert(args)
+        )
+        cli._parser.cache_clear()
+        out = str(tmp_path / "r.csv")
+        default = ["reduce", "--trials", "1", "--out", out]
+        runs = [
+            (["reduce", "--r", "1", "--d", "3", "--trials", "1", "--out", out], 0),
+            (default, 0),
+            (["reduce", "--r", "1,x", "--eps", "0.3", "--out", out], SystemExit),
+            (default, 0),
+            (["reduce", "--r", "5", "--trials", "3", "--out", out], 2),
+            (default, 0),
+        ]
+        for argv, code in runs:
+            if code is SystemExit:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+            else:
+                assert main(argv) == code
+                assert parsed.pop() == vars(build().parse_args(argv))
+        assert builds == [1]
+        assert parsed == []
+        assert "configuration error" in capsys.readouterr().err
 
     def test_invalid_grid_exit_two(self, capsys):
         code = main(["chain-sweep", "--r", "3", "--d", "2", "--trials", "1"])

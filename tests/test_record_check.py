@@ -48,3 +48,33 @@ def test_numeric_difference_and_record_count():
     assert diffs == {"z": 0.25}
     diffs = record_check.record_differences(jsonl('{"z": 0.5}'), [])
     assert list(diffs) == ["<record count>"] and math.isnan(diffs["<record count>"])
+
+
+def test_record_lines_cut_wall_time_and_keep_line_endings():
+    csv_bytes = b"x,wall_time\r\n1.5,0.25\r\n"
+    assert record_check.record_lines(csv_bytes, "csv") == [b"x\r\n", b"1.5\r\n"]
+    jsonl_bytes = b'{"x": 1.5, "wall_time": 0.25}\n'
+    assert record_check.record_lines(jsonl_bytes, "jsonl") == [b'{"x": 1.5\n']
+    # wall_time alone differs: the lines agree
+    assert record_check.line_difference(
+        record_check.record_lines(csv_bytes, "csv"),
+        record_check.record_lines(b"x,wall_time\r\n1.5,0.75\r\n", "csv"),
+    ) is None
+
+
+def test_raw_lines_show_what_parsed_records_hide():
+    # every field quoted, or lines ended by LF: csv.DictReader reads the same
+    # records, and the raw lines differ at their first changed line
+    old = b"x,s,wall_time\r\n1.5,a,0.25\r\n2.5,b,0.5\r\n"
+    for new, number in (
+        (b'"x","s","wall_time"\r\n"1.5","a","0.25"\r\n"2.5","b","0.5"\r\n', 1),
+        (b"x,s,wall_time\r\n1.5,a,0.25\n2.5,b,0.5\n", 2),
+        (b"x,s,wall_time\r\n1.5,a,0.25\r\n", 3),
+    ):
+        records = [list(csv.DictReader(io.StringIO(data.decode(), newline=""))) for data in (old, new)]
+        if number < 3:
+            assert record_check.record_differences(*records) == {}
+        diff = record_check.line_difference(
+            record_check.record_lines(old, "csv"), record_check.record_lines(new, "csv")
+        )
+        assert diff is not None and diff.startswith(f"line {number}: ")

@@ -743,7 +743,8 @@ class TestMixedRankStacks:
             r=2, d=3, n_copies=10_000, epsilon=0.1, mixed_backend=backend, pure_backend=backend
         )
         amps = np.array([psi.amplitudes for psi in self.PSIS])
-        rows = _run_reductions(amps, config, [rng_from_seed(s) for s in self.SEEDS])
+        columns = _run_reductions(amps, config, [rng_from_seed(s) for s in self.SEEDS])
+        assert list(columns) == list(_CHAIN_COLUMNS)
         assert [psi.as_matrix().shape for psi in self.PSIS] == [(2, 3)] * 7
         ranks = [partial_trace_x(psi).rank for psi in self.PSIS]
         assert set(ranks) == {1, 2}
@@ -758,7 +759,7 @@ class TestMixedRankStacks:
                 assert np.array_equal(sigma[2][j], alone.sigma.eigenvectors)
                 assert np.array_equal(sigma[0][j], alone.sigma.matrix)
                 assert np.array_equal(phi[j], alone.estimate.amplitudes)
-                row = rows[t]
+                row = {name: column[t] for name, column in columns.items()}
                 expected = report_columns(alone, _CHAIN_COLUMNS)
                 assert [(k, type(row[k]), row[k]) for k, _, _ in expected] == expected
                 assert list(row) == list(_CHAIN_COLUMNS)

@@ -11,14 +11,18 @@ one BLAS thread, from an empty working directory; the two trees' runs of a
 sweep run side by side. The ``wall_time`` column is left out of the
 comparison, since it is the only field that is not a function of the seed.
 Records are compared key by key, in order, and in JSON Lines with the type of
-each value, so ``true`` differs from ``1`` and ``1`` from ``1.0``. Where both
+each value, so ``true`` differs from ``1`` and ``1`` from ``1.0``. The record
+files are also compared line by line as raw bytes, each line cut before its
+last field, ``wall_time``, but keeping its line ending, so a change of quoting,
+float format or line ending shows even where the parsed values agree. Where both
 trees exit 2 (a configuration error), their stderr is compared too; other
 stderr is not, since a traceback holds the tree's paths. A run that leaves
 anything but its record file in its working directory, such as a temporary
 file, fails the check on either tree. For each run the script prints
-``same`` or the columns that differ with their largest absolute difference
-and any files left behind, and it exits 1 if any record, stdout, exit code
-or such stderr differs, or a run left a file behind.
+``same`` or the columns that differ with their largest absolute difference,
+the first record line whose bytes differ and any files left behind, and it
+exits 1 if any record, record line, stdout, exit code or such stderr
+differs, or a run left a file behind.
 
 With ``--stats`` the trees may draw different records from the same law,
 which a byte comparison cannot show. Every sweep of ``STATS_SWEEPS`` then
@@ -34,6 +38,7 @@ or a run left a file behind.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -129,10 +134,13 @@ STATS_ALPHA = 0.01  # family-wise false-alarm rate of the Bonferroni-corrected t
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, str, list[dict], list[str]]:
-    """Exit code, stdout, stderr, records (without wall_time) and the names of
-    any files other than the record file left in the working directory, such
-    as a temporary file, of one CLI run."""
+def run_sweep(
+    tree: Path, argv: list[str], fmt: str
+) -> tuple[int, str, str, list[dict], list[bytes], list[str]]:
+    """Exit code, stdout, stderr, records (without wall_time), the record
+    file's lines (see ``record_lines``) and the names of any files other than
+    the record file left in the working directory, such as a temporary file,
+    of one CLI run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(_ONE_THREAD, "1"))
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / f"records.{fmt}"
@@ -141,10 +149,32 @@ def run_sweep(tree: Path, argv: list[str], fmt: str) -> tuple[int, str, str, lis
             cwd=work, env=env, capture_output=True, text=True,
         )
         records = _read(out, fmt) if out.exists() else []
+        lines = record_lines(out.read_bytes(), fmt) if out.exists() else []
         leftovers = sorted(p.name for p in Path(work).iterdir() if p != out)
     for rec in records:
         rec.pop("wall_time", None)
-    return proc.returncode, proc.stdout, proc.stderr, records, leftovers
+    return proc.returncode, proc.stdout, proc.stderr, records, lines, leftovers
+
+
+def record_lines(data: bytes, fmt: str) -> list[bytes]:
+    """A record file's lines as raw bytes, each cut before its last field,
+    wall_time, by the rule of tests/test_harness.py's ``without_wall_time``,
+    and followed by its own line ending."""
+    cut = b"," if fmt == "csv" else b', "wall_time": '
+    lines = []
+    for line in data.splitlines(keepends=True):
+        body = line.rstrip(b"\r\n")
+        lines.append(body.rsplit(cut, 1)[0] + line[len(body):])
+    return lines
+
+
+def line_difference(old: list[bytes], new: list[bytes]) -> str | None:
+    """The first line that differs between two ``record_lines`` lists, with
+    both versions (None for a line one file lacks), or None if none differs."""
+    for number, (a, b) in enumerate(itertools.zip_longest(old, new), 1):
+        if a != b:
+            return f"line {number}: {a!r} -> {b!r}"
+    return None
 
 
 def _read(path: Path, fmt: str) -> list[dict]:
@@ -206,7 +236,7 @@ def compare_laws(parent: Path, change: Path) -> int:
         for sweep in STATS_SWEEPS:
             argv = [*sweep, "--trials", str(STATS_TRIALS)]
             runs = pool.map(lambda tree: run_sweep(tree, argv, "csv"), (parent, change))
-            (code_a, _, _, recs_a, left_a), (code_b, _, _, recs_b, left_b) = runs
+            (code_a, _, _, recs_a, _, left_a), (code_b, _, _, recs_b, _, left_b) = runs
             found = []
             for column in STATS_COLUMNS:
                 old, new = cell_values(recs_a, column), cell_values(recs_b, column)
@@ -251,9 +281,8 @@ def main(argv: list[str]) -> int:
         for sweep in SWEEPS:
             for fmt in FORMATS:
                 runs = pool.map(lambda tree: run_sweep(tree, sweep, fmt), (parent, change))
-                (code_a, out_a, err_a, recs_a, left_a), (code_b, out_b, err_b, recs_b, left_b) = (
-                    runs
-                )
+                (code_a, out_a, err_a, recs_a, lines_a, left_a), run_b = runs
+                code_b, out_b, err_b, recs_b, lines_b, left_b = run_b
                 problems = []
                 if left_a or left_b:
                     problems.append(f"files left behind {left_a} -> {left_b}")
@@ -265,6 +294,9 @@ def main(argv: list[str]) -> int:
                     problems.append("stderr differs")
                 diffs = record_differences(recs_a, recs_b)
                 problems += [f"{key} max |d| {delta:.3g}" for key, delta in sorted(diffs.items())]
+                line = line_difference(lines_a, lines_b)
+                if line is not None:
+                    problems.append(f"record bytes differ, first at {line}")
                 label = f"{' '.join(sweep)} [{fmt}]"
                 summary = "; ".join(problems) or "same"
                 print(f"{label}: {len(recs_b)} records, {summary}", flush=True)
