@@ -284,8 +284,9 @@ _RECORD_BUILDERS = {
 }
 
 # Every experiment runs a cell's trials in stacks, one numpy call per step for
-# the whole stack (prop-search: one vectorized search per trial, in batches of
-# at most reduction._SEARCH_BATCH triples, whatever the stack). A stack's arrays
+# the whole stack (prop-search: one search per trial, which draws its overlaps
+# in batches of at most reduction._SEARCH_BATCH triples, a few float arrays of
+# the batch length each, whatever the stack and d). A stack's arrays
 # stay within this many bytes: it holds as many trials as _trial_bytes says fit,
 # and at least one, and linear inversion keeps tomography._PRODUCT_BYTES of it
 # for its design products. Peak RSS follows the budget: whole 100-trial cells
@@ -596,6 +597,8 @@ def _write_batches(batches: Iterable[Mapping[str, list]], path, fmt: str) -> Non
         with open(tmp, "w", newline="" if fmt == "csv" else None) as f:
             if fmt == "csv":
                 csv.writer(f).writerow(keys)
+            else:  # json.dumps with a default builds an encoder per call
+                encode = json.JSONEncoder(default=_json_value).encode
             while batch is not None:
                 if fmt == "csv":
                     cells = [_csv_column(batch[k]) for k in keys]
@@ -604,7 +607,7 @@ def _write_batches(batches: Iterable[Mapping[str, list]], path, fmt: str) -> Non
                     f.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
                 else:
                     rows = (dict(zip(batch, values)) for values in zip(*batch.values()))
-                    f.writelines(json.dumps(row, default=_json_value) + "\n" for row in rows)
+                    f.writelines(encode(row) + "\n" for row in rows)
                 batch = next(batches, None)
         os.replace(tmp, out)
     finally:

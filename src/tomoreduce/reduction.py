@@ -14,8 +14,9 @@ the projection identity |<psi_tilde|psi>|^2 = keep; and, when the pure stage
 ran, eps < 1 and both stages landed, the guaranteed 1 - 16*eps bound and an
 advisory 1 - 8*eps bound that never counts as a violation. The composition
 step between the stages is checked only by a randomized search over
-synthetic triples. A side experiment measures the trace-distance
-disturbance of the projection (the gentle-measurement question).
+synthetic triples, which builds no state: it draws each triple's overlap from
+its exact law, in at most four draws a triple whatever d. A side experiment measures the
+trace-distance disturbance of the projection (the gentle-measurement question).
 
 A chain record's columns are listed once, in ``_CHAIN_COLUMNS``; ``_chain_columns``
 fills them, a list each, from a stack's stage arrays with one ``_chain``, and builds
@@ -131,6 +132,7 @@ class ReductionConfig:
         _check_integer("n_copies", self.n_copies)
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
+        object.__setattr__(self, "n_copies", int(self.n_copies))
         _check_copy_factor(self.extra_copy_factor)
         _check_count("extra copies", self.extra_copy_factor * self.r**2 / self.epsilon)
         if self.mixed_backend is None:
@@ -542,105 +544,52 @@ class PropositionSearchResult:
     max_triangle_excess: float  # max of dist_sq_c - (2*dist_sq_a + 2*dist_sq_b)
 
 
-_SEARCH_BATCH = 65536  # triples drawn per vectorized batch
+_SEARCH_BATCH = 65536  # triples drawn per batch
 _EDGE_FRACTION = 0.125  # share of each batch with a and b pinned at 1 - eta
 
 
-def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """Sum of the d rows of a (d, m) real or complex array, with the bits that
-    np.sum(..., axis=1) gives on its (m, d) transpose held as C-contiguous rows.
-
-    That is numpy's pairwise summation of d contiguous scalars: in order below
-    8 scalars, in 8 interleaved accumulators up to 128, and beyond that as the
-    sum of two halves split at a multiple of 8. A complex element counts as two
-    interleaved scalars, so 4 accumulators hold its real and imaginary parts.
-    Each step adds whole rows, m elements at a time.
-    """
-    d = len(x)
-    width = 2 if np.iscomplexobj(x) else 1  # float64 scalars per element
-    if width * d < 8:
-        out = x[0].copy()
-        for row in x[1:]:
-            out += row
-        return out
-    if width * d > 128:
-        half = width * d // 2
-        half -= half % 8
-        return _sum_rows(x[: half // width]) + _sum_rows(x[half // width :])
-    lanes = 8 // width
-    full = d - d % lanes
-    acc = x[:lanes]
-    if full > lanes:
-        acc = acc.copy()
-        for i in range(lanes, full, lanes):
-            acc += x[i : i + lanes]
-    while len(acc) > 1:
-        acc = acc[0::2] + acc[1::2]
-    out = acc[0]
-    for row in x[full:]:
-        out += row
-    return out
-
-
-def _unit_columns(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """(d, m) columns of complex Gaussians from an (m, d) real and then an
-    (m, d) imaginary draw: the bits of re + 1j*im, transposed."""
-    z = np.empty((d, m), dtype=complex)
-    z.real = rng.standard_normal((m, d)).T
-    z.imag = rng.standard_normal((m, d)).T
-    return z
-
-
-def _normalize_columns(z: np.ndarray, t: np.ndarray, floor: float = 0.0) -> None:
-    """Divide each (d, m) column of z in place by the larger of its norm and
-    floor, the norm with the bits of np.linalg.norm on rows; t is scratch of
-    z's shape."""
-    np.conjugate(z, out=t)
-    t *= z
-    z /= np.maximum(np.sqrt(_sum_rows(t.real)), floor)
-
-
-def _rotate_toward_orthogonal(
-    rng: np.random.Generator, base: np.ndarray, eta: float, n_edge: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit (d, m) columns rotated toward random orthogonal unit columns, with a
-    random phase and overlap moduli from [1 - eta, 1] (the first n_edge at
-    1 - eta), and the moduli."""
-    d, m = base.shape
-    chi = _unit_columns(rng, m, d)
-    t = np.conjugate(base)
-    t *= chi
-    np.multiply(_sum_rows(t), base, out=t)
-    chi -= t
-    _normalize_columns(chi, t, 1e-300)
+def _composition_triples(rng: np.random.Generator, d: int, eta: float, m: int, n_edge: int):
+    """The moduli a, b and the overlaps c of m triples of ``proposition_search``,
+    the first n_edge with a and b pinned at 1 - eta, drawn from their exact law in
+    this order: a, b, |w|^2 (for d >= 3), omega."""
     a = rng.uniform(1.0 - eta, 1.0, m)
     a[:n_edge] = 1.0 - eta
-    th = rng.uniform(0.0, 2.0 * np.pi, m)
-    rotated = np.multiply(a, base, out=t)
-    np.multiply(np.sqrt(1.0 - a**2), chi, out=chi)
-    rotated += chi
-    del chi
-    np.multiply(np.exp(1j * th), rotated, out=rotated)
-    return rotated, a
+    b = rng.uniform(1.0 - eta, 1.0, m)
+    b[:n_edge] = 1.0 - eta
+    ab = a * b
+    s = np.sqrt((1.0 - a * a) * (1.0 - b * b))
+    if d > 2:  # |w| = sqrt(1 - U^(1/(d-2))), the inverse CDF of Beta(1, d-2) at 1 - U
+        s *= np.sqrt(-np.expm1(np.log1p(-rng.random(m)) / (d - 2)))
+    # |x + y e^(i omega)|^2 = (x - y)^2 + 2xy(1 + cos omega), a sum of terms >= 0
+    c = np.cos(rng.uniform(0.0, 2.0 * np.pi, m))
+    c += 1.0
+    c *= 2.0 * ab * s
+    c += (ab - s) ** 2
+    return a, b, np.sqrt(c, out=c)
 
 
 def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearchResult:
     """Randomized search over state triples satisfying a, b >= 1 - eta.
 
-    Each triple is built by rotating a Haar-random state toward random
-    orthogonal directions with overlap moduli drawn from [1 - eta, 1] (an
-    eighth of each batch pinned exactly at the edge) and random relative
-    phases, then c = |<phi|psi>| is tested against 1 - 4*eta with slack 1e-9.
+    A triple is psi, phi_t = e^(i theta_1) (a psi + sqrt(1 - a^2) chi_1) and
+    phi = e^(i theta_2) (b phi_t + sqrt(1 - b^2) chi_2) in C^d, with chi_1 Haar
+    on psi's orthogonal complement, chi_2 Haar on phi_t's, the moduli a and b
+    uniform on [1 - eta, 1] (an eighth of each batch pinned at 1 - eta) and the
+    phases uniform; c = |<phi|psi>| is tested against 1 - 4*eta with slack
+    CHAIN_SLACK. No vector is built: c is drawn from its exact law. Write
+    psi = a e^(-i theta_1) phi_t + sqrt(1 - a^2) u, with u the unit vector of
+    phi_t's complement in span{psi, chi_1}. Then
 
-    The triples come in batches of up to ``_SEARCH_BATCH``, and each batch
-    draws, in this order: psi's real and then imaginary (m, d) Gaussians;
-    chi_1's real and imaginary (m, d) Gaussians, the m moduli a and the m
-    phases theta_1; then chi_2's, b and theta_2 the same way. A batch is held
-    as C-contiguous (d, m) complex columns, one triple a column, with each
-    draw written transposed into them, so every numpy step runs over the m
-    triples of a row. The sums over d follow numpy's pairwise order on rows
-    (``_sum_rows``), so the result is, bit for bit, that of the same steps on
-    (m, d) rows.
+        <psi|phi> = e^(i theta_2) (ab e^(i theta_1) + sqrt(1 - a^2) sqrt(1 - b^2) w),
+
+    where w = <u|chi_2> is one coordinate of a Haar unit vector of the
+    (d - 1)-dimensional complement of phi_t: |w|^2 ~ Beta(1, d - 2) for d >= 3,
+    |w| = 1 at d = 2, and the phase of w is uniform and independent of |w|, a,
+    b and theta_1. So c = |ab + sqrt(1 - a^2) sqrt(1 - b^2) |w| e^(i omega)|
+    with omega = arg w - theta_1 uniform, and theta_2, a global phase of phi,
+    never enters. A triple takes the draws a, b, |w| (for d >= 3) and omega
+    (``_composition_triples``), in batches of up to ``_SEARCH_BATCH`` triples,
+    a few float arrays of the batch length each, whatever d.
     """
     _check_integer("d", d)
     _check_integer("count", count)
@@ -651,6 +600,7 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
         raise ValueError("eta must be in (0, 1)")
     if count < 1:
         raise ValueError("count must be positive")
+    count = int(count)
     rng = rng_from_seed(seed)
     checked = 0
     violations = 0
@@ -659,17 +609,7 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
     max_excess = -np.inf
     while checked < count:
         m = min(_SEARCH_BATCH, count - checked)
-        n_edge = int(_EDGE_FRACTION * m)
-        psi = _unit_columns(rng, m, d)
-        _normalize_columns(psi, np.empty_like(psi))
-        # phi first holds the intermediate psi_t; rebinding it frees psi_t
-        phi, a = _rotate_toward_orthogonal(rng, psi, eta, n_edge)
-        phi, b = _rotate_toward_orthogonal(rng, phi, eta, n_edge)
-        np.conjugate(phi, out=phi)
-        phi *= psi
-        del psi
-        c = np.abs(_sum_rows(phi))
-        del phi
+        a, b, c = _composition_triples(rng, d, eta, m, int(_EDGE_FRACTION * m))
         slack, excess = _composition_margins(a, b, c, eta)
         violations += int(np.count_nonzero(slack < -CHAIN_SLACK))
         min_slack = min(min_slack, float(slack.min()))
@@ -728,6 +668,7 @@ def gentle_measurement_experiment(
     _check_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
+    trials = int(trials)
     _check_perturbable(psi.d)
     trial_seeds = _child_seeds(_check_seed("master seed", seed), np.arange(trials))
     rngs = _generators(_generator_words(trial_seeds))

@@ -138,11 +138,11 @@ def report_columns(report, columns) -> list[tuple]:
     return out
 
 
-# The composition search on (m, d) rows, as the library ran it before its
-# kernel moved to (d, m) columns: the same draws in the same order, each
-# batch's triples summed along rows by numpy itself.
-SEARCH_BATCH = 65536
-EDGE_FRACTION = 0.125
+# The composition search built from vectors, the reference for the law that
+# proposition_search draws each triple's overlap from: psi Haar, phi_t and phi
+# rotated from psi and phi_t toward Haar unit vectors of their orthogonal
+# complements, held as (m, d) rows, ROW_BATCH triples at a time.
+ROW_BATCH = 16384
 
 
 def _random_unit_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
@@ -160,44 +160,30 @@ def _orthogonal_unit_rows(rng: np.random.Generator, base: np.ndarray) -> np.ndar
 
 
 def _rotate_toward_orthogonal(
-    rng: np.random.Generator, base: np.ndarray, eta: float, n_edge: int
+    rng: np.random.Generator, base: np.ndarray, eta: float, edge: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     m = base.shape[0]
     chi = _orthogonal_unit_rows(rng, base)
-    a = rng.uniform(1.0 - eta, 1.0, m)
-    a[:n_edge] = 1.0 - eta
+    a = np.full(m, 1.0 - eta) if edge else rng.uniform(1.0 - eta, 1.0, m)
     th = rng.uniform(0.0, 2.0 * np.pi, m)
     rotated = np.exp(1j * th)[:, None] * (a[:, None] * base + np.sqrt(1.0 - a**2)[:, None] * chi)
-    return rotated, a
+    return rotated, chi
 
 
-def proposition_search_rows(d: int, eta: float, count: int, seed: int, slack: float) -> dict:
-    """The fields of a PropositionSearchResult, with violations counted below
-    -slack."""
+def proposition_search_rows(d: int, eta: float, count: int, seed: int, edge: bool):
+    """The overlap c = |<phi|psi>| and |w|^2 = |<u|chi_2>|^2, u the unit vector
+    of phi_t's complement in span{psi, chi_1}, of count triples built from
+    vectors, with the moduli a and b all pinned at 1 - eta when edge, else none."""
     rng = np.random.default_rng(seed)
-    checked = 0
-    violations = 0
-    min_slack = np.inf
-    min_c = np.inf
-    max_excess = -np.inf
-    while checked < count:
-        m = min(SEARCH_BATCH, count - checked)
-        n_edge = int(EDGE_FRACTION * m)
+    parts = []
+    for start in range(0, count, ROW_BATCH):
+        m = min(ROW_BATCH, count - start)
         psi = _random_unit_rows(rng, m, d)
-        phi, a = _rotate_toward_orthogonal(rng, psi, eta, n_edge)
-        phi, b = _rotate_toward_orthogonal(rng, phi, eta, n_edge)
+        phi_t, _ = _rotate_toward_orthogonal(rng, psi, eta, edge)
+        phi, chi_2 = _rotate_toward_orthogonal(rng, phi_t, eta, edge)
         c = np.abs(np.sum(phi.conj() * psi, axis=1))
-        margin = c - (1.0 - 4.0 * eta)
-        excess = (2.0 - 2.0 * c) - (2.0 * (2.0 - 2.0 * a) + 2.0 * (2.0 - 2.0 * b))
-        violations += int(np.count_nonzero(margin < -slack))
-        min_slack = min(min_slack, float(margin.min()))
-        min_c = min(min_c, float(c.min()))
-        max_excess = max(max_excess, float(excess.max()))
-        checked += m
-    return {
-        "checked": checked,
-        "violations": violations,
-        "min_slack": float(min_slack),
-        "min_c": float(min_c),
-        "max_triangle_excess": float(max_excess),
-    }
+        u = psi - np.sum(phi_t.conj() * psi, axis=1)[:, None] * phi_t
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        w_sq = np.abs(np.sum(u.conj() * chi_2, axis=1)) ** 2
+        parts.append((c, w_sq))
+    return tuple(np.concatenate(column) for column in zip(*parts))

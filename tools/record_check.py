@@ -61,8 +61,8 @@ from pathlib import Path
 # under the memory budget (harness._stack_size); a wide-eps grid whose calibration
 # overshoots the window and bisects back (one stack) and redraws families (16
 # times), which no other sweep reaches; prop-search at d = 7, 8, 9 and 16 with
-# 70,000 triples a trial, whose sums take numpy's 8-accumulator branch and
-# whose trials run a second batch, which the default d grid never reaches;
+# 70,000 triples a trial, whose trials run a second batch of
+# reduction._SEARCH_BATCH triples, which the default grid never reaches;
 # a chain grid down to the oracles' eps = 1e-12 floor, where the last bits of
 # F(rho, sigma) decide keep >= F and the landing tests, which no other sweep
 # takes below 1e-5; the same floor at r = 3 (d = 3 and 8), where calibration
@@ -115,20 +115,23 @@ SWEEPS = (
     ["chain-sweep", "--d", "1"],
 )
 FORMATS = ("csv", "jsonl")
-# The sweeps of --stats: both chain backends and gentle on the default grid,
-# and the scale-* grids of SWEEPS, from the d^2 floor to 1e5 shots.
+# The sweeps of --stats: both chain backends, gentle and prop-search on the
+# default grid, and the scale-* grids of SWEEPS, from the d^2 floor to 1e5 shots.
 STATS_SWEEPS = (
     ["chain-sweep"],
     ["chain-sweep", "--backend", "measurement"],
     ["gentle"],
+    ["prop-search"],
     ["scale-pure", "--d", "2,3,4,8", "--n", "64,1000,100000"],
     ["scale-mixed", "--r", "1,2,3", "--d", "3,4,8", "--n", "64,1000,100000"],
 )
 STATS_TRIALS = 400
 # the chain's stage-1 fidelity, keep probability and final fidelity, gentle's
-# trace distance and the scale-* infidelity; a sweep's records hold some of them
+# trace distance, the scale-* infidelity and prop-search's extremes over a
+# trial's triples; a sweep's records hold some of them
 STATS_COLUMNS = (
-    "fidelity_mixed_estimate", "keep_probability", "final_fidelity", "trace_distance", "infidelity"
+    "fidelity_mixed_estimate", "keep_probability", "final_fidelity", "trace_distance",
+    "infidelity", "min_slack", "min_c", "max_triangle_excess",
 )
 STATS_ALPHA = 0.01  # family-wise false-alarm rate of the Bonferroni-corrected tests
 _ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
