@@ -15,8 +15,9 @@ ran, eps < 1 and both stages landed, the guaranteed 1 - 16*eps bound and an
 advisory 1 - 8*eps bound that never counts as a violation. The composition
 step between the stages is checked only by a randomized search over
 synthetic triples, which builds no state: it draws each triple's overlap from
-its exact law, in at most four draws a triple whatever d. A side experiment measures the
-trace-distance disturbance of the projection (the gentle-measurement question).
+its exact law, in at most four draws a triple whatever d. A side experiment
+measures the trace-distance disturbance of the projection (the
+gentle-measurement question).
 
 A chain record's columns are listed once, in ``_CHAIN_COLUMNS``; ``_chain_columns``
 fills them, a list each, from a stack's stage arrays with one ``_chain``, and builds
@@ -558,7 +559,7 @@ def _composition_triples(rng: np.random.Generator, d: int, eta: float, m: int, n
     b[:n_edge] = 1.0 - eta
     ab = a * b
     s = np.sqrt((1.0 - a * a) * (1.0 - b * b))
-    if d > 2:  # |w| = sqrt(1 - U^(1/(d-2))), the inverse CDF of Beta(1, d-2) at 1 - U
+    if d > 2:  # |w|^2 = 1 - (1 - U)^(1/(d-2)), Beta(1, d-2)'s inverse CDF at U uniform
         s *= np.sqrt(-np.expm1(np.log1p(-rng.random(m)) / (d - 2)))
     # |x + y e^(i omega)|^2 = (x - y)^2 + 2xy(1 + cos omega), a sum of terms >= 0
     c = np.cos(rng.uniform(0.0, 2.0 * np.pi, m))
