@@ -161,29 +161,37 @@ def _orthogonal_unit_rows(rng: np.random.Generator, base: np.ndarray) -> np.ndar
 
 def _rotate_toward_orthogonal(
     rng: np.random.Generator, base: np.ndarray, eta: float, edge: bool
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = base.shape[0]
     chi = _orthogonal_unit_rows(rng, base)
     a = np.full(m, 1.0 - eta) if edge else rng.uniform(1.0 - eta, 1.0, m)
     th = rng.uniform(0.0, 2.0 * np.pi, m)
     rotated = np.exp(1j * th)[:, None] * (a[:, None] * base + np.sqrt(1.0 - a**2)[:, None] * chi)
-    return rotated, chi
+    return rotated, chi, a
 
 
-def proposition_search_rows(d: int, eta: float, count: int, seed: int, edge: bool):
-    """The overlap c = |<phi|psi>| and |w|^2 = |<u|chi_2>|^2, u the unit vector
-    of phi_t's complement in span{psi, chi_1}, of count triples built from
-    vectors, with the moduli a and b all pinned at 1 - eta when edge, else none."""
+def composition_rows(d: int, eta: float, count: int, seed: int, edge: bool):
+    """The moduli a and b, the phase theta_1 of <psi|phi_t>, w = <u|chi_2>, u the
+    unit vector of phi_t's complement in span{psi, chi_1}, and the overlap
+    c = |<phi|psi>| of count triples built from vectors, with a and b all pinned
+    at 1 - eta when edge, else none."""
     rng = np.random.default_rng(seed)
     parts = []
     for start in range(0, count, ROW_BATCH):
         m = min(ROW_BATCH, count - start)
         psi = _random_unit_rows(rng, m, d)
-        phi_t, _ = _rotate_toward_orthogonal(rng, psi, eta, edge)
-        phi, chi_2 = _rotate_toward_orthogonal(rng, phi_t, eta, edge)
+        phi_t, _, a = _rotate_toward_orthogonal(rng, psi, eta, edge)
+        phi, chi_2, b = _rotate_toward_orthogonal(rng, phi_t, eta, edge)
         c = np.abs(np.sum(phi.conj() * psi, axis=1))
-        u = psi - np.sum(phi_t.conj() * psi, axis=1)[:, None] * phi_t
+        ip = np.sum(phi_t.conj() * psi, axis=1)  # a e^(-i theta_1)
+        u = psi - ip[:, None] * phi_t
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        w_sq = np.abs(np.sum(u.conj() * chi_2, axis=1)) ** 2
-        parts.append((c, w_sq))
+        w = np.sum(u.conj() * chi_2, axis=1)
+        parts.append((a, b, -np.angle(ip), w, c))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def proposition_search_rows(d: int, eta: float, count: int, seed: int, edge: bool):
+    """The overlap c and |w|^2 of ``composition_rows``."""
+    _, _, _, w, c = composition_rows(d, eta, count, seed, edge)
+    return c, np.abs(w) ** 2

@@ -49,7 +49,12 @@ from tomoreduce.reduction import (
 )
 from tomoreduce.states import _reduced_states
 
-from oracles import proposition_search_rows, random_density_matrix, report_columns
+from oracles import (
+    composition_rows,
+    proposition_search_rows,
+    random_density_matrix,
+    report_columns,
+)
 
 
 @st.composite
@@ -648,6 +653,29 @@ class TestGeometricComposition:
             assert c >= 1 - 4 * eta - 1e-12
 
 
+class _ReplayDraws:
+    """A stand-in generator that returns prescribed draws, each checked against
+    the call that asks for it: ("uniform", low, high, values) or ("random", values)."""
+
+    def __init__(self, draws):
+        self._draws = list(draws)
+
+    def _next(self, *call):
+        *expected, values = self._draws.pop(0)
+        assert tuple(expected) == call
+        return np.array(values, dtype=float)
+
+    def uniform(self, low, high, size):
+        out = self._next("uniform", low, high)
+        assert out.shape == (size,)
+        return out
+
+    def random(self, size):
+        out = self._next("random")
+        assert out.shape == (size,)
+        return out
+
+
 class TestPropositionSearch:
     def test_no_violations_small_run(self):
         for d in (2, 4, 6):
@@ -680,6 +708,48 @@ class TestPropositionSearch:
         rng = rng_from_seed(100 + d)
         _, _, c = reduction._composition_triples(rng, d, eta, count, count if edge else 0)
         assert ks_2samp(c, c_rows).pvalue >= 1e-4
+
+    @pytest.mark.parametrize("edge", [False, True], ids=["bulk", "edge"])
+    @pytest.mark.parametrize("eta", [0.01, 0.3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 16, 65])
+    def test_draws_of_a_vector_triple_give_its_overlap(self, d, eta, edge):
+        # replay each vector triple's a, b, |w|^2 and omega = arg w - theta_1 as
+        # the sampler's draws: it must return that triple's c, not only its law
+        m = 2_000
+        a, b, theta_1, w, c_rows = composition_rows(d, eta, m, d, edge)
+        draws = [("uniform", 1.0 - eta, 1.0, a), ("uniform", 1.0 - eta, 1.0, b)]
+        if d > 2:  # U with 1 - (1 - U)^(1/(d-2)) = |w|^2
+            draws.append(("random", -np.expm1((d - 2) * np.log1p(-np.abs(w) ** 2))))
+        draws.append(("uniform", 0.0, 2.0 * np.pi, np.mod(np.angle(w) - theta_1, 2.0 * np.pi)))
+        got_a, got_b, c = reduction._composition_triples(
+            _ReplayDraws(draws), d, eta, m, m if edge else 0
+        )
+        assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+        np.testing.assert_allclose(c, c_rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [5, 10_000, 70_000])  # 70,000 crosses a batch
+    @pytest.mark.parametrize("eta", [0.01, 0.3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 16, 65])
+    def test_folds_batches_of_triples_drawn_in_turn(self, d, eta, count):
+        # batches of 65,536 triples from one stream, the first eighth of each
+        # pinned at the edge: a change to either changes every prop-search record
+        rng = rng_from_seed(d)
+        batches = []
+        for start in range(0, count, 65_536):
+            m = min(65_536, count - start)
+            batches.append(reduction._composition_triples(rng, d, eta, m, m // 8))
+        a, b, c = (np.concatenate(column) for column in zip(*batches))
+        margin = c - (1.0 - 4.0 * eta)
+        excess = (2.0 - 2.0 * c) - (2.0 * (2.0 - 2.0 * a) + 2.0 * (2.0 - 2.0 * b))
+        expected = {
+            "checked": count,
+            "violations": int(np.count_nonzero(margin < -CHAIN_SLACK)),
+            "min_slack": float(margin.min()),
+            "min_c": float(c.min()),
+            "max_triangle_excess": float(excess.max()),
+        }
+        assert expected["violations"] == 0
+        assert dataclasses.asdict(proposition_search(d, eta, count, d)) == expected
 
     def test_peak_memory_stays_below_nine_float_batch_arrays(self):
         # a batch holds a few float arrays of its length, whatever d: one complex
