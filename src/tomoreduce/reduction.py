@@ -335,15 +335,6 @@ def _support_projections(m: np.ndarray, w: np.ndarray, v: np.ndarray, rank_cap: 
     return ranks, keep, usable, rows
 
 
-def _embeddings(basis: np.ndarray, r: int) -> np.ndarray:
-    """kron(I_r, B_t) for a (T, d, k) stack of support bases, shape (T, r*d, r*k)."""
-    count, d, k = basis.shape
-    embed = np.zeros((count, r, d, r, k), dtype=complex)
-    for x in range(r):
-        embed[:, x, :, x, :] = basis
-    return embed.reshape(count, r * d, r * k)
-
-
 def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     """Run the four-stage reduction on one bipartite pure input.
 
@@ -411,23 +402,24 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
     extra_copies = config.extra_copies
     kept = np.zeros(count, dtype=np.int64)
     kept[usable] = [rngs[t].binomial(extra_copies, keep[t]) for t in usable.tolist()]
-    # The pure-state stage runs in coordinates on (X register) x supp(Pi),
-    # a subspace of dimension r * rank(Pi) <= r^2. Rows of phi stay zero where
-    # the stage is starved, and their overlaps are replaced by NaN.
+    # The pure-state stage runs on (X register) x supp(Pi), of dimension r * rank(Pi) <= r^2,
+    # in stage 3's coordinates M conj(B), and its estimate S is lifted back as S B^T.
+    # Rows of phi stay zero where the stage is starved, and their overlaps are replaced by NaN.
     support = ranks[usable]
     fed = kept[usable] >= config.pure_backend.min_shots(r * support)
     phi = np.where((fed & (r * support == 1))[:, None], tilde, 0.0)  # tomography is trivially exact
     lifted = np.flatnonzero(fed & (r * support > 1))
     for at in (lifted[idx] for idx in _groups(support[lifted])):
         trials, k = usable[at], support[at[0]]
-        embed = _embeddings(sigma[2][trials, :, :k], r)
-        coords = (embed.conj().swapaxes(1, 2) @ tilde[at][:, :, None])[:, :, 0]
+        basis = sigma[2][trials, :, :k]
+        coords = (tilde[at].reshape(-1, r, config.d) @ basis.conj()).reshape(-1, r * k)
         # the stacked dots of _row_norms are those of one row's norm alone
         coords = coords / _row_norms(coords)[:, None]
         _check_unit_norms(coords)
         stage = config.pure_backend._estimate_pure_stack
         in_support = stage(coords, [rngs[t] for t in trials], kept[trials])
-        phi[at] = _phase_normalized((embed @ in_support[:, :, None])[:, :, 0])
+        lift = in_support.reshape(-1, r, k) @ basis.swapaxes(1, 2)
+        phi[at] = _phase_normalized(lift.reshape(-1, r * config.d))
     _check_unit_norms(phi[lifted])
     overlaps = np.full((3, count), np.nan)
     overlaps[:, usable] = _stage_fidelities(m.reshape(count, -1)[usable], tilde, phi)

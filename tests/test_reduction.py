@@ -213,15 +213,44 @@ class TestRunReduction:
         assert a.kept_count == b.kept_count
         np.testing.assert_array_equal(a.sigma.matrix, b.sigma.matrix)
 
-    def test_estimate_lies_in_subspace(self):
-        # phi must live in (X register) (x) supp(Pi)
-        psi = random_pure_state(2, 5, seed=10)
-        cfg = ReductionConfig(r=2, d=5, n_copies=10, epsilon=0.05, seed=11)
-        rep = run_reduction(psi, cfg)
-        basis = rep.sigma.eigenvectors[:, : rep.projector_rank]
-        embed = np.kron(np.eye(2, dtype=complex), basis)
-        inside = embed @ (embed.conj().T @ rep.estimate.amplitudes)
-        assert np.linalg.norm(rep.estimate.amplitudes - inside) < 1e-9
+    @pytest.mark.parametrize(
+        "kind, r, d, eps_values, projector_ranks",
+        [
+            ("oracle", 2, 5, (0.1, 1e-3, 1e-12), {2}),
+            ("oracle", 3, 4, (0.1, 1e-3, 1e-12), {3}),
+            ("measurement", 2, 4, (0.1, 0.01), {2}),
+            # a measurement cell whose projector ranks differ between trials
+            ("measurement", 3, 3, (0.1, 0.01), {2, 3}),
+        ],
+        ids=["oracle-r2", "oracle-r3", "measurement-r2", "measurement-r3"],
+    )
+    def test_estimate_lies_in_subspace(self, kind, r, d, eps_values, projector_ranks):
+        # phi must live in (X register) (x) supp(Pi), checked against the
+        # projector kron(I_r, B) kron(I_r, B)^dagger on B = sigma's leading
+        # eigenvectors; then |<phi|psi>|^2 = keep * |<phi|psi_tilde>|^2 exactly
+        ranks_seen = set()
+        for eps in eps_values:
+            backend = (
+                TomographyBackend.oracle(eps)
+                if kind == "oracle"
+                else TomographyBackend.linear_inversion(10_000)
+            )
+            config = ReductionConfig(
+                r=r, d=d, n_copies=10_000, epsilon=eps, mixed_backend=backend, pure_backend=backend
+            )
+            seeds = [child_seed(10, r, d, t) for t in range(40)]
+            m = np.array([random_pure_state(r, d, s).as_matrix() for s in seeds])
+            rngs = [rng_from_seed(child_seed(s, 1)) for s in seeds]
+            sigma, phi, stages = _reduction_stages(m, _reduced_states(m), config, rngs)
+            _, keep, ranks, _, usable, fed, (_, estimate, final) = stages
+            assert fed.all()
+            for row, t in enumerate(usable):
+                embed = np.kron(np.eye(r), sigma[2][t, :, : ranks[t]])
+                inside = embed @ (embed.conj().T @ phi[row])
+                assert np.linalg.norm(phi[row] - inside) <= 1e-13
+                assert abs(final[t] - keep[t] * estimate[t]) <= 1e-13
+            ranks_seen.update(ranks[usable].tolist())
+        assert ranks_seen == projector_ranks
 
     def test_dims_mismatch(self):
         cfg = ReductionConfig(r=2, d=4, n_copies=10, epsilon=0.1)

@@ -554,12 +554,18 @@ class TestRowForms:
         g = rng.standard_normal((2, 2, 9, 2 * n))
         a, b = g[:, 0] + 1j * g[:, 1]
         mix = rng.standard_normal((2, 9, n, 2 * n)) + 1j * rng.standard_normal((2, 9, n, 2 * n))
+        r = next(x for x in (3, 2, 1) if n % x == 0)
+        left = rng.standard_normal((2, 9, r, 5)) + 1j * rng.standard_normal((2, 9, r, 5))
+        right = rng.standard_normal((2, 9, 5, n // r)) + 1j * rng.standard_normal((2, 9, 5, n // r))
         stacks = {
             "contiguous": (a[:, :n].copy(), b[:, :n].copy()),
             "prefix": (a[:, :n], b[:, :n]),
             "every_other": (a[:, ::2], b[:, ::2]),
-            # the [:, :, 0] slice of a stacked product, as _run_reductions normalizes
+            # the [:, :, 0] slice of a stacked matrix-vector product, a view of its (T, n, 1) result
             "product_slice": ((mix[0] @ a[:, :, None])[:, :, 0], (mix[1] @ b[:, :, None])[:, :, 0]),
+            # a stacked (T, r, d) @ (T, d, k) product reshaped to rows of r * k = n, as
+            # _reduction_stages normalizes the pure-state stage's coordinates
+            "factor_product": tuple((left @ right).reshape(2, 9, n)),
         }
         for x, y in stacks.values():
             assert np.array_equal(_row_vdots(x, y), [np.vdot(p, q) for p, q in zip(x, y)])

@@ -15,9 +15,11 @@ metric each side's median and quartiles and the number of pairs the change
 won, in the direction BENCHMARK.json gives the metric, plus each side's share
 of failed operations (failed over attempted, summed over its runs). Quartiles
 are those of ``statistics.quantiles(values, n=4)``, as ``benchmark/repeat.py``
-prints them. If a run fails or reports incorrect output, the script writes the
-report so far, with that workload's finished pairs and the failing side, its
-seed and the last lines of its stderr and stdout, and exits 1.
+prints them. Each end-to-end metric with a ``bound`` in BENCHMARK.json also gets
+a verdict, printed and stored: ``gain``, ``worse``, ``unresolved`` or ``within
+bound`` (see ``verdict``). If a run fails or reports incorrect output, the
+script writes the report so far, with that workload's finished pairs and the
+failing side, its seed and the last lines of its stderr and stdout, and exits 1.
 """
 
 from __future__ import annotations
@@ -83,9 +85,34 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change
-    won; and each side's failed share of the operations it attempted."""
+def verdict(entry: dict, parent: list[float], change: list[float], bound: float) -> str:
+    """The verdict on one metric's pairs, whose summary entry is ``entry``:
+
+    - ``gain``: the change is better in at least 9 of 10 pairs, and its median
+      beats the parent's by more than the parent's quartile spread Q3 - Q1;
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    - ``unresolved``: the parent's (Q3 - Q1) / median exceeds ``bound``, and
+      not every change run beats every parent run;
+    - ``within bound``: every other case.
+    """
+    sign = 1 if entry["better"] == "higher" else -1
+    p, c = entry["parent"], entry["change"]
+    parent_spread, scale = p["q3"] - p["q1"], bound * abs(p["median"])
+    gain = sign * (c["median"] - p["median"])
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gain > parent_spread:
+        return "gain"
+    if -gain > scale:
+        return "worse"
+    if parent_spread > scale and min(sign * x for x in change) <= max(sign * x for x in parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change won
+    and, for metrics with a bound, the bound and the verdict; and each side's
+    failed share of the operations it attempted."""
     summary = {"failed_share": {
         side: sum(p[side]["failed"] for p in pairs) / max(1, sum(p[side]["attempted"] for p in pairs))
         for side in ("parent", "change")
@@ -99,6 +126,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             entry["better"] = better[name]
             entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             entry["pairs"] = len(pairs)
+            if name in bounds:
+                entry["bound"] = bounds[name]
+                entry["verdict"] = verdict(entry, parent, change, bounds[name])
         summary[name] = entry
     return summary
 
@@ -115,6 +145,7 @@ def main() -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     report = {
@@ -137,7 +168,7 @@ def main() -> int:
                     failure = {"side": side, "seed": seed, "reason": str(error),
                                "stderr_tail": error.stderr_tail, "stdout_tail": error.stdout_tail}
                     report["workloads"][workload] = {
-                        "pairs": pairs, "summary": summarize(pairs, better), "failure": failure,
+                        "pairs": pairs, "summary": summarize(pairs, better, bounds), "failure": failure,
                     }
                     args.out.write_text(json.dumps(report, indent=1) + "\n")
                     print(f"{workload} seed {seed}: {side} run failed ({error}); "
@@ -149,7 +180,7 @@ def main() -> int:
                 f"{name} {pair['parent']['metrics'][name]:.6g} -> {pair['change']['metrics'][name]:.6g}"
                 for name in pair["parent"]["metrics"] if name in better
             ), flush=True)
-        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+        report["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better, bounds)}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         shares = entry["summary"]["failed_share"]
@@ -158,7 +189,8 @@ def main() -> int:
             if "change_wins" in s:
                 print(f"== {workload} {name}: median {s['parent']['median']:.6g} -> "
                       f"{s['change']['median']:.6g}, parent quartiles {s['parent']['q1']:.6g}-"
-                      f"{s['parent']['q3']:.6g}, change better in {s['change_wins']} of {s['pairs']}")
+                      f"{s['parent']['q3']:.6g}, change better in {s['change_wins']} of {s['pairs']}"
+                      + (f": {s['verdict']} (bound {s['bound']:g})" if "verdict" in s else ""))
     return 0
 
 
