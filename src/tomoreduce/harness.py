@@ -399,7 +399,11 @@ def _extreme(values: Sequence[float], pick) -> float:
 
 
 def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], columns: Mapping) -> CellSummary:
-    label = ",".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in cell.items())
+    # repr, the shortest text that reads back as the same float, keeps apart cells
+    # that a fixed precision merges (0.1 and 0.1000001) or rounds (1 - 1e-13 to 1)
+    label = ",".join(
+        f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}" for k, v in cell.items()
+    )
     violations = sum(1 for v in columns["violations"] if (v or 0) > 0)
     failures = sum(1 for error in columns.get("error", ()) if error)
     stats: dict[str, float] = {}

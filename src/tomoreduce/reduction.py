@@ -68,7 +68,7 @@ from .tomography import (
     _calibrated_estimates,
     _check_perturbable,
     _check_window,
-    _trace_distances,
+    _sided_trace_distances,
 )
 
 __all__ = [
@@ -685,7 +685,7 @@ def _gentle_distances(amps: np.ndarray, r: int, delta: float, rngs) -> np.ndarra
             distances[idx] = _gentle_distances(amps[idx], r, delta, [rngs[t] for t in idx])
         return distances
     rho_w = rho_w[:, : ranks[0]]
-    _, w, v = _calibrated_estimates(rho_w, rho_v, rngs, _trace_distances, delta / 2.0, delta)
+    _, w, v = _calibrated_estimates(rho_w, rho_v, rngs, _sided_trace_distances, delta / 2.0, delta)
     _, _, usable, tilde = _support_projections(m, w, v, r)
     # _row_vdots and _row_norms make, per row, the BLAS calls of np.vdot and np.linalg.norm
     a = amps[usable]

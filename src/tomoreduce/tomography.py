@@ -8,7 +8,12 @@ downstream analysis can be checked at an exact error level. Calibration only
 compares each rung with the window's edges: infidelity rungs are evaluated by
 a closed-form kernel with a rounding bound (``_bounded_infidelities``), and a
 row with a rung within its bound of an edge by the exact SVD kernel
-``states._fidelities``, so every landing is the exact kernel's. The
+``states._fidelities``; rank-1 trace-distance rungs likewise by a closed form
+(``_bounded_trace_distances``) and the eigvalsh kernel ``_trace_distances``,
+which decides every higher rank. Each infidelity trial climbs from a start
+rung below which the Bures-angle speed limit proves every rung below the
+window (``_start_rungs``), so most stacks land in one ladder call. Every
+landing is the exact kernels'. The
 measurement-based estimators simulate single-copy measurements in randomized
 orthonormal bases and reconstruct by linear inversion; they realize the
 error-vs-budget scaling shape without optimal constants. Each dimension has
@@ -69,7 +74,7 @@ _EIGENVALUE_FLOOR = 1e-7  # relative floor keeping perturbed eigenvalues above t
 _FAMILIES = 8  # perturbation families drawn before calibration gives up
 _LADDER_STEPS = 140  # rungs of the geometric theta ladder
 _LADDER_RATIO = 1.35  # fine enough not to hop over oscillation peaks
-_LADDER_CHUNK = 8  # ladder rungs evaluated per stacked call
+_LADDER_CHUNK = 6  # ladder rungs evaluated per stacked call
 _RESOLUTION_FLOOR = 1e-12  # narrowest window float64 resolves; at 1e-15 F landed 2 ulps from 1
 _DESIGN_SEED = 0  # master seed of the candidate measurement designs
 _DESIGN_CANDIDATES = 15  # seeded designs per dimension, of which the median one is used
@@ -289,28 +294,31 @@ def _bounded_infidelities(
     return 1.0 - np.minimum(1.0, s * s), ds * (2.0 * s + ds) + 16.0 * u
 
 
-def _sided_infidelities(
-    rho_w: np.ndarray, family: _Family, thetas: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Infidelities that lie on the same side of lo and of hi as
-    ``_infidelities``'s, for a (T, L) stack of thetas: ``_bounded_infidelities``
-    where its bound decides both sides, and ``_infidelities``'s values, in one
-    call of the same shape, on every row with an entry it leaves undecided."""
-    vals, bound = _bounded_infidelities(rho_w, family, thetas)
+def _sided(bounded, exact, rho_w, family, thetas, lo, hi) -> np.ndarray:
+    """Discrepancies that lie on the same side of lo and of hi as the kernel
+    ``exact``'s, for a (T, L) stack of thetas: ``bounded``'s values where its
+    bound decides both sides, and ``exact``'s, in one call of the same shape,
+    on every row with an entry it leaves undecided."""
+    vals, bound = bounded(rho_w, family, thetas)
     decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)  # False at NaN
     rows = np.flatnonzero(~decided.all(axis=1))
     if rows.size:
         shared = thetas if len(thetas) == 1 else thetas[rows]
-        vals[rows] = _infidelities(rho_w[rows], family.take(rows), shared)
+        vals[rows] = exact(rho_w[rows], family.take(rows), shared)
     return vals
 
 
-def _trace_distances(
+def _sided_infidelities(
     rho_w: np.ndarray, family: _Family, thetas: np.ndarray, lo: float, hi: float
 ) -> np.ndarray:
+    """Infidelities on ``_infidelities``'s side of lo and of hi, decided by
+    ``_bounded_infidelities`` where its bound allows (see ``_sided``)."""
+    return _sided(_bounded_infidelities, _infidelities, rho_w, family, thetas, lo, hi)
+
+
+def _trace_distances(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
     """T(rho_t, sigma_t(theta)) for a (T, L) stack of thetas, both states taken
-    in the generator's eigenbasis. Every value is exact, so the window lo, hi
-    that calibration passes goes unused."""
+    in the generator's eigenbasis: half the sum of |eigvalsh| of their difference."""
     coords = family.coords
     rho_q = (coords * rho_w[:, None, :]) @ coords.conj().swapaxes(1, 2)
     phased = _phased_coords(family, thetas)
@@ -319,38 +327,173 @@ def _trace_distances(
     return _half_trace_norms(rho_q[:, None] - sigma_q)
 
 
-def _bracket_and_bisect(
-    discrepancies: Callable[[list, np.ndarray], np.ndarray], count: int, lo: float, hi: float
+def _bounded_trace_distances(
+    rho_w: np.ndarray, family: _Family, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """T(rho_t, sigma_t(theta)) of rank-1 states for a (T, L) stack of thetas
+    without an eigensolver, and a bound on each value's distance to
+    ``_trace_distances``'s, both (T, L).
+
+    With rho = a c c^H, c the coordinates (d,) with n = ||c||^2, and sigma =
+    c' c'^H for c' = diag(e^{i theta lam}) c (sigma's one eigenvalue is
+    exactly 1, a softmax of one logit), rho - sigma has rank 2, trace (a - 1) n
+    and determinant -a (n^2 - |o|^2) on its span, o = <c|c'>. Its eigenvalues
+    have opposite signs, so ||rho - sigma||_1 is their difference:
+    T = sqrt(((a - 1) n)^2 + 4 a (n^2 - |o|^2)) / 2. Here n^2 - |o|^2 is
+    the sum over j, l of p_j p_l 2 sin^2(theta (lam_j - lam_l) / 2), p = |c|^2,
+    a sum of terms of one sign, never 1 - |o|^2, whose rounding of about u
+    the square root would lift to sqrt(u) near T = 0. With u = 2^-53, the
+    two kernels differ by at most (8 sqrt(d) (8 + theta) + 24 theta
+    + 8 (d + 4)^2 T) u, the sum of:
+
+    - This form's rounding: the sum of d^2 terms and the products carry a
+      relative (d^2 + 2 d + 16) u, of which T takes half; each angle, rounded
+      to a relative 3 u, moves a term 2 sin^2 x by 12 u |x| |sin x|, and
+      |x| <= theta, which by Cauchy-Schwarz moves T by at most 4.3 u theta n.
+    - ``_trace_distances``' rounding: its phases carry (theta + 3) u each, and
+      forming rho_q, sigma_q and their difference adds (3 a + 3) u n, so
+      the difference is off by at most (12 + 2 theta) u n in Frobenius norm;
+      the sum of |eigenvalues| moves by sqrt(d) times that (Hoffman-Wielandt),
+      and eigvalsh's own error, a small multiple of d u ||rho - sigma||_2
+      <= 2 d u T per eigenvalue, adds d^2 u T at most over the spectrum.
+
+    n is 1 to a few u. Each constant is at least 4 times its worst case
+    above; over d = 2 to 16 and thetas from 1e-12 to 1e8, the two kernels
+    differed by at most 0.043 of the bound. A value or bound that is not
+    finite compares false, so ``_sided_trace_distances`` rechecks it.
+    """
+    u = np.finfo(float).eps / 2.0
+    c, lam, a = family.coords[:, :, 0], family.lam, rho_w[:, :1]
+    d = c.shape[1]
+    p = c.real**2 + c.imag**2
+    n = p.sum(axis=1, keepdims=True)
+    half = thetas[:, :, None, None] * ((lam[:, :, None] - lam[:, None, :]) / 2.0)[:, None]
+    gaps = 2.0 * np.sin(half) ** 2
+    spread = ((gaps @ p[:, None, :, None])[..., 0] * p[:, None, :]).sum(axis=2)
+    t = 0.5 * np.sqrt(((a - 1.0) * n) ** 2 + 4.0 * a * spread)
+    bound = (8.0 * math.sqrt(d) * (8.0 + thetas) + 24.0 * thetas + 8.0 * (d + 4) ** 2 * t) * u
+    return t, bound
+
+
+def _sided_trace_distances(
+    rho_w: np.ndarray, family: _Family, thetas: np.ndarray, lo: float, hi: float
 ) -> np.ndarray:
-    """Walk each of ``count`` trials up the geometric theta ladder until its
-    discrepancy exceeds the window, then bisect into it.
+    """Trace distances on ``_trace_distances``'s side of lo and of hi: at rank 1
+    decided by ``_bounded_trace_distances`` where its bound allows (see
+    ``_sided``), and at rank 2 and up ``_trace_distances``'s own."""
+    if rho_w.shape[1] > 1:
+        return _trace_distances(rho_w, family, thetas)
+    return _sided(_bounded_trace_distances, _trace_distances, rho_w, family, thetas, lo, hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder(lo: float) -> np.ndarray:
+    """The geometric theta ladder of a window with lower edge lo: _LADDER_STEPS
+    rungs from max(lo, 1e-4), each _LADDER_RATIO times the one below."""
+    # repeated products, not powers: records depend on the exact rungs
+    return _frozen(np.cumprod([max(lo, 1e-4)] + [_LADDER_RATIO] * (_LADDER_STEPS - 1)))
+
+
+def _start_rungs(rho_w: np.ndarray, family: _Family, lo: float) -> np.ndarray:
+    """Per trial, the first rung of ``_ladder(lo)`` that an a-priori bound
+    does not prove to give an infidelity below lo under the exact kernel
+    ``_infidelities``: calibration need not evaluate the rungs below it.
+
+    The Bures angle A(rho, sigma) = arccos sqrt F is a metric, and along a
+    path sigma(theta) it grows at most at speed sqrt(F_Q) / 2, F_Q the
+    quantum Fisher information (Braunstein and Caves, PRL 72, 3439, 1994).
+    So A(rho, sigma(theta)) <= A_0 + c theta, A_0 = A(rho, sigma(0)) and c
+    a bound on the speed. sigma(theta) = U D(theta) U^H with U = e^{i theta H}
+    splits F_Q in two:
+
+    - the coherent part, at most 4 Var_sigma(H) <= 4 ||H||^2 = 4, as the
+      generator has unit spectral norm;
+    - the classical part, the variance, under D's eigenvalues w, of their
+      log-derivatives. Unfloored, w_i's is drift_i less the top logit's
+      drift, and floored it is 0, the top logit's own term; so they all lie
+      in a range of Delta = max drift - min drift, and Popoviciu's
+      inequality bounds their variance by Delta^2 / 4.
+
+    So c = sqrt(1 + Delta^2 / 16). rho and sigma(0) share eigenvectors, so
+    cos A_0 = sum_i sqrt(lambda_i w_i(0)) over rho's eigenvalues lambda,
+    divided by sqrt(sum lambda) where that sum exceeds 1. A sum below 1 only
+    scales F by it, which the bound keeps: arccos(x cos A) - A decreases in
+    A for x <= 1. Then 1 - F = sin^2 A <= A^2 <= (A_0 + c theta)^2, so a
+    rung theta lies below lo where (A_0 + c theta)^2 < lo - m, m a bound on
+    the exact kernel's rounding at theta < 1, as every rung so proven is.
+    With u = 2^-53 and D = max |drift|, m = 2 ds + ds^2 + 16 u for a bound
+    ds on the rounding of sqrt F, the sum of:
+
+    - W = C^H diag(e^{i theta lam}) C: 8 sqrt(k) (d + 6) u for its products,
+      as in ``_bounded_infidelities``, and 64 sqrt(k) d u for the isometry
+      defect of the coordinates C, 2 sqrt(k) ||C^H C - I||_2 with that norm
+      taken at 4 times the largest measured, 7.7 d u over d = 2 to 32;
+    - the SVD and the sum of its k values: 20 k u;
+    - the square roots of the eigenvalues: their logits, of modulus at most
+      24 + D, carry (24 + 2 D) u each, so a square root carries at most
+      (33 + 2 D + k / 2) u relative: (136 + 8 D + 4 k) u;
+
+    and 16 u for the square, the subtraction and this bound's own rounding.
+    cos A_0 is taken (144 + 8 k) u low, 4 times its rounding, so that the
+    arccos, ill-conditioned near 1, never comes out too small. Each
+    constant is at least 4 times its worst case.
+    """
+    k, d = rho_w.shape[1], family.coords.shape[1]
+    u = np.finfo(float).eps / 2.0
+    w0 = _eigenvalues_at(family, np.zeros((len(rho_w), 1)))[:, 0]
+    cos_a0 = np.sqrt(rho_w * w0).sum(axis=1) / np.sqrt(np.maximum(1.0, rho_w.sum(axis=1)))
+    a0 = np.arccos(np.clip(cos_a0 - (144 + 8 * k) * u, -1.0, 1.0))
+    top, bottom = family.drift.max(axis=1), family.drift.min(axis=1)
+    speed = np.sqrt(1.0 + (top - bottom) ** 2 / 16.0)
+    reach = np.maximum(top, -bottom)
+    ds = (8.0 * math.sqrt(k) * (9 * d + 6) + 24 * k + 136 + 8.0 * reach) * u
+    margin = 2.0 * ds + ds * ds + 16.0 * u
+    theta = (np.sqrt(np.clip(lo - margin, 0.0, None)) - a0) / speed
+    return np.searchsorted(_ladder(lo), theta)
+
+
+def _bracket_and_bisect(
+    discrepancies: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    start: np.ndarray,
+    lo: float,
+    hi: float,
+) -> np.ndarray:
+    """Walk each trial up the geometric theta ladder ``_ladder(lo)`` from its
+    start rung ``start[t]`` until its discrepancy exceeds the window, then
+    bisect into it.
 
     ``discrepancies(idx, thetas)`` evaluates the trials ``idx`` (sorted) at
-    thetas of shape (len(idx), L), or (1, L) for rungs that all of them
-    share. The trials climb in lockstep, a chunk of rungs per call, and
+    thetas of shape (len(idx), L). The trials climb in lockstep, a chunk of
+    _LADDER_CHUNK rungs from each one's own next rung per call (the rungs
+    past the ladder's top repeat it and count as below the window), and
     bisect in lockstep, one midpoint per trial per call; each trial retires
-    as it lands. Returns the landing theta per trial, NaN where the family
-    never reaches the window (the caller redraws a fresh family)."""
+    as it lands. A trial that overshoots at a rung bisects from the rung
+    below it (0 at rung 0), so one that starts above rung 0 lands as it would
+    from rung 0 whenever every rung below its start lies below the window.
+    Returns the landing theta per trial, NaN where the family never reaches
+    the window (the caller redraws a fresh family)."""
+    count = len(start)
     theta, theta_lo, theta_hi = np.full((3, count), np.nan)
-    climbing = np.arange(count)
-    # repeated products, not powers: records depend on the exact rungs
-    ladder = np.cumprod([max(lo, 1e-4)] + [_LADDER_RATIO] * (_LADDER_STEPS - 1))
-    for start in range(0, _LADDER_STEPS, _LADDER_CHUNK):
-        chunk = ladder[start : start + _LADDER_CHUNK]
-        vals = discrepancies(climbing, chunk[None])
+    ladder = _ladder(lo)
+    climbing, rung = np.arange(count), np.asarray(start)
+    steps = np.arange(_LADDER_CHUNK)
+    while climbing.size:
+        at = rung[:, None] + steps
+        chunk = ladder[np.minimum(at, _LADDER_STEPS - 1)]
+        vals = discrepancies(climbing, chunk)
         # each trial's first rung that reaches the window; a NaN rung counts as below it
-        reached = vals >= lo
+        reached = (vals >= lo) & (at < _LADDER_STEPS)
         i = reached.argmax(axis=1)
         hit = reached.any(axis=1)
-        over = hit & ~(vals[np.arange(len(i)), i] <= hi)
+        rows = np.arange(len(i))
+        over = hit & ~(vals[rows, i] <= hi)
         landed = hit & ~over
-        theta[climbing[landed]] = chunk[i[landed]]
-        rung = start + i[over]
-        theta_lo[climbing[over]] = np.where(rung > 0, ladder[rung - 1], 0.0)
-        theta_hi[climbing[over]] = chunk[i[over]]
-        climbing = climbing[~hit]
-        if not climbing.size:
-            break
+        theta[climbing[landed]] = chunk[rows[landed], i[landed]]
+        top = at[rows[over], i[over]]
+        theta_lo[climbing[over]] = np.where(top > 0, ladder[top - 1], 0.0)
+        theta_hi[climbing[over]] = ladder[top]
+        going = ~hit & (at[:, -1] < _LADDER_STEPS - 1)
+        climbing, rung = climbing[going], rung[going] + _LADDER_CHUNK
     bisecting = np.flatnonzero(~np.isnan(theta_hi))
     theta_lo, theta_hi = theta_lo[bisecting], theta_hi[bisecting]
     for _ in range(BISECTION_MAX_ITER):
@@ -394,7 +537,10 @@ def _calibrate(
     reaches the window draw their next family together, up to ``families``
     draws, so a trial's draws are the ones it makes alone. Calibration only
     compares discrepancies with lo and hi, so ``discrepancies(rho_w, family,
-    thetas, lo, hi)`` may return any value on the exact value's side of each."""
+    thetas, lo, hi)`` may return any value on the exact value's side of each.
+    With ``_sided_infidelities`` each trial climbs from its ``_start_rungs``
+    rung, whose rungs below are proven below lo, so it lands where it would
+    from rung 0; trace distances climb from rung 0."""
     family = _perturbation_families(rho_w, rho_v, rngs)
 
     def family_discrepancies(idx, thetas):
@@ -402,7 +548,13 @@ def _calibrate(
             return discrepancies(rho_w, family, thetas, lo, hi)
         return discrepancies(rho_w[idx], family.take(idx), thetas, lo, hi)
 
-    theta = _bracket_and_bisect(family_discrepancies, len(rngs), lo, hi)
+    # T <= sqrt(1 - F) <= A_0 + c theta proves no trace-distance rung below
+    # lo <= _ladder(lo)[0], so only infidelities start above rung 0
+    if discrepancies is _sided_infidelities:
+        start = _start_rungs(rho_w, family, lo)
+    else:
+        start = np.zeros(len(rngs), dtype=np.int64)
+    theta = _bracket_and_bisect(family_discrepancies, start, lo, hi)
     missed = np.isnan(theta)
     if not missed.any():
         return _eigensystems_at(family, theta)
@@ -477,7 +629,7 @@ def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> De
     _check_window("trace distance", delta)
     _check_perturbable(rho.dim)
     w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
-    sigma = _calibrated_estimates(w, v, rngs, _trace_distances, delta / 2.0, delta)
+    sigma = _calibrated_estimates(w, v, rngs, _sided_trace_distances, delta / 2.0, delta)
     return _density_matrices(*sigma)[0]
 
 

@@ -461,6 +461,85 @@ class TestCalibrationKernel:
         assert summary.failures_total == 0
 
 
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls, exact = [], tomography._trace_distances
+
+        def counted(rho_w, family, thetas):
+            calls.append(len(rho_w))
+            return exact(rho_w, family, thetas)
+
+        monkeypatch.setattr(tomography, "_trace_distances", counted)
+        return calls
+
+    def test_default_gentle_grid_at_rank_one_needs_no_eigvalsh(self, eigvalsh_calls):
+        # rank-1 trace-distance rungs take the closed form on the default grid
+        summary = run_experiment(ExperimentConfig(
+            experiment=ExperimentKind.GENTLE_MEASUREMENT, r_values=(1,), trials=100,
+        ))
+        assert eigvalsh_calls == []
+        assert summary.failures_total == 0
+
+    def test_gentle_resolution_floor_reaches_eigvalsh_at_rank_one(self, eigvalsh_calls):
+        # at delta = 1e-12 the closed form's bound leaves some rows near an
+        # edge to eigvalsh, so its fallback is live
+        summary = run_experiment(ExperimentConfig(
+            experiment=ExperimentKind.GENTLE_MEASUREMENT, r_values=(1,), d_values=(3, 4, 8),
+            delta_values=(1e-12,), trials=40,
+        ))
+        assert len(eigvalsh_calls) >= 1
+        assert summary.failures_total == 0
+
+
+class TestLadderCalls:
+    # calibration climbs the theta ladder in stacked calls of _LADDER_CHUNK
+    # rungs per trial, each trial from its own start rung
+    @pytest.fixture
+    def ladder_calls(self, monkeypatch):
+        """Per call of _bracket_and_bisect: the stack sizes of its ladder calls
+        (more than one rung per trial) and whether a trial missed the window."""
+        log, bracket = [], tomography._bracket_and_bisect
+
+        def counted(discrepancies, start, lo, hi):
+            calls = []
+
+            def climbed(idx, thetas):
+                if thetas.shape[1] > 1:
+                    calls.append(len(idx))
+                return discrepancies(idx, thetas)
+
+            theta = bracket(climbed, start, lo, hi)
+            log.append((calls, bool(np.isnan(theta).any())))
+            return theta
+
+        monkeypatch.setattr(tomography, "_bracket_and_bisect", counted)
+        return log
+
+    @pytest.mark.parametrize("seed, stragglers", [(0, 0), (7, 1)])
+    def test_tight_grid_lands_in_one_ladder_call_per_stack(self, ladder_calls, seed, stragglers):
+        # the benchmark's tight-eps grid, 10 trials a cell, at the CLI's
+        # default seed and at seed 7: every trial starts within a chunk or two
+        # of the window, so each stack takes one ladder call, apart from a
+        # second call for the stragglers that land more than a chunk above
+        # their start (from rung 0 every stack took 2 or 3 calls)
+        run_experiment(small_sweep_config(
+            r_values=(1, 2, 3), d_values=(4, 8), eps_values=(1e-3, 1e-4, 1e-5), trials=10,
+            master_seed=seed,
+        ))
+        assert len(ladder_calls) == 18  # one stack a cell, and no family redrawn
+        assert all(calls[0] == 10 and not missed for calls, missed in ladder_calls)
+        assert sum(sum(calls[1:]) for calls, _ in ladder_calls) == stragglers
+
+    def test_default_gentle_grid_lands_most_trials_in_one_ladder_call(self, ladder_calls):
+        # trace distances climb from rung 0: on the default gentle grid 93 of
+        # 4,200 trials need a second or third ladder call of their stack
+        run_experiment(ExperimentConfig(experiment=ExperimentKind.GENTLE_MEASUREMENT, trials=100))
+        assert not any(missed for _, missed in ladder_calls)
+        first = sum(calls[0] for calls, _ in ladder_calls)
+        later = sum(sum(calls[1:]) for calls, _ in ladder_calls)
+        assert first == 4200 and later <= 0.03 * first
+
+
 class TestSeedLayout:
     @pytest.mark.parametrize("backend", ["oracle", "measurement"])
     def test_seeds_and_generators_per_block(self, monkeypatch, backend):
@@ -477,14 +556,14 @@ class TestSeedLayout:
             calls["_pool"] = 0
 
     def test_records_do_not_depend_on_block_or_stack_boundaries(self, monkeypatch):
-        # four cells, in 1, 1, 2 and 4 seed blocks and stacks of 16, 12, 11
-        # and 8 trials that end at 1, 17, 255 and 300 trials; the master takes
+        # four cells, in 1, 1, 2 and 4 seed blocks and stacks of 16, 12, 12
+        # and 9 trials that end at 1, 17, 255 and 300 trials; the master takes
         # the scalar fallback
         cells = dict(r_values=(1, 2), d_values=(2, 3), eps_values=(0.1,), master_seed=2**70)
         config = small_sweep_config(trials=300, **cells)
         plan_stacks(monkeypatch, config, 16)
         sizes = [harness._stack_size(config, c) for c in _experiment_cells(config)]
-        assert sizes == [16, 12, 11, 8]
+        assert sizes == [16, 12, 12, 9]
         _, full = cell_records(300, **cells)
         assert [rec["seed"] for rec in full] == [
             child_seed(child_seed(2**70, c), t) for c in range(4) for t in range(300)
@@ -904,6 +983,20 @@ class TestCli:
         assert out.exists()
         captured = capsys.readouterr()
         assert "0 bound violation(s)" in captured.out
+
+    def test_cell_labels_read_back_as_their_floats(self, tmp_path, capsys):
+        # nearby eps values get two labels, and 1 - 1e-13 is not printed as 1;
+        # the default grid's labels read as they did with a fixed precision
+        out = str(tmp_path / "r.csv")
+        argv = ["chain-sweep", "--r", "1", "--d", "2", "--trials", "1", "--out", out]
+        assert main([*argv, "--eps", "0.1,0.1000001,0.9999999999999"]) == 0
+        labels = re.findall(r"r=1,d=2,epsilon=\S+", capsys.readouterr().out)
+        assert labels == [
+            "r=1,d=2,epsilon=0.1", "r=1,d=2,epsilon=0.1000001", "r=1,d=2,epsilon=0.9999999999999",
+        ]
+        grids = (harness.DEFAULT_EPS_GRID, harness.DEFAULT_DELTA_GRID, harness.DEFAULT_ETA_GRID)
+        for x in (*itertools.chain(*grids), 1e-4, 1e-5, 1e-12):
+            assert repr(x) == f"{x:g}"
 
     def test_one_parser_per_process(self, tmp_path, monkeypatch, capsys):
         # main builds its parser once, and no parsed value outlives its call:

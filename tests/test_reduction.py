@@ -167,6 +167,43 @@ class TestReductionConfig:
         assert cfg.pure_backend.epsilon_target == 0.25
 
 
+@st.composite
+def _skewed_projection_cases(draw):
+    """A (r, d) coefficient matrix with Schmidt spectrum (1 - (r - 1) lam,
+    lam, ...), lam from 1e-12 up to 1/r, and a sigma of rank <= r: an oracle
+    estimate of its reduced state or an arbitrary density matrix. The oracle's
+    eps stops at 1e-6: below RANK_TOL its rank drops lam's weight, up to
+    2e-10 here, and no estimate of the kept part reaches a narrower window."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(max(2, r), 8))
+    seed = draw(st.integers(0, 2**32))
+    lam = 10.0 ** draw(st.floats(-12.0, -math.log10(r) if r > 1 else 0.0))
+    rng = np.random.default_rng(seed)
+    spectrum = np.array([1.0 - (r - 1) * lam] + [lam] * (r - 1))
+    x, y = states._haar_unitaries(r, 1, rng)[0], states._haar_unitaries(d, 1, rng)[0]
+    m = (x * np.sqrt(spectrum)) @ y[:, :r].T
+    psi = PureState(m.reshape(-1), (r, d))
+    eps = draw(st.sampled_from([None, 0.1, 1e-6]))
+    if eps is not None:
+        return psi, oracle_mixed_estimate(partial_trace_x(psi), eps, seed)
+    return psi, DensityMatrix.from_matrix(random_density_matrix(d, draw(st.integers(1, r)), rng))
+
+
+class TestProjectionIdentity:
+    # |<psi_tilde|psi>|^2 = keep for the projected state of stage 3, on the
+    # stacked path the chain takes, down to Schmidt coefficients of 1e-12
+    @settings(max_examples=150, deadline=None)
+    @given(case=_skewed_projection_cases())
+    def test_overlap_with_the_projected_state_is_keep(self, case):
+        psi, sigma = case
+        m = psi.as_matrix()[None]
+        w, v = sigma.eigenvalues[None], sigma.eigenvectors[None]
+        _, keep, usable, tilde = reduction._support_projections(m, w, v, psi.r)
+        for t, row in zip(usable.tolist(), tilde):
+            overlap = abs(np.vdot(row, psi.amplitudes)) ** 2
+            assert abs(overlap - keep[t]) <= CHAIN_SLACK
+
+
 class TestRunReduction:
     def test_rank_one_degeneration(self):
         # pure input: the reduced state is pure, the projector has rank 1,

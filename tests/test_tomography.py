@@ -110,7 +110,7 @@ class TestStackedCalibration:
         "estimate, discrepancies",
         [
             (oracle_mixed_estimate, tm._sided_infidelities),
-            (oracle_trace_distance_estimate, tm._trace_distances),
+            (oracle_trace_distance_estimate, tm._sided_trace_distances),
         ],
         ids=["fidelity", "trace"],
     )
@@ -129,6 +129,39 @@ class TestStackedCalibration:
                 assert np.array_equal(alone.matrix, sigma[0])
                 assert np.array_equal(alone.eigenvectors, sigma[2])
                 assert np.array_equal(alone.eigenvalues, sigma[1])
+
+    @pytest.mark.parametrize("eps", [0.2, 1e-3, 1e-5, 1e-7])
+    def test_start_rungs_land_where_rung_zero_does(self, monkeypatch, eps):
+        # every state of STACK_CASES, calibrated from its start rung and from
+        # rung 0, lands on the same bits; some start above rung 0 at every eps
+        # (below eps = 1e-8 the ladder's first rung, 1e-4, is already near the window)
+        rhos = [random_rank_r_state(d, r, child_seed(142, d, r, t)) for d, r, t in STACK_CASES]
+        seeds = [child_seed(143, d, r, t) for d, r, t in STACK_CASES]
+        starts, start_rungs = [], tm._start_rungs
+
+        def recorded(rho_w, family, lo):
+            start = start_rungs(rho_w, family, lo)
+            starts.extend(start.tolist())
+            return start
+
+        def calibrated():
+            sigmas = []
+            for i in range(0, len(STACK_CASES), 3):
+                stack = rhos[i : i + 3]
+                w = np.array([rho.eigenvalues[: rho.rank] for rho in stack])
+                v = np.array([rho.eigenvectors for rho in stack])
+                rngs = [rng_from_seed(seed) for seed in seeds[i : i + 3]]
+                kernel = tm._sided_infidelities
+                sigmas.append(tm._calibrated_estimates(w, v, rngs, kernel, eps / 2, eps))
+            return sigmas
+
+        monkeypatch.setattr(tm, "_start_rungs", recorded)
+        climbed = calibrated()
+        assert max(starts) > 0
+        monkeypatch.setattr(tm, "_start_rungs", lambda rho_w, family, lo: np.zeros(len(rho_w), int))
+        for ours, from_zero in zip(climbed, calibrated()):
+            for a, b in zip(ours, from_zero):
+                assert np.array_equal(a, b)
 
     def test_stack_cases_bisect_and_redraw(self, monkeypatch):
         # pins two trials of the stacks above: (d, r, t) = (3, 2, 2) at eps 0.5
@@ -158,14 +191,19 @@ class TestStackedCalibration:
         assert draws == [1, 1] and not any(bisects)
 
     @pytest.mark.parametrize("lo", [1e-12, 0.1])
-    @pytest.mark.parametrize("j", [0, 7, 8, 139])
-    def test_ladder_rungs_and_brackets(self, lo, j):
-        # the rungs are repeated products of the first, bit for bit, and a trial
-        # that overshoots at rung j bisects from the rung below it (0 at j = 0)
+    @pytest.mark.parametrize(
+        "j, start", [(0, 0), (5, 0), (6, 0), (139, 0), (7, 7), (9, 4), (139, 135)]
+    )
+    def test_ladder_rungs_and_brackets(self, lo, j, start):
+        # the rungs are repeated products of the first, bit for bit; a trial
+        # climbs from its start rung a chunk at a time, the rungs past the top
+        # repeating it, and one that overshoots at rung j bisects from the rung
+        # below it (0 at j = 0), its start rung included
         ladder, rung = [], max(lo, 1e-4)
         for _ in range(tm._LADDER_STEPS):
             ladder.append(rung)
             rung *= tm._LADDER_RATIO
+        assert tm._ladder(lo).tolist() == ladder
         climbed = []
 
         def overshoot_from_rung_j(idx, thetas):
@@ -174,8 +212,10 @@ class TestStackedCalibration:
             climbed.extend(thetas[0].tolist())
             return np.where(thetas >= ladder[j], 3.0 * lo, 0.0)
 
-        theta = tm._bracket_and_bisect(overshoot_from_rung_j, 1, lo, 2.0 * lo)
-        assert climbed == ladder[: (j // tm._LADDER_CHUNK + 1) * tm._LADDER_CHUNK]
+        theta = tm._bracket_and_bisect(overshoot_from_rung_j, np.array([start]), lo, 2.0 * lo)
+        chunks = (j - start) // tm._LADDER_CHUNK + 1
+        top = tm._LADDER_STEPS - 1
+        assert climbed == [ladder[min(start + i, top)] for i in range(chunks * tm._LADDER_CHUNK)]
         assert theta[0] == ((ladder[j - 1] if j else 0.0) + ladder[j]) / 2
 
 
@@ -246,6 +286,106 @@ class TestCheapRungKernel:
         assert len(seen) == 1 and np.array_equal(seen[0], thetas[1:], equal_nan=True)
         assert np.array_equal(sided[1], np.full(thetas.shape[1], 0.5))
         assert np.all(np.isfinite(sided[0]))
+
+
+@st.composite
+def _start_rung_cases(draw):
+    """The rank k (1 to 4), dimension d (2 to 8), seed, window edge eps (1e-12
+    to 0.9) and smallest-eigenvalue exponent of a ``_start_rung_stack``."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(max(2, k), 8))
+    seed = draw(st.integers(0, 2**32))
+    eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.9)))
+    skew = draw(st.floats(0.0, 9.5))
+    return k, d, seed, eps, skew
+
+
+def _start_rung_stack(k, d, seed, eps, skew, trials=8):
+    """Spectra (T, k), rank-k states on C^d whose smallest eigenvalue sits
+    10^-skew below the largest (so sigma's eigenvalue floor can act), and
+    their families: half the states random, half with skewed spectra."""
+    rng = rng_from_seed(seed)
+    w = rng.uniform(0.1, 1.0, size=(trials, k))
+    w[trials // 2 :, -1] = w[trials // 2 :, 0] * 10.0**-skew
+    w = -np.sort(-w / w.sum(axis=1, keepdims=True), axis=1)
+    v = _haar_unitaries(d, trials, rng)
+    rngs = [rng_from_seed(child_seed(seed, t)) for t in range(trials)]
+    family = tm._perturbation_families(w, v, rngs)
+    return w, family
+
+
+class TestStartRungs:
+    # the Bures-angle speed limit proves every rung below a trial's start rung
+    # below the window, under the exact kernel
+    @settings(max_examples=150, deadline=None)
+    @given(case=_start_rung_cases())
+    @example(case=(1, 8, 3, 1e-3, 0.0))
+    @example(case=(4, 8, 4, 1e-12, 9.0))
+    @example(case=(2, 2, 5, 0.9, 8.0))
+    def test_every_rung_below_the_start_is_below_the_window(self, case):
+        lo = case[3] / 2
+        w, family = _start_rung_stack(*case)
+        start = tm._start_rungs(w, family, lo)
+        assert start.dtype.kind == "i" and np.all((0 <= start) & (start < tm._LADDER_STEPS))
+        top = int(start.max())
+        if top == 0:
+            return
+        thetas = np.broadcast_to(tm._ladder(lo)[:top], (len(w), top))
+        exact = tm._infidelities(w, family, thetas)
+        assert np.all(exact[np.arange(top) < start[:, None]] < lo)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
+    def test_start_rungs_sit_near_the_window(self, eps):
+        # the bound is sharp enough to skip most rungs: at rank 1 no trial
+        # reaches the window more than 6 rungs above its start
+        w, family = _start_rung_stack(1, 8, 11, eps, 0.0, trials=64)
+        lo, ladder = eps / 2, tm._ladder(eps / 2)
+        start = tm._start_rungs(w, family, lo)
+        exact = tm._infidelities(w, family, np.broadcast_to(ladder, (64, len(ladder))))
+        first = (exact >= lo).argmax(axis=1)
+        assert np.all(start > 0) and np.all(first - start < tm._LADDER_CHUNK)
+
+
+@st.composite
+def _rank_one_cases(draw):
+    """A ``_rung_cases`` draw at rank 1, with d from 2 to 16."""
+    d = draw(st.integers(2, 16))
+    seed = draw(st.integers(0, 2**32))
+    eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.9)))
+    mids = draw(st.lists(st.floats(1e-12, 60.0), min_size=1, max_size=16))
+    return 1, d, seed, eps, mids
+
+
+class TestRankOneTraceKernel:
+    # _bounded_trace_distances decides a side of lo and hi only where its bound
+    # proves it; every other row comes from the eigvalsh kernel
+    @settings(max_examples=120, deadline=None)
+    @given(case=_rank_one_cases())
+    @example(case=(1, 8, 5, 1e-12, [1e-12, 1e-6]))
+    @example(case=(1, 16, 6, 1e-3, [0.05, 2.0]))
+    def test_decides_every_side_as_eigvalsh(self, case):
+        w, family, thetas = _rung_stack(*case)
+        lo, hi = case[3] / 2, case[3]
+        exact = tm._trace_distances(w, family, thetas)
+        vals, bound = tm._bounded_trace_distances(w, family, thetas)
+        for shared in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
+            want = exact if len(shared) == 1 else tm._trace_distances(w, family, shared)
+            sided = tm._sided_trace_distances(w, family, shared, lo, hi)
+            assert np.array_equal(sided >= lo, want >= lo)
+            assert np.array_equal(sided <= hi, want <= hi)
+        decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)
+        assert np.all(np.abs(vals - exact)[decided] <= bound[decided] / 10)
+        # an edge one ulp from an exact value leaves its row to eigvalsh
+        for t, j in [(0, 0), (1, thetas.shape[1] // 2), (0, thetas.shape[1] - 1)]:
+            for edge in (np.nextafter(exact[t, j], -1.0), np.nextafter(exact[t, j], 2.0)):
+                for window in ((edge, 2.0), (-1.0, edge)):
+                    sided = tm._sided_trace_distances(w, family, thetas, *window)
+                    assert np.array_equal(sided[t], exact[t])
+
+    def test_higher_ranks_take_eigvalsh(self):
+        w, family, thetas = _rung_stack(2, 4, 7, 0.05, [0.3])
+        sided = tm._sided_trace_distances(w, family, thetas, 0.025, 0.05)
+        assert np.array_equal(sided, tm._trace_distances(w, family, thetas))
 
 
 class TestOraclePureEstimate:

@@ -69,7 +69,10 @@ from pathlib import Path
 # takes the eigvalsh path of its cheap kernel and falls back to the exact SVD
 # near the window's edges; then configuration errors: stage 1
 # below the d^2 floor, eps below the oracles' resolution floor, budgets that
-# all fall below the floor, and d = 1.
+# all fall below the floor, and d = 1. Every oracle chain-sweep and reduce
+# sweep that lands starts some calibrations above rung 0 (top start rungs 3 at
+# eps 0.5, 0.9 to 15 on the tight-eps grid); only the gentle grid down to the
+# 1e-12 window sends rank-1 trace-distance rungs to the eigvalsh fallback.
 SWEEPS = (
     ["chain-sweep", "--trials", "2", "--seed", "11"],
     ["chain-sweep", "--backend", "measurement", "--trials", "1", "--seed", "12"],
