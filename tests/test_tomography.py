@@ -220,14 +220,14 @@ class TestStackedCalibration:
 
 
 @st.composite
-def _rung_cases(draw):
+def _rung_cases(draw, max_k=4, max_d=8, min_mid=1e-6):
     """The rank k, dimension d, seed, window edge eps (1e-12 to 0.9) and random
     midpoints of a ``_rung_stack``."""
-    k = draw(st.integers(1, 4))
-    d = draw(st.integers(max(2, k), 8))
+    k = draw(st.integers(1, max_k))
+    d = draw(st.integers(max(2, k), max_d))
     seed = draw(st.integers(0, 2**32))
     eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.9)))
-    mids = draw(st.lists(st.floats(1e-6, 60.0), min_size=1, max_size=16))
+    mids = draw(st.lists(st.floats(min_mid, 60.0), min_size=1, max_size=16))
     return k, d, seed, eps, mids
 
 
@@ -346,21 +346,11 @@ class TestStartRungs:
         assert np.all(start > 0) and np.all(first - start < tm._LADDER_CHUNK)
 
 
-@st.composite
-def _rank_one_cases(draw):
-    """A ``_rung_cases`` draw at rank 1, with d from 2 to 16."""
-    d = draw(st.integers(2, 16))
-    seed = draw(st.integers(0, 2**32))
-    eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.9)))
-    mids = draw(st.lists(st.floats(1e-12, 60.0), min_size=1, max_size=16))
-    return 1, d, seed, eps, mids
-
-
 class TestRankOneTraceKernel:
     # _bounded_trace_distances decides a side of lo and hi only where its bound
     # proves it; every other row comes from the eigvalsh kernel
     @settings(max_examples=120, deadline=None)
-    @given(case=_rank_one_cases())
+    @given(case=_rung_cases(max_k=1, max_d=16, min_mid=1e-12))
     @example(case=(1, 8, 5, 1e-12, [1e-12, 1e-6]))
     @example(case=(1, 16, 6, 1e-3, [0.05, 2.0]))
     def test_decides_every_side_as_eigvalsh(self, case):
