@@ -16,7 +16,6 @@ from .harness import (
     fit_scaling,
     print_summary,
     run_experiment,
-    write_records,
 )
 from .measurement import (
     ProjectionError,
@@ -45,7 +44,6 @@ from .states import (
     SchmidtDecomposition,
     fidelity_mixed,
     fidelity_pure_pure,
-    haar_random_unitary,
     optimal_purification_against,
     partial_trace_x,
     purify,
@@ -62,7 +60,6 @@ from .tomography import (
     estimate_pure_state_from_measurements,
     oracle_mixed_estimate,
     oracle_pure_estimate,
-    oracle_trace_distance_estimate,
 )
 
 __version__ = "0.1.0"
@@ -93,11 +90,9 @@ __all__ = [
     "fidelity_pure_pure",
     "fit_scaling",
     "gentle_measurement_experiment",
-    "haar_random_unitary",
     "optimal_purification_against",
     "oracle_mixed_estimate",
     "oracle_pure_estimate",
-    "oracle_trace_distance_estimate",
     "outcome_probability",
     "partial_trace_x",
     "print_summary",
@@ -114,5 +109,4 @@ __all__ = [
     "support_projector",
     "trace_distance",
     "verify_chain",
-    "write_records",
 ]

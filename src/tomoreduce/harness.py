@@ -68,7 +68,6 @@ __all__ = [
     "ExperimentSummary",
     "ScalingFit",
     "run_experiment",
-    "write_records",
     "print_summary",
     "fit_scaling",
 ]
@@ -105,7 +104,8 @@ class ExperimentConfig:
     experiment checks that n_copies is an integer of at least 1 and that
     extra_copy_factor is finite and positive; a chain grid is also validated
     by building the ReductionConfig of each of its cells, and each cell's
-    samples_total column must fit in int64."""
+    samples_total column must fit in int64. Each grid is kept as a tuple, and each
+    value as the Python int or float its rule returns, so records hold no numpy scalar."""
 
     experiment: ExperimentKind
     r_values: tuple[int, ...] = DEFAULT_R_GRID
@@ -125,21 +125,21 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.experiment, ExperimentKind):
             raise ValueError(f"experiment must be an ExperimentKind, got {self.experiment!r}")
-        _check_integer("trials", self.trials)
-        _check_integer("prop_batch", self.prop_batch)
+        object.__setattr__(self, "trials", _check_integer("trials", self.trials))
+        object.__setattr__(self, "prop_batch", _check_integer("prop_batch", self.prop_batch))
         for name in ("r_values", "d_values", "n_values"):
-            for value in getattr(self, name):
-                _check_integer(f"each of {name}", value)
+            grid = tuple(_check_integer(f"each of {name}", v) for v in getattr(self, name))
+            object.__setattr__(self, name, grid)
         for name in ("eps_values", "delta_values"):
-            for value in getattr(self, name):
-                _check_real(f"each of {name}", value)
-        _check_copy_factor(self.extra_copy_factor)
-        _check_integer("n_copies", self.n_copies)
+            grid = tuple(_check_real(f"each of {name}", v) for v in getattr(self, name))
+            object.__setattr__(self, name, grid)
+        object.__setattr__(self, "extra_copy_factor", _check_copy_factor(self.extra_copy_factor))
+        object.__setattr__(self, "n_copies", _check_integer("n_copies", self.n_copies))
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        _check_seed("master_seed", self.master_seed)
+        object.__setattr__(self, "master_seed", _check_seed("master_seed", self.master_seed))
         if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.out_format not in ("csv", "jsonl"):
@@ -195,10 +195,6 @@ def _experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
     return [
         c for c in cells if c.get("r", 1) <= c["d"] and c.get("n", math.inf) >= _shot_floor(c["d"])
     ]
-
-
-# Casts of the cell parameters every record carries.
-_CELL_TYPES = {"r": int, "d": int, "n": int, "epsilon": float, "delta": float, "eta": float}
 
 
 def _reduction_config(config, cell) -> ReductionConfig:
@@ -267,7 +263,7 @@ def _gentle_fields(config, cell, trial_seeds, words) -> dict[str, list]:
 def _prop_search_fields(config, cell, trial_seeds, words) -> dict[str, list]:
     # one search per trial, each vectorized over its triples
     d, eta, batch = cell["d"], cell["eta"], config.prop_batch
-    results = [proposition_search(d, eta, batch, int(seed)) for seed in trial_seeds]
+    results = [proposition_search(d, eta, batch, seed) for seed in trial_seeds]
     return {f.name: [getattr(res, f.name) for res in results] for f in fields(results[0])}
 
 
@@ -401,9 +397,7 @@ def _extreme(values: Sequence[float], pick) -> float:
 def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], columns: Mapping) -> CellSummary:
     # repr, the shortest text that reads back as the same float, keeps apart cells
     # that a fixed precision merges (0.1 and 0.1000001) or rounds (1 - 1e-13 to 1)
-    label = ",".join(
-        f"{k}={float(v)!r}" if isinstance(v, float) else f"{k}={v}" for k, v in cell.items()
-    )
+    label = ",".join(f"{k}={v!r}" for k, v in cell.items())
     violations = sum(1 for v in columns["violations"] if (v or 0) > 0)
     failures = sum(1 for error in columns.get("error", ()) if error)
     stats: dict[str, float] = {}
@@ -413,7 +407,7 @@ def _cell_summary(kind: ExperimentKind, cell: Mapping[str, Any], columns: Mappin
         stats["final_min"] = _extreme(finals, min)
         stats["final_median"] = _median(finals)
         stats["keep_min"] = _extreme(keeps, min)
-        stats["bound"] = float(_guaranteed_bound(cell["epsilon"]))
+        stats["bound"] = _guaranteed_bound(cell["epsilon"])
         stats["samples"] = float(sum(v or 0 for v in columns["samples_total"]))
     elif kind in (ExperimentKind.SCALING_PURE, ExperimentKind.SCALING_MIXED):
         infids = columns["infidelity"]
@@ -461,7 +455,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     written as soon as its last stack is done and then dropped, so no more
     than two cells' records are in memory at once and the peak is bounded by
     the largest cell, not by the sweep; the file appears at ``out_path``
-    only when the last cell is written (see ``write_records``), and
+    only when the last cell is written (see ``_write_batches``), and
     ``ExperimentSummary.records`` is empty. Without it, the summary holds
     every record.
     """
@@ -504,7 +498,7 @@ def _cell_records(config: ExperimentConfig, summaries: list[CellSummary]):
             "experiment": [config.experiment.value] * config.trials,
             "cell": [cell_index] * config.trials,
             "trial": list(range(config.trials)),
-            **{k: [_CELL_TYPES[k](v)] * config.trials for k, v in cell.items()},
+            **{k: [v] * config.trials for k, v in cell.items()},
             "seed": trial_seeds.tolist(),
             **{k: [v for stack in stacks for v in stack[k]] for k in stacks[0]},
             "wall_time": wall_times,
@@ -513,26 +507,8 @@ def _cell_records(config: ExperimentConfig, summaries: list[CellSummary]):
         yield columns
 
 
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, np.generic):  # np.float64 is a float whose repr names its type
-        value = value.item()
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _json_value(value: Any) -> Any:
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# _csv_cell for the exact types records hold; any other type, such as a
-# subclass, takes _csv_cell itself.
+# The CSV field of each type a record holds, as csv.writer writes the value
+# (a bool as true or false, a float by repr, None as an empty field).
 _CSV_CELLS = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
@@ -545,42 +521,18 @@ _CSV_QUOTED = frozenset(',"\r\n')  # csv.writer's minimal rule quotes a field wi
 
 
 def _csv_column(values: list) -> list[str]:
-    """One CSV column's fields as csv.writer writes _csv_cell's: float.__repr__ or
-    int.__repr__ where every value has that exact type, else _CSV_CELLS per value,
+    """One CSV column's fields as csv.writer writes their _CSV_CELLS text: float.__repr__
+    or int.__repr__ where every value has that exact type, else _CSV_CELLS per value,
     quoted, with its quotes doubled, where a field holds a character of _CSV_QUOTED."""
     types = set(map(type, values))
     if types == {float}:
         return list(map(float.__repr__, values))
     if types == {int}:
         return list(map(int.__repr__, values))
-    cells = [_CSV_CELLS.get(type(v), _csv_cell)(v) for v in values]
+    cells = [_CSV_CELLS[type(v)](v) for v in values]
     if not _CSV_QUOTED.isdisjoint("".join(cells)):
         cells = [c if _CSV_QUOTED.isdisjoint(c) else '"%s"' % c.replace('"', '""') for c in cells]
     return cells
-
-
-def write_records(records: Iterable[Mapping[str, Any]], path: str | os.PathLike, fmt: str) -> None:
-    """Persist records as RFC-4180 CSV or JSON Lines, full float precision.
-
-    A numpy scalar is written as the Python scalar it holds. CSV takes its
-    columns from the first record, so a record with a key the first one lacks
-    raises ValueError; JSON Lines raises TypeError on a value JSON cannot
-    hold. Either way no file is left behind, and a file already at ``path``
-    keeps its bytes: the records go to a temporary file beside ``path``,
-    which replaces it only once every record is written.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to write")
-    if fmt == "csv":
-        keys = records[0].keys()
-        for i, rec in enumerate(records):
-            if extra := [k for k in rec if k not in keys]:
-                raise ValueError(f"record {i} has columns the first record lacks: {extra}")
-        batches = [{k: [rec.get(k) for rec in records] for k in keys}]
-    else:  # a JSON Lines record keeps its own keys
-        batches = ({k: [v] for k, v in rec.items()} for rec in records)
-    _write_batches(batches, path, fmt)
 
 
 def _write_batches(batches: Iterable[Mapping[str, list]], path, fmt: str) -> None:
@@ -589,8 +541,6 @@ def _write_batches(batches: Iterable[Mapping[str, list]], path, fmt: str) -> Non
     ``path``, made with its directory once the first batch is ready; then move the
     file to ``path`` with ``os.replace``. On any exception, raised by a value or
     by the code that yields the batches, the temporary file is deleted."""
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"unknown output format {fmt!r}")
     batches = iter(batches)
     batch = next(batches)
     keys = list(batch)
@@ -601,8 +551,6 @@ def _write_batches(batches: Iterable[Mapping[str, list]], path, fmt: str) -> Non
         with open(tmp, "w", newline="" if fmt == "csv" else None) as f:
             if fmt == "csv":
                 csv.writer(f).writerow(keys)
-            else:  # json.dumps with a default builds an encoder per call
-                encode = json.JSONEncoder(default=_json_value).encode
             while batch is not None:
                 if fmt == "csv":
                     cells = [_csv_column(batch[k]) for k in keys]
@@ -611,7 +559,7 @@ def _write_batches(batches: Iterable[Mapping[str, list]], path, fmt: str) -> Non
                     f.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
                 else:
                     rows = (dict(zip(batch, values)) for values in zip(*batch.values()))
-                    f.writelines(encode(row) + "\n" for row in rows)
+                    f.writelines(json.dumps(row) + "\n" for row in rows)
                 batch = next(batches, None)
         os.replace(tmp, out)
     finally:

@@ -92,7 +92,7 @@ def sample_shots(psi: PureState, pi: Projector, shots: int, seed) -> int:
     fits in int64. All kept copies collapse to the one state returned by
     :func:`project_and_renormalize`.
     """
-    _check_integer("shots", shots)
+    shots = _check_integer("shots", shots)
     if shots < 0:
         raise ValueError("shot count must be nonnegative")
     _check_count("shots", shots)

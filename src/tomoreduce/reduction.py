@@ -94,11 +94,12 @@ class ReductionError(RuntimeError):
     """The support estimate is incompatible with the input state."""
 
 
-def _check_copy_factor(factor: float) -> None:
-    """Raise ValueError unless the extra-copy factor is a finite positive real."""
-    _check_real("extra_copy_factor", factor)
+def _check_copy_factor(factor: float) -> float:
+    """The extra-copy factor as a Python float; ValueError unless finite and positive."""
+    factor = _check_real("extra_copy_factor", factor)
     if not (math.isfinite(factor) and factor > 0.0):
         raise ValueError(f"extra_copy_factor must be finite and positive, got {factor!r}")
+    return factor
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,18 @@ class ReductionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer("r", self.r)
-        _check_integer("d", self.d)
+        object.__setattr__(self, "r", _check_integer("r", self.r))
+        object.__setattr__(self, "d", _check_integer("d", self.d))
         if not 1 <= self.r <= self.d:
             raise ValueError(f"need 1 <= r <= d, got r={self.r}, d={self.d}")
-        _check_seed("seed", self.seed)
-        _check_real("epsilon", self.epsilon)
+        object.__setattr__(self, "seed", _check_seed("seed", self.seed))
+        object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
-        _check_integer("n_copies", self.n_copies)
+        object.__setattr__(self, "n_copies", _check_integer("n_copies", self.n_copies))
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
-        object.__setattr__(self, "n_copies", int(self.n_copies))
-        _check_copy_factor(self.extra_copy_factor)
+        object.__setattr__(self, "extra_copy_factor", _check_copy_factor(self.extra_copy_factor))
         _check_count("extra copies", self.extra_copy_factor * self.r**2 / self.epsilon)
         if self.mixed_backend is None:
             object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
@@ -153,7 +153,7 @@ class ReductionConfig:
     def extra_copies(self) -> int:
         """ceil(extra_copy_factor * r^2 / epsilon), checked to fit in int64 at
         construction, so that the kept count is one binomial draw."""
-        return int(math.ceil(self.extra_copy_factor * self.r**2 / self.epsilon))
+        return math.ceil(self.extra_copy_factor * self.r**2 / self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,7 @@ def verify_chain(
     So must phi have psi's total dimension.
     """
     if epsilon is not None:
-        _check_real("epsilon", epsilon)
+        epsilon = _check_real("epsilon", epsilon)
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
     if phi.total_dim != psi.total_dim:
@@ -584,16 +584,15 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
     (``_composition_triples``), in batches of up to ``_SEARCH_BATCH`` triples,
     a few float arrays of the batch length each, whatever d.
     """
-    _check_integer("d", d)
-    _check_integer("count", count)
+    d = _check_integer("d", d)
+    count = _check_integer("count", count)
     if d < 2:
         raise ValueError("need dimension at least 2")
-    _check_real("eta", eta)
+    eta = _check_real("eta", eta)
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must be in (0, 1)")
     if count < 1:
         raise ValueError("count must be positive")
-    count = int(count)
     rng = rng_from_seed(seed)
     checked = 0
     violations = 0
@@ -657,11 +656,10 @@ def gentle_measurement_experiment(
     sigma = diag(1 - delta, 0, delta) give T = sqrt(delta), so T/delta has no
     bound, though the sampled family does not reach that case.
     """
-    _check_window("trace distance", delta)
-    _check_integer("trials", trials)
+    delta = _check_window("trace distance", delta)
+    trials = _check_integer("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
-    trials = int(trials)
     _check_perturbable(psi.d)
     trial_seeds = _child_seeds(_check_seed("master seed", seed), np.arange(trials))
     rngs = _generators(_generator_words(trial_seeds))

@@ -25,19 +25,23 @@ def _check_seed(what: str, seed) -> int:
     return int(seed)
 
 
-def _check_integer(what: str, count) -> None:
+def _check_integer(what: str, count) -> int:
     """The integer rule for counts and dimensions: raise ValueError unless the
     value is an integer; a bool, a float (NaN or whole) and a fraction are not.
+    Returns the Python int, which every entry keeps in place of its argument.
     It sits beside the seed rule because every module, states too, imports seeding."""
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {count!r}")
+    return int(count)
 
 
-def _check_real(what: str, value) -> None:
+def _check_real(what: str, value) -> float:
     """The real-number rule for epsilon, delta, eta and factors: raise ValueError
-    unless the value is a real number; a bool, a string, None and a complex are not."""
+    unless the value is a real number; a bool, a string, None and a complex are not.
+    Returns the Python float, so that no bound is computed in a float32's precision."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def child_seed(master: int, *path: int) -> int:

@@ -38,7 +38,6 @@ __all__ = [
     "DensityMatrix",
     "SchmidtDecomposition",
     "Projector",
-    "haar_random_unitary",
     "random_pure_state",
     "random_rank_r_state",
     "partial_trace_x",
@@ -73,8 +72,8 @@ class PureState:
 
     def __post_init__(self) -> None:
         r, d = self.dims
-        _check_integer("r", r)
-        _check_integer("d", d)
+        r = _check_integer("r", r)
+        d = _check_integer("d", d)
         if r < 1 or d < 1:
             raise ValueError(f"register dimensions must be positive, got {self.dims!r}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
@@ -82,7 +81,7 @@ class PureState:
             raise ValueError(f"expected {r * d} amplitudes, got {amps.size}")
         _check_unit_norms(amps[None])
         object.__setattr__(self, "amplitudes", _frozen(amps))
-        object.__setattr__(self, "dims", (int(r), int(d)))
+        object.__setattr__(self, "dims", (r, d))
 
     @property
     def r(self) -> int:
@@ -412,18 +411,10 @@ def _unitaries_from_ginibre(g: np.ndarray) -> np.ndarray:
     return q * ph[:, None, :]
 
 
-def haar_random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    _check_integer("dim", dim)
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    return _haar_unitaries(dim, 1, rng_from_seed(seed))[0]
-
-
 def random_pure_state(r: int, d: int, seed) -> PureState:
     """Haar-random unit vector on the (r, d) register pair, deterministic per seed."""
-    _check_integer("r", r)
-    _check_integer("d", d)
+    r = _check_integer("r", r)
+    d = _check_integer("d", d)
     if r < 1 or d < 1:
         raise ValueError("register dimensions must be positive")
     return PureState(_random_pure_states(r, d, [rng_from_seed(seed)])[0], (r, d))
@@ -444,8 +435,8 @@ def random_rank_r_state(d: int, r: int, seed) -> DensityMatrix:
     Equal by construction to ``partial_trace_x(random_pure_state(r, d, seed))``,
     so the purification behind any draw can be recovered from the same seed.
     """
-    _check_integer("d", d)
-    _check_integer("r", r)
+    d = _check_integer("d", d)
+    r = _check_integer("r", r)
     if not 1 <= r <= d:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={d}")
     return partial_trace_x(random_pure_state(r, d, seed))
@@ -493,7 +484,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def purify(sigma: DensityMatrix, purifier_dim: int) -> PureState:
     """Canonical purification sum_i sqrt(mu_i) |i> (x) |w_i> on (purifier_dim, d)."""
-    _check_integer("purifier_dim", purifier_dim)
+    purifier_dim = _check_integer("purifier_dim", purifier_dim)
     return PureState(_purification(sigma, purifier_dim).reshape(-1), (purifier_dim, sigma.dim))
 
 
@@ -539,7 +530,7 @@ def support_projector(sigma: DensityMatrix, rank_cap: int) -> Projector:
     lower numerical rank yields a lower-rank projector rather than one padded
     with arbitrary directions.
     """
-    _check_integer("rank_cap", rank_cap)
+    rank_cap = _check_integer("rank_cap", rank_cap)
     if rank_cap < 1:
         raise ValueError("rank cap must be at least 1")
     return Projector(sigma.eigenvectors[:, : _support_ranks(sigma.eigenvalues[None], rank_cap)[0]])

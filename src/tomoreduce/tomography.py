@@ -64,7 +64,6 @@ __all__ = [
     "TomographyBackend",
     "oracle_mixed_estimate",
     "oracle_pure_estimate",
-    "oracle_trace_distance_estimate",
     "estimate_pure_state_from_measurements",
     "estimate_mixed_state_from_measurements",
 ]
@@ -105,11 +104,12 @@ class TomographyBackend:
 
     def __post_init__(self) -> None:
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:  # the real rule rejects None
-            _check_window("infidelity", self.epsilon_target)
+            target = _check_window("infidelity", self.epsilon_target)
+            object.__setattr__(self, "epsilon_target", target)
         elif self.kind is BackendKind.MEASUREMENT_LINEAR_INVERSION:
             if self.shots is None:
                 raise ValueError("measurement backend needs a shot budget of at least 1")
-            _check_integer("shots", self.shots)
+            object.__setattr__(self, "shots", _check_integer("shots", self.shots))
             if self.shots < 1:
                 raise ValueError("measurement backend needs a shot budget of at least 1")
         else:  # pragma: no cover - enum covers all kinds
@@ -303,8 +303,7 @@ def _sided(bounded, exact, rho_w, family, thetas, lo, hi) -> np.ndarray:
     decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)  # False at NaN
     rows = np.flatnonzero(~decided.all(axis=1))
     if rows.size:
-        shared = thetas if len(thetas) == 1 else thetas[rows]
-        vals[rows] = exact(rho_w[rows], family.take(rows), shared)
+        vals[rows] = exact(rho_w[rows], family.take(rows), thetas[rows])
     return vals
 
 
@@ -577,17 +576,40 @@ def _calibrate(
 def _calibrated_estimates(rho_w: np.ndarray, rho_v: np.ndarray, rngs, discrepancies, lo, hi):
     """Checked (matrix, eigenvalues, eigenvectors) stacks of the calibrated estimates
     of states of one rank k, from rho_w (T, k), their top-k eigenvalues, and rho_v
-    (T, d, m), m >= k, their eigenvectors; each drawn from its own generator."""
+    (T, d, m), m >= k, their eigenvectors; each drawn from its own generator.
+    ``_check_truncation_floor`` runs first, so an unreachable window climbs no rung."""
+    _check_truncation_floor(rho_w, discrepancies, hi)
     return _from_eigensystems(*_calibrate(rho_w, rho_v, rngs, discrepancies, lo, hi))
 
 
-def _check_window(what: str, target: float) -> None:
-    _check_real(f"target {what}", target)
+def _check_truncation_floor(rho_w: np.ndarray, discrepancies, hi: float) -> None:
+    """Raise ValueError where a state's truncation to rank k puts the window's
+    upper edge hi out of reach. Calibration keeps rho's top k eigenvalues, of
+    weight 1 - eta, so every sigma of rank k has 1 - F >= eta (the trace norm of
+    diag(sqrt w_rho) W diag(sqrt w_sigma), W a contraction, is at most sqrt(1 - eta))
+    and T >= eta / 2 (the traces differ by eta). The sum and 1 - sum round eta by
+    at most (k + 1) u, u = 2^-53, so a state fails only where its floor exceeds hi by more."""
+    k = rho_w.shape[1]
+    eta = 1.0 - float(rho_w.sum(axis=1).min())
+    if discrepancies is _sided_infidelities:
+        what, floor = "infidelity", eta
+    else:
+        what, floor = "trace distance", eta / 2.0
+    if floor > hi + (k + 1) * np.finfo(float).eps / 2.0:
+        raise ValueError(
+            f"target {what} {hi:g} lies below {floor:.3g}, the least {what} of any rank-{k} "
+            f"estimate: the eigenvalues rho keeps at rank {k} sum to 1 - {eta:.3g}"
+        )
+
+
+def _check_window(what: str, target: float) -> float:
+    target = _check_real(f"target {what}", target)
     if not _RESOLUTION_FLOOR <= target < 1.0:
         raise ValueError(
             f"target {what} must be in [{_RESOLUTION_FLOOR:g}, 1), got {target!r}: a calibrated "
             "window narrower than that is not resolved in float64"
         )
+    return target
 
 
 def _shot_floor(dim: int) -> int:
@@ -595,13 +617,14 @@ def _shot_floor(dim: int) -> int:
     return dim * dim
 
 
-def _check_budget(n, dim: int) -> None:
-    """Raise ValueError unless a shot budget on C^dim is an integer that
-    reaches the d^2 floor and fits in int64."""
-    _check_integer("shots", n)
+def _check_budget(n, dim: int) -> int:
+    """A shot budget on C^dim as a Python int; raise ValueError unless it is an
+    integer that reaches the d^2 floor and fits in int64."""
+    n = _check_integer("shots", n)
     if n < _shot_floor(dim):
         raise ValueError(f"budget {n} is below the informational floor {_shot_floor(dim)}")
     _check_count("shots", n)
+    return n
 
 
 def _check_perturbable(dim: int) -> None:
@@ -616,20 +639,10 @@ def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMa
     with 1 - eps is measure zero under float arithmetic, so a window is used.
     eps must be at least the 1e-12 resolution floor.
     """
-    _check_window("infidelity", epsilon)
+    epsilon = _check_window("infidelity", epsilon)
     _check_perturbable(rho.dim)
     w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
     sigma = _calibrated_estimates(w, v, rngs, _sided_infidelities, epsilon / 2.0, epsilon)
-    return _density_matrices(*sigma)[0]
-
-
-def oracle_trace_distance_estimate(rho: DensityMatrix, delta: float, seed) -> DensityMatrix:
-    """Same-rank estimate of rho with trace distance in [delta/2, delta], for
-    delta at least the 1e-12 resolution floor."""
-    _check_window("trace distance", delta)
-    _check_perturbable(rho.dim)
-    w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
-    sigma = _calibrated_estimates(w, v, rngs, _sided_trace_distances, delta / 2.0, delta)
     return _density_matrices(*sigma)[0]
 
 
@@ -639,7 +652,7 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
     The state is rotated toward a random orthogonal unit vector by the angle
     whose cosine meets a target overlap drawn uniformly from the window.
     """
-    _check_real("target infidelity", epsilon)
+    epsilon = _check_real("target infidelity", epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
     if psi.amplitudes.size < 2:
@@ -822,7 +835,7 @@ def estimate_pure_state_from_measurements(psi_true: PureState, n: int, seed) -> 
     before the counts. Linear inversion through the design's cached frame
     operator recovers the empirical density matrix, and its top eigenvector is returned.
     """
-    _check_budget(n, psi_true.amplitudes.size)
+    n = _check_budget(n, psi_true.amplitudes.size)
     rows = _inverted_pure_states(psi_true.amplitudes[None], np.array([n]), [rng_from_seed(seed)])
     return PureState(rows[0], psi_true.dims)
 
@@ -837,9 +850,9 @@ def estimate_mixed_state_from_measurements(
     projected to the physical set: negative eigenvalues are clamped to zero,
     and the spectrum is truncated to the top r eigenpairs and renormalized.
     """
-    _check_integer("r", r)
+    r = _check_integer("r", r)
     if not 1 <= r <= rho_true.dim:
         raise ValueError(f"need 1 <= r <= d, got r={r}, d={rho_true.dim}")
-    _check_budget(n, rho_true.dim)
+    n = _check_budget(n, rho_true.dim)
     sigma = _inverted_mixed_states(rho_true.matrix[None], r, np.array([n]), [rng_from_seed(seed)])
     return _density_matrices(*sigma)[0]

@@ -22,18 +22,19 @@ from tomoreduce import (
     fidelity_pure_pure,
     fit_scaling,
     gentle_measurement_experiment,
-    haar_random_unitary,
     optimal_purification_against,
     outcome_probability,
     partial_trace_x,
     proposition_search,
     random_pure_state,
     random_rank_r_state,
+    rng_from_seed,
     run_experiment,
     sample_shots,
     trace_distance,
 )
 from tomoreduce.reduction import CHAIN_SLACK
+from tomoreduce.states import _haar_unitaries
 
 from oracles import random_density_matrix, uhlmann_fidelity_search
 
@@ -203,7 +204,8 @@ def test_criterion_7_measurement_statistics():
         d = max(2 + t % 7, r)
         psi = random_pure_state(r, d, child_seed(MASTER_SEED, 7, t, 0))
         k = 1 + t % d
-        pi = Projector(haar_random_unitary(d, child_seed(MASTER_SEED, 7, t, 1))[:, :k])
+        u = _haar_unitaries(d, 1, rng_from_seed(child_seed(MASTER_SEED, 7, t, 1)))[0]
+        pi = Projector(u[:, :k])
         p = outcome_probability(psi, pi)
         kept = sample_shots(psi, pi, shots, child_seed(MASTER_SEED, 7, t, 2))
         sigma = math.sqrt(max(p * (1.0 - p), 1e-300) / shots)

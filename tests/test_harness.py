@@ -31,7 +31,6 @@ from tomoreduce import (
     run_reduction,
     seeding,
     tomography,
-    write_records,
 )
 from tomoreduce.cli import build_parser, config_from_args, main
 from tomoreduce.harness import (
@@ -655,6 +654,69 @@ class TestOtherExperiments:
             assert rec["min_slack"] >= -1e-9
 
 
+# The exact types a record value may have.
+RECORD_TYPES = {type(None), bool, int, float, str}
+
+_EPS32 = np.float32(0.05)  # float(_EPS32) = 0.05000000074505806
+
+
+def without_wall_times(records) -> list[dict]:
+    return [{k: v for k, v in rec.items() if k != "wall_time"} for rec in records]
+
+
+class TestPythonScalars:
+    # every entry keeps the Python int or float its rule returns: a float32
+    # epsilon used to carry float32 into every chain bound (keep_vs_epsilon
+    # compared keep with 0.949999988, 11 CHAIN_SLACKs below 1 - epsilon) and
+    # into the guaranteed_bound column, and a numpy delta wrote np.float64 ratios
+    @pytest.mark.parametrize(
+        "kind, numpy_grids, grids",
+        [
+            (
+                ExperimentKind.CHAIN_SWEEP,
+                dict(r_values=tuple(np.arange(1, 3)), d_values=(np.int64(2), np.int64(4)),
+                     eps_values=(_EPS32,)),
+                dict(r_values=(1, 2), d_values=(2, 4), eps_values=(float(_EPS32),)),
+            ),
+            (
+                ExperimentKind.GENTLE_MEASUREMENT,
+                dict(r_values=(np.int64(2),), d_values=(np.int64(4),),
+                     delta_values=(np.float64(0.01),)),
+                dict(r_values=(2,), d_values=(4,), delta_values=(0.01,)),
+            ),
+        ],
+        ids=["chain", "gentle"],
+    )
+    def test_sweep_records_hold_python_scalars(self, kind, numpy_grids, grids):
+        counts = dict(trials=np.int64(6), master_seed=np.uint64(9), n_copies=np.int64(100))
+        numpy_config = ExperimentConfig(kind, **numpy_grids, **counts)
+        config = ExperimentConfig(kind, **grids, trials=6, master_seed=9, n_copies=100)
+        records = run_experiment(numpy_config).records
+        assert {type(v) for rec in records for v in rec.values()} <= RECORD_TYPES
+        assert without_wall_times(records) == without_wall_times(run_experiment(config).records)
+        for field in dataclasses.fields(config):
+            value, plain = getattr(numpy_config, field.name), getattr(config, field.name)
+            assert (type(value), value) == (type(plain), plain), field.name
+            if isinstance(value, tuple):
+                assert list(map(type, value)) == list(map(type, plain)), field.name
+
+    def test_run_reduction_keeps_python_scalars(self):
+        psi = random_pure_state(2, 4, seed=31)
+        numpy_config = ReductionConfig(
+            r=np.int64(2), d=np.int64(4), n_copies=np.int64(50), epsilon=_EPS32,
+            extra_copy_factor=np.float64(4.0), seed=np.int64(32),
+        )
+        config = ReductionConfig(r=2, d=4, n_copies=50, epsilon=float(_EPS32), seed=32)
+        ours, reference = run_reduction(psi, numpy_config), run_reduction(psi, config)
+        checks = [(c.name, type(c.bound), c.bound, c.value, c.satisfied) for c in ours.chain]
+        assert checks == [(c.name, float, c.bound, c.value, c.satisfied) for c in reference.chain]
+        assert ("keep_vs_epsilon", 1.0 - float(_EPS32)) in [(c.name, c.bound) for c in ours.chain]
+        assert report_columns(ours, _CHAIN_COLUMNS) == report_columns(reference, _CHAIN_COLUMNS)
+        for name in ("r", "d", "n_copies", "epsilon", "extra_copy_factor", "seed"):
+            value, plain = getattr(numpy_config, name), getattr(config, name)
+            assert (type(value), value) == (type(plain), plain), name
+
+
 class TestCellSummary:
     def test_violation_count_matches_records(self):
         # the summary counts records with any unsatisfied analytic inequality
@@ -685,51 +747,6 @@ class TestCellSummary:
         assert math.isnan(_median([]))
 
 
-class TestWriteRecords:
-    def test_rejects_empty(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_records([], tmp_path / "x.csv", "csv")
-
-    def test_csv_none_becomes_empty_cell(self, tmp_path):
-        out = tmp_path / "x.csv"
-        write_records([{"a": None, "b": 1.5, "c": True}], out, "csv")
-        rows = read_csv(out)
-        assert rows[1] == ["", "1.5", "true"]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        out = tmp_path / "x.jsonl"
-        recs = [{"a": None, "b": 1.5, "c": False, "d": "x"}]
-        write_records(recs, out, "jsonl")
-        with open(out) as f:
-            assert json.loads(f.readline()) == recs[0]
-
-    def test_numpy_scalars_written_as_python_scalars(self, tmp_path):
-        # np.float64(0.5) used to become the CSV cell "np.float64(0.5)", and
-        # JSON Lines raised a TypeError on np.int64
-        rec = {"x": np.float64(0.5), "n": np.int64(3), "b": np.bool_(True), "f": np.float32(0.25)}
-        write_records([rec], tmp_path / "x.csv", "csv")
-        assert read_csv(tmp_path / "x.csv")[1] == ["0.5", "3", "true", "0.25"]
-        write_records([rec], tmp_path / "x.jsonl", "jsonl")
-        with open(tmp_path / "x.jsonl") as f:
-            assert json.loads(f.readline()) == {"x": 0.5, "n": 3, "b": True, "f": 0.25}
-
-    def test_csv_rejects_columns_the_first_record_lacks(self, tmp_path):
-        # the column b used to be dropped without a word
-        out = tmp_path / "x.csv"
-        with pytest.raises(ValueError, match=r"record 1 has columns the first record lacks: \['b'\]"):
-            write_records([{"a": 1}, {"a": 2, "b": 3}], out, "csv")
-        assert not out.exists()
-        write_records([{"a": 1, "b": 2}, {"a": 3}], out, "csv")
-        assert read_csv(out)[1:] == [["1", "2"], ["3", ""]]
-
-    def test_jsonl_serializes_before_opening(self, tmp_path):
-        # a set used to raise TypeError after the file was opened, leaving it empty
-        out = tmp_path / "x.jsonl"
-        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-            write_records([{"a": 1}, {"a": {1}}], out, "jsonl")
-        assert not out.exists()
-
-
 def without_wall_time(path, fmt) -> list[bytes]:
     """The file's lines, each cut before its last field, wall_time."""
     cut = b"," if fmt == "csv" else b', "wall_time": '
@@ -738,7 +755,7 @@ def without_wall_time(path, fmt) -> list[bytes]:
 
 class TestStreamedRecords:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_streamed_file_matches_write_records(self, fmt, tmp_path):
+    def test_streamed_file_matches_the_per_value_writers(self, fmt, tmp_path):
         # four cells of two stacks each, written cell by cell
         config = small_sweep_config(trials=20, out_format=fmt)
         streamed = tmp_path / f"streamed.{fmt}"
@@ -749,7 +766,7 @@ class TestStreamedRecords:
         assert len(in_memory.records) == 80
         assert summary.cells == in_memory.cells
         written = tmp_path / f"written.{fmt}"
-        write_records(in_memory.records, written, fmt)
+        written.write_text(reference_file(in_memory.records, fmt), newline="")
         assert without_wall_time(streamed, fmt) == without_wall_time(written, fmt)
         assert len(without_wall_time(streamed, fmt)) == 80 + (fmt == "csv")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([streamed.name, written.name])
@@ -808,23 +825,8 @@ class TestStreamedRecords:
             assert f"slope {fit.slope:+.3f}, intercept {fit.intercept:+.3f}" in line
 
 
-class LabelFloat(float):
-    """A float subclass whose repr would need CSV quoting."""
-
-    def __repr__(self):
-        return f'label "{float(self)}", float'
-
-
-class LabelInt(int):
-    """An int subclass whose str would need CSV quoting."""
-
-    def __str__(self):
-        return f'label "{int(self)}", int'
-
-
 # Columns of adversarial values for the record writer: strings that CSV must
-# quote, empty strings, None, bools, ints, edge floats, numpy scalars,
-# subclasses (bool admits none, so np.bool_ stands in), and columns that mix
+# quote, empty strings, None, bools, ints, edge floats, and columns that mix
 # types, None with floats among them; trial t takes value t % len of each.
 ADVERSARIAL_COLUMNS = {
     "text": ["plain", "a,b", 'say "hi"', "cr\rx", "lf\nx", "crlf\r\nx", "", " lead ", '"'],
@@ -832,10 +834,8 @@ ADVERSARIAL_COLUMNS = {
     "flag": [True, False, True],
     "count": [0, -3, 2**70, 7],
     "real": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16, 2.5],
-    "numpy": [np.float64(0.5), np.int64(-2), np.bool_(False), np.float32(0.1), np.uint64(2**63)],
-    "subclass": [LabelFloat(1.5), LabelInt(4), 2.5, 3, LabelFloat(-0.0)],
-    "floats_and_subclass": [0.25, 0.75, LabelFloat(0.5)],
     "ints_and_bools": [1, True, 0, False],
+    "ints_and_floats": [3, 0.25, -1],
     "none": [None],
     "blank": [""],
 }
@@ -848,20 +848,35 @@ def adversarial_records(count: int, first: int = 0) -> list[dict]:
     ]
 
 
+def reference_cell(value) -> str:
+    """The CSV field of a record value: None empty, a bool as true or false, a
+    float by repr, any other value by str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def reference_file(records, fmt: str) -> str:
-    """The text the writer must produce: csv.writer fed _CSV_CELLS/_csv_cell
-    per value under the first record's columns, or one json.dumps per record."""
+    """The text the writer must produce: csv.writer fed reference_cell per
+    value under the first record's columns, or one json.dumps per record."""
     if fmt == "jsonl":
-        return "".join(json.dumps(rec, default=harness._json_value) + "\n" for rec in records)
+        return "".join(json.dumps(rec) + "\n" for rec in records)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     keys = list(records[0])
     writer.writerow(keys)
-    writer.writerows(
-        [harness._CSV_CELLS.get(type(v), harness._csv_cell)(v) for v in map(rec.get, keys)]
-        for rec in records
-    )
+    writer.writerows([reference_cell(rec[k]) for k in keys] for rec in records)
     return buf.getvalue()
+
+
+def column_batches(records, size: int):
+    """The records as batches of up to ``size`` records, one list per column."""
+    return [
+        {k: [rec[k] for rec in records[i : i + size]] for k in records[0]}
+        for i in range(0, len(records), size)
+    ]
 
 
 def read_text(path) -> str:
@@ -871,11 +886,13 @@ def read_text(path) -> str:
 
 class TestColumnWriter:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_write_records_matches_the_per_value_writers(self, fmt, tmp_path):
+    @pytest.mark.parametrize("size", [1, 5, 24])
+    def test_batches_match_the_per_value_writers(self, fmt, size, tmp_path):
         records = adversarial_records(24)
         out = tmp_path / f"x.{fmt}"
-        write_records(records, out, fmt)
+        harness._write_batches(column_batches(records, size), out, fmt)
         assert read_text(out) == reference_file(records, fmt)
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("column", sorted(ADVERSARIAL_COLUMNS))
@@ -883,15 +900,8 @@ class TestColumnWriter:
         # csv.writer quotes an empty field when it is the only one of its row
         records = [{column: v} for v in ADVERSARIAL_COLUMNS[column]]
         out = tmp_path / f"x.{fmt}"
-        write_records(records, out, fmt)
+        harness._write_batches(column_batches(records, 2), out, fmt)
         assert read_text(out) == reference_file(records, fmt)
-
-    def test_csv_records_that_lack_columns(self, tmp_path):
-        records = adversarial_records(6)
-        for t in (1, 4):
-            del records[t]["maybe"], records[t]["text"]
-        write_records(records, tmp_path / "x.csv", "csv")
-        assert read_text(tmp_path / "x.csv") == reference_file(records, "csv")
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_streamed_cells_match_the_per_value_writers(self, fmt, tmp_path, monkeypatch):
@@ -918,11 +928,8 @@ class TestColumnWriter:
         streamed = run_experiment(dataclasses.replace(config, out_path=str(out), out_format=fmt))
         assert len(stacks) > len(streamed.cells) == 3
         in_memory = run_experiment(config)
-        records = in_memory.records
         assert in_memory.cells == streamed.cells
-        assert read_text(out) == reference_file(records, fmt)
-        write_records(records, tmp_path / f"written.{fmt}", fmt)
-        assert read_text(tmp_path / f"written.{fmt}") == read_text(out)
+        assert read_text(out) == reference_file(in_memory.records, fmt)
 
 
 class TestFitScaling:

@@ -12,14 +12,15 @@ from tomoreduce import (
     PureState,
     child_seed,
     fidelity_pure_pure,
-    haar_random_unitary,
     outcome_probability,
     project_and_renormalize,
     purify,
     random_pure_state,
+    rng_from_seed,
     sample_shots,
     schmidt_decompose,
 )
+from tomoreduce.states import _haar_unitaries
 
 
 def projector_on_columns(d: int, cols) -> Projector:
@@ -70,7 +71,7 @@ class TestProjectAndRenormalize:
         # |<psi_tilde|psi>|^2 equals the keep probability
         for t in range(50):
             psi = random_pure_state(2, 5, child_seed(6, t))
-            basis = haar_random_unitary(5, child_seed(7, t))[:, :2]
+            basis = _haar_unitaries(5, 1, rng_from_seed(child_seed(7, t)))[0][:, :2]
             pi = Projector(basis)
             p = outcome_probability(psi, pi)
             if p <= 1e-12:
@@ -80,7 +81,7 @@ class TestProjectAndRenormalize:
 
     def test_output_supported_in_projector(self):
         psi = random_pure_state(2, 4, seed=8)
-        basis = haar_random_unitary(4, seed=9)[:, :2]
+        basis = _haar_unitaries(4, 1, rng_from_seed(9))[0][:, :2]
         pi = Projector(basis)
         out = project_and_renormalize(psi, pi)
         m = out.as_matrix()
@@ -101,12 +102,12 @@ class TestCauchySchwarzStep:
         for t in range(200):
             r, d = 2, 4
             psi = random_pure_state(r, d, child_seed(11, t))
-            basis = haar_random_unitary(d, child_seed(12, t))[:, :r]
+            basis = _haar_unitaries(d, 1, rng_from_seed(child_seed(12, t)))[0][:, :r]
             pi = Projector(basis)
             weights = rng.dirichlet(np.ones(r))
             sigma = DensityMatrix.from_matrix((basis * weights) @ basis.conj().T)
             phi0 = purify(sigma, r)
-            u = haar_random_unitary(r, child_seed(13, t))
+            u = _haar_unitaries(r, 1, rng_from_seed(child_seed(13, t)))[0]
             rotated = (u @ phi0.as_matrix()).reshape(-1)
             phi = PureState(rotated, (r, d))
             assert fidelity_pure_pure(psi, phi) <= outcome_probability(psi, pi) + 1e-9
@@ -140,7 +141,7 @@ class TestSampleShots:
     def test_monotone_in_projector(self):
         # enlarging the support can only increase the keep count (same seed)
         psi = random_pure_state(2, 4, seed=22)
-        u = haar_random_unitary(4, seed=23)
+        u = _haar_unitaries(4, 1, rng_from_seed(23))[0]
         small = Projector(u[:, :1])
         large = Projector(u[:, :3])
         assert outcome_probability(psi, small) <= outcome_probability(psi, large)

@@ -25,7 +25,6 @@ from tomoreduce import (
     gentle_measurement_experiment,
     oracle_mixed_estimate,
     oracle_pure_estimate,
-    oracle_trace_distance_estimate,
     partial_trace_x,
     project_and_renormalize,
     proposition_search,
@@ -38,6 +37,7 @@ from tomoreduce import (
     verify_chain,
 )
 from tomoreduce import reduction, states
+from tomoreduce import tomography as tm
 from tomoreduce.reduction import (
     CHAIN_SLACK,
     _CHAIN_COLUMNS,
@@ -47,7 +47,7 @@ from tomoreduce.reduction import (
     _reduction_stages,
     _run_reductions,
 )
-from tomoreduce.states import _reduced_states
+from tomoreduce.states import _density_matrices, _reduced_states
 
 from oracles import (
     composition_rows,
@@ -72,6 +72,14 @@ def _arbitrary_sigma_cases(draw):
     rng = np.random.default_rng(seed)
     rank = draw(st.integers(1, r))
     return psi, DensityMatrix.from_matrix(random_density_matrix(d, rank, rng))
+
+
+def trace_distance_estimate(rho, delta, seed):
+    """The same-rank estimate of rho with trace distance in [delta/2, delta]
+    that a gentle-measurement trial calibrates, from the seed's generator."""
+    w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
+    sigma = tm._calibrated_estimates(w, v, rngs, tm._sided_trace_distances, delta / 2.0, delta)
+    return _density_matrices(*sigma)[0]
 
 
 def bell_state() -> PureState:
@@ -169,11 +177,14 @@ class TestReductionConfig:
 
 @st.composite
 def _skewed_projection_cases(draw):
-    """A (r, d) coefficient matrix with Schmidt spectrum (1 - (r - 1) lam,
-    lam, ...), lam from 1e-12 up to 1/r, and a sigma of rank <= r: an oracle
-    estimate of its reduced state or an arbitrary density matrix. The oracle's
-    eps stops at 1e-6: below RANK_TOL its rank drops lam's weight, up to
-    2e-10 here, and no estimate of the kept part reaches a narrower window."""
+    """A (r, d) state psi with Schmidt spectrum (1 - (r - 1) lam, lam, ...), lam
+    from 1e-12 up to 1/r, and either an arbitrary density matrix of rank <= r
+    (eps None) or the oracle's window eps and seed for an estimate of its reduced
+    state. Below RANK_TOL the reduced state's rank drops lam's weight, up to 2e-10
+    here, and an eps below that floor must fail at once. Two draws that calibration
+    does not resolve take eps = 1e-6 in place of 1e-12: a floor within 1% of eps,
+    and a kept eigenvalue below the family's eigenvalue floor, _EIGENVALUE_FLOOR
+    times the largest, which keeps every estimate's infidelity near 1e-7."""
     r = draw(st.integers(1, 3))
     d = draw(st.integers(max(2, r), 8))
     seed = draw(st.integers(0, 2**32))
@@ -183,19 +194,33 @@ def _skewed_projection_cases(draw):
     x, y = states._haar_unitaries(r, 1, rng)[0], states._haar_unitaries(d, 1, rng)[0]
     m = (x * np.sqrt(spectrum)) @ y[:, :r].T
     psi = PureState(m.reshape(-1), (r, d))
-    eps = draw(st.sampled_from([None, 0.1, 1e-6]))
-    if eps is not None:
-        return psi, oracle_mixed_estimate(partial_trace_x(psi), eps, seed)
-    return psi, DensityMatrix.from_matrix(random_density_matrix(d, draw(st.integers(1, r)), rng))
+    eps = draw(st.sampled_from([None, 0.1, 1e-6, 1e-12]))
+    if eps is None:
+        rank = draw(st.integers(1, r))
+        return psi, None, seed, DensityMatrix.from_matrix(random_density_matrix(d, rank, rng))
+    rho = partial_trace_x(psi)
+    kept = rho.eigenvalues[: rho.rank]
+    unresolved = abs(1.0 - kept.sum() - eps) < 0.01 * eps
+    if eps == 1e-12 and (unresolved or kept[-1] < tm._EIGENVALUE_FLOOR * kept[0]):
+        eps = 1e-6
+    return psi, eps, seed, None
 
 
 class TestProjectionIdentity:
     # |<psi_tilde|psi>|^2 = keep for the projected state of stage 3, on the
-    # stacked path the chain takes, down to Schmidt coefficients of 1e-12
+    # stacked path the chain takes, down to Schmidt coefficients of 1e-12 and
+    # oracle windows of 1e-12
     @settings(max_examples=150, deadline=None)
     @given(case=_skewed_projection_cases())
     def test_overlap_with_the_projected_state_is_keep(self, case):
-        psi, sigma = case
+        psi, eps, seed, sigma = case
+        if sigma is None:
+            rho = partial_trace_x(psi)
+            if 1.0 - rho.eigenvalues[: rho.rank].sum() > eps:  # below the truncation floor
+                with pytest.raises(ValueError, match="the least infidelity of any rank-"):
+                    oracle_mixed_estimate(rho, eps, seed)
+                return
+            sigma = oracle_mixed_estimate(rho, eps, seed)
         m = psi.as_matrix()[None]
         w, v = sigma.eigenvalues[None], sigma.eigenvectors[None]
         _, keep, usable, tilde = reduction._support_projections(m, w, v, psi.r)
@@ -646,9 +671,6 @@ class TestRealRule:
         "verify_chain": ("epsilon", lambda x: verify_chain(_PSI, _RHO, _PSI, epsilon=x)),
         "TomographyBackend.oracle": ("target infidelity", TomographyBackend.oracle),
         "oracle_mixed_estimate": ("target infidelity", lambda x: oracle_mixed_estimate(_RHO, x, 0)),
-        "oracle_trace_distance_estimate": (
-            "target trace distance", lambda x: oracle_trace_distance_estimate(_RHO, x, 0)
-        ),
         "oracle_pure_estimate": ("target infidelity", lambda x: oracle_pure_estimate(_PSI, x, 0)),
         "gentle_measurement_experiment": (
             "target trace distance", lambda x: gentle_measurement_experiment(_PSI, x, 2, 0)
@@ -951,7 +973,7 @@ class TestGentleMeasurement:
                     res = gentle_measurement_experiment(psi, delta, trials=5, seed=seed)
                     assert res.skipped == 0
                     for t in range(5):
-                        sigma = oracle_trace_distance_estimate(rho, delta, child_seed(seed, t))
+                        sigma = trace_distance_estimate(rho, delta, child_seed(seed, t))
                         tilde = project_and_renormalize(psi, support_projector(sigma, r))
                         ref = trace_distance(tilde.to_density_matrix(), psi.to_density_matrix())
                         assert abs(res.trace_distances[t] - ref) <= 1e-15
@@ -965,7 +987,7 @@ class TestGentleMeasurement:
         amps = np.array([psi.amplitudes for psi in psis])
         stack = _gentle_distances(amps, r, 0.01, [rng_from_seed(s) for s in seeds])
         for psi, seed, distance in zip(psis, seeds, stack):
-            sigma = oracle_trace_distance_estimate(partial_trace_x(psi), 0.01, seed)
+            sigma = trace_distance_estimate(partial_trace_x(psi), 0.01, seed)
             tilde = project_and_renormalize(psi, support_projector(sigma, r)).amplitudes
             a = psi.amplitudes
             assert distance == np.linalg.norm(a - np.vdot(tilde, a) * tilde)

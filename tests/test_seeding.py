@@ -6,10 +6,14 @@ a numpy release that changes SeedSequence fails here, loudly, instead of
 quietly moving every record.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from tomoreduce.seeding import (
+    _check_integer,
+    _check_real,
     _child_seeds,
     _generator_words,
     _generators,
@@ -107,3 +111,24 @@ class TestGenerators:
         words = _generator_words(np.array([9], dtype=np.uint64))[0]
         with pytest.raises(ValueError, match="4 uint64 state words"):
             _state_words_type()(words).generate_state(8, np.uint32)
+
+
+class TestRules:
+    # each rule returns the Python scalar it accepts, which every entry keeps
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(7, 7), (np.int64(-3), -3), (np.uint8(200), 200), (np.uint64(2**64 - 1), 2**64 - 1),
+         (2**70, 2**70)],
+    )
+    def test_integer_rule_returns_a_python_int(self, value, expected):
+        got = _check_integer("count", value)
+        assert type(got) is int and got == expected
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(0.1, 0.1), (np.float32(0.05), 0.05000000074505806), (np.float64(0.01), 0.01),
+         (np.int64(3), 3.0), (2, 2.0), (Fraction(1, 3), 1 / 3), (float("inf"), float("inf"))],
+    )
+    def test_real_rule_returns_a_python_float(self, value, expected):
+        got = _check_real("epsilon", value)
+        assert type(got) is float and got == expected

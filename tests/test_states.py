@@ -13,13 +13,13 @@ from tomoreduce import (
     estimate_pure_state_from_measurements,
     fidelity_mixed,
     fidelity_pure_pure,
-    haar_random_unitary,
     optimal_purification_against,
     oracle_mixed_estimate,
     partial_trace_x,
     purify,
     random_pure_state,
     random_rank_r_state,
+    rng_from_seed,
     schmidt_decompose,
     support_projector,
     trace_distance,
@@ -107,7 +107,6 @@ class TestIntegerRule:
         "random_pure_state d": ("d", lambda x: random_pure_state(2, x, 0)),
         "random_rank_r_state d": ("d", lambda x: random_rank_r_state(x, 1, 0)),
         "random_rank_r_state r": ("r", lambda x: random_rank_r_state(3, x, 0)),
-        "haar_random_unitary": ("dim", lambda x: haar_random_unitary(x, 0)),
         "purify": ("purifier_dim", lambda x: purify(TestIntegerRule.SIGMA, x)),
         "support_projector": ("rank_cap", lambda x: support_projector(TestIntegerRule.SIGMA, x)),
         "PureState r": ("r", lambda x: PureState(np.ones(6) / np.sqrt(6), (x, 3 if x != 1 else 6))),
@@ -340,7 +339,7 @@ class TestFidelityMixed:
         b = DensityMatrix.from_matrix(random_density_matrix(4, 4, rng))
         f = fidelity_mixed(a, b)
         for t in range(5):
-            u = haar_random_unitary(4, child_seed(22, t))
+            u = _haar_unitaries(4, 1, rng_from_seed(child_seed(22, t)))[0]
             fa = DensityMatrix.from_matrix(u @ a.matrix @ u.conj().T)
             fb = DensityMatrix.from_matrix(u @ b.matrix @ u.conj().T)
             assert fidelity_mixed(fa, fb) == pytest.approx(f, abs=1e-8)
@@ -522,7 +521,7 @@ class TestModuleInvariants:
             assert np.max(np.abs(again.matrix - sigma.matrix)) < 1e-8
 
     def test_haar_unitary_is_unitary(self):
-        u = haar_random_unitary(5, seed=81)
+        u = _haar_unitaries(5, 1, rng_from_seed(81))[0]
         np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-10)
 
     @pytest.mark.parametrize("dim", range(2, 10))

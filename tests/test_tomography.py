@@ -23,7 +23,7 @@ from tomoreduce import (
     gentle_measurement_experiment,
     oracle_mixed_estimate,
     oracle_pure_estimate,
-    oracle_trace_distance_estimate,
+    partial_trace_x,
     random_pure_state,
     random_rank_r_state,
     rng_from_seed,
@@ -45,6 +45,14 @@ from tomoreduce.tomography import (
 
 OracleGrid = [(r, d) for r in (1, 2, 3) for d in (2, 3, 4, 5, 6, 7, 8) if r <= d]
 EpsGrid = (0.2, 0.1, 0.05, 0.01)
+
+
+def trace_distance_estimate(rho, delta, seed):
+    """The same-rank estimate of rho with trace distance in [delta/2, delta]
+    that a gentle-measurement trial calibrates, from the seed's generator."""
+    w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
+    sigma = tm._calibrated_estimates(w, v, rngs, tm._sided_trace_distances, delta / 2.0, delta)
+    return states._density_matrices(*sigma)[0]
 
 
 class TestOracleMixedEstimate:
@@ -80,7 +88,7 @@ class TestOracleMixedEstimate:
 
 
 class TestOracleValidation:
-    @pytest.mark.parametrize("estimate", [oracle_mixed_estimate, oracle_trace_distance_estimate])
+    @pytest.mark.parametrize("estimate", [oracle_mixed_estimate, trace_distance_estimate])
     def test_one_validated_state_per_estimate(self, monkeypatch, estimate):
         # calibration runs on raw arrays; only the returned estimate is
         # validated, as one stack check of one row
@@ -110,7 +118,7 @@ class TestStackedCalibration:
         "estimate, discrepancies",
         [
             (oracle_mixed_estimate, tm._sided_infidelities),
-            (oracle_trace_distance_estimate, tm._sided_trace_distances),
+            (trace_distance_estimate, tm._sided_trace_distances),
         ],
         ids=["fidelity", "trace"],
     )
@@ -232,15 +240,16 @@ def _rung_cases(draw, max_k=4, max_d=8, min_mid=1e-6):
 
 
 def _rung_stack(k, d, seed, eps, mids):
-    """Two rank-k states on C^d, their families, and thetas (1, L): the
-    calibration ladder's rungs below 1e3 for the window [eps/2, eps], then mids."""
+    """Two rank-k states on C^d, their families, and thetas (2, L), one row per
+    state: the calibration ladder's rungs below 1e3 for the window [eps/2, eps],
+    then mids."""
     rhos = [random_rank_r_state(d, k, child_seed(seed, t)) for t in range(2)]
     w = np.array([rho.eigenvalues[:k] for rho in rhos])
     v = np.array([rho.eigenvectors for rho in rhos])
     family = tm._perturbation_families(w, v, [rng_from_seed(child_seed(seed, 2, t)) for t in range(2)])
     ladder = np.cumprod([max(eps / 2, 1e-4)] + [tm._LADDER_RATIO] * (tm._LADDER_STEPS - 1))
-    thetas = np.concatenate([ladder[ladder < 1e3], mids])[None]
-    return w, family, thetas
+    thetas = np.concatenate([ladder[ladder < 1e3], mids])
+    return w, family, np.stack([thetas, thetas])
 
 
 class TestCheapRungKernel:
@@ -255,9 +264,9 @@ class TestCheapRungKernel:
         lo, hi = case[3] / 2, case[3]
         exact = tm._infidelities(w, family, thetas)
         vals, bound = tm._bounded_infidelities(w, family, thetas)
-        for shared in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
-            want = exact if len(shared) == 1 else tm._infidelities(w, family, shared)
-            sided = tm._sided_infidelities(w, family, shared, lo, hi)
+        for per_row in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
+            want = tm._infidelities(w, family, per_row)
+            sided = tm._sided_infidelities(w, family, per_row, lo, hi)
             assert np.array_equal(sided >= lo, want >= lo)
             assert np.array_equal(sided <= hi, want <= hi)
         decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)
@@ -273,7 +282,6 @@ class TestCheapRungKernel:
 
     def test_a_nan_rung_goes_to_the_exact_kernel(self, monkeypatch):
         w, family, thetas = _rung_stack(2, 4, 7, 0.05, [0.3])
-        thetas = np.repeat(thetas, 2, axis=0)
         thetas[1, 3] = np.nan
         seen = []
 
@@ -358,9 +366,9 @@ class TestRankOneTraceKernel:
         lo, hi = case[3] / 2, case[3]
         exact = tm._trace_distances(w, family, thetas)
         vals, bound = tm._bounded_trace_distances(w, family, thetas)
-        for shared in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
-            want = exact if len(shared) == 1 else tm._trace_distances(w, family, shared)
-            sided = tm._sided_trace_distances(w, family, shared, lo, hi)
+        for per_row in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
+            want = tm._trace_distances(w, family, per_row)
+            sided = tm._sided_trace_distances(w, family, per_row, lo, hi)
             assert np.array_equal(sided >= lo, want >= lo)
             assert np.array_equal(sided <= hi, want <= hi)
         decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)
@@ -449,7 +457,7 @@ class TestOracleTraceDistance:
             d = 2 + t % 5
             r = 1 + t % min(3, d)
             rho = random_rank_r_state(d, r, child_seed(120, t))
-            sigma = oracle_trace_distance_estimate(rho, 0.05, child_seed(121, t))
+            sigma = trace_distance_estimate(rho, 0.05, child_seed(121, t))
             assert 0.025 <= trace_distance(rho, sigma) <= 0.05
             assert sigma.rank == rho.rank
 
@@ -717,13 +725,56 @@ class TestEstimateMixed:
             estimate_mixed_state_from_measurements(rho, 4, 100, seed=0)
 
 
+def _truncated_state() -> PureState:
+    """psi on (2, 4) with Schmidt spectrum (1 - 5e-11, 5e-11): its reduced state
+    has rank 1 and drops an eigenvalue of 5e-11 below RANK_TOL."""
+    m = np.zeros((2, 4))
+    m[0, 0], m[1, 1] = math.sqrt(1.0 - 5e-11), math.sqrt(5e-11)
+    return PureState(m.reshape(-1), (2, 4))
+
+
+class TestTruncationFloor:
+    # every rank-1 estimate of that state has infidelity >= 5e-11 and trace
+    # distance >= 2.5e-11; each entry used to climb, bisect and raise
+    # RuntimeError after 200 bisection steps on a window below that floor
+    ENTRIES = {
+        "oracle_mixed_estimate": (
+            "infidelity", 5e-11, lambda psi, eps: oracle_mixed_estimate(partial_trace_x(psi), eps, 0)
+        ),
+        "run_reduction": (
+            "infidelity", 5e-11,
+            lambda psi, eps: run_reduction(psi, ReductionConfig(r=2, d=4, n_copies=1, epsilon=eps)),
+        ),
+        "gentle_measurement_experiment": (
+            "trace distance", 2.5e-11, lambda psi, eps: gentle_measurement_experiment(psi, eps, 3, 0)
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_window_below_the_floor_fails_before_any_rung(self, entry, monkeypatch):
+        what, floor, call = self.ENTRIES[entry]
+        rungs = []
+        monkeypatch.setattr(tm, "_bracket_and_bisect", lambda *args: rungs.append(args))
+        message = (
+            f"target {what} 1e-12 lies below {floor:.3g}, the least {what} of any rank-1 "
+            "estimate: the eigenvalues rho keeps at rank 1 sum to 1 - 5e-11"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(_truncated_state(), 1e-12)
+        assert rungs == []
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_window_above_the_floor_lands(self, entry):
+        call = self.ENTRIES[entry][2]
+        call(_truncated_state(), 1e-10)  # 1e-10 lies above both floors: no error
+
+
 class TestResolutionFloor:
     # a calibrated window below 1e-12 is not resolved in float64
     def test_below_floor_rejected(self):
         rho = random_rank_r_state(4, 2, seed=140)
         for call in (
             lambda: oracle_mixed_estimate(rho, 9e-13, seed=141),
-            lambda: oracle_trace_distance_estimate(rho, 9e-13, seed=141),
             lambda: TomographyBackend.oracle(9e-13),
         ):
             with pytest.raises(ValueError, match="1e-12"):
@@ -734,7 +785,7 @@ class TestResolutionFloor:
             rho = random_rank_r_state(2 + t % 7, 1 + t % 2, child_seed(142, t))
             sigma = oracle_mixed_estimate(rho, 1e-12, child_seed(143, t))
             assert 1 - 1e-12 <= fidelity_mixed(rho, sigma) <= 1 - 0.5e-12
-            sigma = oracle_trace_distance_estimate(rho, 1e-12, child_seed(144, t))
+            sigma = trace_distance_estimate(rho, 1e-12, child_seed(144, t))
             assert 0.5e-12 <= trace_distance(rho, sigma) <= 1e-12
 
 
@@ -860,10 +911,9 @@ def test_entry_checks(name):
     "call",
     [
         lambda rho, psi: oracle_mixed_estimate(rho, 0.1, 0),
-        lambda rho, psi: oracle_trace_distance_estimate(rho, 0.1, 0),
         lambda rho, psi: gentle_measurement_experiment(psi, 0.1, 3, 0),
     ],
-    ids=["oracle_mixed", "oracle_trace_distance", "gentle"],
+    ids=["oracle_mixed", "gentle"],
 )
 def test_oracles_reject_d_1(call):
     # there is no other state on d = 1 to calibrate toward; these calls used
