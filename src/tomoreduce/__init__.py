@@ -3,7 +3,7 @@ with numerical verification of its fidelity guarantees.
 
 The library provides exact (up to float tolerance) state primitives,
 two-outcome projective measurement on one register of a bipartite state,
-calibrated synthetic and measurement-based tomography backends, the
+closed-form synthetic and measurement-based tomography backends, the
 reduction protocol itself with a per-inequality chain verifier, and a
 seed-stable experiment harness with CSV/JSONL output.
 """

@@ -31,7 +31,6 @@ from .reduction import (
     _check_copy_factor,
     _gentle_distances,
     _guaranteed_bound,
-    _mixed_stage,
     _run_reductions,
     proposition_search,
 )
@@ -45,7 +44,6 @@ from .seeding import (
 )
 from .states import _check_unit_norms, _overlaps, _random_pure_states, _reduced_states
 from .tomography import (
-    _LADDER_CHUNK,
     _PRODUCT_BYTES,
     TomographyBackend,
     _check_window,
@@ -242,8 +240,8 @@ def _scaling_mixed_fields(config, cell, trial_seeds, words) -> dict[str, list]:
     r, n = cell["r"], cell["n"]
     amps, rngs = _trial_draws(cell, words)
     rho = _reduced_states(amps.reshape(len(amps), r, cell["d"]))
-    _, fidelities = _mixed_stage(rho, TomographyBackend.linear_inversion(n), r, rngs, n)
-    return _fidelity_fields(fidelities)
+    _, fidelities = TomographyBackend.linear_inversion(n)._estimate_mixed_stack(rho, r, rngs, n)
+    return _fidelity_fields(fidelities.tolist())
 
 
 def _gentle_fields(config, cell, trial_seeds, words) -> dict[str, list]:
@@ -300,10 +298,8 @@ def _trial_bytes(config: ExperimentConfig, cell: Mapping[str, Any]) -> int:
     read off the shapes of the experiment's per-trial arrays, in complex
     elements of 16 bytes:
 
-    - oracle chain: five arrays of the calibration's _LADDER_CHUNK rungs of
-      (d, k) eigenvectors, k = min(r, d) the rank of rho, and five (d, d) ones;
-    - gentle: five arrays of the calibration's _LADDER_CHUNK rungs of (d, d)
-      trace-distance differences;
+    - oracle chain and gentle: six (d, d) arrays (rho, sigma and their checks)
+      and six (d, k) ones (the oracle's draws, factor and SVD), k = min(r, d);
     - linear inversion (measurement chain, scale-*): eight (d, d) arrays and,
       in a chain, eight of stage 2's (r^2, r^2) ones; the design products, of
       _num_bases(dim) * dim columns, are counted in _PRODUCT_BYTES;
@@ -315,12 +311,10 @@ def _trial_bytes(config: ExperimentConfig, cell: Mapping[str, Any]) -> int:
     kind, r, d = config.experiment, cell.get("r", 1), cell["d"]
     if kind is ExperimentKind.PROPOSITION_SEARCH:
         elements = 0
-    elif kind is ExperimentKind.GENTLE_MEASUREMENT:
-        elements = 5 * _LADDER_CHUNK * d * d
     elif _inverts(config):
         elements = 8 * (d * d + (r**4 if kind is ExperimentKind.CHAIN_SWEEP else 0))
     else:
-        elements = 5 * (_LADDER_CHUNK * d * min(r, d) + d * d)
+        elements = 6 * (d * d + d * min(r, d))
     return _TRIAL_OVERHEAD + 16 * elements
 
 

@@ -48,7 +48,6 @@ from .states import (
     PureState,
     _check_unit_norms,
     _density_matrices,
-    _fidelities,
     _groups,
     _overlaps,
     _phase_normalized,
@@ -63,13 +62,7 @@ from .states import (
     optimal_purification_against,
     partial_trace_x,
 )
-from .tomography import (
-    TomographyBackend,
-    _calibrated_estimates,
-    _check_perturbable,
-    _check_window,
-    _sided_trace_distances,
-)
+from .tomography import TomographyBackend, _check_perturbable, _check_window, _trace_estimates
 
 __all__ = [
     "CHAIN_SLACK",
@@ -360,17 +353,6 @@ def run_reduction(psi: PureState, config: ReductionConfig) -> ReductionReport:
     )
 
 
-def _mixed_stage(rho, backend: TomographyBackend, r: int, rngs, shots: int):
-    """Stage 1 on checked (matrix, eigenvalues, eigenvectors) stacks of reduced
-    states rho_t, of one rank for an oracle: the like stacks of the backend's
-    rank-r estimates sigma_t, drawn from rngs[t], and F(rho_t, sigma_t) as a list,
-    from the pairs ``fidelity_mixed`` takes, so ``verify_chain`` repeats it bit for bit."""
-    _, rho_w, rho_v = rho
-    sigma = backend._estimate_mixed_stack(rho, r, rngs, shots)
-    k = _ranks(rho_w).max()
-    return sigma, _fidelities(rho_w[:, :k], rho_v[:, :, :k], *sigma[1:]).tolist()
-
-
 def _run_reductions(amps: np.ndarray, config: ReductionConfig, rngs) -> dict[str, list]:
     """The chain record columns of a (T, r*d) stack of input amplitude rows under
     one config, trial t drawing from rngs[t] in place of ``config.seed``'s generator;
@@ -378,7 +360,7 @@ def _run_reductions(amps: np.ndarray, config: ReductionConfig, rngs) -> dict[str
     m = amps.reshape(len(amps), config.r, config.d)
     rho = _reduced_states(m)
     rho_ranks = _ranks(rho[1])
-    if (rho_ranks != rho_ranks[0]).any():  # the oracle calibrates states of one rank at a time
+    if (rho_ranks != rho_ranks[0]).any():  # the oracle builds estimates of one rank at a time
         groups = _groups(rho_ranks)
         parts = [_run_reductions(amps[idx], config, [rngs[t] for t in idx]) for idx in groups]
         joined = {name: [v for part in parts for v in part[name]] for name in _CHAIN_COLUMNS}
@@ -397,7 +379,7 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
     mask ``fed`` over it of trials whose pure stage ran, and the (3, T) overlaps
     of ``_stage_fidelities``, NaN where their stage did not run."""
     r, count = config.r, len(m)
-    sigma, f_rho_sigma = _mixed_stage(rho, config.mixed_backend, r, rngs, config.n_copies)
+    sigma, f_rho_sigma = config.mixed_backend._estimate_mixed_stack(rho, r, rngs, config.n_copies)
     ranks, keep, usable, tilde = _support_projections(m, *sigma[1:], r)
     extra_copies = config.extra_copies
     kept = np.zeros(count, dtype=np.int64)
@@ -424,7 +406,7 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
     overlaps = np.full((3, count), np.nan)
     overlaps[:, usable] = _stage_fidelities(m.reshape(count, -1)[usable], tilde, phi)
     overlaps[1:, usable[~fed]] = np.nan
-    return sigma, phi, (np.array(f_rho_sigma), keep, ranks, kept, usable, fed, overlaps)
+    return sigma, phi, (f_rho_sigma, keep, ranks, kept, usable, fed, overlaps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,8 +602,8 @@ def proposition_search(d: int, eta: float, count: int, seed) -> PropositionSearc
 @dataclass(frozen=True, eq=False)
 class GentleMeasurementResult:
     """Trace distances T between the projected and the original state, one
-    per completed trial, under a calibrated trace-distance-delta support
-    estimate. Ratios such as T/sqrt(delta) and T/delta are left to the
+    per completed trial, under a support estimate at trace distance
+    delta/2 to delta. Ratios such as T/sqrt(delta) and T/delta are left to the
     caller, which knows delta."""
 
     delta: float
@@ -647,14 +629,16 @@ def gentle_measurement_experiment(
 ) -> GentleMeasurementResult:
     """How far does projecting onto an estimate's support move the state?
 
-    Each trial builds a same-rank sigma with trace_distance(rho, sigma) in
-    [delta/2, delta], projects psi onto sigma's support, and records the
-    trace distance T = ||psi - <psi_tilde|psi> psi_tilde|| between the projected
-    and the original state (it equals sqrt(1 - keep), but 1 - keep cancels in
-    floats). Trials whose keep probability vanishes are skipped and counted.
-    T/delta is data, not a pass/fail: rho = diag(1 - delta, delta, 0) and
-    sigma = diag(1 - delta, 0, delta) give T = sqrt(delta), so T/delta has no
-    bound, though the sampled family does not reach that case.
+    Each trial builds a same-rank sigma at trace distance x from rho, x drawn
+    from [delta/2, delta], in closed form (``tomography._trace_estimates``): rho's
+    top s = min(k, d - k) eigenvectors rotate into its kernel, up to about their
+    weight, or at full rank sigma mixes rho toward its smallest eigenvalues, up
+    to about 1 - the smallest. It projects psi onto sigma's support and records
+    T = ||psi - <psi_tilde|psi> psi_tilde|| (sqrt(1 - keep), but 1 - keep cancels
+    in floats); trials whose keep probability vanishes are skipped and counted.
+    T <= sqrt(x), as 1 - keep = tr((1 - Pi)(rho - sigma)) <= x, but T/delta is
+    data: rho = diag(1 - delta, delta, 0) and sigma = diag(1 - delta, 0, delta)
+    give T = sqrt(delta), so T/delta has no bound (the rotation misses that case).
     """
     delta = _check_window("trace distance", delta)
     trials = _check_integer("trials", trials)
@@ -677,13 +661,13 @@ def _gentle_distances(amps: np.ndarray, r: int, delta: float, rngs) -> np.ndarra
     m = amps.reshape(count, r, -1)
     _, rho_w, rho_v = _reduced_states(m)
     ranks = _ranks(rho_w)
-    if (ranks != ranks[0]).any():  # the oracle calibrates states of one rank at a time
+    if (ranks != ranks[0]).any():  # the oracle builds estimates of one rank at a time
         distances = np.empty(count)
         for idx in _groups(ranks):
             distances[idx] = _gentle_distances(amps[idx], r, delta, [rngs[t] for t in idx])
         return distances
     rho_w = rho_w[:, : ranks[0]]
-    _, w, v = _calibrated_estimates(rho_w, rho_v, rngs, _sided_trace_distances, delta / 2.0, delta)
+    _, w, v = _trace_estimates(rho_w, rho_v, delta, rngs)
     _, _, usable, tilde = _support_projections(m, w, v, r)
     # _row_vdots and _row_norms make, per row, the BLAS calls of np.vdot and np.linalg.norm
     a = amps[usable]

@@ -14,10 +14,8 @@ and ``_row_norms`` make the BLAS calls of ``np.vdot`` and ``np.linalg.norm``
 per row, moduli are ``np.hypot``, and squares of overlaps stay scalar (``pow``).
 Each distance between mixed states has one stacked kernel: ``_fidelities``, on
 eigenpairs whose eigenvalues at or below RANK_TOL count as 0 (the rule of
-``_ranks`` and ``support_projector``), and ``_half_trace_norms``. Every
-fidelity that is recorded or decides a landing comes from ``_fidelities``; the
-oracle's calibration rungs use a cheaper bounded kernel in ``tomography`` that
-only proves on which side of the window a rung lies.
+``_ranks`` and ``support_projector``), and ``_half_trace_norms``, which also
+recheck every oracle estimate: every recorded fidelity comes from ``_fidelities``.
 """
 
 from __future__ import annotations

@@ -1,19 +1,17 @@
-"""Pluggable state estimators: calibrated synthetic oracles and a concrete
+"""Pluggable state estimators: closed-form synthetic oracles and a concrete
 measurement-based estimator.
 
-The oracle estimators return a randomly perturbed copy of the true state
-whose infidelity (or trace distance) is driven by bisection into a requested
-window. They stand in for an estimation procedure with a known guarantee, so
-downstream analysis can be checked at an exact error level. Calibration only
-compares each rung with the window's edges: infidelity rungs are evaluated by
-a closed-form kernel with a rounding bound (``_bounded_infidelities``), and a
-row with a rung within its bound of an edge by the exact SVD kernel
-``states._fidelities``; rank-1 trace-distance rungs likewise by a closed form
-(``_bounded_trace_distances``) and the eigvalsh kernel ``_trace_distances``,
-which decides every higher rank. Each infidelity trial climbs from a start
-rung below which the Bures-angle speed limit proves every rung below the
-window (``_start_rungs``), so most stacks land in one ladder call. Every
-landing is the exact kernels'. The
+The oracle estimators return a random estimate of the true state whose
+infidelity (or trace distance) lies in a requested window. They stand in for
+an estimation procedure with a known guarantee, so downstream analysis can be
+checked at an exact error level. Each draws its target uniformly from the
+window, shrunk by a stated rounding bound, and builds the estimate in closed
+form, in one pass per stack with no search: the infidelity oracle rotates
+rho's rank-k factor by one angle, F = cos^2 t by Uhlmann's theorem
+(``_infidelity_estimates``), and the trace-distance oracle rotates rho's top
+eigenvectors into its kernel (``_trace_estimates``). Each states its reach,
+and one exact recheck per stack (``states._fidelities`` or
+``_half_trace_norms``) places every estimate in its window. The
 measurement-based estimators simulate single-copy measurements in randomized
 orthonormal bases and reconstruct by linear inversion; they realize the
 error-vs-budget scaling shape without optimal constants. Each dimension has
@@ -33,7 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +57,6 @@ from .states import (
 )
 
 __all__ = [
-    "BISECTION_MAX_ITER",
     "BackendKind",
     "TomographyBackend",
     "oracle_mixed_estimate",
@@ -68,13 +65,9 @@ __all__ = [
     "estimate_mixed_state_from_measurements",
 ]
 
-BISECTION_MAX_ITER = 200
-_EIGENVALUE_FLOOR = 1e-7  # relative floor keeping perturbed eigenvalues above the rank tolerance
-_FAMILIES = 8  # perturbation families drawn before calibration gives up
-_LADDER_STEPS = 140  # rungs of the geometric theta ladder
-_LADDER_RATIO = 1.35  # fine enough not to hop over oscillation peaks
-_LADDER_CHUNK = 6  # ladder rungs evaluated per stacked call
 _RESOLUTION_FLOOR = 1e-12  # narrowest window float64 resolves; at 1e-15 F landed 2 ulps from 1
+_U = np.finfo(float).eps / 2.0  # unit roundoff
+_GROWN = 1e-5  # normalized eigenvalues the full-rank infidelity oracle never shrinks
 _DESIGN_SEED = 0  # master seed of the candidate measurement designs
 _DESIGN_CANDIDATES = 15  # seeded designs per dimension, of which the median one is used
 _DESIGN_CONDITION = 1e6  # largest condition number accepted for a design's frame operator
@@ -128,15 +121,17 @@ class TomographyBackend:
         return 1 if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY else _shot_floor(dim)
 
     def _estimate_mixed_stack(self, rho, rank: int, rngs, shots: int):
-        """Checked (matrix, eigenvalues, eigenvectors) stacks of the estimates of the
-        states ``rho``, such stacks on one C^d with full spectra and all of one rank
-        for an oracle, at a checked rank and budget, one generator per state."""
+        """Checked (matrix, eigenvalues, eigenvectors) stacks of the estimates sigma_t
+        of the states ``rho``, such stacks on one C^d with full spectra and all of
+        one rank for an oracle, at a checked rank and budget, one generator per
+        state, and F(rho_t, sigma_t) as an array, from the pairs ``fidelity_mixed``
+        takes (rho's cut to its rank), so ``verify_chain`` repeats it bit for bit."""
         mat, w, v = rho
+        k = _ranks(w).max()
         if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            eps = self.epsilon_target
-            k = _ranks(w[:1])[0]
-            return _calibrated_estimates(w[:, :k], v, rngs, _sided_infidelities, eps / 2.0, eps)
-        return _inverted_mixed_states(mat, rank, np.full(len(mat), shots), rngs)
+            return _infidelity_estimates(w[:, :k], v, self.epsilon_target, rngs)
+        sigma = _inverted_mixed_states(mat, rank, np.full(len(mat), shots), rngs)
+        return sigma, _fidelities(w[:, :k], v[:, :, :k], *sigma[1:])
 
     def _estimate_pure_stack(self, amps: np.ndarray, rngs, shots) -> np.ndarray:
         """Checked amplitude rows of the estimates of a (T, n) stack of pure
@@ -150,456 +145,184 @@ class TomographyBackend:
         return rows
 
 
-class _Family(NamedTuple):
-    """Raw arrays of a stack of perturbation families sigma_t(theta) around rho_t.
-
-    ``lam`` and ``q`` are the spectra (scaled to unit spectral norm) and
-    eigenbases of the rotation generators, ``coords`` holds each rho's top-k
-    eigenvectors in its generator's eigenbasis, and the eigenvalues follow
-    the log-direction ``drift`` from ``base_log``.
-    """
-
-    lam: np.ndarray  # (T, d)
-    q: np.ndarray  # (T, d, d) unitary
-    coords: np.ndarray  # (T, d, k) isometry
-    base_log: np.ndarray  # (T, k)
-    drift: np.ndarray  # (T, k)
-
-    def take(self, idx: np.ndarray) -> "_Family":
-        return _Family(*(a[idx] for a in self))
-
-
-def _perturbation_families(
-    rho_w: np.ndarray, rho_v: np.ndarray, rngs: list[np.random.Generator]
-) -> _Family:
-    """One family sigma_t(theta) per state, with sigma_t(0) = rho_t and rank
-    preserved, drawn from the state's own generator.
-
-    rho_w (T, k) holds the states' top-k eigenvalues and rho_v (T, d, m) their
-    eigenvectors, of which the first k are used. The eigenbasis is rotated by
-    exp(i theta H) for a random Hermitian H of unit spectral norm, and the
-    eigenvalues drift along a random log-direction (a softmax in theta, so no
-    scale overflows), floored so the numerical rank never drops.
-    """
-    d, k = rho_v.shape[1], rho_w.shape[1]
-    # one draw per trial: the generator's real and imaginary parts, then its drift
-    x = np.array([rng.standard_normal(2 * d * d + k) for rng in rngs])
-    g = x[:, : d * d].reshape(-1, d, d) + 1j * x[:, d * d : 2 * d * d].reshape(-1, d, d)
-    h = (g + g.conj().swapaxes(1, 2)) / 2.0
-    lam, q = np.linalg.eigh(h)
-    lam = lam / np.maximum(np.max(np.abs(lam), axis=1), 1e-30)[:, None]
-    drift = x[:, 2 * d * d :]
-    base_log = np.log(np.clip(rho_w, RANK_TOL, None))
-    # a strided view of the eigenvectors, as one state's [:, :k] slice is:
-    # BLAS rounds a contiguous copy differently at some d
-    coords = q.conj().swapaxes(1, 2) @ rho_v[:, :, :k]
-    return _Family(lam, q, coords, base_log, drift)
-
-
-def _eigenvalues_at(family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """Eigenvalues of sigma_t(theta) for a (T, L) stack of thetas, shape (T, L, k)."""
-    logits = family.base_log[:, None, :] + thetas[:, :, None] * family.drift[:, None, :]
-    vals = np.exp(logits - logits.max(axis=2, keepdims=True))
-    vals = np.maximum(vals, _EIGENVALUE_FLOOR * vals.max(axis=2, keepdims=True))
-    return vals / vals.sum(axis=2, keepdims=True)
-
-
-def _phased_coords(family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """Eigenvectors of sigma_t(theta) in the generator's eigenbasis, shape (T, L, d, k)."""
-    return _phases(family, thetas)[:, :, :, None] * family.coords[:, None]
-
-
-def _phases(family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """e^{i theta lam} of the generators' spectra, shape (T, L, d)."""
-    return np.exp(1j * thetas[:, :, None] * family.lam[:, None, :])
-
-
-def _infidelities(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """1 - F(rho_t, sigma_t(theta)) for a (T, L) stack of thetas, the eigenvectors
-    of both states taken in the generator's eigenbasis."""
-    eigs, phased = _eigenvalues_at(family, thetas), _phased_coords(family, thetas)
-    return 1.0 - _fidelities(rho_w[:, None], family.coords[:, None], eigs, phased)
-
-
-def _bounded_infidelities(
-    rho_w: np.ndarray, family: _Family, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """1 - F(rho_t, sigma_t(theta)) for a (T, L) stack of thetas without an SVD,
-    and a bound on each value's distance to ``_infidelities``'s, both (T, L).
-
-    sqrt F is the trace norm s = ||M||_1 of M = diag(sqrt w_rho) W diag(sqrt w_sigma),
-    W = C^H diag(e^{i theta lam}) C for the family's coordinates C (d, k). W is
-    one (T, L, d) @ (T, d, k^2) product of the phases with the outer products
-    conj(C_ja) C_jb, and s is |m_11| at k = 1, sqrt(||M||_F^2 + 2|det M|) at
-    k = 2 (s^2 = s_1^2 + s_2^2 + 2 s_1 s_2), and the sum of sqrt(lambda_i) over
-    eigvalsh(M^H M) at k >= 3. With u = 2^-53, |s - s_exact| <= ds, the sum of:
-
-    - The norm's rounding, here and in the exact kernel's SVD, which LAPACK
-      bounds by a small multiple of u ||M||_2 <= u s.
-      - k = 1: 64 u s. hypot and the 1 x 1 SVD are each within a few ulps of
-        |m_11|.
-      - k = 2: 128 u ||M||_F^2 / s. ||M||_F^2 carries at most 5 u ||M||_F^2;
-        2|det M| at most 5 u ||M||_F^2, as |m_11 m_22| + |m_12 m_21| <=
-        ||M||_F^2 / 2 bounds the cancellation; so s^2 is within
-        12 u ||M||_F^2, s within 8 u ||M||_F^2 / s, and s <= 2 ||M||_F^2 / s
-        takes the SVD's error into the same form.
-      - k >= 3: sum_i min(sqrt(dl), dl / sqrt(lambda_i)), dl = 8 k^2 u tr(M^H M).
-        Forming M^H M moves each eigenvalue by at most (k + 2) u ||M||_F^2 and
-        eigvalsh by a small multiple of u ||M^H M||_2 <= u tr(M^H M); then
-        |sqrt a - sqrt b| <= min(sqrt|a - b|, |a - b| / sqrt a). The SVD's
-        error, a small multiple of k u s_1, is below the top term
-        dl / s_1 >= 8 k^2 u s_1.
-    - W's, formed here as phases @ outer products and there as C^H (phases * C):
-      8 sqrt(k) (d + 6) u. Each entry of either carries at most (d + 6) u
-      sum_j |C_ja| |C_jb|, so the two Ms differ by 2 (d + 6) u in Frobenius
-      norm (the weights sum to at most 1) and their trace norms by sqrt(k) times that.
-
-    The infidelities 1 - min(1, s^2) then differ by at most ds (2 s + ds) + 16 u,
-    the last term for the square and the subtraction, 2 u a side. Each
-    constant is at least 4 times its worst case above, or, for LAPACK's terms,
-    10 times the largest distance measured over k = 1 to 4, d = 2 to 16 and
-    thetas from 1e-8 to 50: the closed forms and the SVD differed by at most
-    3.7 u s at k = 1, 9.2 u ||M||_F^2 / s at k = 2 (7 u s of it the SVD's, by
-    mpmath) and 0.34 of the k >= 3 term at dl = k^2 u tr(M^H M), the two Ms
-    by 0.4 sqrt(k) (d + 6) u, and the subtractions by 1 u. A value or bound
-    that is not finite (a NaN theta, M = 0) compares false, so
-    ``_sided_infidelities`` rechecks it.
-    """
-    c = family.coords
-    d, k = c.shape[1:]
-    u = np.finfo(float).eps / 2.0
-    root_a = np.sqrt(np.where(rho_w > RANK_TOL, rho_w, 0.0))
-    eigs = _eigenvalues_at(family, thetas)
-    root_b = np.sqrt(np.where(eigs > RANK_TOL, eigs, 0.0))
-    phases = _phases(family, thetas)
-    outer = (c.conj()[:, :, :, None] * c[:, :, None, :]).reshape(len(c), d, k * k)
-    w = (phases @ outer).reshape(*phases.shape[:2], k, k)
-    m = root_a[:, None, :, None] * w * root_b[:, :, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if k == 1:
-            s = np.abs(m[..., 0, 0])
-            ds = 64.0 * u * s
-        elif k == 2:
-            fro2 = np.sum(m.real**2 + m.imag**2, axis=(2, 3))
-            det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-            s = np.sqrt(fro2 + 2.0 * np.abs(det))
-            ds = 128.0 * u * fro2 / s
-        else:
-            lam = np.linalg.eigvalsh(m.conj().swapaxes(2, 3) @ m)
-            dl = 8.0 * k * k * u * np.sum(m.real**2 + m.imag**2, axis=(2, 3))[..., None]
-            s = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=2)
-            # min(sqrt(dl), dl / sqrt(lambda)) in one step: sqrt(dl) where lambda < dl
-            ds = np.sum(dl / np.sqrt(np.maximum(lam, dl)), axis=2)
-    ds = ds + 8.0 * math.sqrt(k) * (d + 6) * u
-    return 1.0 - np.minimum(1.0, s * s), ds * (2.0 * s + ds) + 16.0 * u
-
-
-def _sided(bounded, exact, rho_w, family, thetas, lo, hi) -> np.ndarray:
-    """Discrepancies that lie on the same side of lo and of hi as the kernel
-    ``exact``'s, for a (T, L) stack of thetas: ``bounded``'s values where its
-    bound decides both sides, and ``exact``'s, in one call of the same shape,
-    on every row with an entry it leaves undecided."""
-    vals, bound = bounded(rho_w, family, thetas)
-    decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)  # False at NaN
-    rows = np.flatnonzero(~decided.all(axis=1))
-    if rows.size:
-        vals[rows] = exact(rho_w[rows], family.take(rows), thetas[rows])
-    return vals
-
-
-def _sided_infidelities(
-    rho_w: np.ndarray, family: _Family, thetas: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Infidelities on ``_infidelities``'s side of lo and of hi, decided by
-    ``_bounded_infidelities`` where its bound allows (see ``_sided``)."""
-    return _sided(_bounded_infidelities, _infidelities, rho_w, family, thetas, lo, hi)
-
-
-def _trace_distances(rho_w: np.ndarray, family: _Family, thetas: np.ndarray) -> np.ndarray:
-    """T(rho_t, sigma_t(theta)) for a (T, L) stack of thetas, both states taken
-    in the generator's eigenbasis: half the sum of |eigvalsh| of their difference."""
-    coords = family.coords
-    rho_q = (coords * rho_w[:, None, :]) @ coords.conj().swapaxes(1, 2)
-    phased = _phased_coords(family, thetas)
-    eigs = _eigenvalues_at(family, thetas)
-    sigma_q = (phased * eigs[:, :, None, :]) @ phased.conj().swapaxes(2, 3)
-    return _half_trace_norms(rho_q[:, None] - sigma_q)
-
-
-def _bounded_trace_distances(
-    rho_w: np.ndarray, family: _Family, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """T(rho_t, sigma_t(theta)) of rank-1 states for a (T, L) stack of thetas
-    without an eigensolver, and a bound on each value's distance to
-    ``_trace_distances``'s, both (T, L).
-
-    With rho = a c c^H, c the coordinates (d,) with n = ||c||^2, and sigma =
-    c' c'^H for c' = diag(e^{i theta lam}) c (sigma's one eigenvalue is
-    exactly 1, a softmax of one logit), rho - sigma has rank 2, trace (a - 1) n
-    and determinant -a (n^2 - |o|^2) on its span, o = <c|c'>. Its eigenvalues
-    have opposite signs, so ||rho - sigma||_1 is their difference:
-    T = sqrt(((a - 1) n)^2 + 4 a (n^2 - |o|^2)) / 2. Here n^2 - |o|^2 is
-    the sum over j, l of p_j p_l 2 sin^2(theta (lam_j - lam_l) / 2), p = |c|^2,
-    a sum of terms of one sign, never 1 - |o|^2, whose rounding of about u
-    the square root would lift to sqrt(u) near T = 0. With u = 2^-53, the
-    two kernels differ by at most (8 sqrt(d) (8 + theta) + 24 theta
-    + 8 (d + 4)^2 T) u, the sum of:
-
-    - This form's rounding: the sum of d^2 terms and the products carry a
-      relative (d^2 + 2 d + 16) u, of which T takes half; each angle, rounded
-      to a relative 3 u, moves a term 2 sin^2 x by 12 u |x| |sin x|, and
-      |x| <= theta, which by Cauchy-Schwarz moves T by at most 4.3 u theta n.
-    - ``_trace_distances``' rounding: its phases carry (theta + 3) u each, and
-      forming rho_q, sigma_q and their difference adds (3 a + 3) u n, so
-      the difference is off by at most (12 + 2 theta) u n in Frobenius norm;
-      the sum of |eigenvalues| moves by sqrt(d) times that (Hoffman-Wielandt),
-      and eigvalsh's own error, a small multiple of d u ||rho - sigma||_2
-      <= 2 d u T per eigenvalue, adds d^2 u T at most over the spectrum.
-
-    n is 1 to a few u. Each constant is at least 4 times its worst case
-    above; over d = 2 to 16 and thetas from 1e-12 to 1e8, the two kernels
-    differed by at most 0.043 of the bound. A value or bound that is not
-    finite compares false, so ``_sided_trace_distances`` rechecks it.
-    """
-    u = np.finfo(float).eps / 2.0
-    c, lam, a = family.coords[:, :, 0], family.lam, rho_w[:, :1]
-    d = c.shape[1]
-    p = c.real**2 + c.imag**2
-    n = p.sum(axis=1, keepdims=True)
-    half = thetas[:, :, None, None] * ((lam[:, :, None] - lam[:, None, :]) / 2.0)[:, None]
-    gaps = 2.0 * np.sin(half) ** 2
-    spread = ((gaps @ p[:, None, :, None])[..., 0] * p[:, None, :]).sum(axis=2)
-    t = 0.5 * np.sqrt(((a - 1.0) * n) ** 2 + 4.0 * a * spread)
-    bound = (8.0 * math.sqrt(d) * (8.0 + thetas) + 24.0 * thetas + 8.0 * (d + 4) ** 2 * t) * u
-    return t, bound
-
-
-def _sided_trace_distances(
-    rho_w: np.ndarray, family: _Family, thetas: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """Trace distances on ``_trace_distances``'s side of lo and of hi: at rank 1
-    decided by ``_bounded_trace_distances`` where its bound allows (see
-    ``_sided``), and at rank 2 and up ``_trace_distances``'s own."""
-    if rho_w.shape[1] > 1:
-        return _trace_distances(rho_w, family, thetas)
-    return _sided(_bounded_trace_distances, _trace_distances, rho_w, family, thetas, lo, hi)
-
-
-@functools.lru_cache(maxsize=64)
-def _ladder(lo: float) -> np.ndarray:
-    """The geometric theta ladder of a window with lower edge lo: _LADDER_STEPS
-    rungs from max(lo, 1e-4), each _LADDER_RATIO times the one below."""
-    # repeated products, not powers: records depend on the exact rungs
-    return _frozen(np.cumprod([max(lo, 1e-4)] + [_LADDER_RATIO] * (_LADDER_STEPS - 1)))
-
-
-def _start_rungs(rho_w: np.ndarray, family: _Family, lo: float) -> np.ndarray:
-    """Per trial, the first rung of ``_ladder(lo)`` that an a-priori bound
-    does not prove to give an infidelity below lo under the exact kernel
-    ``_infidelities``: calibration need not evaluate the rungs below it.
-
-    The Bures angle A(rho, sigma) = arccos sqrt F is a metric, and along a
-    path sigma(theta) it grows at most at speed sqrt(F_Q) / 2, F_Q the
-    quantum Fisher information (Braunstein and Caves, PRL 72, 3439, 1994).
-    So A(rho, sigma(theta)) <= A_0 + c theta, A_0 = A(rho, sigma(0)) and c
-    a bound on the speed. sigma(theta) = U D(theta) U^H with U = e^{i theta H}
-    splits F_Q in two:
-
-    - the coherent part, at most 4 Var_sigma(H) <= 4 ||H||^2 = 4, as the
-      generator has unit spectral norm;
-    - the classical part, the variance, under D's eigenvalues w, of their
-      log-derivatives. Unfloored, w_i's is drift_i less the top logit's
-      drift, and floored it is 0, the top logit's own term; so they all lie
-      in a range of Delta = max drift - min drift, and Popoviciu's
-      inequality bounds their variance by Delta^2 / 4.
-
-    So c = sqrt(1 + Delta^2 / 16). rho and sigma(0) share eigenvectors, so
-    cos A_0 = sum_i sqrt(lambda_i w_i(0)) over rho's eigenvalues lambda,
-    divided by sqrt(sum lambda) where that sum exceeds 1. A sum below 1 only
-    scales F by it, which the bound keeps: arccos(x cos A) - A decreases in
-    A for x <= 1. Then 1 - F = sin^2 A <= A^2 <= (A_0 + c theta)^2, so a
-    rung theta lies below lo where (A_0 + c theta)^2 < lo - m, m a bound on
-    the exact kernel's rounding at theta < 1, as every rung so proven is.
-    With u = 2^-53 and D = max |drift|, m = 2 ds + ds^2 + 16 u for a bound
-    ds on the rounding of sqrt F, the sum of:
-
-    - W = C^H diag(e^{i theta lam}) C: 8 sqrt(k) (d + 6) u for its products,
-      as in ``_bounded_infidelities``, and 64 sqrt(k) d u for the isometry
-      defect of the coordinates C, 2 sqrt(k) ||C^H C - I||_2 with that norm
-      taken at 4 times the largest measured, 7.7 d u over d = 2 to 32;
-    - the SVD and the sum of its k values: 20 k u;
-    - the square roots of the eigenvalues: their logits, of modulus at most
-      24 + D, carry (24 + 2 D) u each, so a square root carries at most
-      (33 + 2 D + k / 2) u relative: (136 + 8 D + 4 k) u;
-
-    and 16 u for the square, the subtraction and this bound's own rounding.
-    cos A_0 is taken (144 + 8 k) u low, 4 times its rounding, so that the
-    arccos, ill-conditioned near 1, never comes out too small. Each
-    constant is at least 4 times its worst case.
-    """
-    k, d = rho_w.shape[1], family.coords.shape[1]
-    u = np.finfo(float).eps / 2.0
-    w0 = _eigenvalues_at(family, np.zeros((len(rho_w), 1)))[:, 0]
-    cos_a0 = np.sqrt(rho_w * w0).sum(axis=1) / np.sqrt(np.maximum(1.0, rho_w.sum(axis=1)))
-    a0 = np.arccos(np.clip(cos_a0 - (144 + 8 * k) * u, -1.0, 1.0))
-    top, bottom = family.drift.max(axis=1), family.drift.min(axis=1)
-    speed = np.sqrt(1.0 + (top - bottom) ** 2 / 16.0)
-    reach = np.maximum(top, -bottom)
-    ds = (8.0 * math.sqrt(k) * (9 * d + 6) + 24 * k + 136 + 8.0 * reach) * u
-    margin = 2.0 * ds + ds * ds + 16.0 * u
-    theta = (np.sqrt(np.clip(lo - margin, 0.0, None)) - a0) / speed
-    return np.searchsorted(_ladder(lo), theta)
-
-
-def _bracket_and_bisect(
-    discrepancies: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    start: np.ndarray,
-    lo: float,
-    hi: float,
-) -> np.ndarray:
-    """Walk each trial up the geometric theta ladder ``_ladder(lo)`` from its
-    start rung ``start[t]`` until its discrepancy exceeds the window, then
-    bisect into it.
-
-    ``discrepancies(idx, thetas)`` evaluates the trials ``idx`` (sorted) at
-    thetas of shape (len(idx), L). The trials climb in lockstep, a chunk of
-    _LADDER_CHUNK rungs from each one's own next rung per call (the rungs
-    past the ladder's top repeat it and count as below the window), and
-    bisect in lockstep, one midpoint per trial per call; each trial retires
-    as it lands. A trial that overshoots at a rung bisects from the rung
-    below it (0 at rung 0), so one that starts above rung 0 lands as it would
-    from rung 0 whenever every rung below its start lies below the window.
-    Returns the landing theta per trial, NaN where the family never reaches
-    the window (the caller redraws a fresh family)."""
-    count = len(start)
-    theta, theta_lo, theta_hi = np.full((3, count), np.nan)
-    ladder = _ladder(lo)
-    climbing, rung = np.arange(count), np.asarray(start)
-    steps = np.arange(_LADDER_CHUNK)
-    while climbing.size:
-        at = rung[:, None] + steps
-        chunk = ladder[np.minimum(at, _LADDER_STEPS - 1)]
-        vals = discrepancies(climbing, chunk)
-        # each trial's first rung that reaches the window; a NaN rung counts as below it
-        reached = (vals >= lo) & (at < _LADDER_STEPS)
-        i = reached.argmax(axis=1)
-        hit = reached.any(axis=1)
-        rows = np.arange(len(i))
-        over = hit & ~(vals[rows, i] <= hi)
-        landed = hit & ~over
-        theta[climbing[landed]] = chunk[rows[landed], i[landed]]
-        top = at[rows[over], i[over]]
-        theta_lo[climbing[over]] = np.where(top > 0, ladder[top - 1], 0.0)
-        theta_hi[climbing[over]] = ladder[top]
-        going = ~hit & (at[:, -1] < _LADDER_STEPS - 1)
-        climbing, rung = climbing[going], rung[going] + _LADDER_CHUNK
-    bisecting = np.flatnonzero(~np.isnan(theta_hi))
-    theta_lo, theta_hi = theta_lo[bisecting], theta_hi[bisecting]
-    for _ in range(BISECTION_MAX_ITER):
-        if not bisecting.size:
-            return theta
-        mid = 0.5 * (theta_lo + theta_hi)
-        val = discrepancies(bisecting, mid[:, None])[:, 0]
-        inside = (lo <= val) & (val <= hi)
-        below = val < lo  # a NaN midpoint counts as above the window
-        theta[bisecting[inside]] = mid[inside]
-        theta_lo = np.where(below, mid, theta_lo)[~inside]
-        theta_hi = np.where(below, theta_hi, mid)[~inside]
-        bisecting = bisecting[~inside]
-    if bisecting.size:
-        raise RuntimeError(
-            f"calibration failed to land in [{lo:g}, {hi:g}] after {BISECTION_MAX_ITER} bisection steps"
-        )
-    return theta
-
-
-def _eigensystems_at(family: _Family, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (T, k) and (T, d, k) of sigma_t(theta_t), one theta per family."""
-    thetas = theta[:, None]
-    return _eigenvalues_at(family, thetas)[:, 0], family.q @ _phased_coords(family, thetas)[:, 0]
-
-
-def _calibrate(
-    rho_w: np.ndarray,
-    rho_v: np.ndarray,
-    rngs: list[np.random.Generator],
-    discrepancies: Callable[[np.ndarray, _Family, np.ndarray, float, float], np.ndarray],
-    lo: float,
-    hi: float,
-    families: int = _FAMILIES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (T, k) and (T, d, k) of a calibrated estimate of each state.
-
-    rho_w holds the states' top-k eigenvalues and rho_v their eigenvectors
-    (T, d, m), m >= k. Each trial draws a perturbation family from its own
-    generator and is bisected into [lo, hi]; the trials whose family never
-    reaches the window draw their next family together, up to ``families``
-    draws, so a trial's draws are the ones it makes alone. Calibration only
-    compares discrepancies with lo and hi, so ``discrepancies(rho_w, family,
-    thetas, lo, hi)`` may return any value on the exact value's side of each.
-    With ``_sided_infidelities`` each trial climbs from its ``_start_rungs``
-    rung, whose rungs below are proven below lo, so it lands where it would
-    from rung 0; trace distances climb from rung 0."""
-    family = _perturbation_families(rho_w, rho_v, rngs)
-
-    def family_discrepancies(idx, thetas):
-        if len(idx) == len(rngs):  # every trial: no copies
-            return discrepancies(rho_w, family, thetas, lo, hi)
-        return discrepancies(rho_w[idx], family.take(idx), thetas, lo, hi)
-
-    # T <= sqrt(1 - F) <= A_0 + c theta proves no trace-distance rung below
-    # lo <= _ladder(lo)[0], so only infidelities start above rung 0
-    if discrepancies is _sided_infidelities:
-        start = _start_rungs(rho_w, family, lo)
-    else:
-        start = np.zeros(len(rngs), dtype=np.int64)
-    theta = _bracket_and_bisect(family_discrepancies, start, lo, hi)
-    missed = np.isnan(theta)
-    if not missed.any():
-        return _eigensystems_at(family, theta)
-    if families == 1:
-        raise RuntimeError(
-            f"no perturbation of the state reached the target window [{lo:g}, {hi:g}] "
-            f"after {_FAMILIES} attempts"
-        )
-    w = np.empty_like(rho_w)
-    v = np.empty((*rho_v.shape[:2], rho_w.shape[1]), dtype=complex)
-    landed = ~missed
-    w[landed], v[landed] = _eigensystems_at(family.take(landed), theta[landed])
-    redraw = [rng for rng, miss in zip(rngs, missed.tolist()) if miss]
-    w[missed], v[missed] = _calibrate(
-        rho_w[missed], rho_v[missed], redraw, discrepancies, lo, hi, families - 1
-    )
-    return w, v
-
-
-def _calibrated_estimates(rho_w: np.ndarray, rho_v: np.ndarray, rngs, discrepancies, lo, hi):
-    """Checked (matrix, eigenvalues, eigenvectors) stacks of the calibrated estimates
-    of states of one rank k, from rho_w (T, k), their top-k eigenvalues, and rho_v
-    (T, d, m), m >= k, their eigenvectors; each drawn from its own generator.
-    ``_check_truncation_floor`` runs first, so an unreachable window climbs no rung."""
-    _check_truncation_floor(rho_w, discrepancies, hi)
-    return _from_eigensystems(*_calibrate(rho_w, rho_v, rngs, discrepancies, lo, hi))
-
-
-def _check_truncation_floor(rho_w: np.ndarray, discrepancies, hi: float) -> None:
-    """Raise ValueError where a state's truncation to rank k puts the window's
-    upper edge hi out of reach. Calibration keeps rho's top k eigenvalues, of
-    weight 1 - eta, so every sigma of rank k has 1 - F >= eta (the trace norm of
-    diag(sqrt w_rho) W diag(sqrt w_sigma), W a contraction, is at most sqrt(1 - eta))
-    and T >= eta / 2 (the traces differ by eta). The sum and 1 - sum round eta by
-    at most (k + 1) u, u = 2^-53, so a state fails only where its floor exceeds hi by more."""
-    k = rho_w.shape[1]
-    eta = 1.0 - float(rho_w.sum(axis=1).min())
-    if discrepancies is _sided_infidelities:
-        what, floor = "infidelity", eta
-    else:
-        what, floor = "trace distance", eta / 2.0
-    if floor > hi + (k + 1) * np.finfo(float).eps / 2.0:
+def _draw_targets(rngs, shapes, what: str, k: int, hi: float, eta, reach, rounding: float):
+    """Per generator, a target x drawn uniformly from [max(lo + rounding, floor),
+    min(hi, reach) - rounding], the window [hi / 2, hi] shrunk by the oracle's
+    rounding bound and cut to what it reaches from the state, then a block of
+    complex normals per (rows, cols) of ``shapes``: arrays (T,) and (T, rows,
+    cols). ValueError before any draw where that interval is empty."""
+    lo, floor = hi / 2.0, _check_truncation_floor(what, k, eta, hi, rounding)
+    upper, lower = np.minimum(hi, reach) - rounding, np.maximum(lo + rounding, floor)
+    past = np.flatnonzero(~(lower <= upper))
+    if past.size:
+        t = past[0]
         raise ValueError(
-            f"target {what} {hi:g} lies below {floor:.3g}, the least {what} of any rank-{k} "
-            f"estimate: the eigenvalues rho keeps at rank {k} sum to 1 - {eta:.3g}"
+            f"no target {what} in [{lo:g}, {hi:g}] lies within the oracle's reach from "
+            f"{floor[t]:.3g} to {reach[t]:.3g} for this state, less its rounding {rounding:.2g}"
         )
+    sizes = [rows * cols for rows, cols in shapes]
+    draws = [(rng.random(), rng.standard_normal(2 * sum(sizes))) for rng in rngs]
+    raw = np.array([z for _, z in draws]).reshape(len(rngs), 2, -1)  # real parts, then imaginary
+    parts = np.split(raw[:, 0] + 1j * raw[:, 1], np.cumsum(sizes)[:-1], axis=1)
+    x = lower + np.array([u for u, _ in draws]) * (upper - lower)
+    return x, [part.reshape(len(rngs), *shape) for part, shape in zip(parts, shapes)]
+
+
+def _check_truncation_floor(what: str, k: int, eta, hi: float, rounding: float) -> np.ndarray:
+    """Per state, the least infidelity or trace distance of any rank-k estimate of
+    rho's kept eigenvalues, of weight 1 - eta: 1 - F >= eta (the trace norm of
+    diag(sqrt w_rho) W diag(sqrt w_sigma), W a contraction, is at most sqrt(1 - eta))
+    and T >= |eta| / 2. ValueError where that floor lies above hi - rounding, as
+    an estimate lands on its target only to within ``rounding``."""
+    floor = eta if what == "infidelity" else np.abs(eta) / 2.0
+    over = np.flatnonzero(floor > hi - rounding)
+    if over.size:
+        t = over[0]
+        near = "" if floor[t] > hi else f", to within the oracle's rounding of {rounding:.2g}"
+        raise ValueError(
+            f"target {what} {hi:g} lies below {float(floor[t]):.3g}, the least {what} of any "
+            f"rank-{k} estimate{near}: the eigenvalues rho keeps at rank {k} sum to "
+            f"1 - {float(eta[t]):.3g}"
+        )
+    return floor
+
+
+def _grown(w: np.ndarray):
+    """For (T, k) spectra summing to 1, the mask of G, the eigenvalues that the
+    full-rank oracles never shrink, so that sigma keeps rank k: the smallest and
+    any below _GROWN. Also per state G's weight and the least eigenvalue off G."""
+    grows = (w < _GROWN) | (np.arange(w.shape[1]) == w.shape[1] - 1)
+    least = np.min(np.where(grows, np.inf, w), axis=1)
+    return grows, np.sum(np.where(grows, w, 0.0), axis=1), least
+
+
+def _check_landed(values: np.ndarray, what: str, lo: float, hi: float) -> None:
+    """The exact recheck: raise RuntimeError unless every value lies in [lo, hi]."""
+    if not ((lo <= values) & (values <= hi)).all():
+        raise RuntimeError(f"an oracle estimate's {what} left [{lo:g}, {hi:g}]: {values!r}")
+
+
+def _infidelity_estimates(rho_w: np.ndarray, rho_v: np.ndarray, epsilon: float, rngs):
+    """Checked (matrix, eigenvalues, eigenvectors) stacks of the infidelity oracle's
+    estimates sigma_t of states of one rank k, with 1 - F(rho_t, sigma_t) in
+    [epsilon / 2, epsilon], and those F as an array; rho_w (T, k) holds the states'
+    top-k eigenvalues, of sum 1 - eta, and rho_v (T, d, m), m >= k, their
+    eigenvectors V. Each trial draws its target x (``_draw_targets``) and builds
+    sigma in one pass: with w = rho_w / (1 - eta), W_rho = V diag(sqrt w) and
+    cos^2 t = (1 - x) / (1 - eta),
+
+    - k < d: sigma = W W^H, W = cos t W_rho + sin t Z with Z = V A diag(sqrt w) + N
+      of unit Frobenius norm, A Hermitian, sum_i w_i A_ii = 0, N in ker rho and
+      A's share scaled to sin t ||A||_2 <= min(sin t, cos t / 2). So ||W||_F = 1
+      and diag(sqrt rho_w) V^H W = sqrt(1 - eta) diag(sqrt w) (cos t I + sin t A)
+      diag(sqrt w) is PSD, of trace sqrt(1 - eta) cos t: by Uhlmann's theorem
+      (F = ||W_rho^H W||_1^2 for any factors) F = (1 - eta) cos^2 t = 1 - x, any x
+      in [eta, 1]. sigma's eigenpairs, from one SVD of W, are at least cos^2 t min
+      w / 4, so sigma keeps rank k where that exceeds RANK_TOL.
+    - k = d, where ker rho is empty: sigma = V diag(w') V^H commutes with rho,
+      sqrt w' = cos t sqrt w + sin t e, e the unit vector orthogonal to sqrt w in
+      its plane with its part on G (``_grown``): sqrt w'_i = sqrt w_i sin(t + psi)
+      / sin psi on G and sqrt w_i cos(t + psi) / cos psi off it, sin^2 psi = G's
+      weight. It reaches x = 1 - (1 - eta) sin^2 psi at t + psi = pi / 2, within
+      1e-5 (k - 2) of 1 - min rho_w, which no sigma exceeds (sqrt rho sigma sqrt
+      rho >= min rho_w sigma, and tr sqrt sigma >= 1). Targets stop at most
+      2e-5 + 3e-5 sqrt(k - 1) short, where an eigenvalue off G reaches 2 RANK_TOL.
+
+    Targets start at eta (``_check_truncation_floor``). With u = 2^-53, the 1 - F
+    of ``states._fidelities`` lies within (256 + 4 (d + k)) u of x: W's rounding
+    (V's Gram defect, N's residue in span V and the products, (d + k) u), the
+    SVDs' backward errors (small multiples of d u ||W||_2 <= d u) and cos t, sin t
+    and 1 - eta each move sqrt F by at most their Frobenius norm, as ||W_rho||_F
+    <= 1, and 1 - F twice that. Over k <= 3, d <= 32, eps from 0.5 to 1e-12 and
+    spectra to 10 RANK_TOL it lay at most 51 u from x (d = 2), a fifth of the
+    bound. Each F is rechecked against the window.
+    """
+    k, d = rho_w.shape[1], rho_v.shape[1]
+    v, total = rho_v[:, :, :k], rho_w.sum(axis=1)  # total = 1 - eta
+    eta, root = 1.0 - total, np.sqrt(rho_w / total[:, None])
+    rounding = (256 + 4 * (d + k)) * _U
+    if k == d:  # at cos t = c cos psi + sqrt(1 - c^2) sin psi, sigma's least off G is 2 RANK_TOL
+        grows, weight, least = _grown(root**2)
+        sin_psi, cos_psi = np.sqrt(weight), np.sqrt(1.0 - weight)
+        c = cos_psi * np.sqrt(np.minimum(1.0, 2.0 * RANK_TOL / least))
+        reach, shapes = 1.0 - total * (c * cos_psi + np.sqrt(1.0 - c * c) * sin_psi) ** 2, []
+    else:
+        reach, shapes = np.ones(len(rho_w)), [(k, k), (d, k)]
+    x, blocks = _draw_targets(rngs, shapes, "infidelity", k, epsilon, eta, reach, rounding)
+    cos, sin = np.sqrt((1.0 - x) / total)[:, None], np.sqrt((x - eta) / total)[:, None]
+    if k == d:
+        e = root * np.where(grows, (cos_psi / sin_psi)[:, None], -(sin_psi / cos_psi)[:, None])
+        sigma = _from_eigensystems((cos * root + sin * e) ** 2, v)
+    else:
+        g, n = blocks
+        a = (g + g.conj().swapaxes(1, 2)) / 2.0
+        trace = np.sum(root**2 * np.diagonal(a.real, axis1=1, axis2=2), axis=1)
+        a -= trace[:, None, None] * np.eye(k)  # sum_i w_i A_ii = 0
+        n -= v @ (v.conj().swapaxes(1, 2) @ n)
+        n_norm = np.sqrt(np.sum(n.real**2 + n.imag**2, axis=(1, 2)))
+        a_norm = np.sqrt(np.sum(a.real**2 + a.imag**2, axis=(1, 2)))  # >= ||A||_2
+        cap = n_norm * cos[:, 0] / np.maximum(2.0 * sin[:, 0], cos[:, 0])  # min(1, cot t / 2) n
+        share = cap / np.maximum(a_norm, cap)  # min(1, cap / a_norm), 1 where A = 0 (k = 1)
+        scaled = share[:, None, None] * a * root[:, None, :]
+        z_norm = np.sqrt(np.sum(scaled.real**2 + scaled.imag**2, axis=(1, 2)) + n_norm**2)
+        step = (sin[:, 0] / z_norm)[:, None, None]
+        w = v * (cos * root)[:, None, :] + v @ (step * scaled) + step * n
+        left, s, _ = np.linalg.svd(w, full_matrices=False)
+        sigma = _from_eigensystems(s * s, left)
+    f = _fidelities(rho_w, v, *sigma[1:])
+    _check_landed(1.0 - f, "infidelity", epsilon / 2.0, epsilon)
+    return sigma, f
+
+
+def _trace_estimates(rho_w: np.ndarray, rho_v: np.ndarray, delta: float, rngs):
+    """Checked (matrix, eigenvalues, eigenvectors) stacks of the trace-distance
+    oracle's estimates sigma_t of states of one rank k, with T(rho_t, sigma_t) in
+    [delta / 2, delta] for rho_t the states' truncation to rank k; rho_w and rho_v
+    as ``_infidelity_estimates`` takes them, as is the target x. sigma has
+    eigenvalues w = rho_w / (1 - eta), and:
+
+    - k < d: the top s = min(k, d - k) eigenvectors, of weight W_S in w, rotate by
+      one angle t into an orthonormal set in ker rho (a QR of normals projected off
+      V). rho - sigma is (1 - eta) w_i P - w_i P' in the plane of v_i and n_i, P and
+      P' rank-1 projectors at angle t, and -eta w_i on each other v_i, so T = (|eta|
+      (1 - W_S) + W_S sqrt(eta^2 + 4 (1 - eta) sin^2 t)) / 2 (W_S sin t at eta = 0),
+      from |eta| / 2 at t = 0 up to about W_S at t = pi / 2.
+    - k = d: sigma = V diag((1 - l) w + l p) V^H, p = w on G (``_grown``) over its
+      weight W_G, commutes with rho: T = l (1 - W_G) - eta (1 - 2 W_G) / 2 for l >=
+      eta, up to within 1e-5 (k - 2) of 1 - min w, the largest T of any sigma.
+      Targets stop at l = 1 - 2 RANK_TOL / (the least w off G) >= 1 - 2e-5, so
+      sigma keeps rank k: gentle's support projector is I and its T is 0.
+
+    ``states._half_trace_norms`` rechecks each T on rho - sigma, within 8 d u of x
+    (u = 2^-53): forming rho - sigma errs by a few k u in Frobenius norm, moving the
+    d absolute eigenvalues' sum by sqrt(d) times that (Hoffman-Wielandt), and
+    eigvalsh and the rotation's residue in span V add small multiples of d u. Over
+    the ranges of ``_infidelity_estimates`` T lay at most 1.75 d u from x.
+    """
+    k, d = rho_w.shape[1], rho_v.shape[1]
+    v, total = rho_v[:, :, :k], rho_w.sum(axis=1)
+    eta, w, s, rounding = 1.0 - total, rho_w / total[:, None], min(k, d - k), 8 * d * _U
+    if s:
+        weight = w[:, :s].sum(axis=1)
+        reach = (np.abs(eta) * (1.0 - weight) + weight * np.sqrt(eta**2 + 4.0 * total)) / 2.0
+    else:  # the mixture stops where sigma's least eigenvalue off G is 2 RANK_TOL
+        grows, weight, least = _grown(w)
+        reach = (1.0 - 2.0 * RANK_TOL / least) * (1.0 - weight) - eta * (1.0 - 2.0 * weight) / 2.0
+    x, (g,) = _draw_targets(rngs, [(d, s)], "trace distance", k, delta, eta, reach, rounding)
+    if s:
+        q, _ = np.linalg.qr(g - v @ (v.conj().swapaxes(1, 2) @ g))
+        half = (2.0 * x - np.abs(eta) * (1.0 - weight)) / weight
+        sin = np.sqrt(np.clip((half - eta) * (half + eta) / (4 * total), 0, 1)).reshape(-1, 1, 1)
+        rotated = v.copy()
+        rotated[:, :, :s] = np.sqrt(1.0 - sin * sin) * v[:, :, :s] + sin * q
+        sigma = _from_eigensystems(w, rotated)
+    else:
+        mix = ((x + eta * (1.0 - 2.0 * weight) / 2.0) / (1.0 - weight))[:, None]
+        mixed = (1.0 - mix) * w + mix * np.where(grows, w / weight[:, None], 0.0)
+        sigma = _from_eigensystems(mixed, v)
+    rho = (v * rho_w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    _check_landed(_half_trace_norms(rho - sigma[0]), "trace distance", delta / 2.0, delta)
+    return sigma
 
 
 def _check_window(what: str, target: float) -> float:
@@ -635,15 +358,15 @@ def _check_perturbable(dim: int) -> None:
 def oracle_mixed_estimate(rho: DensityMatrix, epsilon: float, seed) -> DensityMatrix:
     """Estimate of rho with the same rank and fidelity in [1 - eps, 1 - eps/2].
 
-    The window's lower edge is what stresses downstream bounds; exact equality
-    with 1 - eps is measure zero under float arithmetic, so a window is used.
+    sigma is built in closed form on an infidelity drawn from the window
+    (``_infidelity_estimates``): any infidelity where rho has a kernel, and up
+    to 1 - its smallest eigenvalue, beyond which no estimate lies, at full rank.
     eps must be at least the 1e-12 resolution floor.
     """
     epsilon = _check_window("infidelity", epsilon)
     _check_perturbable(rho.dim)
     w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
-    sigma = _calibrated_estimates(w, v, rngs, _sided_infidelities, epsilon / 2.0, epsilon)
-    return _density_matrices(*sigma)[0]
+    return _density_matrices(*_infidelity_estimates(w, v, epsilon, rngs)[0])[0]
 
 
 def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:

@@ -296,18 +296,19 @@ class TestTrialStacks:
             (3, dict(backend="oracle")),
             (8, dict(backend="measurement")),
             (8, dict(experiment=ExperimentKind.GENTLE_MEASUREMENT)),
+            (3, dict(experiment=ExperimentKind.GENTLE_MEASUREMENT)),
             (8, dict(experiment=ExperimentKind.SCALING_MIXED)),
         ],
-        ids=["oracle", "oracle-d3", "measurement", "gentle", "scale-mixed"],
+        ids=["oracle", "oracle-d3", "measurement", "gentle", "gentle-d3", "scale-mixed"],
     )
     def test_planned_stack_stays_within_the_budget(self, d, overrides):
         # at r = 3, one planned stack's traced peak stays within _STACK_BYTES: it
         # fails if a per-trial estimate is too low. The largest default d sets
-        # the largest arrays; the oracle's estimate is tightest at d = 3, where
-        # a stack holds 76 trials
+        # the largest arrays; the closed-form oracles' estimate is tightest at
+        # d = 3, where a stack holds 173 trials
         config = small_sweep_config(
             r_values=(3,), d_values=(d,), eps_values=(0.05,),
-            delta_values=(0.01,), n_values=(10_000,), trials=100, **overrides,
+            delta_values=(0.01,), n_values=(10_000,), trials=200, **overrides,
         )
         (cell,) = _experiment_cells(config)
         size = harness._stack_size(config, cell)
@@ -427,116 +428,35 @@ def reference_seeding(monkeypatch):
     )
 
 
-class TestCalibrationKernel:
-    # calibration's rungs go to the exact SVD kernel only near a window's edge
+class TestOneConstruction:
+    # each stack draws and builds its oracle estimates once, at every eps: no
+    # ladder, bisection or redraw is left
     @pytest.fixture
-    def exact_calls(self, monkeypatch):
-        calls, exact = [], tomography._infidelities
+    def draws(self, monkeypatch):
+        """The stack size of each draw of a closed-form oracle."""
+        calls, real = [], tomography._draw_targets
 
-        def counted(rho_w, family, thetas):
-            calls.append(len(rho_w))
-            return exact(rho_w, family, thetas)
+        def counted(rngs, *args):
+            calls.append(len(rngs))
+            return real(rngs, *args)
 
-        monkeypatch.setattr(tomography, "_infidelities", counted)
+        monkeypatch.setattr(tomography, "_draw_targets", counted)
         return calls
 
-    @pytest.mark.parametrize("eps", harness.DEFAULT_EPS_GRID)
-    def test_default_grid_needs_no_exact_kernel(self, exact_calls, eps):
-        # a sweep of the benchmark's oracle chain: the default grid at one eps
-        run_experiment(small_sweep_config(
-            r_values=harness.DEFAULT_R_GRID, d_values=harness.DEFAULT_D_GRID,
-            eps_values=(eps,), trials=12,
-        ))
-        assert exact_calls == []
-
-    @pytest.mark.parametrize("r", [1, 3])
-    def test_resolution_floor_reaches_the_exact_kernel(self, exact_calls, r):
-        # at eps = 1e-12 the window is about 4,500 ulps of F wide, and
-        # some rungs land within the bound of its edges
+    @pytest.mark.parametrize("eps_values", [(1e-3, 1e-4, 1e-5), (1e-8, 1e-10, 1e-12)])
+    def test_tight_grids_draw_once_per_stack(self, draws, eps_values):
+        # the benchmark's tight-eps grid, 10 trials a cell, and the same grid
+        # below eps = 1e-8, where every calibration used to bisect
         summary = run_experiment(small_sweep_config(
-            r_values=(r,), d_values=(4,), eps_values=(1e-12,), trials=4,
+            r_values=(1, 2, 3), d_values=(4, 8), eps_values=eps_values, trials=10,
         ))
-        assert len(exact_calls) >= 1
+        assert draws == [10] * 18  # one stack a cell
         assert summary.failures_total == 0
 
-
-    @pytest.fixture
-    def eigvalsh_calls(self, monkeypatch):
-        calls, exact = [], tomography._trace_distances
-
-        def counted(rho_w, family, thetas):
-            calls.append(len(rho_w))
-            return exact(rho_w, family, thetas)
-
-        monkeypatch.setattr(tomography, "_trace_distances", counted)
-        return calls
-
-    def test_default_gentle_grid_at_rank_one_needs_no_eigvalsh(self, eigvalsh_calls):
-        # rank-1 trace-distance rungs take the closed form on the default grid
-        summary = run_experiment(ExperimentConfig(
-            experiment=ExperimentKind.GENTLE_MEASUREMENT, r_values=(1,), trials=100,
-        ))
-        assert eigvalsh_calls == []
-        assert summary.failures_total == 0
-
-    def test_gentle_resolution_floor_reaches_eigvalsh_at_rank_one(self, eigvalsh_calls):
-        # at delta = 1e-12 the closed form's bound leaves some rows near an
-        # edge to eigvalsh, so its fallback is live
-        summary = run_experiment(ExperimentConfig(
-            experiment=ExperimentKind.GENTLE_MEASUREMENT, r_values=(1,), d_values=(3, 4, 8),
-            delta_values=(1e-12,), trials=40,
-        ))
-        assert len(eigvalsh_calls) >= 1
-        assert summary.failures_total == 0
-
-
-class TestLadderCalls:
-    # calibration climbs the theta ladder in stacked calls of _LADDER_CHUNK
-    # rungs per trial, each trial from its own start rung
-    @pytest.fixture
-    def ladder_calls(self, monkeypatch):
-        """Per call of _bracket_and_bisect: the stack sizes of its ladder calls
-        (more than one rung per trial) and whether a trial missed the window."""
-        log, bracket = [], tomography._bracket_and_bisect
-
-        def counted(discrepancies, start, lo, hi):
-            calls = []
-
-            def climbed(idx, thetas):
-                if thetas.shape[1] > 1:
-                    calls.append(len(idx))
-                return discrepancies(idx, thetas)
-
-            theta = bracket(climbed, start, lo, hi)
-            log.append((calls, bool(np.isnan(theta).any())))
-            return theta
-
-        monkeypatch.setattr(tomography, "_bracket_and_bisect", counted)
-        return log
-
-    @pytest.mark.parametrize("seed, stragglers", [(0, 0), (7, 1)])
-    def test_tight_grid_lands_in_one_ladder_call_per_stack(self, ladder_calls, seed, stragglers):
-        # the benchmark's tight-eps grid, 10 trials a cell, at the CLI's
-        # default seed and at seed 7: every trial starts within a chunk or two
-        # of the window, so each stack takes one ladder call, apart from a
-        # second call for the stragglers that land more than a chunk above
-        # their start (from rung 0 every stack took 2 or 3 calls)
-        run_experiment(small_sweep_config(
-            r_values=(1, 2, 3), d_values=(4, 8), eps_values=(1e-3, 1e-4, 1e-5), trials=10,
-            master_seed=seed,
-        ))
-        assert len(ladder_calls) == 18  # one stack a cell, and no family redrawn
-        assert all(calls[0] == 10 and not missed for calls, missed in ladder_calls)
-        assert sum(sum(calls[1:]) for calls, _ in ladder_calls) == stragglers
-
-    def test_default_gentle_grid_lands_most_trials_in_one_ladder_call(self, ladder_calls):
-        # trace distances climb from rung 0: on the default gentle grid 93 of
-        # 4,200 trials need a second or third ladder call of their stack
-        run_experiment(ExperimentConfig(experiment=ExperimentKind.GENTLE_MEASUREMENT, trials=100))
-        assert not any(missed for _, missed in ladder_calls)
-        first = sum(calls[0] for calls, _ in ladder_calls)
-        later = sum(sum(calls[1:]) for calls, _ in ladder_calls)
-        assert first == 4200 and later <= 0.03 * first
+    def test_default_gentle_grid_draws_once_per_trial(self, draws):
+        config = ExperimentConfig(experiment=ExperimentKind.GENTLE_MEASUREMENT, trials=100)
+        summary = run_experiment(config)
+        assert sum(draws) == 4200 and len(summary.records) == 4200
 
 
 class TestSeedLayout:
@@ -555,14 +475,14 @@ class TestSeedLayout:
             calls["_pool"] = 0
 
     def test_records_do_not_depend_on_block_or_stack_boundaries(self, monkeypatch):
-        # four cells, in 1, 1, 2 and 4 seed blocks and stacks of 16, 12, 12
-        # and 9 trials that end at 1, 17, 255 and 300 trials; the master takes
+        # four cells, in 1, 1, 2 and 4 seed blocks and stacks of 16, 13, 14
+        # and 12 trials that end at 1, 17, 255 and 300 trials; the master takes
         # the scalar fallback
         cells = dict(r_values=(1, 2), d_values=(2, 3), eps_values=(0.1,), master_seed=2**70)
         config = small_sweep_config(trials=300, **cells)
         plan_stacks(monkeypatch, config, 16)
         sizes = [harness._stack_size(config, c) for c in _experiment_cells(config)]
-        assert sizes == [16, 12, 12, 9]
+        assert sizes == [16, 13, 14, 12]
         _, full = cell_records(300, **cells)
         assert [rec["seed"] for rec in full] == [
             child_seed(child_seed(2**70, c), t) for c in range(4) for t in range(300)

@@ -2,6 +2,7 @@
 and the gentle-measurement experiment."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -76,10 +77,9 @@ def _arbitrary_sigma_cases(draw):
 
 def trace_distance_estimate(rho, delta, seed):
     """The same-rank estimate of rho with trace distance in [delta/2, delta]
-    that a gentle-measurement trial calibrates, from the seed's generator."""
+    that a gentle-measurement trial builds, from the seed's generator."""
     w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
-    sigma = tm._calibrated_estimates(w, v, rngs, tm._sided_trace_distances, delta / 2.0, delta)
-    return _density_matrices(*sigma)[0]
+    return _density_matrices(*tm._trace_estimates(w, v, delta, rngs))[0]
 
 
 def bell_state() -> PureState:
@@ -181,10 +181,8 @@ def _skewed_projection_cases(draw):
     from 1e-12 up to 1/r, and either an arbitrary density matrix of rank <= r
     (eps None) or the oracle's window eps and seed for an estimate of its reduced
     state. Below RANK_TOL the reduced state's rank drops lam's weight, up to 2e-10
-    here, and an eps below that floor must fail at once. Two draws that calibration
-    does not resolve take eps = 1e-6 in place of 1e-12: a floor within 1% of eps,
-    and a kept eigenvalue below the family's eigenvalue floor, _EIGENVALUE_FLOOR
-    times the largest, which keeps every estimate's infidelity near 1e-7."""
+    here, and an eps below that floor, or within the oracle's rounding above it,
+    must fail at once."""
     r = draw(st.integers(1, 3))
     d = draw(st.integers(max(2, r), 8))
     seed = draw(st.integers(0, 2**32))
@@ -198,11 +196,6 @@ def _skewed_projection_cases(draw):
     if eps is None:
         rank = draw(st.integers(1, r))
         return psi, None, seed, DensityMatrix.from_matrix(random_density_matrix(d, rank, rng))
-    rho = partial_trace_x(psi)
-    kept = rho.eigenvalues[: rho.rank]
-    unresolved = abs(1.0 - kept.sum() - eps) < 0.01 * eps
-    if eps == 1e-12 and (unresolved or kept[-1] < tm._EIGENVALUE_FLOOR * kept[0]):
-        eps = 1e-6
     return psi, eps, seed, None
 
 
@@ -216,7 +209,9 @@ class TestProjectionIdentity:
         psi, eps, seed, sigma = case
         if sigma is None:
             rho = partial_trace_x(psi)
-            if 1.0 - rho.eigenvalues[: rho.rank].sum() > eps:  # below the truncation floor
+            k = rho.rank
+            rounding = (256 + 4 * (rho.dim + k)) * tm._U  # the oracle's stated bound
+            if 1.0 - rho.eigenvalues[:k].sum() > eps - rounding:  # at the truncation floor
                 with pytest.raises(ValueError, match="the least infidelity of any rank-"):
                     oracle_mixed_estimate(rho, eps, seed)
                 return
@@ -354,14 +349,20 @@ class TestRunReduction:
         assert rep.starved
         assert rep.estimate is None and rep.final_fidelity is None
 
-    @pytest.mark.parametrize("seed, starved", [(8, True), (0, False), (1, False)])
-    def test_oracle_pure_stage_starved_only_without_copies(self, seed, starved):
-        # ceil(0.125 * 2^2 / 0.5) = 1 extra copy: the oracle needs that one copy kept
+    @pytest.mark.parametrize("starved, nth", [(True, 0), (False, 0), (False, 1)])
+    def test_oracle_pure_stage_starved_only_without_copies(self, starved, nth):
+        # ceil(0.125 * 2^2 / 0.5) = 1 extra copy: the oracle needs that one copy
+        # kept. The case is the nth seed whose kept draw starves (or feeds) the stage
         psi = random_pure_state(2, 3, seed=30)
-        cfg = ReductionConfig(
-            r=2, d=3, n_copies=10, epsilon=0.5, extra_copy_factor=0.125, seed=seed
-        )
-        rep = run_reduction(psi, cfg)
+
+        def report(seed):
+            cfg = ReductionConfig(
+                r=2, d=3, n_copies=10, epsilon=0.5, extra_copy_factor=0.125, seed=seed
+            )
+            return run_reduction(psi, cfg)
+
+        found = (rep for rep in map(report, range(64)) if (rep.kept_count == 0) is starved)
+        rep = next(itertools.islice(found, nth, None))
         assert rep.extra_copies == 1
         assert rep.kept_count == (0 if starved else 1)
         assert rep.starved is starved
@@ -942,7 +943,42 @@ class TestMixedRankStacks:
             assert distance == _gentle_distances(row[None], 2, 0.01, [rng_from_seed(seed)])[0]
 
 
+@st.composite
+def _gentle_cases(draw):
+    """A (r, d) state psi, r <= 3 and d <= 16, whose smallest Schmidt
+    coefficient squared lies between 1 / r and 10 RANK_TOL, a seed and a
+    window edge delta from 0.5 down to 1e-12."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(max(2, r), 16))
+    seed = draw(st.integers(0, 2**32))
+    low = 10.0 ** draw(st.floats(math.log10(10 * states.RANK_TOL), -math.log10(r)))
+    delta = 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
+    rng = np.random.default_rng(seed)
+    spectrum = np.append(rng.uniform(0.1, 1.0, r - 1), 0.0)
+    if r > 1:
+        spectrum *= (1.0 - low) / spectrum.sum()
+    spectrum[-1] = 1.0 if r == 1 else low
+    x, y = states._haar_unitaries(r, 1, rng)[0], states._haar_unitaries(d, 1, rng)[0]
+    m = (x * np.sqrt(spectrum)) @ y[:, :r].T
+    return PureState(m.reshape(-1), (r, d)), seed, delta
+
+
 class TestGentleMeasurement:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_gentle_cases())
+    def test_sharp_sqrt_delta_bound(self, case):
+        # T <= sqrt(T(rho, sigma)) on the trace oracle's estimates: with Pi the
+        # projector onto sigma's support, T^2 = 1 - keep = tr((1 - Pi) rho)
+        # = tr((1 - Pi)(rho - sigma)) <= T(rho, sigma)
+        psi, seed, delta = case
+        seeds = [child_seed(seed, t) for t in range(4)]
+        amps = np.repeat(psi.amplitudes[None], 4, axis=0)
+        distances = _gentle_distances(amps, psi.r, delta, [rng_from_seed(s) for s in seeds])
+        rho = partial_trace_x(psi)
+        for distance, s in zip(distances.tolist(), seeds):
+            sigma = trace_distance_estimate(rho, delta, s)
+            assert distance <= math.sqrt(trace_distance(rho, sigma)) + CHAIN_SLACK
+
     def test_tiny_delta_moves_state_little(self):
         psi = random_pure_state(2, 4, seed=50)
         res = gentle_measurement_experiment(psi, 1e-8, trials=20, seed=51)

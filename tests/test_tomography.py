@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,10 +50,9 @@ EpsGrid = (0.2, 0.1, 0.05, 0.01)
 
 def trace_distance_estimate(rho, delta, seed):
     """The same-rank estimate of rho with trace distance in [delta/2, delta]
-    that a gentle-measurement trial calibrates, from the seed's generator."""
+    that a gentle-measurement trial builds, from the seed's generator."""
     w, v, rngs = rho.eigenvalues[None, : rho.rank], rho.eigenvectors[None], [rng_from_seed(seed)]
-    sigma = tm._calibrated_estimates(w, v, rngs, tm._sided_trace_distances, delta / 2.0, delta)
-    return states._density_matrices(*sigma)[0]
+    return states._density_matrices(*tm._trace_estimates(w, v, delta, rngs))[0]
 
 
 class TestOracleMixedEstimate:
@@ -112,278 +112,188 @@ class TestOracleValidation:
 STACK_CASES = [(d, r, t) for d in range(2, 9) for r in range(1, min(3, d) + 1) for t in range(3)]
 
 
+def infidelity_stack(w, v, eps, rngs):
+    return tm._infidelity_estimates(w, v, eps, rngs)[0]
+
+
 class TestStackedCalibration:
-    # the lockstep calibration of a stack lands every trial where it lands alone
+    # each trial of a stack gets the estimate it gets alone
     @pytest.mark.parametrize(
-        "estimate, discrepancies",
-        [
-            (oracle_mixed_estimate, tm._sided_infidelities),
-            (trace_distance_estimate, tm._sided_trace_distances),
-        ],
+        "estimate, stack",
+        [(oracle_mixed_estimate, infidelity_stack), (trace_distance_estimate, tm._trace_estimates)],
         ids=["fidelity", "trace"],
     )
     @pytest.mark.parametrize("eps", [0.5, 0.2, 0.05, 1e-11])
-    def test_stack_matches_one_state_at_a_time(self, estimate, discrepancies, eps):
+    def test_stack_matches_one_state_at_a_time(self, estimate, stack, eps):
         rhos = [random_rank_r_state(d, r, child_seed(140, d, r, t)) for d, r, t in STACK_CASES]
         seeds = [child_seed(141, d, r, t) for d, r, t in STACK_CASES]
         rngs = [rng_from_seed(seed) for seed in seeds]
         for i in range(0, len(STACK_CASES), 3):  # a stack of the three states of one (d, r)
-            stack = rhos[i : i + 3]
-            w = np.array([rho.eigenvalues[: rho.rank] for rho in stack])
-            v = np.array([rho.eigenvectors for rho in stack])
-            stacked = tm._calibrated_estimates(w, v, rngs[i : i + 3], discrepancies, eps / 2, eps)
-            for rho, seed, *sigma in zip(stack, seeds[i : i + 3], *stacked):
+            group = rhos[i : i + 3]
+            w = np.array([rho.eigenvalues[: rho.rank] for rho in group])
+            v = np.array([rho.eigenvectors for rho in group])
+            stacked = stack(w, v, eps, rngs[i : i + 3])
+            for rho, seed, *sigma in zip(group, seeds[i : i + 3], *stacked):
                 alone = estimate(rho, eps, seed)
                 assert np.array_equal(alone.matrix, sigma[0])
                 assert np.array_equal(alone.eigenvectors, sigma[2])
                 assert np.array_equal(alone.eigenvalues, sigma[1])
 
-    @pytest.mark.parametrize("eps", [0.2, 1e-3, 1e-5, 1e-7])
-    def test_start_rungs_land_where_rung_zero_does(self, monkeypatch, eps):
-        # every state of STACK_CASES, calibrated from its start rung and from
-        # rung 0, lands on the same bits; some start above rung 0 at every eps
-        # (below eps = 1e-8 the ladder's first rung, 1e-4, is already near the window)
-        rhos = [random_rank_r_state(d, r, child_seed(142, d, r, t)) for d, r, t in STACK_CASES]
-        seeds = [child_seed(143, d, r, t) for d, r, t in STACK_CASES]
-        starts, start_rungs = [], tm._start_rungs
 
-        def recorded(rho_w, family, lo):
-            start = start_rungs(rho_w, family, lo)
-            starts.extend(start.tolist())
-            return start
+def recorded_targets():
+    """A patch of tomography._draw_targets that records the targets each stack
+    draws, and the list it records them in."""
+    seen, real = [], tm._draw_targets
 
-        def calibrated():
-            sigmas = []
-            for i in range(0, len(STACK_CASES), 3):
-                stack = rhos[i : i + 3]
-                w = np.array([rho.eigenvalues[: rho.rank] for rho in stack])
-                v = np.array([rho.eigenvectors for rho in stack])
-                rngs = [rng_from_seed(seed) for seed in seeds[i : i + 3]]
-                kernel = tm._sided_infidelities
-                sigmas.append(tm._calibrated_estimates(w, v, rngs, kernel, eps / 2, eps))
-            return sigmas
+    def draw_targets(*args):
+        x, raw = real(*args)
+        seen.append(x)
+        return x, raw
 
-        monkeypatch.setattr(tm, "_start_rungs", recorded)
-        climbed = calibrated()
-        assert max(starts) > 0
-        monkeypatch.setattr(tm, "_start_rungs", lambda rho_w, family, lo: np.zeros(len(rho_w), int))
-        for ours, from_zero in zip(climbed, calibrated()):
-            for a, b in zip(ours, from_zero):
-                assert np.array_equal(a, b)
-
-    def test_stack_cases_bisect_and_redraw(self, monkeypatch):
-        # pins two trials of the stacks above: (d, r, t) = (3, 2, 2) at eps 0.5
-        # overshoots the window on the ladder and bisects back into it, and
-        # (2, 1, 2) at eps 0.2 draws a second family
-        draws, bisects = [], []
-        families, infidelities = tm._perturbation_families, tm._sided_infidelities
-
-        def counted_families(rho_w, rho_v, rngs):
-            draws.append(len(rngs))
-            return families(rho_w, rho_v, rngs)
-
-        def counted_infidelities(rho_w, family, thetas, lo, hi):
-            bisects.append(thetas.shape[1] == 1)  # one midpoint per trial
-            return infidelities(rho_w, family, thetas, lo, hi)
-
-        monkeypatch.setattr(tm, "_perturbation_families", counted_families)
-        # every evaluation of calibration, whichever kernel decides it
-        monkeypatch.setattr(tm, "_sided_infidelities", counted_infidelities)
-        rho = random_rank_r_state(3, 2, child_seed(140, 3, 2, 2))
-        oracle_mixed_estimate(rho, 0.5, child_seed(141, 3, 2, 2))
-        assert draws == [1] and any(bisects)
-        draws.clear()
-        bisects.clear()
-        rho = random_rank_r_state(2, 1, child_seed(140, 2, 1, 2))
-        oracle_mixed_estimate(rho, 0.2, child_seed(141, 2, 1, 2))
-        assert draws == [1, 1] and not any(bisects)
-
-    @pytest.mark.parametrize("lo", [1e-12, 0.1])
-    @pytest.mark.parametrize(
-        "j, start", [(0, 0), (5, 0), (6, 0), (139, 0), (7, 7), (9, 4), (139, 135)]
-    )
-    def test_ladder_rungs_and_brackets(self, lo, j, start):
-        # the rungs are repeated products of the first, bit for bit; a trial
-        # climbs from its start rung a chunk at a time, the rungs past the top
-        # repeating it, and one that overshoots at rung j bisects from the rung
-        # below it (0 at j = 0), its start rung included
-        ladder, rung = [], max(lo, 1e-4)
-        for _ in range(tm._LADDER_STEPS):
-            ladder.append(rung)
-            rung *= tm._LADDER_RATIO
-        assert tm._ladder(lo).tolist() == ladder
-        climbed = []
-
-        def overshoot_from_rung_j(idx, thetas):
-            if thetas.shape[1] == 1:  # a bisection midpoint: land in the window
-                return np.full_like(thetas, 1.5 * lo)
-            climbed.extend(thetas[0].tolist())
-            return np.where(thetas >= ladder[j], 3.0 * lo, 0.0)
-
-        theta = tm._bracket_and_bisect(overshoot_from_rung_j, np.array([start]), lo, 2.0 * lo)
-        chunks = (j - start) // tm._LADDER_CHUNK + 1
-        top = tm._LADDER_STEPS - 1
-        assert climbed == [ladder[min(start + i, top)] for i in range(chunks * tm._LADDER_CHUNK)]
-        assert theta[0] == ((ladder[j - 1] if j else 0.0) + ladder[j]) / 2
+    return mock.patch.object(tm, "_draw_targets", draw_targets), seen
 
 
 @st.composite
-def _rung_cases(draw, max_k=4, max_d=8, min_mid=1e-6):
-    """The rank k, dimension d, seed, window edge eps (1e-12 to 0.9) and random
-    midpoints of a ``_rung_stack``."""
-    k = draw(st.integers(1, max_k))
-    d = draw(st.integers(max(2, k), max_d))
+def _oracle_cases(draw):
+    """Spectra (3, k) and eigenvectors (3, d, d) of three rank-k states on C^d,
+    k <= 3 and d <= 16, two of them with a smallest eigenvalue from 1 / k down
+    to 10 RANK_TOL, three seeds and a window edge from 0.5 down to 1e-12."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(max(2, k), 16))
     seed = draw(st.integers(0, 2**32))
-    eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.9)))
-    mids = draw(st.lists(st.floats(min_mid, 60.0), min_size=1, max_size=16))
-    return k, d, seed, eps, mids
-
-
-def _rung_stack(k, d, seed, eps, mids):
-    """Two rank-k states on C^d, their families, and thetas (2, L), one row per
-    state: the calibration ladder's rungs below 1e3 for the window [eps/2, eps],
-    then mids."""
-    rhos = [random_rank_r_state(d, k, child_seed(seed, t)) for t in range(2)]
-    w = np.array([rho.eigenvalues[:k] for rho in rhos])
-    v = np.array([rho.eigenvectors for rho in rhos])
-    family = tm._perturbation_families(w, v, [rng_from_seed(child_seed(seed, 2, t)) for t in range(2)])
-    ladder = np.cumprod([max(eps / 2, 1e-4)] + [tm._LADDER_RATIO] * (tm._LADDER_STEPS - 1))
-    thetas = np.concatenate([ladder[ladder < 1e3], mids])
-    return w, family, np.stack([thetas, thetas])
-
-
-class TestCheapRungKernel:
-    # _bounded_infidelities decides a side of lo and hi only where its bound
-    # proves it; every other row comes from the exact SVD kernel
-    @settings(max_examples=120, deadline=None)
-    @given(case=_rung_cases())
-    @example(case=(3, 16, 5, 1e-3, [0.05, 2.0]))
-    @example(case=(2, 16, 6, 1e-12, [1e-5, 3.0]))
-    def test_decides_every_side_as_the_exact_kernel(self, case):
-        w, family, thetas = _rung_stack(*case)
-        lo, hi = case[3] / 2, case[3]
-        exact = tm._infidelities(w, family, thetas)
-        vals, bound = tm._bounded_infidelities(w, family, thetas)
-        for per_row in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
-            want = tm._infidelities(w, family, per_row)
-            sided = tm._sided_infidelities(w, family, per_row, lo, hi)
-            assert np.array_equal(sided >= lo, want >= lo)
-            assert np.array_equal(sided <= hi, want <= hi)
-        decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)
-        assert np.all(np.abs(vals - exact)[decided] <= bound[decided] / 10)
-        # an edge one ulp from an exact value leaves its row to the exact kernel
-        for t, j in [(0, 0), (1, thetas.shape[1] // 2), (0, thetas.shape[1] - 1)]:
-            for edge in (np.nextafter(exact[t, j], -1.0), np.nextafter(exact[t, j], 2.0)):
-                for window in ((edge, 2.0), (-1.0, edge)):
-                    assert not ((np.abs(vals[t, j] - window[0]) > bound[t, j])
-                                & (np.abs(vals[t, j] - window[1]) > bound[t, j]))
-                    sided = tm._sided_infidelities(w, family, thetas, *window)
-                    assert np.array_equal(sided[t], exact[t])
-
-    def test_a_nan_rung_goes_to_the_exact_kernel(self, monkeypatch):
-        w, family, thetas = _rung_stack(2, 4, 7, 0.05, [0.3])
-        thetas[1, 3] = np.nan
-        seen = []
-
-        def exact(rho_w, fam, th):
-            seen.append(th.copy())
-            return np.full(th.shape, 0.5)
-
-        monkeypatch.setattr(tm, "_infidelities", exact)
-        sided = tm._sided_infidelities(w, family, thetas, 0.025, 0.05)
-        assert len(seen) == 1 and np.array_equal(seen[0], thetas[1:], equal_nan=True)
-        assert np.array_equal(sided[1], np.full(thetas.shape[1], 0.5))
-        assert np.all(np.isfinite(sided[0]))
-
-
-@st.composite
-def _start_rung_cases(draw):
-    """The rank k (1 to 4), dimension d (2 to 8), seed, window edge eps (1e-12
-    to 0.9) and smallest-eigenvalue exponent of a ``_start_rung_stack``."""
-    k = draw(st.integers(1, 4))
-    d = draw(st.integers(max(2, k), 8))
-    seed = draw(st.integers(0, 2**32))
-    eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.9)))
-    skew = draw(st.floats(0.0, 9.5))
-    return k, d, seed, eps, skew
-
-
-def _start_rung_stack(k, d, seed, eps, skew, trials=8):
-    """Spectra (T, k), rank-k states on C^d whose smallest eigenvalue sits
-    10^-skew below the largest (so sigma's eigenvalue floor can act), and
-    their families: half the states random, half with skewed spectra."""
-    rng = rng_from_seed(seed)
-    w = rng.uniform(0.1, 1.0, size=(trials, k))
-    w[trials // 2 :, -1] = w[trials // 2 :, 0] * 10.0**-skew
+    low = 10.0 ** draw(st.floats(math.log10(10 * states.RANK_TOL), -math.log10(k)))
+    eps = 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, size=(3, k))
+    if k > 1:
+        w[1:, -1] = 0.0
+        w *= (1.0 - np.array([0.0, low, low]))[:, None] / w.sum(axis=1, keepdims=True)
+        w[1:, -1] = low
     w = -np.sort(-w / w.sum(axis=1, keepdims=True), axis=1)
-    v = _haar_unitaries(d, trials, rng)
-    rngs = [rng_from_seed(child_seed(seed, t)) for t in range(trials)]
-    family = tm._perturbation_families(w, v, rngs)
-    return w, family
+    return w, _haar_unitaries(d, 3, rng), [child_seed(seed, t) for t in range(3)], eps
 
 
-class TestStartRungs:
-    # the Bures-angle speed limit proves every rung below a trial's start rung
-    # below the window, under the exact kernel
+class _EdgeGenerator:
+    """A seeded generator whose uniform draws all sit at one edge of [0, 1]."""
+
+    def __init__(self, seed, edge: float):
+        self._rng, self._edge = rng_from_seed(seed), edge
+
+    def random(self) -> float:
+        return self._edge
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size)
+
+
+class TestClosedFormOracles:
+    # each estimate lands on the target it drew, to rounding, in one
+    # construction, and each trial of a stack gets the estimate it gets alone
     @settings(max_examples=150, deadline=None)
-    @given(case=_start_rung_cases())
-    @example(case=(1, 8, 3, 1e-3, 0.0))
-    @example(case=(4, 8, 4, 1e-12, 9.0))
-    @example(case=(2, 2, 5, 0.9, 8.0))
-    def test_every_rung_below_the_start_is_below_the_window(self, case):
-        lo = case[3] / 2
-        w, family = _start_rung_stack(*case)
-        start = tm._start_rungs(w, family, lo)
-        assert start.dtype.kind == "i" and np.all((0 <= start) & (start < tm._LADDER_STEPS))
-        top = int(start.max())
-        if top == 0:
-            return
-        thetas = np.broadcast_to(tm._ladder(lo)[:top], (len(w), top))
-        exact = tm._infidelities(w, family, thetas)
-        assert np.all(exact[np.arange(top) < start[:, None]] < lo)
+    @given(case=_oracle_cases())
+    @example(case=(
+        np.array([[1.0 - 1e-9, 1e-9]] * 3), _haar_unitaries(2, 3, np.random.default_rng(1)),
+        [1, 2, 3], 0.5,
+    ))
+    def test_infidelity_oracle_lands_on_its_target(self, case):
+        w, v, seeds, eps = case
+        patch, targets = recorded_targets()
+        with patch:
+            sigma, f = tm._infidelity_estimates(w, v, eps, [rng_from_seed(s) for s in seeds])
+        assert np.all(np.abs((1.0 - f) - targets[0]) <= 1e-14)
+        assert np.all((eps / 2 <= targets[0]) & (targets[0] <= eps))
+        assert np.all(states._ranks(sigma[1]) <= w.shape[1])
+        for t, seed in enumerate(seeds):
+            rng = [rng_from_seed(seed)]
+            alone, f_alone = tm._infidelity_estimates(w[t : t + 1], v[t : t + 1], eps, rng)
+            assert f_alone[0] == f[t]
+            assert all(np.array_equal(a[0], b[t]) for a, b in zip(alone, sigma))
 
-    @pytest.mark.parametrize("eps", [1e-3, 1e-5])
-    def test_start_rungs_sit_near_the_window(self, eps):
-        # the bound is sharp enough to skip most rungs: at rank 1 no trial
-        # reaches the window more than 6 rungs above its start
-        w, family = _start_rung_stack(1, 8, 11, eps, 0.0, trials=64)
-        lo, ladder = eps / 2, tm._ladder(eps / 2)
-        start = tm._start_rungs(w, family, lo)
-        exact = tm._infidelities(w, family, np.broadcast_to(ladder, (64, len(ladder))))
-        first = (exact >= lo).argmax(axis=1)
-        assert np.all(start > 0) and np.all(first - start < tm._LADDER_CHUNK)
+    @settings(max_examples=150, deadline=None)
+    @given(case=_oracle_cases())
+    def test_trace_oracle_lands_on_its_target(self, case):
+        w, v, seeds, delta = case
+        k = w.shape[1]
+        patch, targets = recorded_targets()
+        with patch:
+            sigma = tm._trace_estimates(w, v, delta, [rng_from_seed(s) for s in seeds])
+        kept = v[:, :, :k]
+        rho = (kept * w[:, None, :]) @ kept.conj().swapaxes(1, 2)
+        assert np.all(np.abs(states._half_trace_norms(rho - sigma[0]) - targets[0]) <= 1e-14)
+        assert np.all(states._ranks(sigma[1]) <= k)
+        for t, seed in enumerate(seeds):
+            alone = tm._trace_estimates(w[t : t + 1], v[t : t + 1], delta, [rng_from_seed(seed)])
+            assert all(np.array_equal(a[0], b[t]) for a, b in zip(alone, sigma))
 
+    @pytest.mark.parametrize("k, d", [(1, 2), (2, 3), (2, 4), (3, 4)])
+    @pytest.mark.parametrize("eps", [0.9, 0.99])
+    def test_wide_windows_keep_the_product_psd(self, k, d, eps):
+        # at a large angle t a random A makes cos t I + sin t A indefinite;
+        # A's share of Z is scaled down so that it never is, and F stays cos^2 t
+        rng = np.random.default_rng(child_seed(177, k, d))
+        w = -np.sort(-rng.dirichlet(np.ones(k), size=64), axis=1)
+        v = _haar_unitaries(d, 64, rng)
+        patch, targets = recorded_targets()
+        with patch:
+            rngs = [rng_from_seed(child_seed(178, t)) for t in range(64)]
+            _, f = tm._infidelity_estimates(w, v, eps, rngs)
+        assert np.all(np.abs((1.0 - f) - targets[0]) <= 1e-14)
 
-class TestRankOneTraceKernel:
-    # _bounded_trace_distances decides a side of lo and hi only where its bound
-    # proves it; every other row comes from the eigvalsh kernel
-    @settings(max_examples=120, deadline=None)
-    @given(case=_rung_cases(max_k=1, max_d=16, min_mid=1e-12))
-    @example(case=(1, 8, 5, 1e-12, [1e-12, 1e-6]))
-    @example(case=(1, 16, 6, 1e-3, [0.05, 2.0]))
-    def test_decides_every_side_as_eigvalsh(self, case):
-        w, family, thetas = _rung_stack(*case)
-        lo, hi = case[3] / 2, case[3]
-        exact = tm._trace_distances(w, family, thetas)
-        vals, bound = tm._bounded_trace_distances(w, family, thetas)
-        for per_row in (thetas, thetas[0, -2:, None]):  # ladder chunks and bisection midpoints
-            want = tm._trace_distances(w, family, per_row)
-            sided = tm._sided_trace_distances(w, family, per_row, lo, hi)
-            assert np.array_equal(sided >= lo, want >= lo)
-            assert np.array_equal(sided <= hi, want <= hi)
-        decided = (np.abs(vals - lo) > bound) & (np.abs(vals - hi) > bound)
-        assert np.all(np.abs(vals - exact)[decided] <= bound[decided] / 10)
-        # an edge one ulp from an exact value leaves its row to eigvalsh
-        for t, j in [(0, 0), (1, thetas.shape[1] // 2), (0, thetas.shape[1] - 1)]:
-            for edge in (np.nextafter(exact[t, j], -1.0), np.nextafter(exact[t, j], 2.0)):
-                for window in ((edge, 2.0), (-1.0, edge)):
-                    sided = tm._sided_trace_distances(w, family, thetas, *window)
-                    assert np.array_equal(sided[t], exact[t])
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6, 0.1])
+    def test_targets_at_the_shrunk_window_edges_land(self, edge, eps):
+        # a target on either edge of the window shrunk by the rounding bound
+        # lands inside the window (the exact recheck raises otherwise)
+        rhos = [random_rank_r_state(d, r, child_seed(179, d, r, t)) for d, r, t in STACK_CASES]
+        for i in range(0, len(STACK_CASES), 3):
+            w = np.array([rho.eigenvalues[: rho.rank] for rho in rhos[i : i + 3]])
+            v = np.array([rho.eigenvectors for rho in rhos[i : i + 3]])
+            rngs = [_EdgeGenerator(child_seed(180, i, t), edge) for t in range(3)]
+            infidelity_stack(w, v, eps, rngs)
+            tm._trace_estimates(w, v, eps, rngs)
 
-    def test_higher_ranks_take_eigvalsh(self):
-        w, family, thetas = _rung_stack(2, 4, 7, 0.05, [0.3])
-        sided = tm._sided_trace_distances(w, family, thetas, 0.025, 0.05)
-        assert np.array_equal(sided, tm._trace_distances(w, family, thetas))
+    @pytest.mark.parametrize("lam", [1.5e-10, 1e-9, 1e-8])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_kept_eigenvalues_near_the_rank_tolerance_land(self, lam, eps):
+        # r = 2, d = 4, Schmidt spectrum (1 - lam, lam): the perturbation
+        # families floored sigma's eigenvalues at 1e-7 of the largest, so
+        # these windows climbed, bisected and raised RuntimeError on every seed
+        for t in range(8):
+            rho = partial_trace_x(_schmidt_state(lam, child_seed(170, t)))
+            assert rho.rank == 2
+            sigma = oracle_mixed_estimate(rho, eps, child_seed(171, t))
+            assert 1 - eps <= fidelity_mixed(rho, sigma) <= 1 - eps / 2
+            assert sigma.rank == 2
+            sigma = trace_distance_estimate(rho, eps, child_seed(172, t))
+            assert eps / 2 <= trace_distance(rho, sigma) <= eps
+
+    def test_window_within_rounding_of_the_truncation_floor(self):
+        # lam = 1e-12 drops a weight eta within 1e-15 of eps = 1e-12: every state
+        # raises the floor's ValueError (44 of 108 used to raise RuntimeError
+        # after 200 bisection steps), and lam = 1e-13 lands
+        for t in range(108):
+            rho = partial_trace_x(_schmidt_state(1e-12, child_seed(173, t)))
+            with pytest.raises(ValueError, match="the least infidelity of any rank-1 estimate"):
+                oracle_mixed_estimate(rho, 1e-12, child_seed(174, t))
+            rho = partial_trace_x(_schmidt_state(1e-13, child_seed(173, t)))
+            sigma = oracle_mixed_estimate(rho, 1e-12, child_seed(174, t))
+            assert 1 - 1e-12 <= fidelity_mixed(rho, sigma) <= 1 - 0.5e-12
+
+    @pytest.mark.parametrize("d, r", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("eps", [0.5, 0.9])
+    def test_full_rank_reach(self, d, r, eps):
+        # at full rank targets stop short of 1 - min w, which no estimate of any
+        # rank exceeds; a window wholly beyond an oracle's reach raises ValueError
+        for t in range(50):
+            rho = random_rank_r_state(d, r, child_seed(175, d, t))
+            sigma = oracle_mixed_estimate(rho, eps, child_seed(176, d, t))
+            f = fidelity_mixed(rho, sigma)
+            assert 1 - eps <= f <= 1 - eps / 2 and f >= rho.eigenvalues[-1] and sigma.rank == r
+        # gentle's rotation reaches a trace distance of about the top s = 1
+        # eigenvalue at k = 3, d = 4: 0.34 here, below the window [0.45, 0.9]
+        rho = DensityMatrix.from_eigensystem(np.array([0.34, 0.33, 0.33]), np.eye(4)[:, :3])
+        with pytest.raises(ValueError, match="within the oracle's reach"):
+            trace_distance_estimate(rho, 0.9, 0)
 
 
 class TestOraclePureEstimate:
@@ -733,10 +643,18 @@ def _truncated_state() -> PureState:
     return PureState(m.reshape(-1), (2, 4))
 
 
+def _schmidt_state(lam: float, seed) -> PureState:
+    """A state on (2, 4) with Schmidt spectrum (1 - lam, lam) and Haar Schmidt vectors."""
+    rng = np.random.default_rng(seed)
+    x, y = _haar_unitaries(2, 1, rng)[0], _haar_unitaries(4, 1, rng)[0]
+    m = (x * np.sqrt([1.0 - lam, lam])) @ y[:, :2].T
+    return PureState(m.reshape(-1), (2, 4))
+
+
 class TestTruncationFloor:
     # every rank-1 estimate of that state has infidelity >= 5e-11 and trace
-    # distance >= 2.5e-11; each entry used to climb, bisect and raise
-    # RuntimeError after 200 bisection steps on a window below that floor
+    # distance >= 2.5e-11; each entry fails on a window below that floor
+    # before it builds an estimate
     ENTRIES = {
         "oracle_mixed_estimate": (
             "infidelity", 5e-11, lambda psi, eps: oracle_mixed_estimate(partial_trace_x(psi), eps, 0)
@@ -751,17 +669,17 @@ class TestTruncationFloor:
     }
 
     @pytest.mark.parametrize("entry", ENTRIES)
-    def test_window_below_the_floor_fails_before_any_rung(self, entry, monkeypatch):
+    def test_window_below_the_floor_fails_before_any_estimate(self, entry, monkeypatch):
         what, floor, call = self.ENTRIES[entry]
-        rungs = []
-        monkeypatch.setattr(tm, "_bracket_and_bisect", lambda *args: rungs.append(args))
+        built = []
+        monkeypatch.setattr(tm, "_from_eigensystems", lambda *args: built.append(args))
         message = (
             f"target {what} 1e-12 lies below {floor:.3g}, the least {what} of any rank-1 "
             "estimate: the eigenvalues rho keeps at rank 1 sum to 1 - 5e-11"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(_truncated_state(), 1e-12)
-        assert rungs == []
+        assert built == []
 
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_window_above_the_floor_lands(self, entry):
@@ -822,12 +740,12 @@ class TestBackendConfig:
         sigma = oracle_mixed_estimate(rho, 0.1, seed=41)
         assert 0.9 <= fidelity_mixed(rho, sigma) <= 0.95
         stack = (rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
-        same, _, _ = oracle._estimate_mixed_stack(stack, 2, [rng_from_seed(41)], 1)
+        (same, _, _), _ = oracle._estimate_mixed_stack(stack, 2, [rng_from_seed(41)], 1)
         assert np.array_equal(same[0], sigma.matrix)
         li = TomographyBackend.linear_inversion(shots=5000)
         sigma2 = estimate_mixed_state_from_measurements(rho, 2, 5000, seed=42)
         assert sigma2.rank <= 2
-        same, _, _ = li._estimate_mixed_stack(stack, 2, [rng_from_seed(42)], 5000)
+        (same, _, _), _ = li._estimate_mixed_stack(stack, 2, [rng_from_seed(42)], 5000)
         assert np.array_equal(same[0], sigma2.matrix)
         psi = random_pure_state(1, 3, seed=43)
         phi = oracle_pure_estimate(psi, 0.1, seed=44)

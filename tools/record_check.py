@@ -58,21 +58,20 @@ from pathlib import Path
 # scale-* from the d^2 floor to 1e5 shots; 130-trial chain grids on both
 # backends at d = 2 and 8 and a 130-trial gentle grid, whose cells cross the
 # 16-trial stacks of older trees and run whole or in stacks of 15 to 121
-# under the memory budget (harness._stack_size); a wide-eps grid whose calibration
-# overshoots the window and bisects back (one stack) and redraws families (16
-# times), which no other sweep reaches; prop-search at d = 7, 8, 9 and 16 with
+# under the memory budget (harness._stack_size); a wide-eps grid whose full-rank
+# cells (r = d = 2 and 3) at eps = 0.5 and 0.9 draw targets up to the reach of
+# the spectral rotation, 1 - min w, where it lies below the window's upper edge
+# (14 of 560 trials), which no other sweep reaches; prop-search at d = 7, 8, 9 and 16 with
 # 70,000 triples a trial, whose trials run a second batch of
 # reduction._SEARCH_BATCH triples, which the default grid never reaches;
 # a chain grid down to the oracles' eps = 1e-12 floor, where the last bits of
 # F(rho, sigma) decide keep >= F and the landing tests, which no other sweep
-# takes below 1e-5; the same floor at r = 3 (d = 3 and 8), where calibration
-# takes the eigvalsh path of its cheap kernel and falls back to the exact SVD
-# near the window's edges; then configuration errors: stage 1
-# below the d^2 floor, eps below the oracles' resolution floor, budgets that
-# all fall below the floor, and d = 1. Every oracle chain-sweep and reduce
-# sweep that lands starts some calibrations above rung 0 (top start rungs 3 at
-# eps 0.5, 0.9 to 15 on the tight-eps grid); only the gentle grid down to the
-# 1e-12 window sends rank-1 trace-distance rungs to the eigvalsh fallback.
+# takes below 1e-5, and the rounding bound trims 12-14% of each 1e-12 window
+# (3% of gentle's 1e-12 window, in the side-experiment grid); the same
+# floor at r = 3 (d = 3 and 8), on the full-rank rotation and the rotation
+# into a kernel; then configuration errors: stage 1 below the d^2 floor, eps
+# below the oracles' resolution floor, budgets that all fall below the floor,
+# and d = 1. Every oracle estimate of every sweep is built once, with no search.
 SWEEPS = (
     ["chain-sweep", "--trials", "2", "--seed", "11"],
     ["chain-sweep", "--backend", "measurement", "--trials", "1", "--seed", "12"],
