@@ -54,7 +54,6 @@ from .states import (
     trace_distance,
 )
 from .tomography import (
-    BackendKind,
     TomographyBackend,
     estimate_mixed_state_from_measurements,
     estimate_pure_state_from_measurements,
@@ -65,7 +64,6 @@ from .tomography import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendKind",
     "ChainCheck",
     "ChainReport",
     "DensityMatrix",

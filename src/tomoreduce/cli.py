@@ -28,13 +28,13 @@ from .harness import (
     DEFAULT_PROP_D_GRID,
     DEFAULT_R_GRID,
     OUTPUT_DIR_ENV_VAR,
-    _BACKENDS,
     ExperimentConfig,
     ExperimentKind,
     fit_scaling,
     print_summary,
     run_experiment,
 )
+from .tomography import TomographyBackend
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c-extra", dest="extra_copy_factor", type=float, default=4.0,
                        help="extra-copy constant")
         p.add_argument("--n-copies", type=int, default=10_000, help="copies consumed by stage 1")
-        p.add_argument("--backend", choices=tuple(_BACKENDS), default="oracle")
+        p.add_argument("--backend", choices=[kind.value for kind in TomographyBackend],
+                       default="oracle")
 
     p = _subcommand(sub, "scale-pure", ExperimentKind.SCALING_PURE, 50,
                     "pure-estimator infidelity vs shot budget")

@@ -80,14 +80,6 @@ DEFAULT_PROP_D_GRID = (2, 3, 4, 5, 6)
 
 OUTPUT_DIR_ENV_VAR = "TOMOREDUCE_OUT_DIR"
 
-# Each chain-sweep backend name, with the stage backend it builds for a cell
-# of a config; one backend serves both stages.
-_BACKENDS = {
-    "oracle": lambda config, cell: TomographyBackend.oracle(cell["epsilon"]),
-    "measurement": lambda config, cell: TomographyBackend.linear_inversion(config.n_copies),
-}
-
-
 class ExperimentKind(Enum):
     CHAIN_SWEEP = "chain_sweep"
     SCALING_PURE = "scaling_pure"
@@ -113,7 +105,7 @@ class ExperimentConfig:
     n_values: tuple[int, ...] = DEFAULT_N_GRID
     trials: int = 100
     master_seed: int = 0
-    backend: str = "oracle"  # a name in _BACKENDS
+    backend: TomographyBackend | str = TomographyBackend.ORACLE  # a kind or its name
     n_copies: int = 10_000
     extra_copy_factor: float = 4.0
     prop_batch: int = 10_000
@@ -138,8 +130,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         object.__setattr__(self, "master_seed", _check_seed("master_seed", self.master_seed))
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        object.__setattr__(self, "backend", TomographyBackend(self.backend))
         if self.out_format not in ("csv", "jsonl"):
             raise ValueError(f"unknown output format {self.out_format!r}")
         if self.prop_batch < 1:
@@ -198,15 +189,14 @@ def _experiment_cells(config: ExperimentConfig) -> list[dict[str, Any]]:
 def _reduction_config(config, cell) -> ReductionConfig:
     """The ReductionConfig of one chain cell, shared by every trial of a stack;
     each trial's generator travels beside it. One backend serves both stages."""
-    backend = _BACKENDS[config.backend](config, cell)
     return ReductionConfig(
         r=cell["r"],
         d=cell["d"],
         n_copies=config.n_copies,
         epsilon=cell["epsilon"],
         extra_copy_factor=config.extra_copy_factor,
-        mixed_backend=backend,
-        pure_backend=backend,
+        mixed_backend=config.backend,
+        pure_backend=config.backend,
     )
 
 
@@ -240,7 +230,7 @@ def _scaling_mixed_fields(config, cell, trial_seeds, words) -> dict[str, list]:
     r, n = cell["r"], cell["n"]
     amps, rngs = _trial_draws(cell, words)
     rho = _reduced_states(amps.reshape(len(amps), r, cell["d"]))
-    _, fidelities = TomographyBackend.linear_inversion(n)._estimate_mixed_stack(rho, r, rngs, n)
+    _, fidelities = TomographyBackend.MEASUREMENT._estimate_mixed_stack(rho, r, None, rngs, n)
     return _fidelity_fields(fidelities.tolist())
 
 
@@ -322,7 +312,7 @@ def _inverts(config: ExperimentConfig) -> bool:
     """Whether the experiment's estimates are linear inversions."""
     kind = config.experiment
     if kind is ExperimentKind.CHAIN_SWEEP:
-        return config.backend == "measurement"
+        return config.backend is TomographyBackend.MEASUREMENT
     return kind in (ExperimentKind.SCALING_PURE, ExperimentKind.SCALING_MIXED)
 
 

@@ -104,6 +104,8 @@ class ReductionConfig:
     count enters the sample accounting; it must be an integer, reach the
     mixed backend's ``min_shots(d)`` and fit in int64). The projection stage consumes
     ``ceil(extra_copy_factor * r^2 / epsilon)`` additional copies; ``seed`` is an integer >= 0.
+    Each stage's backend is a ``TomographyBackend`` or its name, and runs at
+    ``epsilon``, which an oracle stage needs to be at least 1e-12.
     """
 
     r: int
@@ -111,8 +113,8 @@ class ReductionConfig:
     n_copies: int
     epsilon: float
     extra_copy_factor: float = 4.0
-    mixed_backend: TomographyBackend | None = None
-    pure_backend: TomographyBackend | None = None
+    mixed_backend: TomographyBackend | str = TomographyBackend.ORACLE
+    pure_backend: TomographyBackend | str = TomographyBackend.ORACLE
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -124,15 +126,15 @@ class ReductionConfig:
         object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
+        for name in ("mixed_backend", "pure_backend"):
+            object.__setattr__(self, name, TomographyBackend(getattr(self, name)))
+        if TomographyBackend.ORACLE in (self.mixed_backend, self.pure_backend):
+            _check_window("infidelity", self.epsilon)
         object.__setattr__(self, "n_copies", _check_integer("n_copies", self.n_copies))
         if self.n_copies < 1:
             raise ValueError("n_copies must be at least 1")
         object.__setattr__(self, "extra_copy_factor", _check_copy_factor(self.extra_copy_factor))
         _check_count("extra copies", self.extra_copy_factor * self.r**2 / self.epsilon)
-        if self.mixed_backend is None:
-            object.__setattr__(self, "mixed_backend", TomographyBackend.oracle(self.epsilon))
-        if self.pure_backend is None:
-            object.__setattr__(self, "pure_backend", TomographyBackend.oracle(self.epsilon))
         if self.d == 1:
             raise ValueError("the reduction needs d >= 2: on d = 1 there is one state only")
         floor = self.mixed_backend.min_shots(self.d)
@@ -379,7 +381,9 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
     mask ``fed`` over it of trials whose pure stage ran, and the (3, T) overlaps
     of ``_stage_fidelities``, NaN where their stage did not run."""
     r, count = config.r, len(m)
-    sigma, f_rho_sigma = config.mixed_backend._estimate_mixed_stack(rho, r, rngs, config.n_copies)
+    sigma, f_rho_sigma = config.mixed_backend._estimate_mixed_stack(
+        rho, r, config.epsilon, rngs, config.n_copies
+    )
     ranks, keep, usable, tilde = _support_projections(m, *sigma[1:], r)
     extra_copies = config.extra_copies
     kept = np.zeros(count, dtype=np.int64)
@@ -399,7 +403,7 @@ def _reduction_stages(m: np.ndarray, rho, config: ReductionConfig, rngs):
         coords = coords / _row_norms(coords)[:, None]
         _check_unit_norms(coords)
         stage = config.pure_backend._estimate_pure_stack
-        in_support = stage(coords, [rngs[t] for t in trials], kept[trials])
+        in_support = stage(coords, config.epsilon, [rngs[t] for t in trials], kept[trials])
         lift = in_support.reshape(-1, r, k) @ basis.swapaxes(1, 2)
         phi[at] = _phase_normalized(lift.reshape(-1, r * config.d))
     _check_unit_norms(phi[lifted])

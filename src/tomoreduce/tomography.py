@@ -1,5 +1,7 @@
 """Pluggable state estimators: closed-form synthetic oracles and a concrete
-measurement-based estimator.
+measurement-based estimator. A reduction stage names its estimator by kind
+alone, ``TomographyBackend.ORACLE`` or ``MEASUREMENT``: each stage runs at its
+config's eps, and each kind's stack kernels take that eps and the budget.
 
 The oracle estimators return a random estimate of the true state whose
 infidelity (or trace distance) lies in a requested window. They stand in for
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -57,7 +58,6 @@ from .states import (
 )
 
 __all__ = [
-    "BackendKind",
     "TomographyBackend",
     "oracle_mixed_estimate",
     "oracle_pure_estimate",
@@ -74,71 +74,56 @@ _DESIGN_CONDITION = 1e6  # largest condition number accepted for a design's fram
 _PRODUCT_BYTES = 320 << 10  # design products an inversion holds at once (see _simulate_inversion)
 
 
-class BackendKind(Enum):
-    ORACLE_EXACT_INFIDELITY = "oracle_exact_infidelity"
-    MEASUREMENT_LINEAR_INVERSION = "measurement_linear_inversion"
+class TomographyBackend(Enum):
+    """A stage's estimator, named as the CLI names it. Every stage runs at its
+    config's eps: an oracle lands in [1 - eps, 1 - eps/2], and linear inversion
+    spends the budget ``run_reduction`` passes it, ``n_copies`` for the
+    mixed-state stage and the kept copy count for the pure-state stage."""
 
-
-@dataclass(frozen=True)
-class TomographyBackend:
-    """Estimator selection plus its parameters.
-
-    Oracle backends need a target infidelity in [1e-12, 1), 1e-12 being the
-    oracles' resolution floor; measurement backends need a shot budget, an
-    integer of at least 1. No stage reads that budget: ``run_reduction``
-    passes its own, ``n_copies`` for the mixed-state stage and the kept copy
-    count for the pure-state stage. ``shots`` stays, checked, because
-    ``benchmark/checks.py`` builds its backends with ``linear_inversion(shots)``.
-    """
-
-    kind: BackendKind
-    epsilon_target: float | None = None
-    shots: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:  # the real rule rejects None
-            target = _check_window("infidelity", self.epsilon_target)
-            object.__setattr__(self, "epsilon_target", target)
-        elif self.kind is BackendKind.MEASUREMENT_LINEAR_INVERSION:
-            if self.shots is None:
-                raise ValueError("measurement backend needs a shot budget of at least 1")
-            object.__setattr__(self, "shots", _check_integer("shots", self.shots))
-            if self.shots < 1:
-                raise ValueError("measurement backend needs a shot budget of at least 1")
-        else:  # pragma: no cover - enum covers all kinds
-            raise ValueError(f"unknown backend kind {self.kind!r}")
+    ORACLE = "oracle"
+    MEASUREMENT = "measurement"
 
     @classmethod
     def oracle(cls, epsilon_target: float) -> "TomographyBackend":
-        return cls(kind=BackendKind.ORACLE_EXACT_INFIDELITY, epsilon_target=epsilon_target)
+        """ORACLE, once ``epsilon_target`` passes the oracles' window rule. No
+        stage reads it; it stays for ``benchmark/checks.py``, and the next
+        benchmark change (ROADMAP items 3 and 9) deletes it."""
+        _check_window("infidelity", epsilon_target)
+        return cls.ORACLE
 
     @classmethod
     def linear_inversion(cls, shots: int) -> "TomographyBackend":
-        return cls(kind=BackendKind.MEASUREMENT_LINEAR_INVERSION, shots=shots)
+        """MEASUREMENT, once ``shots`` is an integer of at least 1. No stage
+        reads it; it stays for ``benchmark/checks.py``, and the next benchmark
+        change (ROADMAP items 3 and 9) deletes it."""
+        if shots is None or _check_integer("shots", shots) < 1:
+            raise ValueError("measurement backend needs a shot budget of at least 1")
+        return cls.MEASUREMENT
 
     def min_shots(self, dim: int) -> int:
         """Fewest shots to estimate a state on C^dim: 1 for an oracle, d^2 for inversion."""
-        return 1 if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY else _shot_floor(dim)
+        return 1 if self is TomographyBackend.ORACLE else _shot_floor(dim)
 
-    def _estimate_mixed_stack(self, rho, rank: int, rngs, shots: int):
+    def _estimate_mixed_stack(self, rho, rank: int, epsilon: float, rngs, shots: int):
         """Checked (matrix, eigenvalues, eigenvectors) stacks of the estimates sigma_t
         of the states ``rho``, such stacks on one C^d with full spectra and all of
-        one rank for an oracle, at a checked rank and budget, one generator per
-        state, and F(rho_t, sigma_t) as an array, from the pairs ``fidelity_mixed``
-        takes (rho's cut to its rank), so ``verify_chain`` repeats it bit for bit."""
+        one rank for an oracle, at a checked rank, infidelity and budget, one
+        generator per state, and F(rho_t, sigma_t) as an array, from the pairs
+        ``fidelity_mixed`` takes (rho's cut to its rank), so ``verify_chain``
+        repeats it bit for bit."""
         mat, w, v = rho
         k = _ranks(w).max()
-        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            return _infidelity_estimates(w[:, :k], v, self.epsilon_target, rngs)
+        if self is TomographyBackend.ORACLE:
+            return _infidelity_estimates(w[:, :k], v, epsilon, rngs)
         sigma = _inverted_mixed_states(mat, rank, np.full(len(mat), shots), rngs)
         return sigma, _fidelities(w[:, :k], v[:, :, :k], *sigma[1:])
 
-    def _estimate_pure_stack(self, amps: np.ndarray, rngs, shots) -> np.ndarray:
+    def _estimate_pure_stack(self, amps: np.ndarray, epsilon: float, rngs, shots) -> np.ndarray:
         """Checked amplitude rows of the estimates of a (T, n) stack of pure
-        states; ``rngs`` holds each state's generator and ``shots`` its
-        checked budget."""
-        if self.kind is BackendKind.ORACLE_EXACT_INFIDELITY:
-            rows = _oracle_pure_rows(amps, self.epsilon_target, rngs)
+        states at a checked infidelity; ``rngs`` holds each state's generator
+        and ``shots`` its checked budget."""
+        if self is TomographyBackend.ORACLE:
+            rows = _oracle_pure_rows(amps, epsilon, rngs)
         else:
             rows = _inverted_pure_states(amps, shots, rngs)
         _check_unit_norms(rows)
@@ -329,8 +314,8 @@ def _check_window(what: str, target: float) -> float:
     target = _check_real(f"target {what}", target)
     if not _RESOLUTION_FLOOR <= target < 1.0:
         raise ValueError(
-            f"target {what} must be in [{_RESOLUTION_FLOOR:g}, 1), got {target!r}: a calibrated "
-            "window narrower than that is not resolved in float64"
+            f"target {what} must be in [{_RESOLUTION_FLOOR:g}, 1), got {target!r}: "
+            "float64 does not resolve a narrower window"
         )
     return target
 
@@ -374,10 +359,9 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
 
     The state is rotated toward a random orthogonal unit vector by the angle
     whose cosine meets a target overlap drawn uniformly from the window.
+    eps must be at least the 1e-12 resolution floor.
     """
-    epsilon = _check_real("target infidelity", epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"target infidelity must be in (0, 1), got {epsilon!r}")
+    epsilon = _check_window("infidelity", epsilon)
     if psi.amplitudes.size < 2:
         raise ValueError("no orthogonal direction available in a one-dimensional space")
     rows = _oracle_pure_rows(psi.amplitudes[None], epsilon, [rng_from_seed(seed)])
@@ -386,7 +370,7 @@ def oracle_pure_estimate(psi: PureState, epsilon: float, seed) -> PureState:
 
 def _oracle_pure_rows(amps: np.ndarray, epsilon: float, rngs) -> np.ndarray:
     """Phase-normalized, unchecked amplitude rows of the pure oracle's
-    estimates of a (T, n) stack of states, n >= 2 and epsilon in (0, 1),
+    estimates of a (T, n) stack of states, n >= 2 and epsilon in [1e-12, 1),
     each drawn from its own generator."""
     n = amps.shape[1]
     # per generator: the target overlap, then one draw of the direction's parts

@@ -330,15 +330,10 @@ class TestTrialStacks:
         cell = dict(r_values=(2,), d_values=(3,), eps_values=(0.05,), backend=backend)
         summary, records = cell_records(20, **cell)
         assert summary.failures_total == 0
-        stage = (
-            TomographyBackend.oracle(0.05)
-            if backend == "oracle"
-            else TomographyBackend.linear_inversion(10_000)
-        )
         for rec in records:
             config = ReductionConfig(
-                r=2, d=3, n_copies=10_000, epsilon=0.05, mixed_backend=stage,
-                pure_backend=stage, seed=child_seed(rec["seed"], 1),
+                r=2, d=3, n_copies=10_000, epsilon=0.05, mixed_backend=backend,
+                pure_backend=backend, seed=child_seed(rec["seed"], 1),
             )
             report = run_reduction(random_pure_state(2, 3, child_seed(rec["seed"], 0)), config)
             expected = report_columns(report, _CHAIN_COLUMNS)
@@ -1189,7 +1184,7 @@ class TestCliConfig:
             ("chain-sweep", "--eps", "0.3,0.02", "eps_values", (0.3, 0.02)),
             ("chain-sweep", "--c-extra", "2.5", "extra_copy_factor", 2.5),
             ("chain-sweep", "--n-copies", "500", "n_copies", 500),
-            ("chain-sweep", "--backend", "measurement", "backend", "measurement"),
+            ("chain-sweep", "--backend", "measurement", "backend", TomographyBackend.MEASUREMENT),
             ("reduce", "--seed", "5", "master_seed", 5),
             ("reduce", "--trials", "7", "trials", 7),
             ("reduce", "--format", "jsonl", "out_format", "jsonl"),
@@ -1205,6 +1200,17 @@ class TestCliConfig:
         config = _parse([command, "--out", "x.csv", flag, text])
         assert getattr(config, field) == value
         assert config == dataclasses.replace(_default_config(command), **{field: value})
+
+    def test_backend_choices_are_the_kinds(self, capsys):
+        # the choices read TomographyBackend's names, in its order
+        for command in ("chain-sweep", "reduce"):
+            for kind in TomographyBackend:
+                argv = [command, "--out", "x.csv", "--backend", kind.value]
+                assert _parse(argv).backend is kind
+            with pytest.raises(SystemExit):
+                _parse([command, "--backend", "exact"])
+            choices = ", ".join(repr(kind.value) for kind in TomographyBackend)
+            assert f"(choose from {choices})" in capsys.readouterr().err
 
     def test_default_out_path_names_the_experiment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV_VAR, str(tmp_path))

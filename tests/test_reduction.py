@@ -100,14 +100,12 @@ class TestReductionConfig:
     def test_rejects_configs_that_cannot_run(self):
         with pytest.raises(ValueError, match="d = 1"):
             ReductionConfig(r=1, d=1, n_copies=10, epsilon=0.1)
-        inversion = TomographyBackend.linear_inversion(shots=100)
+        inversion = TomographyBackend.MEASUREMENT
         with pytest.raises(ValueError, match="n_copies >= d\\^2 = 16"):
             ReductionConfig(r=1, d=4, n_copies=15, epsilon=0.1, mixed_backend=inversion)
         ReductionConfig(r=1, d=4, n_copies=16, epsilon=0.1, mixed_backend=inversion)
 
-    @pytest.mark.parametrize(
-        "backend", [TomographyBackend.oracle(0.1), TomographyBackend.linear_inversion(10)]
-    )
+    @pytest.mark.parametrize("backend", list(TomographyBackend))
     def test_rejects_d_1_for_every_backend(self, backend):
         # linear inversion used to run on d = 1, where there is one state only
         with pytest.raises(ValueError, match="d = 1"):
@@ -128,7 +126,7 @@ class TestReductionConfig:
     @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0, 1e308, 2.0**62])
     def test_rejects_copy_count_beyond_int64(self, factor):
         # the kept count is one binomial draw, which takes an int64 copy count
-        inversion = TomographyBackend.linear_inversion(shots=100)
+        inversion = TomographyBackend.MEASUREMENT
         with pytest.raises(ValueError, match="extra"):
             ReductionConfig(
                 r=1, d=2, n_copies=10, epsilon=0.5, extra_copy_factor=factor,
@@ -136,7 +134,7 @@ class TestReductionConfig:
             )
 
     def test_rejects_stage_one_budget_beyond_int64(self):
-        inversion = TomographyBackend.linear_inversion(shots=100)
+        inversion = TomographyBackend.MEASUREMENT
         with pytest.raises(ValueError, match="int64"):
             ReductionConfig(r=1, d=2, n_copies=2**63, epsilon=0.1, mixed_backend=inversion)
         ReductionConfig(r=1, d=2, n_copies=2**63 - 1, epsilon=0.1, mixed_backend=inversion)
@@ -148,7 +146,7 @@ class TestReductionConfig:
             ReductionConfig(r=1, d=2, n_copies=n_copies, epsilon=0.1)
 
     def test_largest_copy_count_accepted(self):
-        inversion = TomographyBackend.linear_inversion(shots=100)
+        inversion = TomographyBackend.MEASUREMENT
         cfg = ReductionConfig(
             r=1, d=2, n_copies=10, epsilon=0.5, extra_copy_factor=2.0**61,
             mixed_backend=inversion, pure_backend=inversion,
@@ -171,8 +169,38 @@ class TestReductionConfig:
 
     def test_default_backends_are_oracles(self):
         cfg = ReductionConfig(r=1, d=2, n_copies=1, epsilon=0.25)
-        assert cfg.mixed_backend.epsilon_target == 0.25
-        assert cfg.pure_backend.epsilon_target == 0.25
+        assert cfg.mixed_backend is TomographyBackend.ORACLE
+        assert cfg.pure_backend is TomographyBackend.ORACLE
+
+    @pytest.mark.parametrize("stage", ["mixed_backend", "pure_backend"])
+    def test_backends_are_kinds_or_their_names(self, stage):
+        # a name used to fail late: mixed_backend="measurement" raised
+        # AttributeError, and pure_backend="oracle" failed inside run_reduction
+        psi = random_pure_state(2, 3, seed=16)
+        base = dict(r=2, d=3, n_copies=9, epsilon=0.1, seed=17)
+        for kind in TomographyBackend:
+            named = ReductionConfig(**base, **{stage: kind.value})
+            config = ReductionConfig(**base, **{stage: kind})
+            assert getattr(named, stage) is kind
+            assert named == config
+            by_name = report_columns(run_reduction(psi, named), _CHAIN_COLUMNS)
+            assert by_name == report_columns(run_reduction(psi, config), _CHAIN_COLUMNS)
+        for value in ("exact", "ORACLE", "", None, 0, True, ["oracle"], TomographyBackend):
+            with pytest.raises(ValueError, match="is not a valid TomographyBackend"):
+                ReductionConfig(r=2, d=3, n_copies=9, epsilon=0.1, **{stage: value})
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(1e-12, 1.0, exclude_max=True))
+    def test_stages_run_at_the_config_epsilon(self, x):
+        # TomographyBackend.oracle(x) used to set the stage's own eps; it is the
+        # kind now, and every stage runs at the config's eps
+        psi = random_pure_state(2, 3, seed=18)
+        kind = ReductionConfig(r=2, d=3, n_copies=1, epsilon=0.05, seed=19)
+        oracle = TomographyBackend.oracle(x)
+        assert oracle is TomographyBackend.ORACLE
+        config = dataclasses.replace(kind, mixed_backend=oracle, pure_backend=oracle)
+        expected = report_columns(run_reduction(psi, kind), _CHAIN_COLUMNS)
+        assert report_columns(run_reduction(psi, config), _CHAIN_COLUMNS) == expected
 
 
 @st.composite
@@ -287,13 +315,8 @@ class TestRunReduction:
         # eigenvectors; then |<phi|psi>|^2 = keep * |<phi|psi_tilde>|^2 exactly
         ranks_seen = set()
         for eps in eps_values:
-            backend = (
-                TomographyBackend.oracle(eps)
-                if kind == "oracle"
-                else TomographyBackend.linear_inversion(10_000)
-            )
             config = ReductionConfig(
-                r=r, d=d, n_copies=10_000, epsilon=eps, mixed_backend=backend, pure_backend=backend
+                r=r, d=d, n_copies=10_000, epsilon=eps, mixed_backend=kind, pure_backend=kind
             )
             seeds = [child_seed(10, r, d, t) for t in range(40)]
             m = np.array([random_pure_state(r, d, s).as_matrix() for s in seeds])
@@ -316,7 +339,7 @@ class TestRunReduction:
 
     def test_measurement_backends_end_to_end(self):
         psi = random_pure_state(2, 3, seed=12)
-        backend = TomographyBackend.linear_inversion(shots=20_000)
+        backend = TomographyBackend.MEASUREMENT
         cfg = ReductionConfig(
             r=2,
             d=3,
@@ -341,8 +364,8 @@ class TestRunReduction:
             n_copies=20_000,
             epsilon=0.4,
             extra_copy_factor=0.1,  # ~1 extra copy, far below (r*rank)^2
-            mixed_backend=TomographyBackend.linear_inversion(shots=20_000),
-            pure_backend=TomographyBackend.linear_inversion(shots=20_000),
+            mixed_backend=TomographyBackend.MEASUREMENT,
+            pure_backend=TomographyBackend.MEASUREMENT,
             seed=15,
         )
         rep = run_reduction(psi, cfg)
@@ -906,9 +929,7 @@ class TestMixedRankStacks:
     ]
     SEEDS = [child_seed(67, t) for t in range(7)]
 
-    @pytest.mark.parametrize(
-        "backend", [TomographyBackend.oracle(0.1), TomographyBackend.linear_inversion(10_000)]
-    )
+    @pytest.mark.parametrize("backend", list(TomographyBackend))
     def test_reductions_match_one_trial_at_a_time(self, backend):
         config = ReductionConfig(
             r=2, d=3, n_copies=10_000, epsilon=0.1, mixed_backend=backend, pure_backend=backend

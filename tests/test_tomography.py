@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tomoreduce import (
-    BackendKind,
     DensityMatrix,
     Projector,
     PureState,
@@ -688,7 +687,7 @@ class TestTruncationFloor:
 
 
 class TestResolutionFloor:
-    # a calibrated window below 1e-12 is not resolved in float64
+    # a window below 1e-12 is not resolved in float64
     def test_below_floor_rejected(self):
         rho = random_rank_r_state(4, 2, seed=140)
         for call in (
@@ -697,6 +696,29 @@ class TestResolutionFloor:
         ):
             with pytest.raises(ValueError, match="1e-12"):
                 call()
+
+    @pytest.mark.parametrize("eps", [9e-13, 1e-13, 1e-15])
+    def test_pure_oracle_shares_the_floor(self, eps):
+        # the pure oracle took any eps in (0, 1): below the floor its estimates
+        # missed [1 - eps, 1 - eps/2] (29 of 2,000 at 1e-13, 1,348 at 1e-15)
+        psi = random_pure_state(1, 4, seed=145)
+        message = (
+            f"target infidelity must be in [1e-12, 1), got {eps!r}: "
+            "float64 does not resolve a narrower window"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            oracle_pure_estimate(psi, eps, seed=146)
+
+    @pytest.mark.parametrize("stage", ["mixed_backend", "pure_backend"])
+    def test_oracle_stage_binds_the_config_epsilon(self, stage):
+        # the window rule moved from TomographyBackend.oracle(eps) to the
+        # config's eps, wherever a stage is an oracle
+        other = "pure_backend" if stage == "mixed_backend" else "mixed_backend"
+        kinds = {stage: TomographyBackend.ORACLE, other: TomographyBackend.MEASUREMENT}
+        with pytest.raises(ValueError, match="1e-12"):
+            ReductionConfig(r=1, d=2, n_copies=4, epsilon=1e-13, **kinds)
+        measured = dict.fromkeys(kinds, TomographyBackend.MEASUREMENT)
+        ReductionConfig(r=1, d=2, n_copies=4, epsilon=1e-13, **measured)
 
     def test_floor_lands(self):
         for t in range(10):
@@ -708,53 +730,79 @@ class TestResolutionFloor:
 
 
 class TestBackendConfig:
-    def test_oracle_requires_epsilon(self):
-        with pytest.raises(ValueError):
-            TomographyBackend(kind=BackendKind.ORACLE_EXACT_INFIDELITY)
-        with pytest.raises(ValueError):
-            TomographyBackend.oracle(1.5)
+    def test_kinds_are_their_names(self):
+        assert [kind.value for kind in TomographyBackend] == ["oracle", "measurement"]
+        for kind in TomographyBackend:
+            assert TomographyBackend(kind.value) is kind
+            assert TomographyBackend(kind) is kind
 
-    def test_measurement_requires_budget(self):
-        with pytest.raises(ValueError):
-            TomographyBackend(kind=BackendKind.MEASUREMENT_LINEAR_INVERSION)
-        with pytest.raises(ValueError):
-            TomographyBackend.linear_inversion(0)
+    # the constructors benchmark/checks.py calls keep their argument rules
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1.5, "target infidelity must be in [1e-12, 1), got 1.5: {floor}"),
+            (9e-13, "target infidelity must be in [1e-12, 1), got 9e-13: {floor}"),
+            (0, "target infidelity must be in [1e-12, 1), got 0.0: {floor}"),
+            (float("nan"), "target infidelity must be in [1e-12, 1), got nan: {floor}"),
+            (4.5, "target infidelity must be in [1e-12, 1), got 4.5: {floor}"),
+            (True, "target infidelity must be a real number, got True"),
+        ],
+    )
+    def test_oracle_rejects(self, value, message):
+        message = message.format(floor="float64 does not resolve a narrower window")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TomographyBackend.oracle(value)
 
-    @pytest.mark.parametrize("shots", [float("nan"), 4.5, 100.0, True, np.bool_(True)])
-    def test_rejects_shots_that_are_not_an_integer(self, shots):
-        with pytest.raises(ValueError, match=f"shots must be an integer, got {shots!r}"):
-            TomographyBackend.linear_inversion(shots)
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1.5, "shots must be an integer, got 1.5"),
+            (9e-13, "shots must be an integer, got 9e-13"),
+            (0, "measurement backend needs a shot budget of at least 1"),
+            (None, "measurement backend needs a shot budget of at least 1"),
+            (float("nan"), "shots must be an integer, got nan"),
+            (4.5, "shots must be an integer, got 4.5"),
+            (100.0, "shots must be an integer, got 100.0"),
+            (True, "shots must be an integer, got True"),
+            (np.bool_(True), "shots must be an integer, got np.True_"),
+        ],
+    )
+    def test_linear_inversion_rejects(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TomographyBackend.linear_inversion(value)
 
-    def test_numpy_integer_shots_accepted(self):
-        assert TomographyBackend.linear_inversion(np.int64(5)).shots == 5
+    def test_constructors_return_the_kinds(self):
+        assert TomographyBackend.oracle(0.1) is TomographyBackend.ORACLE
+        assert TomographyBackend.oracle(1e-12) is TomographyBackend.ORACLE
+        assert TomographyBackend.linear_inversion(np.int64(5)) is TomographyBackend.MEASUREMENT
 
     def test_min_shots(self):
         for dim in (1, 2, 6):
-            assert TomographyBackend.oracle(0.1).min_shots(dim) == 1
-            assert TomographyBackend.linear_inversion(5).min_shots(dim) == dim * dim
+            assert TomographyBackend.ORACLE.min_shots(dim) == 1
+            assert TomographyBackend.MEASUREMENT.min_shots(dim) == dim * dim
 
     def test_dispatch(self):
         # each backend's stack kernels are the ones its public entries run
         rho = random_rank_r_state(3, 2, seed=40)
-        oracle = TomographyBackend.oracle(0.1)
+        oracle = TomographyBackend.ORACLE
         sigma = oracle_mixed_estimate(rho, 0.1, seed=41)
         assert 0.9 <= fidelity_mixed(rho, sigma) <= 0.95
         stack = (rho.matrix[None], rho.eigenvalues[None], rho.eigenvectors[None])
-        (same, _, _), _ = oracle._estimate_mixed_stack(stack, 2, [rng_from_seed(41)], 1)
+        (same, _, _), _ = oracle._estimate_mixed_stack(stack, 2, 0.1, [rng_from_seed(41)], 1)
         assert np.array_equal(same[0], sigma.matrix)
-        li = TomographyBackend.linear_inversion(shots=5000)
+        li = TomographyBackend.MEASUREMENT
         sigma2 = estimate_mixed_state_from_measurements(rho, 2, 5000, seed=42)
         assert sigma2.rank <= 2
-        (same, _, _), _ = li._estimate_mixed_stack(stack, 2, [rng_from_seed(42)], 5000)
+        (same, _, _), _ = li._estimate_mixed_stack(stack, 2, 0.1, [rng_from_seed(42)], 5000)
         assert np.array_equal(same[0], sigma2.matrix)
         psi = random_pure_state(1, 3, seed=43)
         phi = oracle_pure_estimate(psi, 0.1, seed=44)
         assert 0.9 <= fidelity_pure_pure(phi, psi) <= 0.95
-        same = oracle._estimate_pure_stack(psi.amplitudes[None], [rng_from_seed(44)], [1])
+        same = oracle._estimate_pure_stack(psi.amplitudes[None], 0.1, [rng_from_seed(44)], [1])
         assert np.array_equal(same[0], phi.amplitudes)
         phi2 = estimate_pure_state_from_measurements(psi, 2000, seed=45)
         assert np.linalg.norm(phi2.amplitudes) == pytest.approx(1.0, abs=1e-9)
-        same = li._estimate_pure_stack(psi.amplitudes[None], [rng_from_seed(45)], [2000])
+        same = li._estimate_pure_stack(psi.amplitudes[None], 0.1, [rng_from_seed(45)], [2000])
         assert np.array_equal(same[0], phi2.amplitudes)
 
 
@@ -797,11 +845,13 @@ ENTRY_CHECKS = {
     ),
     "oracle_pure_eps_zero": (
         lambda: oracle_pure_estimate(_PSI3, 0.0, 0),
-        "target infidelity must be in (0, 1), got 0.0",
+        "target infidelity must be in [1e-12, 1), got 0.0: "
+        "float64 does not resolve a narrower window",
     ),
     "oracle_pure_eps_one": (
         lambda: oracle_pure_estimate(_PSI3, 1.0, 0),
-        "target infidelity must be in (0, 1), got 1.0",
+        "target infidelity must be in [1e-12, 1), got 1.0: "
+        "float64 does not resolve a narrower window",
     ),
     "oracle_pure_one_dimensional": (
         lambda: oracle_pure_estimate(PureState(np.array([1.0]), (1, 1)), 0.1, 0),

@@ -71,7 +71,9 @@ from pathlib import Path
 # floor at r = 3 (d = 3 and 8), on the full-rank rotation and the rotation
 # into a kernel; then configuration errors: stage 1 below the d^2 floor, eps
 # below the oracles' resolution floor, budgets that all fall below the floor,
-# and d = 1. Every oracle estimate of every sweep is built once, with no search.
+# d = 1, and an unknown backend, whose usage error on stderr lists the tree's
+# --backend choices in order, so both trees' choices are compared. Every oracle
+# estimate of every sweep is built once, with no search.
 SWEEPS = (
     ["chain-sweep", "--trials", "2", "--seed", "11"],
     ["chain-sweep", "--backend", "measurement", "--trials", "1", "--seed", "12"],
@@ -115,6 +117,7 @@ SWEEPS = (
     ["reduce", "--eps", "1e-13"],
     ["scale-pure", "--d", "4", "--n", "10"],
     ["chain-sweep", "--d", "1"],
+    ["chain-sweep", "--backend", "exact"],
 )
 FORMATS = ("csv", "jsonl")
 # The sweeps of --stats: both chain backends, gentle and prop-search on the
